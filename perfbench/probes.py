@@ -4,11 +4,12 @@ Nothing in the package is edited: the probes rebind module attributes (and
 two class attributes) to thin wrappers and put the originals back afterwards.
 The always-on probes time each `krylov.minres` call made by `cli.solve_once`,
 recompute the true residual of its answer, and record the memory-gate
-estimate. Before each solve they run the cyclic garbage collector, so that the
-process's peak RSS is a solve's working set and not an accident of when the
-collector last ran (without it, the level-3 grid's peak moves by about 15%
-between seeds). The collection and the residual check are benchmark work:
-their time is kept in `untimed_s` and left out of the pass's wall time.
+estimate. With `collect` set they also run the cyclic garbage collector before
+each solve, so that the process's peak RSS is a solve's working set and not an
+accident of when the collector last ran: without it, the level-3 grid's peak
+moves between about 410 and 480 MB from seed to seed. The collection and the
+residual check are benchmark work: their time is kept in `untimed_s` and left
+out of the pass's wall time.
 The trace probes add a span around each layer call listed in `TRACED`, plus
 the A-apply and P^-1 callables handed to MINRES.
 """
@@ -47,7 +48,8 @@ class Probe:
     memory and are handed out per pass by `take_spans`.
     """
 
-    def __init__(self):
+    def __init__(self, collect):
+        self.collect = collect
         self.tracing = False
         self.spans = []
         self.solves = []
@@ -107,6 +109,13 @@ class Probe:
         self.counters = {}
         self.untimed_s = 0.0
 
+    def collect_garbage(self):
+        if self.collect:
+            t0 = time.perf_counter()
+            with self.region("bench.gc"):
+                gc.collect()
+            self.untimed_s += time.perf_counter() - t0
+
     # -- rebinding -----------------------------------------------------------
 
     def _rebind(self, owners, attr, wrapper):
@@ -120,10 +129,7 @@ class Probe:
         orig_estimate = cli.estimate_memory_gb
 
         def solve_once(spec, tol):
-            t0 = time.perf_counter()
-            with self.region("bench.gc"):
-                gc.collect()
-            self.untimed_s += time.perf_counter() - t0
+            self.collect_garbage()
             self.new_solve({"p": spec.degree, "level": spec.level,
                             "alpha": spec.alpha, "tol": tol})
             try:

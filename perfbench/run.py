@@ -1,17 +1,19 @@
 """saddleprec benchmark: time to a converged solution on the paper's wave grids.
 
-    python3 perfbench/run.py --workload grid-l3 --seed 0 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload grid-l3 --seed 0 --seconds 30 --trace 0
 
 Each workload runs in this one process, closed loop: one caller, and each
 solve starts after the previous one ends. The BLAS/OpenMP thread variables are
-set to --threads (default: the cores this process may use) before numpy is
-imported. One untimed level-2 warm-up solve precedes timing; then whole passes
-of the workload run until --seconds would be exceeded (at least one pass).
-Every solve and instrument call is checked; the last stdout line is the JSON
-result. With --trace 1 the passes alternate untraced and traced, the metrics
-are the per-layer ones, and on grid-l3 a single-thread traced reference runs
-in a child process. A detail record (environment, per-pass figures, spans)
-is written to .bench_out/ in the checkout.
+set to --threads (default 1), and numpy's huge-page advice is turned off,
+before numpy is imported. One untimed level-2 warm-up solve precedes timing;
+then whole passes of the workload run until --seconds would be exceeded (at
+least MIN_PASSES untraced). Every solve and
+instrument call is checked; the last stdout line is the JSON result. With
+--trace 1 the passes alternate untraced and traced, the metrics are the
+per-layer ones, and one traced pass is repeated in a child process at one BLAS
+thread per usable core (nproc) and reported beside. A detail record
+(environment, per-pass figures, spans) is written to .bench_out/ in the
+checkout.
 
 The program is imported from src/ next to this directory; without it the
 benchmark exits with status 2 and prints no result.
@@ -19,7 +21,6 @@ benchmark exits with status 2 and prints no result.
 
 import argparse
 import gc
-import hashlib
 import io
 import json
 import math
@@ -38,12 +39,18 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".bench_out"
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-RUN_DEADLINE_S = 170.0
+# numpy asks the kernel for transparent huge pages on large arrays by default;
+# whether it gets them depends on the host's free memory, and it moved the
+# level-3 grid's peak RSS between about 390 and 530 MB from run to run
+HUGEPAGE_VAR = "NUMPY_MADVISE_HUGEPAGE"
+# untraced passes a solve workload runs at least, so that every cell's
+# iteration count is compared across passes; verify-l2 solves nothing
+MIN_PASSES = {"grid-l3": 2, "solve-l4": 2, "verify-l2": 1}
 
 TOL = 1e-8
 GRID_ALPHAS = ("1", "1e-3", "1e-6", "1e-9")
-VERIFY_CALLS = (("verify.measure_brezzi", 1e-3), ("verify.measure_brezzi", 1e-6),
-                ("verify.condition_number_estimate", 1e-6))
+BREZZI_ALPHAS = (1e-3, 1e-6)
+KAPPA_ALPHA = 1e-6
 # unknowns per (degree, level) of the wave system (acceptance criterion 1)
 DOFS = {(2, 2): 3604, (2, 3): 28452, (3, 3): 32343, (2, 4): 226372}
 # reference iterations of the cells acceptance criterion 2 pins (wave, p=2);
@@ -72,9 +79,13 @@ LAYER_UNITS = {
     "krylov.recurrence_self_s": "s",
     "verify.measure_brezzi_s": "s", "verify.condition_number_estimate_s": "s",
     "cli.memory_estimate_gb": "GB", "cli.estimate_over_peak": "ratio",
-    "trace.spans": "count", "trace.overhead_s": "s",
+    "trace.spans": "count", "trace.overhead_s": "s", "gc_unforced.peak_rss_mb": "MB",
     **{f"{layer}.self_s": "s" for layer in LAYERS},
 }
+# figures of the reference run at nproc BLAS threads, reported as nproc.<name>
+NPROC_METRICS = ("wall_s", "setup_s", "solve_s", "kron.solve_s", "krylov.A_apply_s",
+                 "precond.apply_inverse_s")
+LAYER_UNITS.update({f"nproc.{k}": "s" for k in NPROC_METRICS})
 
 
 def parse_args(argv):
@@ -84,20 +95,22 @@ def parse_args(argv):
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--threads", type=int, default=None,
-                        help="BLAS threads (default: usable cores)")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="BLAS threads of the measured passes (default 1)")
+    # one traced pass and its figures only: the nproc reference of a traced run
+    parser.add_argument("--reference", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.seed < 0 or args.seconds <= 0:
-        parser.error("--seed must be nonnegative and --seconds positive")
+    if args.seed < 0 or args.seconds <= 0 or args.threads < 1:
+        parser.error("--seed must be nonnegative, --seconds and --threads positive")
     return args
 
 
 def main(argv=None):
     args = parse_args(argv)
     nproc = len(os.sched_getaffinity(0))
-    threads = args.threads or nproc
     for var in THREAD_VARS:
-        os.environ[var] = str(threads)
+        os.environ[var] = str(args.threads)
+    os.environ[HUGEPAGE_VAR] = "0"
     if not (SRC / "saddleprec" / "__init__.py").is_file():
         print(f"error: saddleprec sources not found under {SRC}", file=sys.stderr)
         return 2
@@ -108,7 +121,7 @@ def main(argv=None):
         print(f"error: imported saddleprec from {saddleprec.__file__}",
               file=sys.stderr)
         return 2
-    bench = Bench(args, threads, nproc)
+    bench = Bench(args, nproc)
     result = bench.run()
     print(json.dumps(result))
     return 0
@@ -144,18 +157,10 @@ def git_commit():
     return done.stdout.strip() if done.returncode == 0 else None
 
 
-def source_digest():
-    digest = hashlib.sha256()
-    for path in sorted((SRC / "saddleprec").glob("*.py")):
-        digest.update(path.name.encode())
-        digest.update(path.read_bytes())
-    return digest.hexdigest()
-
-
 class Bench:
     """One benchmark process: warm-up, timed passes, checks and the result."""
 
-    def __init__(self, args, threads, nproc):
+    def __init__(self, args, nproc):
         import numpy as np
         import scipy
 
@@ -163,24 +168,25 @@ class Bench:
         from probes import Probe
 
         self.assembly, self.cli, self.precond, self.verify = assembly, cli, precond, verify
-        self.args, self.threads = args, threads
-        self.t_process = time.perf_counter()
+        self.args, self.nproc = args, nproc
         self.env = {
             "nproc": nproc,
             "thread_vars": {v: os.environ[v] for v in THREAD_VARS},
+            HUGEPAGE_VAR: os.environ[HUGEPAGE_VAR],
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "openblas_numpy": blas_version(np),
             "openblas_scipy": blas_version(scipy),
             "git_commit": git_commit(),
-            "source_sha256": source_digest(),
             "workload": args.workload,
             "seed": args.seed,
             "seconds": args.seconds,
             "trace": args.trace,
         }
-        self.probe = Probe()
+        # the gated (untraced) runs collect garbage before each pass and solve;
+        # traced runs leave the collector to the program
+        self.probe = Probe(collect=not (args.trace or args.reference))
         self.first_iterations = {}
 
     # -- workload bodies: one pass each, returning (exit code, attempts) ----
@@ -206,20 +212,21 @@ class Bench:
         return code, 1
 
     def verify_l2(self):
-        # each instrument call gets its own freshly assembled system, as each
-        # verify suite assembles its own; three set-ups a pass steady setup_s
+        # the Brezzi pair shares one system, as `verify --suite brezzi` does;
+        # kappa needs the system of its own alpha and its preconditioner
         assembly, precond, verify = self.assembly, self.precond, self.verify
-        for name, alpha in VERIFY_CALLS:
-            spec = assembly.ProblemSpec("wave", 2, 2, alpha, seed=self.args.seed)
-            spaces = assembly.build_spaces(spec)
-            system = assembly.assemble_system(spec, spaces)
-            if name == "verify.measure_brezzi":
-                self._instrument(name, alpha, verify.measure_brezzi, system)
-            else:
-                precon = precond.build_preconditioner(spec, spaces, system.blocks)
-                self._instrument(name, alpha, verify.condition_number_estimate,
-                                 system, precon)
-        return 0, len(VERIFY_CALLS)
+        spec = assembly.ProblemSpec("wave", 2, 2, BREZZI_ALPHAS[0], seed=self.args.seed)
+        system = assembly.assemble_system(spec, assembly.build_spaces(spec))
+        for alpha in BREZZI_ALPHAS:
+            self._instrument("verify.measure_brezzi", alpha, verify.measure_brezzi,
+                             system, alpha)
+        spec = assembly.ProblemSpec("wave", 2, 2, KAPPA_ALPHA, seed=self.args.seed)
+        spaces = assembly.build_spaces(spec)
+        system = assembly.assemble_system(spec, spaces)
+        precon = precond.build_preconditioner(spec, spaces, system.blocks)
+        self._instrument("verify.condition_number_estimate", KAPPA_ALPHA,
+                         verify.condition_number_estimate, system, precon)
+        return 0, len(BREZZI_ALPHAS) + 1
 
     def _instrument(self, name, alpha, fn, *args):
         record = {"instrument": name, "alpha": alpha}
@@ -275,8 +282,9 @@ class Bench:
 
     def one_pass(self, body, traced):
         probe = self.probe
+        if probe.collect:
+            gc.collect()
         probe.reset()
-        gc.collect()
         if traced:
             probe.start_tracing()
         t0 = time.perf_counter()
@@ -365,17 +373,25 @@ class Bench:
                            "--level", "2", "--alpha", "1e-6", "--tol", repr(TOL),
                            "--seed", str(self.args.seed)])
         self.probe.reset()
-        trace = bool(self.args.trace)
+        gc.collect()  # the warm-up's garbage, in traced runs too
+        reference = self.args.reference
+        trace = bool(self.args.trace) or reference
+        min_plain = 0 if reference else 1 if trace else MIN_PASSES[self.args.workload]
         passes = []
         t_start = time.perf_counter()
         while True:
-            passes.append(self.one_pass(body, traced=trace and len(passes) % 2 == 1))
+            traced = reference or (trace and len(passes) % 2 == 1)
+            passes.append(self.one_pass(body, traced=traced))
             p = passes[-1]
             print(f"# pass {len(passes)} traced={p['traced']} wall={p['wall_s']:.3f}s "
                   f"setup={p['setup_s']:.3f}s solve={p['solve_s']:.3f}s "
                   f"iterations={p['iterations']} failed={p['failed']}",
                   file=sys.stderr)
             elapsed = time.perf_counter() - t_start
+            if reference:
+                break
+            if sum(not p["traced"] for p in passes) < min_plain:
+                continue
             if trace and len(passes) < 2:
                 continue
             if elapsed + elapsed / len(passes) > self.args.seconds:
@@ -398,16 +414,28 @@ class Bench:
         if trace:
             layers = {k: statistics.median(p["layers"][k] for p in traced)
                       for k in traced[0]["layers"]}
+            detail["spans"] = [p["spans"] for p in traced]
+            # what a traced run reports as nproc.<name> when this run is its reference
+            figures = {**layers, **{k: traced[0][k] for k in ("wall_s", "setup_s", "solve_s")}}
+        if reference:
+            metrics = {k: {"value": figures[k], "unit": "s"} for k in NPROC_METRICS}
+        elif trace:
             layers["trace.overhead_s"] = (
                 statistics.median(p["wall_s"] for p in traced)
                 - statistics.median(p["wall_s"] for p in plain))
+            layers["gc_unforced.peak_rss_mb"] = peak_rss_mb
             est = layers["cli.memory_estimate_gb"]
             layers["cli.estimate_over_peak"] = 1024.0 * est / peak_rss_mb if est else 0.0
-            metrics = {k: {"value": v, "unit": LAYER_UNITS[k]}
-                       for k, v in layers.items()}
-            detail["spans"] = [p["spans"] for p in traced]
-            if self.args.workload == "grid-l3" and self.threads != 1:
-                detail["single_thread_reference"] = self.single_thread_reference()
+            if self.args.threads == self.nproc:
+                detail["nproc_reference"] = {"same_as_measured": True}
+            else:
+                child = self.nproc_reference()
+                figures = {k: v["value"] for k, v in child["metrics"].items()}
+                attempted += child["attempted"]
+                failed += child["failed"]
+                detail["nproc_reference"] = child
+            layers.update({f"nproc.{k}": figures[k] for k in NPROC_METRICS})
+            metrics = {k: {"value": v, "unit": LAYER_UNITS[k]} for k, v in layers.items()}
         else:
             values = {k: statistics.median(p[k] for p in passes)
                       for k in ("wall_s", "setup_s", "solve_s")}
@@ -422,33 +450,32 @@ class Bench:
         return {"correct": failed == 0, "attempted": attempted, "failed": failed,
                 "metrics": metrics}
 
-    def single_thread_reference(self):
-        """The same traced pass with BLAS threads = 1, in a child process."""
-        left = RUN_DEADLINE_S - (time.perf_counter() - self.t_process)
-        if left < 60:
-            return {"skipped": f"only {left:.0f} s left of the run's deadline"}
+    def nproc_reference(self):
+        """One traced pass at nproc BLAS threads, in a child process.
+
+        The child gets four times the parent's --seconds; a child that
+        fails, or is stopped for overrunning, fails the run.
+        """
         argv = [sys.executable, str(Path(__file__).resolve()),
                 "--workload", self.args.workload, "--seed", str(self.args.seed),
-                "--seconds", "1", "--trace", "1", "--threads", "1"]
-        try:
-            done = subprocess.run(argv, capture_output=True, text=True,
-                                  timeout=left, cwd=ROOT)
-        except subprocess.TimeoutExpired:
-            return {"skipped": f"timed out after {left:.0f} s"}
+                "--seconds", str(self.args.seconds), "--trace", "1",
+                "--threads", str(self.nproc), "--reference"]
+        done = subprocess.run(argv, capture_output=True, text=True,
+                              timeout=4 * self.args.seconds, cwd=ROOT)
         lines = done.stdout.strip().splitlines()
         if done.returncode != 0 or not lines:
-            return {"error": f"exit status {done.returncode}", "stderr": done.stderr[-2000:]}
+            raise RuntimeError(f"nproc reference exited with status {done.returncode}:"
+                               f"\n{done.stderr[-2000:]}")
         child = json.loads(lines[-1])
-        print("# single-thread reference: " + " ".join(
-            f"{k}={child['metrics'][k]['value']:.4g}"
-            for k in ("kron.solve_s", "krylov.A_apply_s", "krylov.minres_s")),
-            file=sys.stderr)
-        return {"threads": 1, **child}
+        print("# nproc reference: " + " ".join(
+            f"{k}={v['value']:.4g}" for k, v in child["metrics"].items()), file=sys.stderr)
+        return {"threads": self.nproc, **child}
 
     def write_detail(self, detail):
         OUT.mkdir(exist_ok=True)
         a = self.args
-        path = OUT / f"{a.workload}-seed{a.seed}-trace{a.trace}-threads{self.threads}.json"
+        kind = "reference" if a.reference else f"trace{a.trace}"
+        path = OUT / f"{a.workload}-seed{a.seed}-{kind}-threads{a.threads}.json"
         path.write_text(json.dumps(detail, default=float))
         print(f"# detail record: {path.relative_to(ROOT)}", file=sys.stderr)
 
