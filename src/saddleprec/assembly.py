@@ -8,7 +8,8 @@ matrices, materialized as sparse matrices, and the assembled system is
 symmetric by construction (transposed blocks are placed explicitly).
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,7 +25,6 @@ from .splines import (
     h10_restriction,
     make_space,
     univariate_matrix,
-    univariate_matrix_clipped,
 )
 
 HEAT = "heat"
@@ -71,9 +71,24 @@ class ProblemSpec:
         return self.kind == WAVE
 
 
+# factor name -> (univariate space, name of its H^1_0 index set or None). The
+# state factors y_x, y_y are restricted to zero boundary values; the wave
+# initial-velocity multiplier space uses the same splines unrestricted.
+FACTOR_SPACES = {
+    "y_time": ("y_time", None), "y_x": ("y_x", "ix"), "y_y": ("y_y", "iy"),
+    "u_time": ("u_time", None), "u_x": ("u_x", None), "u_y": ("u_y", None),
+    "r2_x": ("y_x", None), "r2_y": ("y_y", None),
+}
+
+
 @dataclass
 class DiscreteSpaces:
-    """Univariate factors of the discrete spaces plus the interior index sets."""
+    """Univariate factors of the discrete spaces plus the interior index sets.
+
+    `factor` serves every univariate Galerkin factor of the space-time
+    operators, already restricted to the H^1_0 indices where its space is,
+    and caches it read-only for the lifetime of this object.
+    """
 
     y_time: SplineSpace
     y_x: SplineSpace
@@ -84,6 +99,31 @@ class DiscreteSpaces:
     ix: np.ndarray
     iy: np.ndarray
     has_r2: bool
+    _factors: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
+
+    def factor(self, row: str, col: str, d_row: int = 0, d_col: int = 0,
+               sub: tuple[float, float] | None = None) -> np.ndarray:
+        """Read-only Galerkin factor between two named factor spaces.
+
+        Names are the keys of FACTOR_SPACES; ``sub`` clips the integral to a
+        sub-interval. Repeated requests return the same array.
+        """
+        sub = None if sub is None else (float(sub[0]), float(sub[1]))
+        key = (row, col, d_row, d_col, sub)
+        if key not in self._factors:
+            (row_space, row_idx), (col_space, col_idx) = (
+                FACTOR_SPACES[row], FACTOR_SPACES[col])
+            mat = univariate_matrix(getattr(self, row_space),
+                                    getattr(self, col_space), d_row, d_col,
+                                    sub=sub)
+            if row_idx is not None:
+                mat = mat[getattr(self, row_idx), :]
+            if col_idx is not None:
+                mat = mat[:, getattr(self, col_idx)]
+            mat.setflags(write=False)
+            self._factors[key] = mat
+        return self._factors[key]
 
     @property
     def dim_y(self) -> int:
@@ -108,6 +148,25 @@ class DiscreteSpaces:
     @property
     def u_shape(self):
         return (self.u_time.dim, self.u_x.dim, self.u_y.dim)
+
+    @property
+    def block_names(self) -> tuple:
+        """Unknown blocks of the optimality system, in system order."""
+        return ("y", "u", "p_u", "p_r1") + (("p_r2",) if self.has_r2 else ())
+
+    @property
+    def block_dims(self) -> tuple:
+        dims = {"y": self.dim_y, "u": self.dim_u, "p_u": self.dim_u,
+                "p_r1": self.dim_r1, "p_r2": self.dim_r2}
+        return tuple(dims[name] for name in self.block_names)
+
+    def offsets(self) -> np.ndarray:
+        return np.concatenate([[0], np.cumsum(self.block_dims)])
+
+    def block_slice(self, name: str) -> slice:
+        i = self.block_names.index(name)
+        offs = self.offsets()
+        return slice(int(offs[i]), int(offs[i + 1]))
 
 
 def build_spaces(spec: ProblemSpec) -> DiscreteSpaces:
@@ -145,32 +204,19 @@ def dof_count(spec: ProblemSpec) -> int:
     return total
 
 
-def _restrict(mat: np.ndarray, rows=None, cols=None) -> np.ndarray:
-    out = mat
-    if rows is not None:
-        out = out[rows, :]
-    if cols is not None:
-        out = out[:, cols]
-    return out
-
-
 def assemble_observation(spec: ProblemSpec, spaces: DiscreteSpaces) -> sp.csr_matrix:
     """Mass matrix of the state space over the observed sub-cylinder omega x (0, T)."""
     (wx, wy) = spec.omega
-    mt = univariate_matrix(spaces.y_time, spaces.y_time, 0, 0).entries
-    mx = univariate_matrix_clipped(spaces.y_x, spaces.y_x, 0, 0, wx).entries
-    my = univariate_matrix_clipped(spaces.y_y, spaces.y_y, 0, 0, wy).entries
-    mx = _restrict(mx, spaces.ix, spaces.ix)
-    my = _restrict(my, spaces.iy, spaces.iy)
-    return kron_materialize(mt, mx, my)
+    f = spaces.factor
+    return kron_materialize(f("y_time", "y_time"), f("y_x", "y_x", sub=wx),
+                            f("y_y", "y_y", sub=wy))
 
 
 def assemble_u_mass(spaces: DiscreteSpaces) -> sp.csr_matrix:
     """Mass matrix of the control space over the full cylinder."""
-    mt = univariate_matrix(spaces.u_time, spaces.u_time, 0, 0).entries
-    mx = univariate_matrix(spaces.u_x, spaces.u_x, 0, 0).entries
-    my = univariate_matrix(spaces.u_y, spaces.u_y, 0, 0).entries
-    return kron_materialize(mt, mx, my)
+    f = spaces.factor
+    return kron_materialize(f("u_time", "u_time"), f("u_x", "u_x"),
+                            f("u_y", "u_y"))
 
 
 def assemble_K_U(spec: ProblemSpec, spaces: DiscreteSpaces) -> sp.csr_matrix:
@@ -181,61 +227,42 @@ def assemble_K_U(spec: ProblemSpec, spaces: DiscreteSpaces) -> sp.csr_matrix:
     or second time derivative of the state basis.
     """
     dt = 2 if spec.is_wave else 1
-    t_deriv = univariate_matrix(spaces.u_time, spaces.y_time, 0, dt).entries
-    t_mass = univariate_matrix(spaces.u_time, spaces.y_time, 0, 0).entries
-    x_d2 = _restrict(
-        univariate_matrix(spaces.u_x, spaces.y_x, 0, 2).entries, cols=spaces.ix)
-    x_mass = _restrict(
-        univariate_matrix(spaces.u_x, spaces.y_x, 0, 0).entries, cols=spaces.ix)
-    y_d2 = _restrict(
-        univariate_matrix(spaces.u_y, spaces.y_y, 0, 2).entries, cols=spaces.iy)
-    y_mass = _restrict(
-        univariate_matrix(spaces.u_y, spaces.y_y, 0, 0).entries, cols=spaces.iy)
+    f = spaces.factor
+    t_mass, x_mass, y_mass = (f("u_time", "y_time"), f("u_x", "y_x"),
+                              f("u_y", "y_y"))
     km = KroneckerMatrix()
-    km.add(1.0, t_deriv, x_mass, y_mass)
-    km.add(-1.0, t_mass, x_d2, y_mass)
-    km.add(-1.0, t_mass, x_mass, y_d2)
+    km.add(1.0, f("u_time", "y_time", 0, dt), x_mass, y_mass)
+    km.add(-1.0, t_mass, f("u_x", "y_x", 0, 2), y_mass)
+    km.add(-1.0, t_mass, x_mass, f("u_y", "y_y", 0, 2))
     return km.materialize()
 
 
-def _spatial_stiffness_terms(spaces: DiscreteSpaces):
-    """Restricted factors of the 2-D H^1_0 inner product Sx x My + Mx x Sy."""
-    sx = _restrict(univariate_matrix(spaces.y_x, spaces.y_x, 1, 1).entries,
-                   spaces.ix, spaces.ix)
-    sy = _restrict(univariate_matrix(spaces.y_y, spaces.y_y, 1, 1).entries,
-                   spaces.iy, spaces.iy)
-    mx = _restrict(univariate_matrix(spaces.y_x, spaces.y_x, 0, 0).entries,
-                   spaces.ix, spaces.ix)
-    my = _restrict(univariate_matrix(spaces.y_y, spaces.y_y, 0, 0).entries,
-                   spaces.iy, spaces.iy)
-    return sx, sy, mx, my
+def h10_gram_form(spaces: DiscreteSpaces, *lead) -> KroneckerMatrix:
+    """2-D H^1_0 inner product Sx x My + Mx x Sy on the restricted spatial
+    space, behind optional leading (time) factors."""
+    f = spaces.factor
+    km = KroneckerMatrix()
+    km.add(1.0, *lead, f("y_x", "y_x", 1, 1), f("y_y", "y_y"))
+    km.add(1.0, *lead, f("y_x", "y_x"), f("y_y", "y_y", 1, 1))
+    return km
 
 
 def assemble_r1_gram(spaces: DiscreteSpaces) -> sp.csr_matrix:
     """2-D stiffness (H^1_0 Gram) on the restricted spatial space."""
-    sx, sy, mx, my = _spatial_stiffness_terms(spaces)
-    km = KroneckerMatrix()
-    km.add(1.0, sx, my)
-    km.add(1.0, mx, sy)
-    return km.materialize()
+    return h10_gram_form(spaces).materialize()
 
 
 def assemble_K_R1(spec: ProblemSpec, spaces: DiscreteSpaces) -> sp.csr_matrix:
     """Initial-displacement pairing (grad y(0), grad r): endpoint row in time
     tensor the 2-D stiffness."""
     e0 = endpoint_row(spaces.y_time, "a", 0)[None, :]
-    sx, sy, mx, my = _spatial_stiffness_terms(spaces)
-    km = KroneckerMatrix()
-    km.add(1.0, e0, sx, my)
-    km.add(1.0, e0, mx, sy)
-    return km.materialize()
+    return h10_gram_form(spaces, e0).materialize()
 
 
 def assemble_r2_mass(spaces: DiscreteSpaces) -> sp.csr_matrix:
     """2-D mass on the unrestricted spatial space (wave initial-velocity test space)."""
-    mx = univariate_matrix(spaces.y_x, spaces.y_x, 0, 0).entries
-    my = univariate_matrix(spaces.y_y, spaces.y_y, 0, 0).entries
-    return kron_materialize(mx, my)
+    return kron_materialize(spaces.factor("r2_x", "r2_x"),
+                            spaces.factor("r2_y", "r2_y"))
 
 
 def assemble_K_R2(spec: ProblemSpec, spaces: DiscreteSpaces) -> sp.csr_matrix:
@@ -243,11 +270,8 @@ def assemble_K_R2(spec: ProblemSpec, spaces: DiscreteSpaces) -> sp.csr_matrix:
     if not spec.is_wave:
         raise ValueError("the initial-velocity block exists only for the wave problem")
     e1 = endpoint_row(spaces.y_time, "a", 1)[None, :]
-    mx = _restrict(univariate_matrix(spaces.y_x, spaces.y_x, 0, 0).entries,
-                   cols=spaces.ix)
-    my = _restrict(univariate_matrix(spaces.y_y, spaces.y_y, 0, 0).entries,
-                   cols=spaces.iy)
-    return kron_materialize(e1, mx, my)
+    return kron_materialize(e1, spaces.factor("r2_x", "y_x"),
+                            spaces.factor("r2_y", "y_y"))
 
 
 @dataclass
@@ -299,58 +323,31 @@ class ProblemData:
 
 @dataclass
 class DiscreteSystem:
-    """Assembled symmetric optimality system with named block layout."""
+    """Assembled symmetric optimality system; block layout as in its spaces."""
 
     spec: ProblemSpec
     spaces: DiscreteSpaces
     blocks: SystemBlocks
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    block_names: tuple
-    block_dims: tuple
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def offsets(self) -> np.ndarray:
-        return np.concatenate([[0], np.cumsum(self.block_dims)])
 
-    def block_slice(self, name: str) -> slice:
-        i = self.block_names.index(name)
-        offs = self.offsets()
-        return slice(int(offs[i]), int(offs[i + 1]))
-
-
-def _grid_moments_3d(f, rules, spaces3, restrictions, derivs=(0, 0, 0)):
-    """Moments of f against a 3-D tensor basis on the given per-direction rules."""
-    pts = [r.flat_points for r in rules]
-    wts = [r.flat_weights for r in rules]
-    evals = []
-    for space, rule, restr, d in zip(spaces3, rules, restrictions, derivs):
+def _grid_moments(f, rules, spaces, restrictions, derivs=None):
+    """Moments of f against an n-D tensor basis on the given per-direction rules."""
+    n = len(rules)
+    args = []
+    for k, (space, rule, restr, d) in enumerate(
+            zip(spaces, rules, restrictions, derivs or (0,) * n)):
         e = eval_basis_many(space, rule.flat_points, d)
-        if restr is not None:
-            e = e[:, restr]
-        evals.append(e)
-    vals = f(pts[0][:, None, None], pts[1][None, :, None], pts[2][None, None, :])
-    vals = np.asarray(vals, dtype=float) * (
-        wts[0][:, None, None] * wts[1][None, :, None] * wts[2][None, None, :])
-    m = np.einsum("txy,ta,xb,yc->abc", vals, evals[0], evals[1], evals[2])
+        args += [e if restr is None else e[:, restr], [k, n + k]]
+    vals = np.asarray(f(*np.ix_(*(r.flat_points for r in rules))), dtype=float)
+    w = math.prod(np.ix_(*(r.flat_weights for r in rules)))
+    m = np.einsum(vals * w, list(range(n)), *args, list(range(n, 2 * n)))
     return m.reshape(-1)
-
-
-def _grid_moments_2d(f, rules, spaces2, restrictions, derivs=(0, 0)):
-    pts = [r.flat_points for r in rules]
-    wts = [r.flat_weights for r in rules]
-    evals = []
-    for space, rule, restr, d in zip(spaces2, rules, restrictions, derivs):
-        e = eval_basis_many(space, rule.flat_points, d)
-        if restr is not None:
-            e = e[:, restr]
-        evals.append(e)
-    vals = np.asarray(f(pts[0][:, None], pts[1][None, :]), dtype=float)
-    vals = vals * (wts[0][:, None] * wts[1][None, :])
-    return np.einsum("xy,xa,yb->ab", vals, evals[0], evals[1]).reshape(-1)
 
 
 def state_moments_qT(spec: ProblemSpec, spaces: DiscreteSpaces, f) -> np.ndarray:
@@ -359,16 +356,16 @@ def state_moments_qT(spec: ProblemSpec, spaces: DiscreteSpaces, f) -> np.ndarray
     rules = [gauss_rule(spaces.y_time),
              gauss_rule(spaces.y_x, sub=wx),
              gauss_rule(spaces.y_y, sub=wy)]
-    return _grid_moments_3d(f, rules, [spaces.y_time, spaces.y_x, spaces.y_y],
-                            [None, spaces.ix, spaces.iy])
+    return _grid_moments(f, rules, [spaces.y_time, spaces.y_x, spaces.y_y],
+                         [None, spaces.ix, spaces.iy])
 
 
 def control_moments(spaces: DiscreteSpaces, f) -> np.ndarray:
     """(f, basis)_{L2(Q_T)} against the control space."""
     rules = [gauss_rule(spaces.u_time), gauss_rule(spaces.u_x),
              gauss_rule(spaces.u_y)]
-    return _grid_moments_3d(f, rules, [spaces.u_time, spaces.u_x, spaces.u_y],
-                            [None, None, None])
+    return _grid_moments(f, rules, [spaces.u_time, spaces.u_x, spaces.u_y],
+                         [None, None, None])
 
 
 def initial_displacement_moments(spaces: DiscreteSpaces, grad) -> np.ndarray:
@@ -377,17 +374,17 @@ def initial_displacement_moments(spaces: DiscreteSpaces, grad) -> np.ndarray:
     ones = lambda x, y: np.ones_like(x * y)
     fx = lambda x, y: np.asarray(grad(x, y)[0], dtype=float) * ones(x, y)
     fy = lambda x, y: np.asarray(grad(x, y)[1], dtype=float) * ones(x, y)
-    mx = _grid_moments_2d(fx, rules, [spaces.y_x, spaces.y_y],
-                          [spaces.ix, spaces.iy], derivs=(1, 0))
-    my = _grid_moments_2d(fy, rules, [spaces.y_x, spaces.y_y],
-                          [spaces.ix, spaces.iy], derivs=(0, 1))
+    mx = _grid_moments(fx, rules, [spaces.y_x, spaces.y_y],
+                       [spaces.ix, spaces.iy], derivs=(1, 0))
+    my = _grid_moments(fy, rules, [spaces.y_x, spaces.y_y],
+                       [spaces.ix, spaces.iy], derivs=(0, 1))
     return mx + my
 
 
 def initial_velocity_moments(spaces: DiscreteSpaces, f) -> np.ndarray:
     """(f, r)_{L2} moments against the unrestricted 2-D space."""
     rules = [gauss_rule(spaces.y_x), gauss_rule(spaces.y_y)]
-    return _grid_moments_2d(f, rules, [spaces.y_x, spaces.y_y], [None, None])
+    return _grid_moments(f, rules, [spaces.y_x, spaces.y_y], [None, None])
 
 
 def assemble_system(spec: ProblemSpec, spaces: DiscreteSpaces | None = None,
@@ -407,66 +404,47 @@ def assemble_system(spec: ProblemSpec, spaces: DiscreteSpaces | None = None,
         data = ProblemData()
     a = spec.alpha
     mu = blocks.u_mass
-    if spec.is_wave:
-        names = ("y", "u", "p_u", "p_r1", "p_r2")
-        dims = (spaces.dim_y, spaces.dim_u, spaces.dim_u, spaces.dim_r1,
-                spaces.dim_r2)
-        mat = sp.bmat([
-            [blocks.observation, None, blocks.k_u.T, blocks.k_r1.T, blocks.k_r2.T],
-            [None, a * mu, mu, None, None],
-            [blocks.k_u, mu, None, None, None],
-            [blocks.k_r1, None, None, None, None],
-            [blocks.k_r2, None, None, None, None],
-        ], format="csr")
-    else:
-        names = ("y", "u", "p_u", "p_r1")
-        dims = (spaces.dim_y, spaces.dim_u, spaces.dim_u, spaces.dim_r1)
-        mat = sp.bmat([
-            [blocks.observation, None, blocks.k_u.T, blocks.k_r1.T],
-            [None, a * mu, mu, None],
-            [blocks.k_u, mu, None, None],
-            [blocks.k_r1, None, None, None],
-        ], format="csr")
+    couplings = [blocks.k_r1] + ([blocks.k_r2] if spec.is_wave else [])
+    pad = [None] * len(couplings)
+    mat = sp.bmat([
+        [blocks.observation, None, blocks.k_u.T] + [k.T for k in couplings],
+        [None, a * mu, mu] + pad,
+        [blocks.k_u, mu, None] + pad,
+    ] + [[k, None, None] + pad for k in couplings], format="csr")
 
     rhs = np.zeros(mat.shape[0])
-    offs = np.concatenate([[0], np.cumsum(dims)])
     if data.d is not None:
-        rhs[offs[0]:offs[1]] = state_moments_qT(spec, spaces, data.d)
+        rhs[spaces.block_slice("y")] = state_moments_qT(spec, spaces, data.d)
     if data.g_u is not None:
-        rhs[offs[2]:offs[3]] = control_moments(spaces, data.g_u)
+        rhs[spaces.block_slice("p_u")] = control_moments(spaces, data.g_u)
     if data.y0 is not None:
         if data.y0_grad is None:
             raise ValueError("initial displacement needs its gradient callback "
                              "for the H^1_0 pairing")
-        rhs[offs[3]:offs[4]] = initial_displacement_moments(spaces, data.y0_grad)
+        rhs[spaces.block_slice("p_r1")] = initial_displacement_moments(
+            spaces, data.y0_grad)
     if data.y1 is not None:
         if not spec.is_wave:
             raise ValueError("initial velocity data only exists for the wave problem")
-        rhs[offs[4]:offs[5]] = initial_velocity_moments(spaces, data.y1)
-    return DiscreteSystem(spec, spaces, blocks, mat, rhs, names, dims)
+        rhs[spaces.block_slice("p_r2")] = initial_velocity_moments(spaces, data.y1)
+    return DiscreteSystem(spec, spaces, blocks, mat, rhs)
 
 
 def project_state_l2(spaces: DiscreteSpaces, f) -> np.ndarray:
     """L2(Q_T) projection of f onto the state space (coefficients)."""
     rules = [gauss_rule(spaces.y_time), gauss_rule(spaces.y_x),
              gauss_rule(spaces.y_y)]
-    m = _grid_moments_3d(f, rules, [spaces.y_time, spaces.y_x, spaces.y_y],
-                         [None, spaces.ix, spaces.iy])
-    mt = univariate_matrix(spaces.y_time, spaces.y_time, 0, 0).entries
-    mx = _restrict(univariate_matrix(spaces.y_x, spaces.y_x, 0, 0).entries,
-                   spaces.ix, spaces.ix)
-    my = _restrict(univariate_matrix(spaces.y_y, spaces.y_y, 0, 0).entries,
-                   spaces.iy, spaces.iy)
-    return KroneckerSolver([mt, mx, my]).solve(m)
+    m = _grid_moments(f, rules, [spaces.y_time, spaces.y_x, spaces.y_y],
+                      [None, spaces.ix, spaces.iy])
+    return KroneckerSolver([spaces.factor(n, n)
+                            for n in ("y_time", "y_x", "y_y")]).solve(m)
 
 
 def project_control_l2(spaces: DiscreteSpaces, f) -> np.ndarray:
     """L2(Q_T) projection of f onto the control space."""
     m = control_moments(spaces, f)
-    mt = univariate_matrix(spaces.u_time, spaces.u_time, 0, 0).entries
-    mx = univariate_matrix(spaces.u_x, spaces.u_x, 0, 0).entries
-    my = univariate_matrix(spaces.u_y, spaces.u_y, 0, 0).entries
-    return KroneckerSolver([mt, mx, my]).solve(m)
+    return KroneckerSolver([spaces.factor(n, n)
+                            for n in ("u_time", "u_x", "u_y")]).solve(m)
 
 
 def project_initial_displacement(spaces: DiscreteSpaces, grad) -> np.ndarray:
@@ -474,27 +452,3 @@ def project_initial_displacement(spaces: DiscreteSpaces, grad) -> np.ndarray:
     m = initial_displacement_moments(spaces, grad)
     gram = assemble_r1_gram(spaces).tocsc()
     return splu(gram).solve(m)
-
-
-def project_initial_velocity(spaces: DiscreteSpaces, f) -> np.ndarray:
-    """L2 projection onto the unrestricted 2-D space."""
-    m = initial_velocity_moments(spaces, f)
-    mx = univariate_matrix(spaces.y_x, spaces.y_x, 0, 0).entries
-    my = univariate_matrix(spaces.y_y, spaces.y_y, 0, 0).entries
-    return KroneckerSolver([mx, my]).solve(m)
-
-
-def project_data(spaces: DiscreteSpaces, data: ProblemData) -> dict:
-    """Coefficient vectors of all provided data functions, keyed by name."""
-    out = {}
-    if data.d is not None:
-        out["d"] = project_state_l2(spaces, data.d)
-    if data.g_u is not None:
-        out["g_u"] = project_control_l2(spaces, data.g_u)
-    if data.y0 is not None:
-        if data.y0_grad is None:
-            raise ValueError("initial displacement needs its gradient callback")
-        out["y0"] = project_initial_displacement(spaces, data.y0_grad)
-    if data.y1 is not None:
-        out["y1"] = project_initial_velocity(spaces, data.y1)
-    return out

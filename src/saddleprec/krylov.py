@@ -159,19 +159,3 @@ def minres(apply_a, apply_pinv, b: np.ndarray, x0: np.ndarray | None = None,
     return x, MinresReport(itn, converged, np.array(history), checks,
                            final_rel, ms)
 
-
-def history_rows(report: MinresReport):
-    """(iteration, estimate, true_residual-or-None) rows for CSV export."""
-    true_at = dict(report.true_residual_checks)
-    return [(i, est, true_at.get(i)) for i, est in enumerate(report.residual_history)]
-
-
-def write_history_csv(report: MinresReport, path) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "estimate", "true_residual"])
-        for i, est, tr in history_rows(report):
-            writer.writerow([i, repr(float(est)),
-                             "" if tr is None else repr(float(tr))])

@@ -37,16 +37,15 @@ def export_system(system, precon, directory) -> dict:
 
     Returns the manifest dictionary (also saved as manifest.json).
     """
+    spec, spaces = system.spec, system.spaces
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     write_matrix(directory / "system.mtx", system.matrix, symmetric=True)
     files = {"system": "system.mtx"}
-    for name in precon.block_names:
+    for name in spaces.block_names:
         fname = f"precond_{name}.mtx"
         write_matrix(directory / fname, precon.block_matrix(name), symmetric=True)
         files[f"precond_{name}"] = fname
-    spec = system.spec
-    offsets = system.offsets()
     manifest = {
         "problem": spec.kind,
         "degree": spec.degree,
@@ -56,9 +55,9 @@ def export_system(system, precon, directory) -> dict:
         "omega": spec.omega,
         "seed": spec.seed,
         "dofs": system.dim,
-        "block_names": list(system.block_names),
-        "block_dims": list(system.block_dims),
-        "block_offsets": [int(o) for o in offsets],
+        "block_names": list(spaces.block_names),
+        "block_dims": list(spaces.block_dims),
+        "block_offsets": [int(o) for o in spaces.offsets()],
         "files": files,
     }
     with open(directory / "manifest.json", "w") as fh:

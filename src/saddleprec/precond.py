@@ -15,49 +15,14 @@ the sparse block equals the operator-preconditioning candidate whenever the
 residual inclusion holds.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .assembly import DiscreteSpaces, ProblemSpec, SystemBlocks, _restrict
+from .assembly import DiscreteSpaces, ProblemSpec, SystemBlocks, h10_gram_form
 from .kron import KroneckerMatrix, KroneckerSolver
-from .splines import endpoint_row, univariate_matrix
-
-
-@dataclass
-class ContinuousNormSpec:
-    """Weights of the preconditioner norm terms for a given regularization weight."""
-
-    observation: float
-    state_residual: float
-    trace_displacement: float
-    trace_velocity: float
-    control: float
-    multiplier: float
-    r1: float
-    r2: float
-
-    @classmethod
-    def for_problem(cls, spec: ProblemSpec) -> "ContinuousNormSpec":
-        a = spec.alpha
-        return cls(
-            observation=1.0,
-            state_residual=a,
-            trace_displacement=1.0,
-            trace_velocity=1.0 if spec.is_wave else 0.0,
-            control=a,
-            multiplier=1.0 / a,
-            r1=1.0,
-            r2=1.0 if spec.is_wave else 0.0,
-        )
-
-    def __post_init__(self):
-        active = [self.observation, self.state_residual, self.trace_displacement,
-                  self.control, self.multiplier, self.r1]
-        if any(w <= 0 for w in active):
-            raise ValueError("norm weights must be positive for alpha > 0")
+# univariate_matrix is imported here only so the benchmark probes can rebind it
+from .splines import endpoint_row, univariate_matrix  # noqa: F401
 
 
 def state_residual_form(spec: ProblemSpec, spaces: DiscreteSpaces) -> KroneckerMatrix:
@@ -66,17 +31,16 @@ def state_residual_form(spec: ProblemSpec, spaces: DiscreteSpaces) -> KroneckerM
     Expanding the product of two residuals gives nine Kronecker terms; mixed
     time/space terms enter with a negative sign.
     """
-    yt, yx, yy = spaces.y_time, spaces.y_x, spaces.y_y
-    ix, iy = spaces.ix, spaces.iy
+    f = spaces.factor
 
     def t(dr, dc):
-        return univariate_matrix(yt, yt, dr, dc).entries
+        return f("y_time", "y_time", dr, dc)
 
     def x(dr, dc):
-        return _restrict(univariate_matrix(yx, yx, dr, dc).entries, ix, ix)
+        return f("y_x", "y_x", dr, dc)
 
     def y(dr, dc):
-        return _restrict(univariate_matrix(yy, yy, dr, dc).entries, iy, iy)
+        return f("y_y", "y_y", dr, dc)
 
     dt = 2 if spec.is_wave else 1
     # mixed terms are built from one factor and its transpose so the term
@@ -97,34 +61,18 @@ def state_residual_form(spec: ProblemSpec, spaces: DiscreteSpaces) -> KroneckerM
     return km
 
 
-def trace_displacement_form(spaces: DiscreteSpaces) -> KroneckerMatrix:
-    """(grad y(0), grad z(0)) as endpoint-row outer product tensor the 2-D stiffness."""
+def trace_form(spec: ProblemSpec, spaces: DiscreteSpaces) -> KroneckerMatrix:
+    """(grad y(0), grad z(0)) [+ (d_t y(0), d_t z(0)) for the wave problem].
+
+    Endpoint-row outer products in time tensor the 2-D stiffness, and for
+    the velocity trace first-derivative rows tensor the 2-D mass.
+    """
     e0 = endpoint_row(spaces.y_time, "a", 0)
-    E00 = np.outer(e0, e0)
-    sx = _restrict(univariate_matrix(spaces.y_x, spaces.y_x, 1, 1).entries,
-                   spaces.ix, spaces.ix)
-    sy = _restrict(univariate_matrix(spaces.y_y, spaces.y_y, 1, 1).entries,
-                   spaces.iy, spaces.iy)
-    mx = _restrict(univariate_matrix(spaces.y_x, spaces.y_x, 0, 0).entries,
-                   spaces.ix, spaces.ix)
-    my = _restrict(univariate_matrix(spaces.y_y, spaces.y_y, 0, 0).entries,
-                   spaces.iy, spaces.iy)
-    km = KroneckerMatrix()
-    km.add(1.0, E00, sx, my)
-    km.add(1.0, E00, mx, sy)
-    return km
-
-
-def trace_velocity_form(spaces: DiscreteSpaces) -> KroneckerMatrix:
-    """(d_t y(0), d_t z(0)) as first-derivative endpoint rows tensor the 2-D mass."""
-    e1 = endpoint_row(spaces.y_time, "a", 1)
-    E11 = np.outer(e1, e1)
-    mx = _restrict(univariate_matrix(spaces.y_x, spaces.y_x, 0, 0).entries,
-                   spaces.ix, spaces.ix)
-    my = _restrict(univariate_matrix(spaces.y_y, spaces.y_y, 0, 0).entries,
-                   spaces.iy, spaces.iy)
-    km = KroneckerMatrix()
-    km.add(1.0, E11, mx, my)
+    km = h10_gram_form(spaces, np.outer(e0, e0))
+    if spec.is_wave:
+        e1 = endpoint_row(spaces.y_time, "a", 1)
+        km.add(1.0, np.outer(e1, e1), spaces.factor("y_x", "y_x"),
+               spaces.factor("y_y", "y_y"))
     return km
 
 
@@ -133,23 +81,25 @@ def _symmetrize(mat: sp.spmatrix) -> sp.csr_matrix:
     return (0.5 * (mat + mat.T)).tocsr()
 
 
+def graph_norm_terms(spec: ProblemSpec, spaces: DiscreteSpaces):
+    """Materialized state-residual Gram and initial-trace Gram.
+
+    These are the alpha-independent parts of the state block and, summed,
+    the graph norm of the state operator.
+    """
+    return (state_residual_form(spec, spaces).materialize(),
+            trace_form(spec, spaces).materialize())
+
+
 def y_norm_gram(spec: ProblemSpec, spaces: DiscreteSpaces) -> sp.csr_matrix:
     """Gram matrix of the graph norm of the state operator (residual + traces)."""
-    g = state_residual_form(spec, spaces).materialize()
-    g = g + trace_displacement_form(spaces).materialize()
-    if spec.is_wave:
-        g = g + trace_velocity_form(spaces).materialize()
-    return _symmetrize(g)
+    residual, trace = graph_norm_terms(spec, spaces)
+    return _symmetrize(residual + trace)
 
 
-def _u_mass_factors(spaces: DiscreteSpaces):
-    return [univariate_matrix(s, s, 0, 0).entries
-            for s in (spaces.u_time, spaces.u_x, spaces.u_y)]
-
-
-def _r2_mass_factors(spaces: DiscreteSpaces):
-    return [univariate_matrix(s, s, 0, 0).entries
-            for s in (spaces.y_x, spaces.y_y)]
+def mass_solver(spaces: DiscreteSpaces, *names: str) -> KroneckerSolver:
+    """Univariate Cholesky sweeps for the tensor-product mass on named factors."""
+    return KroneckerSolver([spaces.factor(n, n) for n in names])
 
 
 class BlockDiagPreconditioner:
@@ -168,28 +118,18 @@ class BlockDiagPreconditioner:
         self.alpha = spec.alpha if alpha is None else float(alpha)
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        self.norms = ContinuousNormSpec.for_problem(spec)
 
         # alpha-independent pieces of the state block, kept for rebuilds
         self._obs = blocks.observation
-        self._residual = state_residual_form(spec, spaces).materialize()
-        self._trace = trace_displacement_form(spaces).materialize()
-        if spec.is_wave:
-            self._trace = self._trace + trace_velocity_form(spaces).materialize()
+        self._residual, self._trace = graph_norm_terms(spec, spaces)
 
-        self._u_solver = KroneckerSolver(_u_mass_factors(spaces))
+        self._u_solver = mass_solver(spaces, "u_time", "u_x", "u_y")
         self._r1_lu = splu(blocks.r1_gram.tocsc())
         if spec.is_wave:
-            self._r2_solver = KroneckerSolver(_r2_mass_factors(spaces))
+            self._r2_solver = mass_solver(spaces, "r2_x", "r2_y")
         self._build_y_block()
 
-        self.block_names = ("y", "u", "p_u", "p_r1") + (
-            ("p_r2",) if spec.is_wave else ())
-        dims = [spaces.dim_y, spaces.dim_u, spaces.dim_u, spaces.dim_r1]
-        if spec.is_wave:
-            dims.append(spaces.dim_r2)
-        self.block_dims = tuple(dims)
-        self._offsets = np.concatenate([[0], np.cumsum(self.block_dims)])
+        self._offsets = spaces.offsets()
 
     def _build_y_block(self):
         p_y = _symmetrize(
@@ -229,7 +169,8 @@ class BlockDiagPreconditioner:
 
     def materialize(self) -> sp.csr_matrix:
         """The full block-diagonal matrix (verification and export use)."""
-        return sp.block_diag([self.block_matrix(n) for n in self.block_names],
+        return sp.block_diag([self.block_matrix(n)
+                              for n in self.spaces.block_names],
                              format="csr")
 
     def apply_inverse(self, r: np.ndarray) -> np.ndarray:
@@ -274,12 +215,22 @@ def build_Ptilde_Y(spec: ProblemSpec, spaces: DiscreteSpaces,
     a = spec.alpha if alpha is None else float(alpha)
     if a < 0:
         raise ValueError("alpha must be nonnegative")
-    out = blocks.observation.toarray()
-    k_u = blocks.k_u.toarray()
-    out += a * (k_u.T @ KroneckerSolver(_u_mass_factors(spaces)).solve(k_u))
-    k_r1 = blocks.k_r1.toarray()
-    out += k_r1.T @ splu(blocks.r1_gram.tocsc()).solve(k_r1)
-    if spec.is_wave:
-        k_r2 = blocks.k_r2.toarray()
-        out += k_r2.T @ KroneckerSolver(_r2_mass_factors(spaces)).solve(k_r2)
-    return out
+    residual, initial = dual_grams(spaces, blocks)
+    return blocks.observation.toarray() + a * residual + initial
+
+
+def dual_grams(spaces: DiscreteSpaces, blocks: SystemBlocks):
+    """Dense K' N^{-1} K on the state space, for the residual rows and the
+    initial-condition rows.
+
+    Returns (K_U' M_U^{-1} K_U, K_R1' S^{-1} K_R1 [+ K_R2' M_R2^{-1} K_R2]).
+    """
+    def dual(k, solve):
+        k = k.toarray()
+        return k.T @ solve(k)
+
+    residual = dual(blocks.k_u, mass_solver(spaces, "u_time", "u_x", "u_y").solve)
+    initial = dual(blocks.k_r1, splu(blocks.r1_gram.tocsc()).solve)
+    if spaces.has_r2:
+        initial += dual(blocks.k_r2, mass_solver(spaces, "r2_x", "r2_y").solve)
+    return residual, initial

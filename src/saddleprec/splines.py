@@ -1,90 +1,22 @@
 """Univariate spline spaces on uniform dyadic knot vectors.
 
-Provides the spaces, basis/derivative evaluation, per-element Gauss
-quadrature and the Galerkin matrices (mass, stiffness, derivative
-couplings, possibly clipped to a sub-interval) from which all space-time
-operators are assembled as Kronecker products.
+Provides the spaces, basis/derivative evaluation (scipy's ``BSpline`` with
+identity coefficients), per-element Gauss quadrature and the Galerkin
+matrices (mass, stiffness, derivative couplings, possibly clipped to a
+sub-interval) from which all space-time operators are assembled as Kronecker
+products. The matrices are plain arrays; `assembly.DiscreteSpaces.factor`
+caches them read-only per set of discrete spaces.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.interpolate import BSpline
 
 
 def dimension(degree: int, level: int, continuity: int) -> int:
     """Dimension of the spline space: (p+1) + (2^level - 1)(p - k)."""
     return (degree + 1) + (2**level - 1) * (degree - continuity)
-
-
-def _span_index(knots: np.ndarray, degree: int, x: float) -> int:
-    """Index i with knots[i] <= x < knots[i+1], right-continuous.
-
-    At the right boundary the last nonempty span is used, which realizes the
-    left-sided limit there.
-    """
-    n = len(knots) - degree - 1
-    if x >= knots[n]:
-        i = n - 1
-        while knots[i + 1] <= knots[i]:
-            i -= 1
-        return i
-    return int(np.searchsorted(knots, x, side="right") - 1)
-
-
-def _ders_basis(knots: np.ndarray, degree: int, span: int, x: float,
-                d_max: int) -> np.ndarray:
-    """Derivatives 0..d_max of the degree+1 basis functions active on a span.
-
-    Standard triangular-table recurrence; vanishing knot differences (repeated
-    knots) contribute zero terms, which keeps full-multiplicity interior knots
-    (discontinuous splines) well defined.
-    """
-    p = degree
-    left = np.empty(p + 1)
-    right = np.empty(p + 1)
-    ndu = np.zeros((p + 1, p + 1))
-    ndu[0, 0] = 1.0
-    for j in range(1, p + 1):
-        left[j] = x - knots[span + 1 - j]
-        right[j] = knots[span + j] - x
-        saved = 0.0
-        for r in range(j):
-            den = right[r + 1] + left[j - r]
-            ndu[j, r] = den
-            temp = 0.0 if den == 0.0 else ndu[r, j - 1] / den
-            ndu[r, j] = saved + right[r + 1] * temp
-            saved = left[j - r] * temp
-        ndu[j, j] = saved
-    ders = np.zeros((d_max + 1, p + 1))
-    ders[0] = ndu[:, p]
-    a = np.zeros((2, p + 1))
-    for r in range(p + 1):
-        s1, s2 = 0, 1
-        a[0, 0] = 1.0
-        for k in range(1, d_max + 1):
-            dval = 0.0
-            rk, pk = r - k, p - k
-            if r >= k:
-                den = ndu[pk + 1, rk]
-                a[s2, 0] = 0.0 if den == 0.0 else a[s1, 0] / den
-                dval = a[s2, 0] * ndu[rk, pk]
-            j1 = 1 if rk >= -1 else -rk
-            j2 = k - 1 if r - 1 <= pk else p - r
-            for j in range(j1, j2 + 1):
-                den = ndu[pk + 1, rk + j]
-                a[s2, j] = 0.0 if den == 0.0 else (a[s1, j] - a[s1, j - 1]) / den
-                dval += a[s2, j] * ndu[rk + j, pk]
-            if r <= pk:
-                den = ndu[pk + 1, r]
-                a[s2, k] = 0.0 if den == 0.0 else -a[s1, k - 1] / den
-                dval += a[s2, k] * ndu[r, pk]
-            ders[k, r] = dval
-            s1, s2 = s2, s1
-    fac = 1.0
-    for k in range(1, d_max + 1):
-        fac *= p - k + 1
-        ders[k] *= fac
-    return ders
 
 
 @dataclass
@@ -156,13 +88,8 @@ def eval_basis_many(space: SplineSpace, x: np.ndarray, d: int = 0) -> np.ndarray
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.size and (x.min() < space.a or x.max() > space.b):
         raise ValueError("evaluation point outside the interval")
-    p = space.degree
-    out = np.zeros((len(x), space.dim))
-    for row, xi in enumerate(x):
-        span = _span_index(space.knots, p, float(xi))
-        ders = _ders_basis(space.knots, p, span, float(xi), d)
-        out[row, span - p:span + 1] = ders[d]
-    return out
+    basis = BSpline(space.knots, np.eye(space.dim), space.degree)
+    return basis(x, nu=d)
 
 
 def eval_basis(space: SplineSpace, x: float, d: int = 0) -> np.ndarray:
@@ -237,62 +164,35 @@ def gauss_rule(space: SplineSpace, n_points: int | None = None,
     return QuadratureRule(pts, wts)
 
 
-@dataclass
-class UnivariateMatrix:
-    """Galerkin matrix between two spline spaces on the same mesh.
-
-    entries[i, j] = integral of D^{d_row} (row basis)_i * D^{d_col} (col basis)_j
-    over the (possibly clipped) interval.
-    """
-
-    row_space: SplineSpace
-    col_space: SplineSpace
-    d_row: int
-    d_col: int
-    entries: np.ndarray
-
-    @property
-    def shape(self):
-        return self.entries.shape
-
-
 def univariate_matrix(row_space: SplineSpace, col_space: SplineSpace,
                       d_row: int = 0, d_col: int = 0,
-                      sub: tuple[float, float] | None = None) -> UnivariateMatrix:
-    """Assemble the derivative-coupling matrix by per-element Gauss quadrature.
+                      sub: tuple[float, float] | None = None) -> np.ndarray:
+    """Galerkin matrix int D^{d_row} (row basis)_i * D^{d_col} (col basis)_j.
 
-    Both spaces must share the interval and element partition. The rule uses
+    Both spaces must share the interval and element partition. With ``sub``
+    the integral runs over the element intersections with that interval; an
+    empty intersection yields a zero matrix, not an error. The rule uses
     max(degree) + 1 points per element, exact for the piecewise-polynomial
     integrand. Element contributions are accumulated in a fixed order, so
     assembly is bit-reproducible.
     """
     if not row_space.same_mesh(col_space):
         raise ValueError("row and column spaces must share interval and mesh")
+    A = np.zeros((row_space.dim, col_space.dim))
+    if sub is not None:
+        sub = (max(sub[0], row_space.a), min(sub[1], row_space.b))
+        if sub[1] <= sub[0]:
+            return A
     n = max(row_space.degree, col_space.degree) + 1
     rule = gauss_rule(row_space, n_points=n, sub=sub)
-    A = np.zeros((row_space.dim, col_space.dim))
+    er = eval_basis_many(row_space, rule.flat_points, d_row)
+    ec = eval_basis_many(col_space, rule.flat_points, d_col)
     for e in range(row_space.n_elements):
         w = rule.weights[e]
         if not np.any(w):
             continue
-        er = eval_basis_many(row_space, rule.points[e], d_row)
-        ec = eval_basis_many(col_space, rule.points[e], d_col)
-        A += er.T @ (w[:, None] * ec)
+        rows = slice(e * n, (e + 1) * n)
+        A += er[rows].T @ (w[:, None] * ec[rows])
     if row_space is col_space and d_row == d_col:
         A = 0.5 * (A + A.T)  # bitwise symmetry, independent of BLAS ordering
-    return UnivariateMatrix(row_space, col_space, d_row, d_col, A)
-
-
-def univariate_matrix_clipped(row_space: SplineSpace, col_space: SplineSpace,
-                              d_row: int, d_col: int,
-                              sub: tuple[float, float]) -> UnivariateMatrix:
-    """Same as univariate_matrix, integrated over element intersections with sub.
-
-    An empty intersection yields a zero matrix, not an error.
-    """
-    lo = max(sub[0], row_space.a)
-    hi = min(sub[1], row_space.b)
-    if hi <= lo:
-        A = np.zeros((row_space.dim, col_space.dim))
-        return UnivariateMatrix(row_space, col_space, d_row, d_col, A)
-    return univariate_matrix(row_space, col_space, d_row, d_col, sub=(lo, hi))
+    return A

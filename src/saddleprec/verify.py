@@ -14,12 +14,12 @@ from scipy.linalg import block_diag, eigh, null_space
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .assembly import DiscreteSystem
-from .kron import KroneckerSolver
 from .splines import eval_basis_many, gauss_rule
 from .precond import (
     BlockDiagPreconditioner,
-    _u_mass_factors,
     build_Ptilde_Y,
+    dual_grams,
+    mass_solver,
     y_norm_gram,
 )
 
@@ -124,19 +124,6 @@ class StabilityReport:
         return asdict(self)
 
 
-def _stacked_dual_gram(system: DiscreteSystem) -> np.ndarray:
-    """K_U' M_U^{-1} K_U + K_R1' S^{-1} K_R1 [+ K_R2' M^{-1} K_R2], dense on the state."""
-    blocks, spaces = system.blocks, system.spaces
-    k_u = blocks.k_u.toarray()
-    g = k_u.T @ KroneckerSolver(_u_mass_factors(spaces)).solve(k_u)
-    k_r1 = blocks.k_r1.toarray()
-    g = g + k_r1.T @ splu(blocks.r1_gram.tocsc()).solve(k_r1)
-    if system.spec.is_wave:
-        k_r2 = blocks.k_r2.toarray()
-        g = g + k_r2.T @ np.linalg.solve(blocks.r2_mass.toarray(), k_r2)
-    return g
-
-
 def measure_discrete_K1(system: DiscreteSystem) -> StabilityReport:
     """Smallest stacked-dual-norm over graph-norm ratio; its inverse root is c_K.
 
@@ -145,7 +132,8 @@ def measure_discrete_K1(system: DiscreteSystem) -> StabilityReport:
     spec, spaces = system.spec, system.spaces
     if spaces.dim_y > DENSE_EIG_CAP:
         raise ValueError("state dimension beyond the dense verification cap")
-    g = _stacked_dual_gram(system)
+    residual, initial = dual_grams(spaces, system.blocks)
+    g = residual + initial
     n_y = y_norm_gram(spec, spaces).toarray()
     lam = eigh(g, n_y, eigvals_only=True)[0]
     c_k = float(1.0 / np.sqrt(max(lam, np.finfo(float).tiny)))
@@ -296,7 +284,7 @@ def inclusion_residuals(system: DiscreteSystem, n_samples: int = 20,
     defect is zero up to projection-solve roundoff.
     """
     spec, spaces, blocks = system.spec, system.spaces, system.blocks
-    solver = KroneckerSolver(_u_mass_factors(spaces))
+    solver = mass_solver(spaces, "u_time", "u_x", "u_y")
     rules = [gauss_rule(s) for s in (spaces.u_time, spaces.u_x, spaces.u_y)]
     eu = [eval_basis_many(s, r.flat_points, 0)
           for s, r in zip((spaces.u_time, spaces.u_x, spaces.u_y), rules)]

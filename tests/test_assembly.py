@@ -83,12 +83,31 @@ def test_residual_block_kills_constants_before_restriction():
     # Laplacian annihilate the constant function (all-ones coefficients)
     spec = ProblemSpec("wave", 2, 2, 1e-3)
     sp_ = build_spaces(spec)
-    t_deriv = univariate_matrix(sp_.u_time, sp_.y_time, 0, 2).entries
-    x_d2 = univariate_matrix(sp_.u_x, sp_.y_x, 0, 2).entries
+    t_deriv = univariate_matrix(sp_.u_time, sp_.y_time, 0, 2)
+    x_d2 = univariate_matrix(sp_.u_x, sp_.y_x, 0, 2)
     ones_t = np.ones(sp_.y_time.dim)
     ones_x = np.ones(sp_.y_x.dim)
     assert np.max(np.abs(t_deriv @ ones_t)) < 1e-11
     assert np.max(np.abs(x_d2 @ ones_x)) < 1e-11
+
+
+def test_factor_accessor_caches_read_only_restricted_factors():
+    sp_ = build_spaces(ProblemSpec("wave", 2, 2, 1e-3))
+    m = sp_.factor("u_x", "y_x", 0, 2)
+    assert sp_.factor("u_x", "y_x", 0, 2) is m
+    assert not m.flags.writeable
+    with pytest.raises(ValueError):
+        m[0, 0] = 1.0
+    # only the state factors are restricted, and only on their own side
+    full = univariate_matrix(sp_.u_x, sp_.y_x, 0, 2)
+    assert np.array_equal(m, full[:, sp_.ix])
+    mass = univariate_matrix(sp_.y_x, sp_.y_x, 0, 0)
+    assert np.array_equal(sp_.factor("y_x", "y_x"), mass[np.ix_(sp_.ix, sp_.ix)])
+    assert np.array_equal(sp_.factor("r2_x", "y_x"), mass[:, sp_.ix])
+    assert np.array_equal(sp_.factor("r2_x", "r2_x"), mass)
+    clip = sp_.factor("y_y", "y_y", sub=(0.25, 0.75))
+    assert not clip.flags.writeable
+    assert clip is not sp_.factor("y_y", "y_y")
 
 
 @pytest.mark.parametrize("kind", ["wave", "heat"])
@@ -213,7 +232,7 @@ def test_K_R2_linear_time_state_gives_mass_column():
     system = assemble_system(spec, sp_)
     # time coefficients representing the function t (exact L2 projection)
     ts = sp_.y_time
-    mt = univariate_matrix(ts, ts, 0, 0).entries
+    mt = univariate_matrix(ts, ts, 0, 0)
     rule = gauss_rule(ts)
     mom = eval_basis_many(ts, rule.flat_points, 0).T @ (
         rule.flat_weights * rule.flat_points)
@@ -232,8 +251,8 @@ def test_observation_full_domain_is_full_mass():
     spec = ProblemSpec("wave", 2, 2, 1e-3, omega=((0.0, 1.0), (0.0, 1.0)))
     sp_ = build_spaces(spec)
     obs = assemble_observation(spec, sp_)
-    mt = univariate_matrix(sp_.y_time, sp_.y_time, 0, 0).entries
-    mx = univariate_matrix(sp_.y_x, sp_.y_x, 0, 0).entries[
+    mt = univariate_matrix(sp_.y_time, sp_.y_time, 0, 0)
+    mx = univariate_matrix(sp_.y_x, sp_.y_x, 0, 0)[
         np.ix_(sp_.ix, sp_.ix)]
     full = np.kron(np.kron(mt, mx), mx)
     assert np.allclose(obs.toarray(), full, atol=1e-14)
@@ -256,10 +275,10 @@ def test_system_structure_wave():
     m = system.matrix
     assert system.dim == 3604
     assert abs(m - m.T).max() == 0.0
-    s = {n: system.block_slice(n) for n in system.block_names}
+    s = {n: system.spaces.block_slice(n) for n in system.spaces.block_names}
     dense_nnz = {}
-    for a in system.block_names:
-        for b in system.block_names:
+    for a in system.spaces.block_names:
+        for b in system.spaces.block_names:
             dense_nnz[a, b] = m[s[a], s[b]].nnz
     zero_pairs = [("y", "u"), ("u", "p_r1"), ("u", "p_r2"), ("p_u", "p_u"),
                   ("p_u", "p_r1"), ("p_u", "p_r2"), ("p_r1", "p_r1"),
@@ -284,7 +303,7 @@ def test_homogeneous_system_zero_rhs_and_instant_convergence():
 def test_heat_system_structure():
     spec = ProblemSpec("heat", 2, 2, 1e-3)
     system = assemble_system(spec)
-    assert system.block_names == ("y", "u", "p_u", "p_r1")
+    assert system.spaces.block_names == ("y", "u", "p_u", "p_r1")
     assert system.dim == 3568
     assert abs(system.matrix - system.matrix.T).max() == 0.0
     with pytest.raises(ValueError):
@@ -315,7 +334,7 @@ def test_project_control_reproduces_member_function():
 def test_univariate_projection_of_linear_on_hats():
     # L2 projection of x onto two-element hats interpolates: (0, 1/2, 1)
     s = make_space(1, 1, 0)
-    m = univariate_matrix(s, s, 0, 0).entries
+    m = univariate_matrix(s, s, 0, 0)
     rule = gauss_rule(s)
     mom = eval_basis_many(s, rule.flat_points, 0).T @ (
         rule.flat_weights * rule.flat_points)
@@ -367,8 +386,8 @@ def test_rhs_moments_for_member_data():
 
     data = ProblemData(y0=y0, y0_grad=y0_grad, y1=y1)
     system = assemble_system(spec, sp_, data=data)
-    r1 = system.rhs[system.block_slice("p_r1")]
-    r2 = system.rhs[system.block_slice("p_r2")]
+    r1 = system.rhs[system.spaces.block_slice("p_r1")]
+    r2 = system.rhs[system.spaces.block_slice("p_r2")]
     assert np.allclose(r1, system.blocks.r1_gram @ y0c, atol=1e-12)
     assert np.allclose(r2, system.blocks.r2_mass @ y1c, atol=1e-12)
 

@@ -151,6 +151,6 @@ def test_export_round_trip(tmp_path, capsys):
     back = matrixio.read_matrix(out / "system.mtx")
     assert abs(system.matrix - back).max() == 0.0  # bit-exact round trip
     assert abs(back - back.T).max() == 0.0
-    for name in precon.block_names:
+    for name in spaces.block_names:
         blk = matrixio.read_matrix(out / f"precond_{name}.mtx")
         assert abs(precon.block_matrix(name) - blk).max() == 0.0

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from saddleprec.krylov import (
-    MinresConfig,
-    history_rows,
-    minres,
-    random_start,
-    write_history_csv,
-)
+from saddleprec.krylov import MinresConfig, minres, random_start
 
 
 def _apply(mat):
@@ -166,21 +160,3 @@ def test_random_start_reproducibility_and_spread():
     v = random_start(4000, seed=11)
     assert 0.2 <= (v @ v) / len(v) <= 0.47
 
-
-def test_history_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(40)
-    g = rng.standard_normal((30, 30))
-    a = g + g.T
-    b = rng.standard_normal(30)
-    _, rep = minres(_apply(a), _ident, b,
-                    config=MinresConfig(check_true_residual_every=5))
-    path = tmp_path / "history.csv"
-    write_history_csv(rep, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "iteration,estimate,true_residual"
-    assert len(lines) == len(rep.residual_history) + 1
-    rows = history_rows(rep)
-    assert rows[0][0] == 0
-    # the estimates written carry full precision
-    est_back = float(lines[1].split(",")[1])
-    assert est_back == rep.residual_history[0]

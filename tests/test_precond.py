@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from saddleprec.assembly import ProblemSpec, assemble_system, build_spaces
-from saddleprec.precond import (
-    ContinuousNormSpec,
-    build_preconditioner,
-    build_Ptilde_Y,
-    trace_displacement_form,
-    trace_velocity_form,
-)
+from saddleprec.precond import build_preconditioner, build_Ptilde_Y, trace_form
 from saddleprec.splines import eval_basis_many, gauss_rule
 from saddleprec.verify import residual_on_grid, sparse_vs_reference_gap
 
@@ -75,7 +69,7 @@ def test_full_block_vector_form_is_sum_of_named_terms():
     vec = rng.standard_normal(precon.dim)
     total = vec @ (precon.materialize() @ vec)
 
-    o = np.concatenate([[0], np.cumsum(precon.block_dims)])
+    o = np.concatenate([[0], np.cumsum(sp_.block_dims)])
     yv, uv, pv, r1v, r2v = (vec[o[i]:o[i + 1]] for i in range(5))
     parts = yv @ (precon.block_matrix("y") @ yv)
 
@@ -158,7 +152,7 @@ def test_blocks_stay_spd_across_alpha(alpha):
     sp_ = build_spaces(spec)
     system = assemble_system(spec, sp_)
     precon = build_preconditioner(spec, sp_, system.blocks)
-    for name in precon.block_names:
+    for name in sp_.block_names:
         mat = precon.block_matrix(name).toarray()
         lo = np.linalg.eigvalsh(mat)[0]
         assert lo > 0, f"block {name} lost definiteness at alpha={alpha}"
@@ -236,8 +230,7 @@ def test_reference_alpha_zero_drops_residual_term():
     system = assemble_system(spec, sp_)
     ref0 = build_Ptilde_Y(spec, sp_, system.blocks, alpha=0.0)
     expect = system.blocks.observation.toarray()
-    expect += trace_displacement_form(sp_).materialize().toarray()
-    expect += trace_velocity_form(sp_).materialize().toarray()
+    expect += trace_form(spec, sp_).materialize().toarray()
     assert np.allclose(ref0, expect, atol=1e-10 * np.abs(expect).max())
 
 
@@ -247,16 +240,6 @@ def test_reference_refuses_beyond_cap():
     system = assemble_system(spec, sp_)
     with pytest.raises(ValueError):
         build_Ptilde_Y(spec, sp_, system.blocks)
-
-
-def test_norm_spec_weights():
-    spec = ProblemSpec("wave", 2, 2, 1e-4)
-    w = ContinuousNormSpec.for_problem(spec)
-    assert w.state_residual == pytest.approx(1e-4)
-    assert w.multiplier == pytest.approx(1e4)
-    assert w.trace_velocity == 1.0
-    heat = ContinuousNormSpec.for_problem(ProblemSpec("heat", 2, 2, 1e-4))
-    assert heat.trace_velocity == 0.0 and heat.r2 == 0.0
 
 
 def test_invalid_alpha_rejected():

@@ -1,5 +1,7 @@
 """Univariate spline spaces: dimensions, basis properties, Galerkin matrices."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from saddleprec.splines import (
     h10_restriction,
     make_space,
     univariate_matrix,
-    univariate_matrix_clipped,
 )
 
 
@@ -114,7 +115,7 @@ def test_quadrature_exactness_against_monomials():
 
 def test_single_constant_mass():
     s = make_space(0, 0, -1)
-    m = univariate_matrix(s, s, 0, 0).entries
+    m = univariate_matrix(s, s, 0, 0)
     assert m.shape == (1, 1)
     assert m[0, 0] == pytest.approx(1.0, rel=1e-14)
 
@@ -122,14 +123,14 @@ def test_single_constant_mass():
 def test_hat_function_stiffness():
     # piecewise linear hats on two elements of (0,1): hand-integrated stiffness
     s = make_space(1, 1, 0)
-    k = univariate_matrix(s, s, 1, 1).entries
+    k = univariate_matrix(s, s, 1, 1)
     expect = np.array([[2.0, -2.0, 0.0], [-2.0, 4.0, -2.0], [0.0, -2.0, 2.0]])
     assert np.allclose(k, expect, atol=1e-13)
 
 
 def test_mass_row_sums_are_basis_integrals():
     s = make_space(3, 3, 1, 0.0, 2.5)
-    m = univariate_matrix(s, s, 0, 0).entries
+    m = univariate_matrix(s, s, 0, 0)
     # row sums = integral of each basis function (partition of unity);
     # independent oracle: direct quadrature of each basis function
     rule = gauss_rule(s)
@@ -142,11 +143,11 @@ def test_mass_row_sums_are_basis_integrals():
 def test_mass_spd_and_stiffness_kernel():
     for p, k in [(2, 1), (3, 0), (2, -1)]:
         s = make_space(p, 2, k)
-        m = univariate_matrix(s, s, 0, 0).entries
+        m = univariate_matrix(s, s, 0, 0)
         evm = np.linalg.eigvalsh(m)
         assert evm[0] > 0
         if k >= 0:
-            st = univariate_matrix(s, s, 1, 1).entries
+            st = univariate_matrix(s, s, 1, 1)
             evs = np.linalg.eigvalsh(st)
             assert evs[0] > -1e-12 * evs[-1]
             # kernel = constants only
@@ -157,8 +158,8 @@ def test_mass_spd_and_stiffness_kernel():
 def test_integration_by_parts_identity():
     # int u' v = [u v] - int u v' assembled from matrices and endpoint rows
     s = make_space(3, 2, 2, 0.0, 1.0)
-    a10 = univariate_matrix(s, s, 1, 0).entries
-    a01 = univariate_matrix(s, s, 0, 1).entries
+    a10 = univariate_matrix(s, s, 1, 0)
+    a01 = univariate_matrix(s, s, 0, 1)
     ra = endpoint_row(s, "a", 0)
     rb = endpoint_row(s, "b", 0)
     boundary = np.outer(rb, rb) - np.outer(ra, ra)
@@ -167,12 +168,12 @@ def test_integration_by_parts_identity():
 
 def test_clipped_matrix():
     s = make_space(2, 2, 1)
-    full = univariate_matrix(s, s, 0, 0).entries
-    clipped_full = univariate_matrix_clipped(s, s, 0, 0, (0.0, 1.0)).entries
+    full = univariate_matrix(s, s, 0, 0)
+    clipped_full = univariate_matrix(s, s, 0, 0, sub=(0.0, 1.0))
     assert np.allclose(clipped_full, full, atol=1e-15)
 
     sub = (0.25, 0.75)
-    clip = univariate_matrix_clipped(s, s, 0, 0, sub).entries
+    clip = univariate_matrix(s, s, 0, 0, sub=sub)
     # knot-aligned: equals the sum of the two middle per-element contributions
     oracle = np.zeros_like(full)
     rule = gauss_rule(s)
@@ -183,7 +184,7 @@ def test_clipped_matrix():
     # total clipped mass against the partition of unity
     assert np.ones(s.dim) @ clip @ np.ones(s.dim) == pytest.approx(0.5, rel=1e-13)
 
-    empty = univariate_matrix_clipped(s, s, 0, 0, (2.0, 3.0)).entries
+    empty = univariate_matrix(s, s, 0, 0, sub=(2.0, 3.0))
     assert not empty.any()
 
 
@@ -194,28 +195,33 @@ def test_mismatched_meshes_rejected():
         univariate_matrix(a, b, 0, 0)
 
 
-def test_evaluation_matches_scipy_bspline():
-    # independent evaluator: scipy BSpline with identity coefficients
-    # (scipy cannot differentiate across full-multiplicity interior knots,
-    # so only continuity >= 0 spaces are cross-checked)
-    from scipy.interpolate import BSpline
-
-    rng = np.random.default_rng(8)
-    for p, level, k in [(2, 2, 1), (3, 3, 0), (4, 2, 2)]:
-        s = make_space(p, level, k, 0.0, 1.5)
-        ref = BSpline(s.knots, np.eye(s.dim), p)
-        x = rng.uniform(0.0, 1.5, size=50)
-        for d in range(0, min(p, k + 1) + 1):
-            mine = eval_basis_many(s, x, d)
-            other = ref(x) if d == 0 else ref.derivative(d)(x)
-            assert np.allclose(mine, other, atol=1e-10)
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_derivatives_reproduce_monomial(p):
+    # independent oracle: x^p lies in every degree-p spline space, so its
+    # coefficients fitted from values alone must give the exact derivatives
+    # p!/(p-d)! x^(p-d), discontinuous spaces and every order d included
+    rng = np.random.default_rng(8 + p)
+    for level in (0, 2, 3):
+        for k in range(-1, p):
+            s = make_space(p, level, k, 0.5, 2.0)
+            rule = gauss_rule(s)
+            fit_x = rule.flat_points
+            coef = np.linalg.lstsq(eval_basis_many(s, fit_x, 0), fit_x**p,
+                                   rcond=None)[0]
+            x = np.concatenate([rng.uniform(s.a, s.b, size=40),
+                                s.element_edges()])
+            for d in range(p + 1):
+                expect = math.factorial(p) / math.factorial(p - d) * x ** (p - d)
+                got = eval_basis_many(s, x, d) @ coef
+                assert np.abs(got - expect).max() <= 1e-8 * np.abs(expect).max(), \
+                    (p, level, k, d)
 
 
 def test_cross_space_matrix_symmetric_pairing():
     # rows in the low-continuity space, columns in the smooth space
     smooth = make_space(2, 2, 1)
     rough = make_space(2, 2, -1)
-    cross = univariate_matrix(rough, smooth, 0, 2).entries
+    cross = univariate_matrix(rough, smooth, 0, 2)
     assert cross.shape == (12, 6)
     # oracle: direct quadrature entry by entry
     rule = gauss_rule(smooth)
