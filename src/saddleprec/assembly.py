@@ -18,7 +18,6 @@ from scipy.sparse.linalg import splu
 from .kron import KroneckerMatrix, KroneckerSolver, kron_materialize
 from .splines import (
     SplineSpace,
-    dimension,
     endpoint_row,
     eval_basis_many,
     gauss_rule,
@@ -193,15 +192,7 @@ def build_spaces(spec: ProblemSpec) -> DiscreteSpaces:
 
 def dof_count(spec: ProblemSpec) -> int:
     """Total unknowns of the optimality system: dim Y + 2 dim U + dim R1 (+ dim R2)."""
-    p, lev = spec.degree, spec.level
-    ku = p - 3 if spec.u_continuity is None else spec.u_continuity
-    n_max = dimension(p, lev, p - 1)
-    n_int = n_max - 2
-    n_u = dimension(p, lev, ku)
-    total = n_max * n_int**2 + 2 * n_u**3 + n_int**2
-    if spec.is_wave:
-        total += n_max**2
-    return total
+    return sum(build_spaces(spec).block_dims)
 
 
 def assemble_observation(spec: ProblemSpec, spaces: DiscreteSpaces) -> sp.csr_matrix:

@@ -1,7 +1,12 @@
 """Command-line harness: single solves, iteration tables, verification suites, export.
 
-Exit status is 0 when every assertion holds, 1 on an assertion failure, and 2
-on configuration errors (including refused over-budget instances).
+    saddleprec run --problem wave --degree 2 --level 2 --alpha 1e-6
+    saddleprec table --problem wave --degrees 2 3 --levels 2 3 --alphas 1 1e-6
+
+Exit status is 0 when every assertion holds; 1 on an assertion failure, an
+unconverged `run`, or a `table` cell that did not converge or raised (shown as
+`fail`, its row still written to --output); and 2 on configuration errors
+(including refused over-budget instances).
 """
 
 import argparse
@@ -143,19 +148,22 @@ def cmd_run(args) -> int:
                    for c in CSV_COLUMNS))
     if args.output:
         _write_rows([row], args.output)
-    return EXIT_OK
+    return EXIT_OK if row["converged"] else EXIT_FAIL
 
 
 def cmd_table(args) -> int:
-    degrees = args.degrees or [args.degree]
-    for spec_args in ((p, lev, a) for p in degrees for lev in args.levels
-                      for a in args.alphas):
-        _check_budget(ProblemSpec(args.problem, *spec_args, seed=args.seed),
-                      args.max_memory_gb)
+    # every cell's spec is validated up front; the memory estimate does not
+    # depend on alpha, so it is checked once per (degree, level)
+    for p in args.degrees:
+        for lev in args.levels:
+            specs = [ProblemSpec(args.problem, p, lev, a, seed=args.seed)
+                     for a in args.alphas]
+            _check_budget(specs[0], args.max_memory_gb)
 
     all_rows = []
     chunks = []
-    for p in degrees:
+    all_ok = True
+    for p in args.degrees:
         dofs = {
             lev: dof_count(ProblemSpec(args.problem, p, lev, args.alphas[0]))
             for lev in args.levels
@@ -177,8 +185,11 @@ def cmd_table(args) -> int:
             results = list(pool.map(run_cell, grid))
         for cell, row in sorted(results, key=lambda it: grid.index(it[0])):
             if row is not None:
-                cells[cell] = row["iterations"]
                 all_rows.append(row)
+            if row is not None and row["converged"]:
+                cells[cell] = row["iterations"]
+            else:
+                all_ok = False
         text = render_table(args.levels, args.alphas, dofs, cells, args.format)
         chunks.append(f"# problem={args.problem} p={p}\n" + text)
     output = "\n".join(chunks)
@@ -189,7 +200,7 @@ def cmd_table(args) -> int:
         else:
             with open(args.output, "w") as fh:
                 fh.write(output)
-    return EXIT_OK
+    return EXIT_OK if all_ok else EXIT_FAIL
 
 
 def _suite_appendix(args):
@@ -381,15 +392,14 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser, levels=False, alphas=False):
+def _add_common(parser, levels=False):
     parser.add_argument("--problem", choices=("heat", "wave"), default="wave")
-    parser.add_argument("--degree", type=int, default=2)
     parser.add_argument("--tol", type=float, default=1e-8)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--max-memory-gb", type=float, default=None)
     parser.add_argument("--output", default=None)
     if levels:
-        parser.add_argument("--degrees", type=int, nargs="+", default=None)
+        parser.add_argument("--degrees", type=int, nargs="+", default=[2])
         parser.add_argument("--levels", type=int, nargs="+", default=[2, 3])
         parser.add_argument("--alphas", type=float, nargs="+",
                             default=[1.0, 1e-3, 1e-6, 1e-9])
@@ -397,6 +407,7 @@ def _add_common(parser, levels=False, alphas=False):
         parser.add_argument("--format", choices=("markdown", "csv"),
                             default="markdown")
     else:
+        parser.add_argument("--degree", type=int, default=2)
         parser.add_argument("--level", type=int, default=2)
         parser.add_argument("--alpha", type=float, default=1e-6)
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 BREAKDOWN_RTOL = 1e-14
+TRUE_RESIDUAL_CHECK_EVERY = 50
 SYMMETRY_PROBE_RTOL = 1e-10
 
 
@@ -21,15 +22,12 @@ class MinresConfig:
     rel_tol: float = 1e-8
     max_iter: int = 2000
     seed: int = 0
-    check_true_residual_every: int = 50
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < 1.0):
             raise ValueError("rel_tol must be in (0, 1)")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.check_true_residual_every < 1:
-            raise ValueError("check interval must be at least 1")
 
 
 @dataclass
@@ -141,7 +139,7 @@ def minres(apply_a, apply_pinv, b: np.ndarray, x0: np.ndarray | None = None,
             if final_rel <= config.rel_tol:
                 converged = True
                 break
-        elif itn % config.check_true_residual_every == 0:
+        elif itn % TRUE_RESIDUAL_CHECK_EVERY == 0:
             checks.append((itn, true_relres(x)))
 
         if beta <= BREAKDOWN_RTOL * beta1:

@@ -97,6 +97,13 @@ def y_norm_gram(spec: ProblemSpec, spaces: DiscreteSpaces) -> sp.csr_matrix:
     return _symmetrize(residual + trace)
 
 
+def state_block(spec: ProblemSpec, spaces: DiscreteSpaces, blocks: SystemBlocks,
+                alpha: float) -> sp.csr_matrix:
+    """The state block P_Y: observation + alpha * residual Gram + trace Grams."""
+    residual, trace = graph_norm_terms(spec, spaces)
+    return _symmetrize(blocks.observation + alpha * residual + trace)
+
+
 def mass_solver(spaces: DiscreteSpaces, *names: str) -> KroneckerSolver:
     """Univariate Cholesky sweeps for the tensor-product mass on named factors."""
     return KroneckerSolver([spaces.factor(n, n) for n in names])
@@ -105,48 +112,28 @@ def mass_solver(spaces: DiscreteSpaces, *names: str) -> KroneckerSolver:
 class BlockDiagPreconditioner:
     """Factored diagonal blocks of the preconditioner, in system block order.
 
-    Block scaling follows diag(P_Y, alpha P_U, alpha^{-1} P_U, P_R1[, P_R2]).
-    The control-mass and initial-velocity blocks share Cholesky factors across
-    alpha values (only the scale changes); the state block is reassembled and
-    refactorized on rebuild because alpha enters its bilinear form.
+    Block scaling follows diag(P_Y, alpha P_U, alpha^{-1} P_U, P_R1[, P_R2])
+    with alpha = spec.alpha. The state block comes from `state_block` and is
+    factorized by a sparse LU; the control-mass and initial-velocity blocks
+    are inverted by univariate Cholesky sweeps, the initial-displacement
+    block by a sparse LU.
     """
 
-    def __init__(self, spec, spaces, blocks, alpha=None):
+    def __init__(self, spec, spaces, blocks):
         self.spec = spec
         self.spaces = spaces
         self.blocks = blocks
-        self.alpha = spec.alpha if alpha is None else float(alpha)
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-
-        # alpha-independent pieces of the state block, kept for rebuilds
-        self._obs = blocks.observation
-        self._residual, self._trace = graph_norm_terms(spec, spaces)
-
+        self.alpha = spec.alpha
+        self._p_y = state_block(spec, spaces, blocks, self.alpha)
+        try:
+            self._y_lu = splu(self._p_y.tocsc())
+        except RuntimeError as exc:  # pragma: no cover - signals an assembly bug
+            raise ValueError(f"state block factorization failed: {exc}") from exc
         self._u_solver = mass_solver(spaces, "u_time", "u_x", "u_y")
         self._r1_lu = splu(blocks.r1_gram.tocsc())
         if spec.is_wave:
             self._r2_solver = mass_solver(spaces, "r2_x", "r2_y")
-        self._build_y_block()
-
         self._offsets = spaces.offsets()
-
-    def _build_y_block(self):
-        p_y = _symmetrize(
-            self._obs + self.alpha * self._residual + self._trace).tocsc()
-        self._p_y = p_y.tocsr()
-        try:
-            self._y_lu = splu(p_y)
-        except RuntimeError as exc:  # pragma: no cover - signals an assembly bug
-            raise ValueError(f"state block factorization failed: {exc}") from exc
-
-    def rebuild(self, alpha: float) -> "BlockDiagPreconditioner":
-        """Switch to a new regularization weight, reusing the mass factorizations."""
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
-        self.alpha = float(alpha)
-        self._build_y_block()
-        return self
 
     @property
     def dim(self) -> int:
@@ -190,10 +177,9 @@ class BlockDiagPreconditioner:
 
 
 def build_preconditioner(spec: ProblemSpec, spaces: DiscreteSpaces,
-                         blocks: SystemBlocks,
-                         alpha: float | None = None) -> BlockDiagPreconditioner:
-    """Assemble and factorize all diagonal blocks."""
-    return BlockDiagPreconditioner(spec, spaces, blocks, alpha=alpha)
+                         blocks: SystemBlocks) -> BlockDiagPreconditioner:
+    """Assemble and factorize all diagonal blocks at alpha = spec.alpha."""
+    return BlockDiagPreconditioner(spec, spaces, blocks)
 
 
 PTILDE_DIM_CAP = 200

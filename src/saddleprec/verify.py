@@ -3,7 +3,7 @@
 Measures the discrete Brezzi constants of the 2x2 reordering, the stability
 constants of the stacked state operator, the residual-inclusion defect, the
 gap between the sparse state block and its dense operator-preconditioning
-reference, and condition-number estimates of the preconditioned system.
+reference, and the condition number of the preconditioned system.
 Everything here is a measurement; pass/fail thresholds live in the tests.
 """
 
@@ -11,7 +11,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.linalg import block_diag, eigh, null_space
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .assembly import DiscreteSystem
 from .splines import eval_basis_many, gauss_rule
@@ -20,6 +19,7 @@ from .precond import (
     build_Ptilde_Y,
     dual_grams,
     mass_solver,
+    state_block,
     y_norm_gram,
 )
 
@@ -44,13 +44,6 @@ class BrezziReport:
 
     def as_dict(self):
         return asdict(self)
-
-
-def _y_gram_matrix(system: DiscreteSystem, alpha: float) -> np.ndarray:
-    """Dense state-block metric: observation + alpha residual + traces."""
-    spec, spaces = system.spec, system.spaces
-    p = BlockDiagPreconditioner(spec, spaces, system.blocks, alpha=alpha)
-    return p.block_matrix("y").toarray()
 
 
 def measure_brezzi(system: DiscreteSystem, alpha: float | None = None) -> BrezziReport:
@@ -80,7 +73,7 @@ def measure_brezzi(system: DiscreteSystem, alpha: float | None = None) -> Brezzi
 
     dim_y, dim_u = spaces.dim_y, spaces.dim_u
     a_mat = block_diag(obs, a * mu)
-    n_x = block_diag(_y_gram_matrix(system, a), a * mu)
+    n_x = block_diag(state_block(spec, spaces, blocks, a).toarray(), a * mu)
     n_m = block_diag(*n_m_blocks)
     b_mat = np.zeros((n_m.shape[0], dim_y + dim_u))
     b_mat[:dim_u, :dim_y] = k_u
@@ -182,7 +175,6 @@ class ConditionReport:
     lam_abs_max: float
     lam_abs_min: float
     n_zero_modes: int
-    converged: bool
 
     def as_dict(self):
         return asdict(self)
@@ -193,58 +185,26 @@ ZERO_MODE_RTOL = 1e-8
 
 
 def condition_number_estimate(system: DiscreteSystem,
-                              precon: BlockDiagPreconditioner,
-                              maxiter: int = 200) -> ConditionReport:
+                              precon: BlockDiagPreconditioner) -> ConditionReport:
     """Extreme |eigenvalues| of the preconditioned operator, kappa over the range.
 
     The wave system is rank deficient by construction (the initial-velocity
     rows cannot reach the non-H^1_0 part of their multiplier space), so
     eigenvalues below ZERO_MODE_RTOL times the largest magnitude are counted
     as null modes and excluded from kappa; MINRES never sees them when the
-    right-hand side is compatible. Desk-scale instances use the full dense
-    pencil; larger ones fall back to Lanczos magnitude extremes and report a
-    widened (kappa-unbounded) interval when the interior end is unavailable.
+    right-hand side is compatible. The full dense pencil is solved, so systems
+    beyond CONDITION_DENSE_CAP unknowns are refused.
     """
-    n = system.dim
-    m = precon.materialize()
-    if n <= CONDITION_DENSE_CAP:
-        ev = eigh(system.matrix.toarray(), m.toarray(), eigvals_only=True)
-        aev = np.abs(ev)
-        hi = float(aev.max())
-        nonzero = aev[aev > ZERO_MODE_RTOL * hi]
-        n_zero = int(aev.size - nonzero.size)
-        lo = float(nonzero.min())
-        return ConditionReport(hi / lo, hi, lo, n_zero, True)
-
-    minv = LinearOperator((n, n), matvec=precon.apply_inverse)
-    ncv = min(n - 1, 60)
-    converged = True
-
-    def one(which):
-        return eigsh(system.matrix, k=1, M=m, Minv=minv, which=which,
-                     maxiter=maxiter * 10, ncv=ncv,
-                     return_eigenvectors=False)[0]
-
-    try:
-        hi = float(max(abs(one("LA")), abs(one("SA"))))
-    except ArpackNoConvergence as exc:
-        converged = False
-        vals = [abs(v) for v in np.atleast_1d(exc.eigenvalues) if np.isfinite(v)]
-        hi = float(max(vals)) if vals else np.nan
-
-    try:
-        lu = splu(system.matrix.tocsc())
-        opinv = LinearOperator((n, n), matvec=lu.solve)
-        lo = float(abs(eigsh(system.matrix, k=1, M=m, sigma=0.0, which="LM",
-                             OPinv=opinv, maxiter=maxiter * 10, ncv=ncv,
-                             return_eigenvectors=False)[0]))
-    except (ArpackNoConvergence, RuntimeError):
-        # singular matrix (or no convergence): interior end unavailable
-        converged = False
-        lo = np.nan
-    kappa = float(hi / lo) if np.isfinite(hi) and np.isfinite(lo) and lo > 0 \
-        else np.nan
-    return ConditionReport(kappa, hi, lo, -1, converged)
+    if system.dim > CONDITION_DENSE_CAP:
+        raise ValueError(f"instance too large for the dense condition number "
+                         f"({system.dim} > {CONDITION_DENSE_CAP})")
+    ev = eigh(system.matrix.toarray(), precon.materialize().toarray(),
+              eigvals_only=True)
+    aev = np.abs(ev)
+    hi = float(aev.max())
+    nonzero = aev[aev > ZERO_MODE_RTOL * hi]
+    lo = float(nonzero.min())
+    return ConditionReport(hi / lo, hi, lo, int(aev.size - nonzero.size))
 
 
 def residual_on_grid(system: DiscreteSystem, y_coef: np.ndarray):
@@ -311,14 +271,11 @@ class ReferenceGapReport:
         return asdict(self)
 
 
-def sparse_vs_reference_gap(system: DiscreteSystem,
-                            alpha: float | None = None) -> ReferenceGapReport:
+def sparse_vs_reference_gap(system: DiscreteSystem) -> ReferenceGapReport:
     """Max-abs gap between the sparse state block and its dense reference."""
     spec, spaces, blocks = system.spec, system.spaces, system.blocks
-    a = spec.alpha if alpha is None else float(alpha)
-    p_y = BlockDiagPreconditioner(spec, spaces, blocks, alpha=a)
-    sparse_block = p_y.block_matrix("y").toarray()
-    reference = build_Ptilde_Y(spec, spaces, blocks, alpha=a)
+    sparse_block = state_block(spec, spaces, blocks, spec.alpha).toarray()
+    reference = build_Ptilde_Y(spec, spaces, blocks)
     scale = float(np.abs(sparse_block).max())
     gap = float(np.abs(sparse_block - reference).max())
     return ReferenceGapReport(gap, gap / scale, scale)

@@ -36,6 +36,27 @@ def test_run_writes_csv(tmp_path, capsys):
     assert rows[0]["converged"] == "True"
 
 
+def test_unconverged_solve_exits_nonzero(tmp_path, capsys):
+    # tol 1e-16 is below what double precision reaches: the iteration cap hits
+    path = tmp_path / "row.csv"
+    rc = main(["run", "--level", "1", "--tol", "1e-16", "--output", str(path)])
+    assert rc == 1
+    row = capsys.readouterr().out.strip().splitlines()[1].split(",")
+    assert row[6] == "False"
+    with open(path) as fh:
+        assert next(csv.DictReader(fh))["converged"] == "False"
+
+    path = tmp_path / "cells.csv"
+    rc = main(["table", "--levels", "1", "--alphas", "1e-3", "--tol", "1e-16",
+               "--format", "csv", "--output", str(path)])
+    assert rc == 1
+    out = capsys.readouterr().out.strip().splitlines()
+    assert out[-1].split(",") == ["1", "fail", "468"]
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 1 and rows[0]["converged"] == "False"
+
+
 def test_seed_reproducibility(capsys):
     counts = []
     for _ in range(2):

@@ -1,10 +1,17 @@
 """Preconditioner blocks: quadratic forms, inverses, dense reference."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from saddleprec.assembly import ProblemSpec, assemble_system, build_spaces
-from saddleprec.precond import build_preconditioner, build_Ptilde_Y, trace_form
+from saddleprec.precond import (
+    build_preconditioner,
+    build_Ptilde_Y,
+    state_block,
+    trace_form,
+)
 from saddleprec.splines import eval_basis_many, gauss_rule
 from saddleprec.verify import residual_on_grid, sparse_vs_reference_gap
 
@@ -128,12 +135,29 @@ def test_heat_state_block_has_no_velocity_trace():
     assert yv @ (p_y @ yv) == pytest.approx(oracle, rel=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["heat", "wave"])
+@pytest.mark.parametrize("alpha", [1.0, 1e-3, 1e-6])
+def test_state_block_is_the_factorized_block(kind, alpha):
+    # one builder: the preconditioner factorizes exactly state_block at spec.alpha
+    spec = ProblemSpec(kind, 2, 2, 1e-2)
+    sp_ = build_spaces(spec)
+    system = assemble_system(spec, sp_)
+    direct = state_block(spec, sp_, system.blocks, alpha)
+    precon = build_preconditioner(dataclasses.replace(spec, alpha=alpha), sp_,
+                                  system.blocks)
+    held = precon.block_matrix("y")
+    assert direct.shape == held.shape == (sp_.dim_y, sp_.dim_y)
+    assert np.array_equal(direct.toarray(), held.toarray())
+    assert (direct != direct.T).nnz == 0
+
+
 def test_alpha_scaling_of_blocks():
     spec = ProblemSpec("wave", 2, 2, 1e-2)
     sp_ = build_spaces(spec)
     system = assemble_system(spec, sp_)
-    p1 = build_preconditioner(spec, sp_, system.blocks, alpha=1e-2)
-    p2 = build_preconditioner(spec, sp_, system.blocks, alpha=1e-3)
+    p1 = build_preconditioner(spec, sp_, system.blocks)
+    p2 = build_preconditioner(dataclasses.replace(spec, alpha=1e-3), sp_,
+                              system.blocks)
     rng = np.random.default_rng(25)
     u = rng.standard_normal(sp_.dim_u)
     q1 = u @ (p1.block_matrix("u") @ u)
@@ -196,21 +220,6 @@ def test_kron_blocks_match_dense_solves():
                        rtol=1e-10)
 
 
-def test_rebuild_shares_mass_factors():
-    spec = ProblemSpec("wave", 2, 2, 1e-3)
-    sp_ = build_spaces(spec)
-    system = assemble_system(spec, sp_)
-    precon = build_preconditioner(spec, sp_, system.blocks)
-    u_solver = precon._u_solver
-    fresh = build_preconditioner(spec, sp_, system.blocks, alpha=1e-6)
-    precon.rebuild(1e-6)
-    assert precon._u_solver is u_solver  # factorizations are reused
-    rng = np.random.default_rng(27)
-    r = rng.standard_normal(precon.dim)
-    assert np.allclose(precon.apply_inverse(r), fresh.apply_inverse(r),
-                       rtol=1e-12)
-
-
 def test_reference_equality_and_counterexample():
     for p in (2, 3):
         spec = ProblemSpec("wave", p, 2, 1e-3)
@@ -243,11 +252,12 @@ def test_reference_refuses_beyond_cap():
 
 
 def test_invalid_alpha_rejected():
+    # alpha reaches the preconditioner only through the spec, which refuses
+    # nonpositive values
     spec = ProblemSpec("wave", 2, 1, 1e-3)
     sp_ = build_spaces(spec)
     system = assemble_system(spec, sp_)
-    with pytest.raises(ValueError):
-        build_preconditioner(spec, sp_, system.blocks, alpha=0.0)
-    precon = build_preconditioner(spec, sp_, system.blocks)
-    with pytest.raises(ValueError):
-        precon.rebuild(-1.0)
+    assert build_preconditioner(spec, sp_, system.blocks).alpha == spec.alpha
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            dataclasses.replace(spec, alpha=bad)
