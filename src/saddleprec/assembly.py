@@ -4,12 +4,18 @@ The state space is a tensor product of a temporal spline factor and two
 H^1_0-restricted spatial spline factors; the control/test space uses three
 reduced-continuity factors so that the state residual is exactly
 representable in it. All blocks are sums of Kronecker products of univariate
-matrices, materialized as sparse matrices, and the assembled system is
-symmetric by construction (transposed blocks are placed explicitly).
+matrices. The two large ones, the control mass and the state-residual
+pairing, are kept as Kronecker sums and applied by mode products, and the
+system operator is applied block by block without being assembled; the
+blocks whose sparse form is small (observation, initial-condition pairings
+and Grams) are materialized. The sparse system matrix, symmetric by
+construction (transposed blocks are placed explicitly), is built only when
+read, as the reference for verification and export.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -203,14 +209,14 @@ def assemble_observation(spec: ProblemSpec, spaces: DiscreteSpaces) -> sp.csr_ma
                             f("y_y", "y_y", sub=wy))
 
 
-def assemble_u_mass(spaces: DiscreteSpaces) -> sp.csr_matrix:
+def u_mass_form(spaces: DiscreteSpaces) -> KroneckerMatrix:
     """Mass matrix of the control space over the full cylinder."""
     f = spaces.factor
-    return kron_materialize(f("u_time", "u_time"), f("u_x", "u_x"),
-                            f("u_y", "u_y"))
+    return KroneckerMatrix().add(1.0, f("u_time", "u_time"), f("u_x", "u_x"),
+                                 f("u_y", "u_y"))
 
 
-def assemble_K_U(spec: ProblemSpec, spaces: DiscreteSpaces) -> sp.csr_matrix:
+def k_u_form(spec: ProblemSpec, spaces: DiscreteSpaces) -> KroneckerMatrix:
     """State-residual pairing: rows test the control space, columns the state space.
 
     Wave: (d_tt y - Lap y, sigma); heat: (d_t y - Lap y, sigma). The time
@@ -225,7 +231,7 @@ def assemble_K_U(spec: ProblemSpec, spaces: DiscreteSpaces) -> sp.csr_matrix:
     km.add(1.0, f("u_time", "y_time", 0, dt), x_mass, y_mass)
     km.add(-1.0, t_mass, f("u_x", "y_x", 0, 2), y_mass)
     km.add(-1.0, t_mass, x_mass, f("u_y", "y_y", 0, 2))
-    return km.materialize()
+    return km
 
 
 def h10_gram_form(spaces: DiscreteSpaces, *lead) -> KroneckerMatrix:
@@ -267,22 +273,41 @@ def assemble_K_R2(spec: ProblemSpec, spaces: DiscreteSpaces) -> sp.csr_matrix:
 
 @dataclass
 class SystemBlocks:
-    """The sparse blocks of the optimality system, retained individually."""
+    """The blocks of the optimality system, retained individually.
+
+    The control mass M_U and the state-residual pairing K_U are held as
+    Kronecker sums; `u_mass` and `k_u` are their sparse forms, built on first
+    read for the reference uses (verification, export, tests) and never by a
+    solve.
+    """
 
     observation: sp.csr_matrix
-    u_mass: sp.csr_matrix
-    k_u: sp.csr_matrix
+    u_mass_form: KroneckerMatrix
+    k_u_form: KroneckerMatrix
     k_r1: sp.csr_matrix
     r1_gram: sp.csr_matrix
     k_r2: sp.csr_matrix | None = None
     r2_mass: sp.csr_matrix | None = None
 
+    @property
+    def couplings(self) -> list:
+        """Initial-condition pairings in system order: K_R1 [, K_R2]."""
+        return [k for k in (self.k_r1, self.k_r2) if k is not None]
+
+    @cached_property
+    def u_mass(self) -> sp.csr_matrix:
+        return self.u_mass_form.materialize()
+
+    @cached_property
+    def k_u(self) -> sp.csr_matrix:
+        return self.k_u_form.materialize()
+
 
 def assemble_blocks(spec: ProblemSpec, spaces: DiscreteSpaces) -> SystemBlocks:
     blocks = SystemBlocks(
         observation=assemble_observation(spec, spaces),
-        u_mass=assemble_u_mass(spaces),
-        k_u=assemble_K_U(spec, spaces),
+        u_mass_form=u_mass_form(spaces),
+        k_u_form=k_u_form(spec, spaces),
         k_r1=assemble_K_R1(spec, spaces),
         r1_gram=assemble_r1_gram(spaces),
     )
@@ -312,19 +337,73 @@ class ProblemData:
         return all(f is None for f in (self.d, self.g_u, self.y0, self.y1))
 
 
-@dataclass
+def _system_matrix(system: "DiscreteSystem") -> sp.csr_matrix:
+    """Sparse matrix of the symmetric optimality system, in block order."""
+    blocks = system.blocks
+    mu = blocks.u_mass
+    couplings = blocks.couplings
+    pad = [None] * len(couplings)
+    return sp.bmat([
+        [blocks.observation, None, blocks.k_u.T] + [k.T for k in couplings],
+        [None, system.spec.alpha * mu, mu] + pad,
+        [blocks.k_u, mu, None] + pad,
+    ] + [[k, None, None] + pad for k in couplings], format="csr")
+
+
+class _BuiltOnFirstRead:
+    """Default of a dataclass field: while the field is None, reading it
+    builds the value from the instance and keeps it."""
+
+    def __init__(self, build):
+        self._build = build
+
+    def __set_name__(self, owner, name):
+        self._key = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:  # the dataclass machinery asks for the default
+            return None
+        if obj.__dict__.get(self._key) is None:
+            obj.__dict__[self._key] = self._build(obj)
+        return obj.__dict__[self._key]
+
+    def __set__(self, obj, value):
+        obj.__dict__[self._key] = value
+
+
+@dataclass(repr=False)
 class DiscreteSystem:
-    """Assembled symmetric optimality system; block layout as in its spaces."""
+    """Symmetric optimality system; block layout as in its spaces.
+
+    `apply` multiplies by the system operator block by block. `matrix` is its
+    sparse form, built on first read as the reference for verification and
+    export; a matrix passed in (e.g. by `dataclasses.replace`) is kept as is.
+    """
 
     spec: ProblemSpec
     spaces: DiscreteSpaces
     blocks: SystemBlocks
-    matrix: sp.csr_matrix
     rhs: np.ndarray
+    matrix: sp.csr_matrix | None = _BuiltOnFirstRead(_system_matrix)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return int(self.spaces.offsets()[-1])
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """A v by blocks: M_U and K_U by mode products, the rest sparse."""
+        b, a = self.blocks, self.spec.alpha
+        o = self.spaces.offsets()
+        y, u, p_u = v[o[0]:o[1]], v[o[1]:o[2]], v[o[2]:o[3]]
+        out = np.empty_like(v)
+        out_y = b.observation @ y + b.k_u_form.T.apply(p_u)
+        for k, lo, hi in zip(b.couplings, o[3:], o[4:]):
+            out_y += k.T @ v[lo:hi]
+            out[lo:hi] = k @ y
+        out[o[0]:o[1]] = out_y
+        out[o[1]:o[2]] = b.u_mass_form.apply(a * u + p_u)
+        out[o[2]:o[3]] = b.u_mass_form.apply(u) + b.k_u_form.apply(y)
+        return out
 
 
 def _grid_moments(f, rules, spaces, restrictions, derivs=None):
@@ -381,11 +460,13 @@ def initial_velocity_moments(spaces: DiscreteSpaces, f) -> np.ndarray:
 def assemble_system(spec: ProblemSpec, spaces: DiscreteSpaces | None = None,
                     data: ProblemData | None = None,
                     blocks: SystemBlocks | None = None) -> DiscreteSystem:
-    """Assemble the symmetric saddle-point system and its right-hand side.
+    """The symmetric saddle-point system and its right-hand side.
 
-    Unknown order is (y, u, p_u, p_r1[, p_r2]). Transposed blocks are placed
-    explicitly so the assembled matrix is symmetric exactly, not to rounding.
-    Homogeneous data yield an exactly zero right-hand side.
+    Unknown order is (y, u, p_u, p_r1[, p_r2]). No system matrix is built
+    here: `DiscreteSystem.apply` applies the blocks, and `matrix` assembles
+    them on first read with transposed blocks placed explicitly, so that it
+    is symmetric exactly, not to rounding. Homogeneous data yield an exactly
+    zero right-hand side.
     """
     if spaces is None:
         spaces = build_spaces(spec)
@@ -393,17 +474,7 @@ def assemble_system(spec: ProblemSpec, spaces: DiscreteSpaces | None = None,
         blocks = assemble_blocks(spec, spaces)
     if data is None:
         data = ProblemData()
-    a = spec.alpha
-    mu = blocks.u_mass
-    couplings = [blocks.k_r1] + ([blocks.k_r2] if spec.is_wave else [])
-    pad = [None] * len(couplings)
-    mat = sp.bmat([
-        [blocks.observation, None, blocks.k_u.T] + [k.T for k in couplings],
-        [None, a * mu, mu] + pad,
-        [blocks.k_u, mu, None] + pad,
-    ] + [[k, None, None] + pad for k in couplings], format="csr")
-
-    rhs = np.zeros(mat.shape[0])
+    rhs = np.zeros(sum(spaces.block_dims))
     if data.d is not None:
         rhs[spaces.block_slice("y")] = state_moments_qT(spec, spaces, data.d)
     if data.g_u is not None:
@@ -418,7 +489,7 @@ def assemble_system(spec: ProblemSpec, spaces: DiscreteSpaces | None = None,
         if not spec.is_wave:
             raise ValueError("initial velocity data only exists for the wave problem")
         rhs[spaces.block_slice("p_r2")] = initial_velocity_moments(spaces, data.y1)
-    return DiscreteSystem(spec, spaces, blocks, mat, rhs)
+    return DiscreteSystem(spec, spaces, blocks, rhs)
 
 
 def project_state_l2(spaces: DiscreteSpaces, f) -> np.ndarray:

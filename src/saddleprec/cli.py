@@ -21,6 +21,7 @@ from . import blocksys, matrixio, spectral, verify
 from .assembly import ProblemSpec, assemble_system, build_spaces, dof_count
 from .krylov import MinresConfig, minres, random_start
 from .precond import build_preconditioner
+from .splines import endpoint_row
 # univariate_matrix is imported here only so the benchmark probes can rebind it
 from .splines import univariate_matrix  # noqa: F401
 
@@ -35,29 +36,63 @@ CSV_COLUMNS = ("problem", "p", "level", "alpha", "dofs", "iterations",
                "converged", "final_relres", "runtime_ms")
 
 
-def estimate_memory_gb(spec: ProblemSpec) -> float:
-    """Crude peak-memory model from predicted block sparsity.
+# bytes per stored nonzero: a float64 value and an index of up to 8 bytes
+BYTES_PER_NNZ = 16
+# (L + U) nnz over matrix nnz of the sparse LUs. Measured on the state block
+# at p=2: 1.6, 3.4, 11.2 and 24.2 at levels 2-5; at p=3: 2.8 at level 3 and
+# 7.3 at level 4. It grows with the level; this covers every measured case.
+LU_FILL = 25.0
+# length-dofs float64 vectors alive at once: the MINRES recurrence, the
+# true-residual checks, the block applies and the preconditioner solve
+WORK_VECTORS = 20
+# resident size of the interpreter with numpy and scipy loaded
+BASE_GB = 0.1
 
-    Kronecker-product nonzeros multiply across factors; the state-block
-    factorization is charged a flat fill factor. Intentionally pessimistic by
-    a small constant: the gate exists to refuse hopeless cases, not to meter.
+
+def solve_nnz(spec: ProblemSpec) -> dict:
+    """Exact nonzero counts of the sparse blocks a solve materializes.
+
+    The nnz of a Kronecker product is the product of its factors' nnz. Every
+    state-space factor has the support of the state mass, so P_Y has the
+    mass pattern; the observation block is clipped to omega, and K_R1 and
+    K_R2 put the endpoint rows in front of the 2-D factors.
     """
     spaces = build_spaces(spec)
+    (wx, wy) = spec.omega
 
-    def nnz(row, col):
-        return np.count_nonzero(spaces.factor(row, col))
+    def nnz(*factor, **clip):
+        return int(np.count_nonzero(spaces.factor(*factor, **clip)))
 
-    n_mt, n_mx = nnz("y_time", "y_time"), nnz("y_x", "y_x")
-    n_mu = nnz("u_time", "u_time") * nnz("u_x", "u_x") ** 2
-    n_ku = 3 * nnz("u_time", "y_time") * nnz("u_x", "y_x") ** 2
-    n_obs = n_mt * n_mx**2
-    n_py = n_obs  # all state-block terms share the mass sparsity pattern
-    n_r = 2 * nnz("r2_x", "r2_x") ** 2 + 2 * spaces.dim_r1 + 2 * spaces.dim_r2
-    system_nnz = n_obs + 2 * n_ku + 3 * n_mu + n_r
-    fill = 30.0
-    bytes_total = 16.0 * (2.5 * system_nnz + fill * n_py + 3 * n_mu)
-    bytes_total += 8.0 * 16 * dof_count(spec)
-    return bytes_total / 1e9
+    def e_nnz(d):
+        return int(np.count_nonzero(endpoint_row(spaces.y_time, "a", d)))
+
+    n_t, n_x, n_y = (nnz(name, name) for name in ("y_time", "y_x", "y_y"))
+    counts = {
+        "observation": n_t * nnz("y_x", "y_x", sub=wx) * nnz("y_y", "y_y", sub=wy),
+        "P_Y": n_t * n_x * n_y,
+        "r1_gram": n_x * n_y,
+        "k_r1": e_nnz(0) * n_x * n_y,
+    }
+    if spec.is_wave:
+        counts["r2_mass"] = nnz("r2_x", "r2_x") * nnz("r2_y", "r2_y")
+        counts["k_r2"] = e_nnz(1) * nnz("r2_x", "y_x") * nnz("r2_y", "y_y")
+    return counts
+
+
+def estimate_memory_gb(spec: ProblemSpec) -> float:
+    """Peak memory of a solve from the exact nonzero counts of what it holds.
+
+    A solve holds the blocks of `solve_nnz`, a CSC copy and the LU of each
+    of P_Y and the r1 Gram, and the work vectors. Assembling P_Y peaks
+    earlier at about six copies of it (measured), below its LU charge. The
+    control mass and K_U are applied from their univariate factors, whose
+    size is negligible.
+    """
+    counts = solve_nnz(spec)
+    factorized = counts["P_Y"] + counts["r1_gram"]
+    held = sum(counts.values()) + (1 + LU_FILL) * factorized
+    bytes_total = BYTES_PER_NNZ * held + 8.0 * WORK_VECTORS * dof_count(spec)
+    return BASE_GB + bytes_total / 1e9
 
 
 class ConfigError(Exception):
@@ -88,8 +123,8 @@ def solve_once(spec: ProblemSpec, tol: float) -> dict:
     precon = build_preconditioner(spec, spaces, system.blocks)
     x0 = random_start(system.dim, spec.seed)
     config = MinresConfig(rel_tol=tol, seed=spec.seed)
-    _, report = minres(lambda v: system.matrix @ v, precon.apply_inverse,
-                       system.rhs, x0=x0, config=config)
+    _, report = minres(system.apply, precon.apply_inverse, system.rhs, x0=x0,
+                       config=config)
     runtime_ms = 1e3 * (time.perf_counter() - t0)
     return {
         "problem": spec.kind,

@@ -4,7 +4,9 @@ The recurrence monitors the preconditioner-weighted residual norm; on hitting
 the requested reduction it confirms the Euclidean residual and keeps iterating
 if that has not dropped far enough. The reported iteration counts therefore
 honor a Euclidean stopping rule without paying one extra operator application
-per iteration.
+per iteration. When STAGNATION_CHECKS confirmations in a row fail to improve
+on the best confirmed residual, the recurrence has stalled at its attainable
+accuracy: the solve stops unconverged and returns the best confirmed iterate.
 """
 
 import time
@@ -14,6 +16,7 @@ import numpy as np
 
 BREAKDOWN_RTOL = 1e-14
 TRUE_RESIDUAL_CHECK_EVERY = 50
+STAGNATION_CHECKS = 20
 SYMMETRY_PROBE_RTOL = 1e-10
 
 
@@ -38,6 +41,7 @@ class MinresReport:
     true_residual_checks: list = field(default_factory=list)
     final_true_relres: float = 0.0
     runtime_ms: float = 0.0
+    stagnated: bool = False
 
 
 def random_start(dim: int, seed: int) -> np.ndarray:
@@ -65,7 +69,7 @@ def minres(apply_a, apply_pinv, b: np.ndarray, x0: np.ndarray | None = None,
 
     apply_a and apply_pinv are callables for the (symmetric) operator and the
     SPD preconditioner inverse. Returns (x, MinresReport); hitting the
-    iteration cap is reported with converged=False, not raised.
+    iteration cap or stagnating is reported with converged=False, not raised.
     """
     if config is None:
         config = MinresConfig()
@@ -88,8 +92,18 @@ def minres(apply_a, apply_pinv, b: np.ndarray, x0: np.ndarray | None = None,
         ms = 1e3 * (time.perf_counter() - t_start)
         return x, MinresReport(0, True, np.array(history), checks, 0.0, ms)
 
-    def true_relres(xc):
-        return float(np.linalg.norm(b - apply_a(xc)) / eu0)
+    best_rel, best_x, since_best = np.inf, None, 0
+
+    def confirm(xc):
+        """Record a true-residual check; track the best confirmed iterate."""
+        nonlocal best_rel, best_x, since_best
+        rel = float(np.linalg.norm(b - apply_a(xc)) / eu0)
+        checks.append((itn, rel))
+        if rel < best_rel:
+            best_rel, best_x, since_best = rel, xc.copy(), 0
+        else:
+            since_best += 1
+        return rel
 
     oldb, beta = 0.0, beta1
     dbar = epsln = 0.0
@@ -99,8 +113,7 @@ def minres(apply_a, apply_pinv, b: np.ndarray, x0: np.ndarray | None = None,
     w2 = np.zeros(n)
     r2 = r1
     itn = 0
-    converged = False
-    final_rel = None
+    converged = stagnated = False
 
     while itn < config.max_iter:
         itn += 1
@@ -134,26 +147,28 @@ def minres(apply_a, apply_pinv, b: np.ndarray, x0: np.ndarray | None = None,
         history.append(phibar)
 
         if phibar <= config.rel_tol * beta1:
-            final_rel = true_relres(x)
-            checks.append((itn, final_rel))
-            if final_rel <= config.rel_tol:
+            if confirm(x) <= config.rel_tol:
                 converged = True
                 break
         elif itn % TRUE_RESIDUAL_CHECK_EVERY == 0:
-            checks.append((itn, true_relres(x)))
+            confirm(x)
+        if since_best >= STAGNATION_CHECKS:
+            stagnated = True
+            x = best_x
+            break
 
         if beta <= BREAKDOWN_RTOL * beta1:
             # Lanczos breakdown: the Krylov space is exhausted.
-            final_rel = true_relres(x)
-            checks.append((itn, final_rel))
-            converged = final_rel <= 10 * config.rel_tol
+            converged = confirm(x) <= 10 * config.rel_tol
             break
 
-    if not checks or checks[-1][0] != itn:
-        final_rel = true_relres(x)
+    if stagnated:
+        final_rel = best_rel
+    elif not checks or checks[-1][0] != itn:
+        final_rel = float(np.linalg.norm(b - apply_a(x)) / eu0)
     else:
         final_rel = checks[-1][1]
     ms = 1e3 * (time.perf_counter() - t_start)
     return x, MinresReport(itn, converged, np.array(history), checks,
-                           final_rel, ms)
+                           final_rel, ms, stagnated)
 

@@ -7,9 +7,10 @@ The state block realizes the weighted norm
 
 assembled directly as a sparse sum of Kronecker terms and factorized by a
 sparse direct solver. The control and initial-velocity blocks are pure
-tensor-product mass matrices and are inverted by univariate Cholesky sweeps;
-the initial-displacement block (a 2-D stiffness, not a pure tensor product)
-goes through the sparse direct path. A dense reference for the state block,
+tensor-product mass matrices; their inverses are Kronecker products of the
+univariate factor inverses, applied by mode products. The
+initial-displacement block (a 2-D stiffness, not a pure tensor product) goes
+through the sparse direct path. A dense reference for the state block,
 built from the system blocks through explicit mass inverses, witnesses that
 the sparse block equals the operator-preconditioning candidate whenever the
 residual inclusion holds.
@@ -105,7 +106,7 @@ def state_block(spec: ProblemSpec, spaces: DiscreteSpaces, blocks: SystemBlocks,
 
 
 def mass_solver(spaces: DiscreteSpaces, *names: str) -> KroneckerSolver:
-    """Univariate Cholesky sweeps for the tensor-product mass on named factors."""
+    """Inverse of the tensor-product mass on the named factors."""
     return KroneckerSolver([spaces.factor(n, n) for n in names])
 
 
@@ -115,8 +116,10 @@ class BlockDiagPreconditioner:
     Block scaling follows diag(P_Y, alpha P_U, alpha^{-1} P_U, P_R1[, P_R2])
     with alpha = spec.alpha. The state block comes from `state_block` and is
     factorized by a sparse LU; the control-mass and initial-velocity blocks
-    are inverted by univariate Cholesky sweeps, the initial-displacement
-    block by a sparse LU.
+    are inverted by Kronecker products of univariate inverses, the
+    initial-displacement block by a sparse LU. `block_matrix` and
+    `materialize` build the sparse control blocks on request, for
+    verification and export.
     """
 
     def __init__(self, spec, spaces, blocks):
@@ -161,7 +164,7 @@ class BlockDiagPreconditioner:
                              format="csr")
 
     def apply_inverse(self, r: np.ndarray) -> np.ndarray:
-        """Per-block solve; Kronecker blocks go through univariate sweeps."""
+        """Per-block solve; Kronecker blocks by mode products of factor inverses."""
         r = np.asarray(r, dtype=float)
         if r.shape != (self.dim,):
             raise ValueError(f"residual has shape {r.shape}, expected ({self.dim},)")

@@ -291,6 +291,48 @@ def test_system_structure_wave():
         assert dense_nnz[a, b] > 0
 
 
+@pytest.fixture(scope="module")
+def blocks_by_case():
+    """Spaces and blocks per (kind, p, level), shared across the alphas."""
+    cache = {}
+
+    def get(kind, p, lev):
+        if (kind, p, lev) not in cache:
+            spec = ProblemSpec(kind, p, lev, 1.0)
+            spaces = build_spaces(spec)
+            cache[kind, p, lev] = (spaces, assemble_system(spec, spaces).blocks)
+        return cache[kind, p, lev]
+    return get
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1e-6])
+@pytest.mark.parametrize("lev", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("kind", ["wave", "heat"])
+def test_blockwise_apply_matches_sparse_matrix(blocks_by_case, kind, p, lev,
+                                               alpha):
+    spaces, blocks = blocks_by_case(kind, p, lev)
+    system = assemble_system(ProblemSpec(kind, p, lev, alpha), spaces,
+                             blocks=blocks)
+    rng = np.random.default_rng(lev + 10 * p)
+    v, w = rng.standard_normal((2, system.dim))
+    av, aw = system.apply(v), system.apply(w)
+    ref = system.matrix @ v
+    assert np.linalg.norm(av - ref) <= 1e-13 * np.linalg.norm(ref)
+    gap = abs(av @ w - v @ aw)
+    assert gap <= 1e-13 * np.linalg.norm(av) * np.linalg.norm(w)
+
+
+def test_system_matrix_built_on_first_read_only():
+    system = assemble_system(ProblemSpec("wave", 2, 1, 1e-3))
+    assert "k_u" not in vars(system.blocks) and "u_mass" not in vars(system.blocks)
+    system.apply(np.ones(system.dim))
+    assert "k_u" not in vars(system.blocks)
+    m = system.matrix
+    assert system.matrix is m
+    assert system.blocks.k_u is system.blocks.k_u
+
+
 def test_homogeneous_system_zero_rhs_and_instant_convergence():
     spec = ProblemSpec("wave", 2, 2, 1e-3)
     system = assemble_system(spec)

@@ -5,6 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from saddleprec import assembly, cli
+from saddleprec.assembly import ProblemSpec, assemble_system, build_spaces
+from saddleprec.precond import build_preconditioner
+
 PROBES = Path(__file__).resolve().parent.parent / "perfbench" / "probes.py"
 
 
@@ -26,3 +30,29 @@ def test_traced_attributes_resolve(probes):
 def test_always_on_probe_attributes_resolve(probes):
     for attr in ("solve_once", "minres", "estimate_memory_gb"):
         assert callable(getattr(probes.cli, attr, None)), attr
+
+
+def test_result_counters_read_positive_ints(probes):
+    # the traced counters read the results of these two calls
+    spec = ProblemSpec("wave", 2, 1, 1e-3)
+    spaces = build_spaces(spec)
+    system = assemble_system(spec, spaces)
+    results = {
+        "assembly.assemble_system": system,
+        "precond.build_preconditioner": build_preconditioner(spec, spaces,
+                                                             system.blocks),
+    }
+    assert set(probes.RESULT_COUNTERS) == set(results)
+    for name, (_, size) in probes.RESULT_COUNTERS.items():
+        value = size(results[name])
+        assert isinstance(value, int) and value > 0, name
+
+
+def test_solve_never_builds_the_system_matrix(monkeypatch):
+    # the solve applies A block by block; a CSR A in the loop must fail here
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solve built a block matrix")
+
+    monkeypatch.setattr(assembly.sp, "bmat", refuse)
+    row = cli.solve_once(ProblemSpec("wave", 2, 2, 1e-6), 1e-8)
+    assert row["converged"]

@@ -6,7 +6,15 @@ import json
 import pytest
 
 from saddleprec import matrixio
-from saddleprec.cli import CSV_COLUMNS, estimate_memory_gb, main
+from saddleprec.cli import (
+    BASE_GB,
+    CSV_COLUMNS,
+    LU_FILL,
+    WORK_VECTORS,
+    estimate_memory_gb,
+    main,
+    solve_nnz,
+)
 from saddleprec.assembly import ProblemSpec, assemble_system, build_spaces
 from saddleprec.precond import build_preconditioner
 
@@ -37,7 +45,7 @@ def test_run_writes_csv(tmp_path, capsys):
 
 
 def test_unconverged_solve_exits_nonzero(tmp_path, capsys):
-    # tol 1e-16 is below what double precision reaches: the iteration cap hits
+    # tol 1e-16 is below what double precision reaches: the solve stagnates
     path = tmp_path / "row.csv"
     rc = main(["run", "--level", "1", "--tol", "1e-16", "--output", str(path)])
     assert rc == 1
@@ -152,6 +160,35 @@ def test_memory_gate_refuses_level_four(capsys):
     lo = estimate_memory_gb(ProblemSpec("wave", 2, 2, 1e-3))
     hi = estimate_memory_gb(ProblemSpec("wave", 2, 4, 1e-3))
     assert hi > lo
+
+
+def _held_bytes(mat):
+    return mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+
+
+@pytest.mark.parametrize("lev", [2, 3])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("kind", ["wave", "heat"])
+def test_memory_estimate_covers_held_blocks(kind, p, lev):
+    spec = ProblemSpec(kind, p, lev, 1e-6)
+    spaces = build_spaces(spec)
+    system = assemble_system(spec, spaces)
+    precon = build_preconditioner(spec, spaces, system.blocks)
+    b = system.blocks
+    held = {"observation": b.observation, "P_Y": precon.block_matrix("y"),
+            "r1_gram": b.r1_gram, "k_r1": b.k_r1}
+    if spec.is_wave:
+        held.update(r2_mass=b.r2_mass, k_r2=b.k_r2)
+    # the counts are exact, and the flat fill bounds both LUs
+    assert solve_nnz(spec) == {name: m.nnz for name, m in held.items()}
+    lus = {"P_Y": precon._y_lu, "r1_gram": precon._r1_lu}
+    for name, lu in lus.items():
+        assert lu.L.nnz + lu.U.nnz <= LU_FILL * held[name].nnz
+    # the bytes held: every materialized block and both LUs' L and U, plus
+    # the work vectors; the interpreter base is left out
+    mats = list(held.values()) + [f for lu in lus.values() for f in (lu.L, lu.U)]
+    total = sum(_held_bytes(m) for m in mats) + 8 * WORK_VECTORS * system.dim
+    assert (estimate_memory_gb(spec) - BASE_GB) * 1e9 >= total
 
 
 def test_export_round_trip(tmp_path, capsys):

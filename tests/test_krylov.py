@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from saddleprec.krylov import MinresConfig, minres, random_start
+from saddleprec.assembly import ProblemSpec, assemble_system
+from saddleprec.krylov import STAGNATION_CHECKS, MinresConfig, minres, random_start
+from saddleprec.precond import build_preconditioner
 
 
 def _apply(mat):
@@ -97,7 +99,7 @@ def test_solution_quality_on_convergence():
     x0 = rng.standard_normal(50)
     cfg = MinresConfig(rel_tol=1e-8)
     x, rep = minres(_apply(a), _ident, b, x0=x0, config=cfg)
-    assert rep.converged
+    assert rep.converged and not rep.stagnated
     num = np.linalg.norm(b - a @ x)
     den = np.linalg.norm(b - a @ x0)
     assert num / den <= 10 * cfg.rel_tol
@@ -121,6 +123,29 @@ def test_max_iter_reported_not_raised():
     _, rep = minres(_apply(a), _ident, b, config=MinresConfig(max_iter=3))
     assert not rep.converged
     assert rep.iterations == 3
+
+
+def test_stagnation_stops_with_best_confirmed_iterate():
+    # tol 1e-16 is below the attainable accuracy: the confirmed residual
+    # settles near 5e-13 and stops improving, and the solve must stop there
+    # instead of running to the iteration cap
+    spec = ProblemSpec("wave", 2, 1, 1e-6)
+    system = assemble_system(spec)
+    precon = build_preconditioner(spec, system.spaces, system.blocks)
+    x0 = random_start(system.dim, 0)
+    x, rep = minres(system.apply, precon.apply_inverse, system.rhs, x0=x0,
+                    config=MinresConfig(rel_tol=1e-16))
+    assert rep.stagnated and not rep.converged
+    assert rep.iterations <= 60
+    assert rep.final_true_relres <= 1e-11
+    rels = [rel for _, rel in rep.true_residual_checks]
+    best = min(rels)
+    assert rep.final_true_relres == best
+    # it stops on the STAGNATION_CHECKS-th check after the best one
+    assert len(rels) - 1 - rels.index(best) == STAGNATION_CHECKS
+    true_rel = (np.linalg.norm(system.rhs - system.matrix @ x)
+                / np.linalg.norm(system.rhs - system.matrix @ x0))
+    assert true_rel == pytest.approx(best, rel=1e-6)
 
 
 def test_nonsymmetric_operator_rejected():
