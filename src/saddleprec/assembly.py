@@ -63,10 +63,10 @@ class ProblemSpec:
                              "must be square integrable)")
         if self.level < 0:
             raise ValueError("level must be nonnegative")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.final_time <= 0:
-            raise ValueError("final_time must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError("alpha must be a finite positive number")
+        if not (math.isfinite(self.final_time) and self.final_time > 0):
+            raise ValueError("final_time must be a finite positive number")
         (x0, x1), (y0, y1) = self.omega
         if not (0.0 <= x0 < x1 <= 1.0 and 0.0 <= y0 < y1 <= 1.0):
             raise ValueError("omega must be a box inside the unit square")
@@ -216,21 +216,28 @@ def u_mass_form(spaces: DiscreteSpaces) -> KroneckerMatrix:
                                  f("u_y", "u_y"))
 
 
+def residual_terms(spec: ProblemSpec) -> tuple:
+    """The state operator (d_tt | d_t) - Lap as (sign, d_t, d_x, d_y) terms.
+
+    The one definition of the state residual: K_U and the residual Gram of
+    the preconditioner are both built from this table.
+    """
+    dt = 2 if spec.is_wave else 1
+    return ((+1, dt, 0, 0), (-1, 0, 2, 0), (-1, 0, 0, 2))
+
+
 def k_u_form(spec: ProblemSpec, spaces: DiscreteSpaces) -> KroneckerMatrix:
     """State-residual pairing: rows test the control space, columns the state space.
 
-    Wave: (d_tt y - Lap y, sigma); heat: (d_t y - Lap y, sigma). The time
-    factor of the leading term couples the test functions against the first
-    or second time derivative of the state basis.
+    Wave: (d_tt y - Lap y, sigma); heat: (d_t y - Lap y, sigma). One
+    Kronecker term per entry of `residual_terms`, its derivative orders
+    falling on the state factors.
     """
-    dt = 2 if spec.is_wave else 1
     f = spaces.factor
-    t_mass, x_mass, y_mass = (f("u_time", "y_time"), f("u_x", "y_x"),
-                              f("u_y", "y_y"))
     km = KroneckerMatrix()
-    km.add(1.0, f("u_time", "y_time", 0, dt), x_mass, y_mass)
-    km.add(-1.0, t_mass, f("u_x", "y_x", 0, 2), y_mass)
-    km.add(-1.0, t_mass, x_mass, f("u_y", "y_y", 0, 2))
+    for sign, dt, dx, dy in residual_terms(spec):
+        km.add(sign, f("u_time", "y_time", 0, dt), f("u_x", "y_x", 0, dx),
+               f("u_y", "y_y", 0, dy))
     return km
 
 
@@ -333,43 +340,6 @@ class ProblemData:
     y0_grad: object = None
     y1: object = None
 
-    def is_homogeneous(self) -> bool:
-        return all(f is None for f in (self.d, self.g_u, self.y0, self.y1))
-
-
-def _system_matrix(system: "DiscreteSystem") -> sp.csr_matrix:
-    """Sparse matrix of the symmetric optimality system, in block order."""
-    blocks = system.blocks
-    mu = blocks.u_mass
-    couplings = blocks.couplings
-    pad = [None] * len(couplings)
-    return sp.bmat([
-        [blocks.observation, None, blocks.k_u.T] + [k.T for k in couplings],
-        [None, system.spec.alpha * mu, mu] + pad,
-        [blocks.k_u, mu, None] + pad,
-    ] + [[k, None, None] + pad for k in couplings], format="csr")
-
-
-class _BuiltOnFirstRead:
-    """Default of a dataclass field: while the field is None, reading it
-    builds the value from the instance and keeps it."""
-
-    def __init__(self, build):
-        self._build = build
-
-    def __set_name__(self, owner, name):
-        self._key = "_" + name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:  # the dataclass machinery asks for the default
-            return None
-        if obj.__dict__.get(self._key) is None:
-            obj.__dict__[self._key] = self._build(obj)
-        return obj.__dict__[self._key]
-
-    def __set__(self, obj, value):
-        obj.__dict__[self._key] = value
-
 
 @dataclass(repr=False)
 class DiscreteSystem:
@@ -377,18 +347,30 @@ class DiscreteSystem:
 
     `apply` multiplies by the system operator block by block. `matrix` is its
     sparse form, built on first read as the reference for verification and
-    export; a matrix passed in (e.g. by `dataclasses.replace`) is kept as is.
+    export.
     """
 
     spec: ProblemSpec
     spaces: DiscreteSpaces
     blocks: SystemBlocks
     rhs: np.ndarray
-    matrix: sp.csr_matrix | None = _BuiltOnFirstRead(_system_matrix)
 
     @property
     def dim(self) -> int:
         return int(self.spaces.offsets()[-1])
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """Sparse matrix of the symmetric optimality system, in block order."""
+        blocks = self.blocks
+        mu = blocks.u_mass
+        couplings = blocks.couplings
+        pad = [None] * len(couplings)
+        return sp.bmat([
+            [blocks.observation, None, blocks.k_u.T] + [k.T for k in couplings],
+            [None, self.spec.alpha * mu, mu] + pad,
+            [blocks.k_u, mu, None] + pad,
+        ] + [[k, None, None] + pad for k in couplings], format="csr")
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """A v by blocks: M_U and K_U by mode products, the rest sparse."""

@@ -100,8 +100,10 @@ class ConfigError(Exception):
 
 
 def _check_budget(spec: ProblemSpec, max_memory_gb: float | None) -> None:
-    estimate = estimate_memory_gb(spec)
     cap = DEFAULT_MEMORY_GB if max_memory_gb is None else max_memory_gb
+    if not cap > 0:  # also refuses NaN
+        raise ConfigError(f"--max-memory-gb must be positive, got {cap}")
+    estimate = estimate_memory_gb(spec)
     if spec.level > DESK_LEVEL_MAX and max_memory_gb is None:
         raise ConfigError(
             f"level {spec.level} is beyond desk scale (estimated "
@@ -209,16 +211,16 @@ def cmd_table(args) -> int:
             lev, a = cell
             spec = ProblemSpec(args.problem, p, lev, a, seed=args.seed)
             try:
-                return cell, solve_once(spec, args.tol)
+                return solve_once(spec, args.tol)
             except Exception as exc:  # cell failure is recorded, table still emitted
                 print(f"# cell level={lev} alpha={a:g} failed: {exc}",
                       file=sys.stderr)
-                return cell, None
+                return None
 
         grid = [(lev, a) for lev in args.levels for a in args.alphas]
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(run_cell, grid))
-        for cell, row in sorted(results, key=lambda it: grid.index(it[0])):
+        for cell, row in zip(grid, results):
             if row is not None:
                 all_rows.append(row)
             if row is not None and row["converged"]:
@@ -244,10 +246,7 @@ def _suite_appendix(args):
     worst = 0.0
     for _ in range(100):
         nv, nq = rng.integers(1, 7), rng.integers(1, 7)
-        g = rng.standard_normal((nv, nv))
-        a = g.T @ g + np.eye(nv)
-        g = rng.standard_normal((nq, nq))
-        c = g.T @ g + np.eye(nq)
+        a, c = blocksys.random_spd_blocks(rng, (nv, nq))
         inst = spectral.SchurInstance(a, rng.standard_normal((nq, nv)), c)
         q = rng.standard_normal(nq)
         lhs, rhs = spectral.schur_sup_identity(inst, q)
@@ -260,10 +259,7 @@ def _suite_appendix(args):
     agree = True
     for _ in range(100):
         nv, nq = rng.integers(1, 7), rng.integers(1, 7)
-        g = rng.standard_normal((nv, nv))
-        a = g.T @ g + np.eye(nv)
-        g = rng.standard_normal((nq, nq))
-        c = g.T @ g + np.eye(nq)
+        a, c = blocksys.random_spd_blocks(rng, (nv, nq))
         inst = spectral.SchurInstance(a, rng.standard_normal((nq, nv)), c)
         f, bck = spectral.domination_equivalence(inst)
         agree &= f == bck

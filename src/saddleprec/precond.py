@@ -20,7 +20,13 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .assembly import DiscreteSpaces, ProblemSpec, SystemBlocks, h10_gram_form
+from .assembly import (
+    DiscreteSpaces,
+    ProblemSpec,
+    SystemBlocks,
+    h10_gram_form,
+    residual_terms,
+)
 from .kron import KroneckerMatrix, KroneckerSolver
 # univariate_matrix is imported here only so the benchmark probes can rebind it
 from .splines import endpoint_row, univariate_matrix  # noqa: F401
@@ -29,36 +35,19 @@ from .splines import endpoint_row, univariate_matrix  # noqa: F401
 def state_residual_form(spec: ProblemSpec, spaces: DiscreteSpaces) -> KroneckerMatrix:
     """Gram matrix of the state residual ((d_tt|d_t) - Lap) on the state space.
 
-    Expanding the product of two residuals gives nine Kronecker terms; mixed
-    time/space terms enter with a negative sign.
+    The double sum over the terms (s_i, d_i) of `residual_terms`, the one
+    definition of the state operator: s_i s_j times the Kronecker product of
+    the factors pairing derivative orders d_i and d_j in each direction.
+    Mixed terms are exact transposes of each other only up to roundoff;
+    `_symmetrize` makes the materialized Gram exactly symmetric.
     """
-    f = spaces.factor
-
-    def t(dr, dc):
-        return f("y_time", "y_time", dr, dc)
-
-    def x(dr, dc):
-        return f("y_x", "y_x", dr, dc)
-
-    def y(dr, dc):
-        return f("y_y", "y_y", dr, dc)
-
-    dt = 2 if spec.is_wave else 1
-    # mixed terms are built from one factor and its transpose so the term
-    # list pairs up exactly; summation-order roundoff is removed by the
-    # symmetrization in materialization helpers below
-    t_d0 = t(dt, 0)
-    x_20, y_20 = x(2, 0), y(2, 0)
+    names = ("y_time", "y_x", "y_y")
+    terms = residual_terms(spec)
     km = KroneckerMatrix()
-    km.add(+1.0, t(dt, dt), x(0, 0), y(0, 0))
-    km.add(-1.0, t_d0, x_20.T, y(0, 0))
-    km.add(-1.0, t_d0, x(0, 0), y_20.T)
-    km.add(-1.0, t_d0.T, x_20, y(0, 0))
-    km.add(-1.0, t_d0.T, x(0, 0), y_20)
-    km.add(+1.0, t(0, 0), x(2, 2), y(0, 0))
-    km.add(+1.0, t(0, 0), x_20, y_20.T)
-    km.add(+1.0, t(0, 0), x_20.T, y_20)
-    km.add(+1.0, t(0, 0), x(0, 0), y(2, 2))
+    for s_i, *d_i in terms:
+        for s_j, *d_j in terms:
+            km.add(s_i * s_j, *(spaces.factor(n, n, di, dj)
+                                for n, di, dj in zip(names, d_i, d_j)))
     return km
 
 
@@ -189,18 +178,17 @@ PTILDE_DIM_CAP = 200
 
 
 def build_Ptilde_Y(spec: ProblemSpec, spaces: DiscreteSpaces,
-                   blocks: SystemBlocks, alpha: float | None = None,
-                   dim_cap: int = PTILDE_DIM_CAP) -> np.ndarray:
+                   blocks: SystemBlocks, alpha: float | None = None) -> np.ndarray:
     """Dense operator-preconditioning reference for the state block.
 
     observation + alpha K_U' M_U^{-1} K_U + K_R1' S^{-1} K_R1
     [+ K_R2' M_R2^{-1} K_R2]. Dense by construction, so it is refused beyond
-    the configured state-space dimension cap; alpha = 0 is allowed here to
+    the state-space dimension PTILDE_DIM_CAP; alpha = 0 is allowed here to
     inspect the term dropout.
     """
-    if spaces.dim_y > dim_cap:
-        raise ValueError(
-            f"state dimension {spaces.dim_y} exceeds the dense reference cap {dim_cap}")
+    if spaces.dim_y > PTILDE_DIM_CAP:
+        raise ValueError(f"state dimension {spaces.dim_y} exceeds the dense "
+                         f"reference cap {PTILDE_DIM_CAP}")
     a = spec.alpha if alpha is None else float(alpha)
     if a < 0:
         raise ValueError("alpha must be nonnegative")

@@ -7,12 +7,12 @@ reference, and the condition number of the preconditioned system.
 Everything here is a measurement; pass/fail thresholds live in the tests.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.linalg import block_diag, eigh, null_space
 
-from .assembly import DiscreteSystem
+from .assembly import DiscreteSystem, assemble_system
 from .splines import eval_basis_many, gauss_rule
 from .precond import (
     BlockDiagPreconditioner,
@@ -49,36 +49,24 @@ class BrezziReport:
 def measure_brezzi(system: DiscreteSystem, alpha: float | None = None) -> BrezziReport:
     """Brezzi constants of the (state, control) x (multiplier) reordering.
 
-    The metric on the primal pair is blockdiag(state metric, alpha control
-    mass); on the multiplier side it is blockdiag(control mass / alpha,
+    Measured on the system matrix A and the block-diagonal preconditioner P
+    that the solver builds at alpha, split after the primal pair: the upper
+    left block of A is the form a, its lower left block is B, and the two
+    diagonal blocks of P are the metrics on the primal pair (state metric,
+    alpha control mass) and on the multipliers (control mass / alpha,
     initial-condition Grams). Dense eigen-solves, desk scale only.
     """
-    spec, spaces, blocks = system.spec, system.spaces, system.blocks
-    a = spec.alpha if alpha is None else float(alpha)
-    if a <= 0:
-        raise ValueError("alpha must be positive")
+    spec = system.spec
+    spec_a = replace(spec, alpha=spec.alpha if alpha is None else float(alpha))
     if system.dim > BREZZI_DENSE_CAP:
         raise ValueError(f"instance too large for dense Brezzi measurement "
                          f"({system.dim} > {BREZZI_DENSE_CAP})")
-
-    mu = blocks.u_mass.toarray()
-    obs = blocks.observation.toarray()
-    k_u = blocks.k_u.toarray()
-    k_r = [blocks.k_r1.toarray()]
-    n_m_blocks = [mu / a, blocks.r1_gram.toarray()]
-    if spec.is_wave:
-        k_r.append(blocks.k_r2.toarray())
-        n_m_blocks.append(blocks.r2_mass.toarray())
-    k_r = np.vstack(k_r)
-
-    dim_y, dim_u = spaces.dim_y, spaces.dim_u
-    a_mat = block_diag(obs, a * mu)
-    n_x = block_diag(state_block(spec, spaces, blocks, a).toarray(), a * mu)
-    n_m = block_diag(*n_m_blocks)
-    b_mat = np.zeros((n_m.shape[0], dim_y + dim_u))
-    b_mat[:dim_u, :dim_y] = k_u
-    b_mat[:dim_u, dim_y:] = mu
-    b_mat[dim_u:, :dim_y] = k_r
+    spaces, blocks = system.spaces, system.blocks
+    mat = assemble_system(spec_a, spaces, blocks=blocks).matrix
+    metric = BlockDiagPreconditioner(spec_a, spaces, blocks).materialize()
+    k = spaces.dim_y + spaces.dim_u
+    a_mat, b_mat = mat[:k, :k].toarray(), mat[k:, :k].toarray()
+    n_x, n_m = metric[:k, :k].toarray(), metric[k:, k:].toarray()
 
     ev = eigh(a_mat, n_x, eigvals_only=True)
     c_a = float(max(abs(ev[0]), abs(ev[-1])))
@@ -98,8 +86,8 @@ def measure_brezzi(system: DiscreteSystem, alpha: float | None = None) -> Brezzi
     ev = eigh(b_mat @ v, n_m, eigvals_only=True)
     k0 = float(np.sqrt(max(ev[0], 0.0)))
 
-    return BrezziReport(a, c_a, c_b, gamma0, k0, 1.0, np.sqrt(2.0),
-                        dim_y + dim_u, n_m.shape[0], z.shape[1])
+    return BrezziReport(spec_a.alpha, c_a, c_b, gamma0, k0, 1.0, np.sqrt(2.0),
+                        k, n_m.shape[0], z.shape[1])
 
 
 @dataclass
@@ -144,13 +132,9 @@ def measure_discrete_infsup(system: DiscreteSystem,
     if spaces.dim_y > DENSE_EIG_CAP:
         raise ValueError("state dimension beyond the dense verification cap")
     n_y = y_norm_gram(spec, spaces).toarray()
-    k_r = [blocks.k_r1.toarray()]
-    n_r_blocks = [blocks.r1_gram.toarray()]
-    if spec.is_wave:
-        k_r.append(blocks.k_r2.toarray())
-        n_r_blocks.append(blocks.r2_mass.toarray())
-    k_r = np.vstack(k_r)
-    n_r = block_diag(*n_r_blocks)
+    k_r = system.matrix[spaces.block_slice("p_r1").start:, :spaces.dim_y].toarray()
+    n_r = block_diag(*(g.toarray() for g in (blocks.r1_gram, blocks.r2_mass)
+                       if g is not None))
 
     if restrict_to_ker_ku:
         z = null_space(blocks.k_u.toarray())

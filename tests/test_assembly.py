@@ -70,8 +70,11 @@ def test_dof_counts_match_reference_tables():
 def test_spec_validation():
     with pytest.raises(ValueError):
         ProblemSpec("wave", 1, 2, 1e-3)  # degree below 2
-    with pytest.raises(ValueError):
-        ProblemSpec("wave", 2, 2, 0.0)  # alpha must be positive
+    for bad in (0.0, float("nan"), float("inf")):  # must be finite and positive
+        with pytest.raises(ValueError, match="alpha"):
+            ProblemSpec("wave", 2, 2, bad)
+        with pytest.raises(ValueError, match="final_time"):
+            ProblemSpec("wave", 2, 2, 1e-3, final_time=bad)
     with pytest.raises(ValueError):
         ProblemSpec("poisson", 2, 2, 1e-3)
     with pytest.raises(ValueError):
@@ -110,9 +113,11 @@ def test_factor_accessor_caches_read_only_restricted_factors():
     assert clip is not sp_.factor("y_y", "y_y")
 
 
-@pytest.mark.parametrize("kind", ["wave", "heat"])
-def test_K_U_matches_pointwise_quadrature_oracle(kind):
-    spec = ProblemSpec(kind, 2, 2, 1e-3)
+@pytest.mark.parametrize("kind,p", [
+    pytest.param("wave", 2, id="wave"), pytest.param("wave", 3, id="wave-p3"),
+    pytest.param("heat", 2, id="heat"), pytest.param("heat", 3, id="heat-p3")])
+def test_K_U_matches_pointwise_quadrature_oracle(kind, p):
+    spec = ProblemSpec(kind, p, 2, 1e-3)
     system = assemble_system(spec)
     sp_ = system.spaces
     rng = np.random.default_rng(21)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from saddleprec import assembly, cli
+from saddleprec import assembly, cli, verify
 from saddleprec.assembly import ProblemSpec, assemble_system, build_spaces
 from saddleprec.precond import build_preconditioner
 
@@ -56,3 +56,19 @@ def test_solve_never_builds_the_system_matrix(monkeypatch):
     monkeypatch.setattr(assembly.sp, "bmat", refuse)
     row = cli.solve_once(ProblemSpec("wave", 2, 2, 1e-6), 1e-8)
     assert row["converged"]
+
+
+def test_verify_instruments_keep_the_benchmark_signatures():
+    # the verify workload calls measure_brezzi(system, alpha) positionally and
+    # condition_number_estimate(system, precon), and reads these report keys
+    spec = ProblemSpec("wave", 2, 1, 1e-3)
+    spaces = build_spaces(spec)
+    system = assemble_system(spec, spaces)
+    for alpha in (1e-3, 1e-6):
+        rep = verify.measure_brezzi(system, alpha).as_dict()
+        assert rep["alpha"] == alpha
+        assert 0 < rep["c_a"] <= 1 + 1e-8
+        assert 0 < rep["c_b"] <= 2 ** 0.5 + 1e-8
+    precon = build_preconditioner(spec, spaces, system.blocks)
+    kappa = verify.condition_number_estimate(system, precon).as_dict()["kappa"]
+    assert isinstance(kappa, float) and kappa >= 1.0

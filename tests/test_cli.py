@@ -11,6 +11,8 @@ from saddleprec.cli import (
     CSV_COLUMNS,
     LU_FILL,
     WORK_VECTORS,
+    ConfigError,
+    _check_budget,
     estimate_memory_gb,
     main,
     solve_nnz,
@@ -102,6 +104,8 @@ def test_table_long_form_output(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2
     assert set(rows[0]) == set(CSV_COLUMNS)
+    # two workers, rows still in the order of --alphas
+    assert [float(r["alpha"]) for r in rows] == [1e-3, 1e-6]
 
 
 def test_verify_fast_suites(capsys):
@@ -146,6 +150,10 @@ def test_config_error_exit_code(capsys):
     rc = main(["run", "--alpha", "-1.0"])
     assert rc == 2
     assert "configuration error" in capsys.readouterr().err
+    rc = main(["run", "--level", "1", "--alpha", "nan"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "factorization" not in err
     with pytest.raises(SystemExit) as exc:
         main(["table", "--alphas"])  # empty list rejected by the parser
     assert exc.value.code == 2
@@ -160,6 +168,13 @@ def test_memory_gate_refuses_level_four(capsys):
     lo = estimate_memory_gb(ProblemSpec("wave", 2, 2, 1e-3))
     hi = estimate_memory_gb(ProblemSpec("wave", 2, 4, 1e-3))
     assert hi > lo
+
+
+@pytest.mark.parametrize("cap", [float("nan"), 0.0, -1.0])
+def test_memory_gate_refuses_non_positive_cap(cap):
+    # NaN compares false against any estimate; it must not switch the gate off
+    with pytest.raises(ConfigError, match="must be positive"):
+        _check_budget(ProblemSpec("wave", 3, 5, 1e-6), cap)
 
 
 def _held_bytes(mat):

@@ -23,10 +23,11 @@ def _eval_state(sp_, coef, tpts, xpts, ypts, dt=0, dx=0, dy=0):
     return np.einsum("abc,ta,xb,yc->txy", coef.reshape(sp_.y_shape), et, ex, ey)
 
 
-def test_state_block_terms_match_quadrature():
+@pytest.mark.parametrize("p", [2, 3])
+def test_state_block_terms_match_quadrature(p):
     # tiny instance; omega is deliberately not knot-aligned at level 1
     alpha = 0.37
-    spec = ProblemSpec("wave", 2, 1, alpha)
+    spec = ProblemSpec("wave", p, 1, alpha)
     sp_ = build_spaces(spec)
     system = assemble_system(spec, sp_)
     precon = build_preconditioner(spec, sp_, system.blocks)
@@ -107,9 +108,10 @@ def test_full_block_vector_form_is_sum_of_named_terms():
     assert total == pytest.approx(parts, rel=1e-12)
 
 
-def test_heat_state_block_has_no_velocity_trace():
+@pytest.mark.parametrize("p", [2, 3])
+def test_heat_state_block_has_no_velocity_trace(p):
     alpha = 0.37
-    spec = ProblemSpec("heat", 2, 1, alpha)
+    spec = ProblemSpec("heat", p, 1, alpha)
     sp_ = build_spaces(spec)
     system = assemble_system(spec, sp_)
     precon = build_preconditioner(spec, sp_, system.blocks)
