@@ -3,14 +3,12 @@
 The state space is a tensor product of a temporal spline factor and two
 H^1_0-restricted spatial spline factors; the control/test space uses three
 reduced-continuity factors so that the state residual is exactly
-representable in it. All blocks are sums of Kronecker products of univariate
-matrices. The two large ones, the control mass and the state-residual
-pairing, are kept as Kronecker sums and applied by mode products, and the
-system operator is applied block by block without being assembled; the
-blocks whose sparse form is small (observation, initial-condition pairings
-and Grams) are materialized. The sparse system matrix, symmetric by
-construction (transposed blocks are placed explicitly), is built only when
-read, as the reference for verification and export.
+representable in it. Every block is a sum of Kronecker products of
+univariate matrices and is kept in that form: the system operator is applied
+block by block by mode products without being assembled. A block is
+materialized only where a matrix is needed; the sparse system matrix,
+symmetric by construction (transposed blocks are placed explicitly), is built
+only when read, as the reference for verification and export.
 """
 
 import math
@@ -19,9 +17,8 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
-from .kron import KroneckerMatrix, KroneckerSolver, kron_materialize
+from .kron import KroneckerMatrix, KroneckerSolver
 from .splines import (
     SplineSpace,
     endpoint_row,
@@ -201,12 +198,12 @@ def dof_count(spec: ProblemSpec) -> int:
     return sum(build_spaces(spec).block_dims)
 
 
-def assemble_observation(spec: ProblemSpec, spaces: DiscreteSpaces) -> sp.csr_matrix:
+def observation_form(spec: ProblemSpec, spaces: DiscreteSpaces) -> KroneckerMatrix:
     """Mass matrix of the state space over the observed sub-cylinder omega x (0, T)."""
     (wx, wy) = spec.omega
     f = spaces.factor
-    return kron_materialize(f("y_time", "y_time"), f("y_x", "y_x", sub=wx),
-                            f("y_y", "y_y", sub=wy))
+    return KroneckerMatrix().add(1.0, f("y_time", "y_time"),
+                                 f("y_x", "y_x", sub=wx), f("y_y", "y_y", sub=wy))
 
 
 def u_mass_form(spaces: DiscreteSpaces) -> KroneckerMatrix:
@@ -243,7 +240,7 @@ def k_u_form(spec: ProblemSpec, spaces: DiscreteSpaces) -> KroneckerMatrix:
 
 def h10_gram_form(spaces: DiscreteSpaces, *lead) -> KroneckerMatrix:
     """2-D H^1_0 inner product Sx x My + Mx x Sy on the restricted spatial
-    space, behind optional leading (time) factors."""
+    space (the r1 Gram), behind optional leading (time) factors."""
     f = spaces.factor
     km = KroneckerMatrix()
     km.add(1.0, *lead, f("y_x", "y_x", 1, 1), f("y_y", "y_y"))
@@ -251,76 +248,60 @@ def h10_gram_form(spaces: DiscreteSpaces, *lead) -> KroneckerMatrix:
     return km
 
 
-def assemble_r1_gram(spaces: DiscreteSpaces) -> sp.csr_matrix:
-    """2-D stiffness (H^1_0 Gram) on the restricted spatial space."""
-    return h10_gram_form(spaces).materialize()
-
-
-def assemble_K_R1(spec: ProblemSpec, spaces: DiscreteSpaces) -> sp.csr_matrix:
+def k_r1_form(spaces: DiscreteSpaces) -> KroneckerMatrix:
     """Initial-displacement pairing (grad y(0), grad r): endpoint row in time
     tensor the 2-D stiffness."""
-    e0 = endpoint_row(spaces.y_time, "a", 0)[None, :]
-    return h10_gram_form(spaces, e0).materialize()
+    return h10_gram_form(spaces, endpoint_row(spaces.y_time, "a", 0)[None, :])
 
 
-def assemble_r2_mass(spaces: DiscreteSpaces) -> sp.csr_matrix:
+def r2_mass_form(spaces: DiscreteSpaces) -> KroneckerMatrix:
     """2-D mass on the unrestricted spatial space (wave initial-velocity test space)."""
-    return kron_materialize(spaces.factor("r2_x", "r2_x"),
-                            spaces.factor("r2_y", "r2_y"))
+    return KroneckerMatrix().add(1.0, spaces.factor("r2_x", "r2_x"),
+                                 spaces.factor("r2_y", "r2_y"))
 
 
-def assemble_K_R2(spec: ProblemSpec, spaces: DiscreteSpaces) -> sp.csr_matrix:
+def k_r2_form(spec: ProblemSpec, spaces: DiscreteSpaces) -> KroneckerMatrix:
     """Initial-velocity pairing (d_t y(0), r) against the unrestricted spatial space."""
     if not spec.is_wave:
         raise ValueError("the initial-velocity block exists only for the wave problem")
     e1 = endpoint_row(spaces.y_time, "a", 1)[None, :]
-    return kron_materialize(e1, spaces.factor("r2_x", "y_x"),
-                            spaces.factor("r2_y", "y_y"))
+    return KroneckerMatrix().add(1.0, e1, spaces.factor("r2_x", "y_x"),
+                                 spaces.factor("r2_y", "y_y"))
 
 
 @dataclass
 class SystemBlocks:
-    """The blocks of the optimality system, retained individually.
+    """The blocks of the optimality system, each a sum of Kronecker products.
 
-    The control mass M_U and the state-residual pairing K_U are held as
-    Kronecker sums; `u_mass` and `k_u` are their sparse forms, built on first
-    read for the reference uses (verification, export, tests) and never by a
-    solve.
+    A solve applies them by mode products; a caller that needs a matrix (a
+    sparse LU, export, the dense verify instruments) calls `materialize`.
     """
 
-    observation: sp.csr_matrix
-    u_mass_form: KroneckerMatrix
-    k_u_form: KroneckerMatrix
-    k_r1: sp.csr_matrix
-    r1_gram: sp.csr_matrix
-    k_r2: sp.csr_matrix | None = None
-    r2_mass: sp.csr_matrix | None = None
+    observation: KroneckerMatrix
+    u_mass: KroneckerMatrix
+    k_u: KroneckerMatrix
+    k_r1: KroneckerMatrix
+    r1_gram: KroneckerMatrix
+    k_r2: KroneckerMatrix | None = None
+    r2_mass: KroneckerMatrix | None = None
 
     @property
     def couplings(self) -> list:
         """Initial-condition pairings in system order: K_R1 [, K_R2]."""
         return [k for k in (self.k_r1, self.k_r2) if k is not None]
 
-    @cached_property
-    def u_mass(self) -> sp.csr_matrix:
-        return self.u_mass_form.materialize()
-
-    @cached_property
-    def k_u(self) -> sp.csr_matrix:
-        return self.k_u_form.materialize()
-
 
 def assemble_blocks(spec: ProblemSpec, spaces: DiscreteSpaces) -> SystemBlocks:
     blocks = SystemBlocks(
-        observation=assemble_observation(spec, spaces),
-        u_mass_form=u_mass_form(spaces),
-        k_u_form=k_u_form(spec, spaces),
-        k_r1=assemble_K_R1(spec, spaces),
-        r1_gram=assemble_r1_gram(spaces),
+        observation=observation_form(spec, spaces),
+        u_mass=u_mass_form(spaces),
+        k_u=k_u_form(spec, spaces),
+        k_r1=k_r1_form(spaces),
+        r1_gram=h10_gram_form(spaces),
     )
     if spec.is_wave:
-        blocks.k_r2 = assemble_K_R2(spec, spaces)
-        blocks.r2_mass = assemble_r2_mass(spaces)
+        blocks.k_r2 = k_r2_form(spec, spaces)
+        blocks.r2_mass = r2_mass_form(spaces)
     return blocks
 
 
@@ -362,29 +343,29 @@ class DiscreteSystem:
     @cached_property
     def matrix(self) -> sp.csr_matrix:
         """Sparse matrix of the symmetric optimality system, in block order."""
-        blocks = self.blocks
-        mu = blocks.u_mass
-        couplings = blocks.couplings
+        b = self.blocks
+        obs, mu, k_u = (k.materialize() for k in (b.observation, b.u_mass, b.k_u))
+        couplings = [k.materialize() for k in b.couplings]
         pad = [None] * len(couplings)
         return sp.bmat([
-            [blocks.observation, None, blocks.k_u.T] + [k.T for k in couplings],
+            [obs, None, k_u.T] + [k.T for k in couplings],
             [None, self.spec.alpha * mu, mu] + pad,
-            [blocks.k_u, mu, None] + pad,
+            [k_u, mu, None] + pad,
         ] + [[k, None, None] + pad for k in couplings], format="csr")
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """A v by blocks: M_U and K_U by mode products, the rest sparse."""
+        """A v by blocks, every block by mode products."""
         b, a = self.blocks, self.spec.alpha
         o = self.spaces.offsets()
         y, u, p_u = v[o[0]:o[1]], v[o[1]:o[2]], v[o[2]:o[3]]
         out = np.empty_like(v)
-        out_y = b.observation @ y + b.k_u_form.T.apply(p_u)
+        out_y = b.observation.apply(y) + b.k_u.T.apply(p_u)
         for k, lo, hi in zip(b.couplings, o[3:], o[4:]):
-            out_y += k.T @ v[lo:hi]
-            out[lo:hi] = k @ y
+            out_y += k.T.apply(v[lo:hi])
+            out[lo:hi] = k.apply(y)
         out[o[0]:o[1]] = out_y
-        out[o[1]:o[2]] = b.u_mass_form.apply(a * u + p_u)
-        out[o[2]:o[3]] = b.u_mass_form.apply(u) + b.k_u_form.apply(y)
+        out[o[1]:o[2]] = b.u_mass.apply(a * u + p_u)
+        out[o[2]:o[3]] = b.u_mass.apply(u) + b.k_u.apply(y)
         return out
 
 
@@ -482,17 +463,3 @@ def project_state_l2(spaces: DiscreteSpaces, f) -> np.ndarray:
                       [None, spaces.ix, spaces.iy])
     return KroneckerSolver([spaces.factor(n, n)
                             for n in ("y_time", "y_x", "y_y")]).solve(m)
-
-
-def project_control_l2(spaces: DiscreteSpaces, f) -> np.ndarray:
-    """L2(Q_T) projection of f onto the control space."""
-    m = control_moments(spaces, f)
-    return KroneckerSolver([spaces.factor(n, n)
-                            for n in ("u_time", "u_x", "u_y")]).solve(m)
-
-
-def project_initial_displacement(spaces: DiscreteSpaces, grad) -> np.ndarray:
-    """H^1_0 projection onto the restricted 2-D space, from the gradient callback."""
-    m = initial_displacement_moments(spaces, grad)
-    gram = assemble_r1_gram(spaces).tocsc()
-    return splu(gram).solve(m)

@@ -103,16 +103,11 @@ def tilde(x: BlockVector) -> BlockVector:
 
 
 def assemble_full(sys: BlockTridiagonalSystem) -> np.ndarray:
-    """The symmetric operator with (-1)^{i-1} A_i on the diagonal and B_i couplings."""
-    offs = sys.offsets()
-    full = np.zeros((sys.total_dim, sys.total_dim))
-    for i, a in enumerate(sys.diag):
-        sgn = -1.0 if i % 2 else 1.0
-        full[offs[i]:offs[i + 1], offs[i]:offs[i + 1]] = sgn * a
-    for i, b in enumerate(sys.off):
-        full[offs[i + 1]:offs[i + 2], offs[i]:offs[i + 1]] = b
-        full[offs[i]:offs[i + 1], offs[i + 1]:offs[i + 2]] = b.T
-    return full
+    """The symmetric operator with (-1)^{i-1} A_i on the diagonal and B_i
+    couplings: signed D plus B of `split_D_B`."""
+    D, B = split_D_B(sys)
+    signs = np.repeat([(-1.0) ** i for i in range(sys.n)], sys.block_dims)
+    return signs[:, None] * D + B
 
 
 def split_D_B(sys: BlockTridiagonalSystem):
@@ -220,13 +215,17 @@ def measure_c(sys: BlockTridiagonalSystem, inner_blocks):
     return float(np.sqrt(max(ev[0], 0.0))), float(np.sqrt(ev[-1]))
 
 
-def measure_gamma(sys: BlockTridiagonalSystem, inner_blocks):
-    """Extreme generalized eigenvalues of D + B P^{-1} B versus P."""
+def gamma_pencil(sys: BlockTridiagonalSystem, inner_blocks):
+    """G = D + B P^{-1} B and the block-diagonal P it is measured against."""
     blocks = _check_inner_product_blocks(inner_blocks, sys.block_dims)
     P = block_diag(*blocks)
     D, B = split_D_B(sys)
-    G = D + B @ np.linalg.solve(P, B)
-    ev = eigh(G, P, eigvals_only=True)
+    return D + B @ np.linalg.solve(P, B), P
+
+
+def measure_gamma(sys: BlockTridiagonalSystem, inner_blocks):
+    """Extreme generalized eigenvalues of D + B P^{-1} B versus P."""
+    ev = eigh(*gamma_pencil(sys, inner_blocks), eigvals_only=True)
     return float(ev[0]), float(ev[-1])
 
 

@@ -21,7 +21,6 @@ from . import blocksys, matrixio, spectral, verify
 from .assembly import ProblemSpec, assemble_system, build_spaces, dof_count
 from .krylov import MinresConfig, minres, random_start
 from .precond import build_preconditioner
-from .splines import endpoint_row
 # univariate_matrix is imported here only so the benchmark probes can rebind it
 from .splines import univariate_matrix  # noqa: F401
 
@@ -50,47 +49,29 @@ BASE_GB = 0.1
 
 
 def solve_nnz(spec: ProblemSpec) -> dict:
-    """Exact nonzero counts of the sparse blocks a solve materializes.
+    """Exact nonzero counts of the blocks a solve factorizes: P_Y and the r1 Gram.
 
-    The nnz of a Kronecker product is the product of its factors' nnz. Every
-    state-space factor has the support of the state mass, so P_Y has the
-    mass pattern; the observation block is clipped to omega, and K_R1 and
-    K_R2 put the endpoint rows in front of the 2-D factors.
+    These are the only blocks a solve materializes. The nnz of a Kronecker
+    product is the product of its factors' nnz, and every state-space factor
+    has the support of the state mass, so P_Y has the 3-D and the r1 Gram
+    the 2-D mass pattern.
     """
     spaces = build_spaces(spec)
-    (wx, wy) = spec.omega
-
-    def nnz(*factor, **clip):
-        return int(np.count_nonzero(spaces.factor(*factor, **clip)))
-
-    def e_nnz(d):
-        return int(np.count_nonzero(endpoint_row(spaces.y_time, "a", d)))
-
-    n_t, n_x, n_y = (nnz(name, name) for name in ("y_time", "y_x", "y_y"))
-    counts = {
-        "observation": n_t * nnz("y_x", "y_x", sub=wx) * nnz("y_y", "y_y", sub=wy),
-        "P_Y": n_t * n_x * n_y,
-        "r1_gram": n_x * n_y,
-        "k_r1": e_nnz(0) * n_x * n_y,
-    }
-    if spec.is_wave:
-        counts["r2_mass"] = nnz("r2_x", "r2_x") * nnz("r2_y", "r2_y")
-        counts["k_r2"] = e_nnz(1) * nnz("r2_x", "y_x") * nnz("r2_y", "y_y")
-    return counts
+    n_t, n_x, n_y = (int(np.count_nonzero(spaces.factor(name, name)))
+                     for name in ("y_time", "y_x", "y_y"))
+    return {"P_Y": n_t * n_x * n_y, "r1_gram": n_x * n_y}
 
 
 def estimate_memory_gb(spec: ProblemSpec) -> float:
     """Peak memory of a solve from the exact nonzero counts of what it holds.
 
-    A solve holds the blocks of `solve_nnz`, a CSC copy and the LU of each
-    of P_Y and the r1 Gram, and the work vectors. Assembling P_Y peaks
-    earlier at about six copies of it (measured), below its LU charge. The
-    control mass and K_U are applied from their univariate factors, whose
-    size is negligible.
+    A solve holds each block of `solve_nnz` as a sparse matrix, a CSC copy
+    and its LU, and the work vectors. Assembling P_Y peaks earlier at about
+    six copies of it (measured), below its LU charge. Every other block is
+    applied or inverted from its univariate Kronecker factors, whose size is
+    negligible.
     """
-    counts = solve_nnz(spec)
-    factorized = counts["P_Y"] + counts["r1_gram"]
-    held = sum(counts.values()) + (1 + LU_FILL) * factorized
+    held = (2 + LU_FILL) * sum(solve_nnz(spec).values())
     bytes_total = BYTES_PER_NNZ * held + 8.0 * WORK_VECTORS * dof_count(spec)
     return BASE_GB + bytes_total / 1e9
 
@@ -218,8 +199,13 @@ def cmd_table(args) -> int:
                 return None
 
         grid = [(lev, a) for lev in args.levels for a in args.alphas]
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(run_cell, grid))
+        if args.workers == 1:
+            # in the calling thread: repeated tables grew the heap of a pool
+            # thread's malloc arena by about 2 MB each (wave level 3)
+            results = [run_cell(cell) for cell in grid]
+        else:
+            with ThreadPoolExecutor(max_workers=args.workers) as pool:
+                results = list(pool.map(run_cell, grid))
         for cell, row in zip(grid, results):
             if row is not None:
                 all_rows.append(row)

@@ -1,12 +1,13 @@
 """Sums of Kronecker products of small univariate matrices.
 
 Space-time operators on tensor-product spline spaces are sums of terms
-w * (T x X x Y) with dense univariate factors. This module applies such sums
-by mode products (sum factorization: one small matrix product per factor,
-never forming the product), materializes them as sparse matrices where a
-reference form is needed, and inverts a single SPD tensor-product operator as
-the Kronecker product of its factor inverses, applied by the same mode
-products.
+w * (T x X x Y) with dense univariate factors. Every block of the optimality
+systems is held in this form. This module applies such sums by mode products
+(sum factorization: one small matrix product per factor, never forming the
+product), materializes them as sparse matrices only where a matrix is needed
+(a sparse LU, export, the dense verify instruments), and inverts a single SPD
+tensor-product operator as the Kronecker product of its factor inverses,
+applied by the same mode products.
 """
 
 from dataclasses import dataclass
@@ -114,13 +115,6 @@ class KroneckerMatrix:
             total = prod if total is None else total + prod
         total.eliminate_zeros()
         return total.tocsr()
-
-
-def kron_materialize(*factors) -> sp.csr_matrix:
-    """Sparse Kronecker product of the given factors."""
-    km = KroneckerMatrix()
-    km.add(1.0, *factors)
-    return km.materialize()
 
 
 class KroneckerSolver:

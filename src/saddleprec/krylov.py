@@ -9,7 +9,6 @@ on the best confirmed residual, the recurrence has stalled at its attainable
 accuracy: the solve stops unconverged and returns the best confirmed iterate.
 """
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +39,6 @@ class MinresReport:
     residual_history: np.ndarray
     true_residual_checks: list = field(default_factory=list)
     final_true_relres: float = 0.0
-    runtime_ms: float = 0.0
     stagnated: bool = False
 
 
@@ -78,7 +76,6 @@ def minres(apply_a, apply_pinv, b: np.ndarray, x0: np.ndarray | None = None,
     _probe_symmetry(apply_a, n, config.seed)
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
 
-    t_start = time.perf_counter()
     r1 = b - apply_a(x)
     eu0 = float(np.linalg.norm(r1))
     y = apply_pinv(r1)
@@ -89,8 +86,7 @@ def minres(apply_a, apply_pinv, b: np.ndarray, x0: np.ndarray | None = None,
     history = [beta1]
     checks: list = []
     if beta1 == 0.0 or eu0 == 0.0:
-        ms = 1e3 * (time.perf_counter() - t_start)
-        return x, MinresReport(0, True, np.array(history), checks, 0.0, ms)
+        return x, MinresReport(0, True, np.array(history), checks, 0.0)
 
     best_rel, best_x, since_best = np.inf, None, 0
 
@@ -168,7 +164,6 @@ def minres(apply_a, apply_pinv, b: np.ndarray, x0: np.ndarray | None = None,
         final_rel = float(np.linalg.norm(b - apply_a(x)) / eu0)
     else:
         final_rel = checks[-1][1]
-    ms = 1e3 * (time.perf_counter() - t_start)
     return x, MinresReport(itn, converged, np.array(history), checks,
-                           final_rel, ms, stagnated)
+                           final_rel, stagnated)
 

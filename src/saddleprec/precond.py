@@ -5,15 +5,15 @@ The state block realizes the weighted norm
     |y|^2 = (y, y)_{L2(q_T)} + alpha * |state residual|^2_{L2(Q_T)}
             + |grad y(0)|^2_{L2} [+ |d_t y(0)|^2_{L2} for the wave problem]
 
-assembled directly as a sparse sum of Kronecker terms and factorized by a
-sparse direct solver. The control and initial-velocity blocks are pure
+materialized from its Kronecker terms and factorized by a sparse direct
+solver. The initial-displacement block (a 2-D stiffness, not a pure tensor
+product) is materialized for a sparse LU too; these two are the only blocks
+a solve materializes. The control and initial-velocity blocks are pure
 tensor-product mass matrices; their inverses are Kronecker products of the
-univariate factor inverses, applied by mode products. The
-initial-displacement block (a 2-D stiffness, not a pure tensor product) goes
-through the sparse direct path. A dense reference for the state block,
-built from the system blocks through explicit mass inverses, witnesses that
-the sparse block equals the operator-preconditioning candidate whenever the
-residual inclusion holds.
+univariate factor inverses, applied by mode products. A dense reference for
+the state block, built from the system blocks through explicit mass
+inverses, witnesses that the sparse block equals the operator-preconditioning
+candidate whenever the residual inclusion holds.
 """
 
 import numpy as np
@@ -91,7 +91,8 @@ def state_block(spec: ProblemSpec, spaces: DiscreteSpaces, blocks: SystemBlocks,
                 alpha: float) -> sp.csr_matrix:
     """The state block P_Y: observation + alpha * residual Gram + trace Grams."""
     residual, trace = graph_norm_terms(spec, spaces)
-    return _symmetrize(blocks.observation + alpha * residual + trace)
+    observation = blocks.observation.materialize()
+    return _symmetrize(observation + alpha * residual + trace)
 
 
 def mass_solver(spaces: DiscreteSpaces, *names: str) -> KroneckerSolver:
@@ -122,7 +123,7 @@ class BlockDiagPreconditioner:
         except RuntimeError as exc:  # pragma: no cover - signals an assembly bug
             raise ValueError(f"state block factorization failed: {exc}") from exc
         self._u_solver = mass_solver(spaces, "u_time", "u_x", "u_y")
-        self._r1_lu = splu(blocks.r1_gram.tocsc())
+        self._r1_lu = splu(blocks.r1_gram.materialize().tocsc())
         if spec.is_wave:
             self._r2_solver = mass_solver(spaces, "r2_x", "r2_y")
         self._offsets = spaces.offsets()
@@ -137,13 +138,13 @@ class BlockDiagPreconditioner:
         if name == "y":
             return self._p_y
         if name == "u":
-            return (a * self.blocks.u_mass).tocsr()
+            return (a * self.blocks.u_mass.materialize()).tocsr()
         if name == "p_u":
-            return (self.blocks.u_mass / a).tocsr()
+            return (self.blocks.u_mass.materialize() / a).tocsr()
         if name == "p_r1":
-            return self.blocks.r1_gram
+            return self.blocks.r1_gram.materialize()
         if name == "p_r2" and self.spec.is_wave:
-            return self.blocks.r2_mass
+            return self.blocks.r2_mass.materialize()
         raise KeyError(name)
 
     def materialize(self) -> sp.csr_matrix:
@@ -193,7 +194,7 @@ def build_Ptilde_Y(spec: ProblemSpec, spaces: DiscreteSpaces,
     if a < 0:
         raise ValueError("alpha must be nonnegative")
     residual, initial = dual_grams(spaces, blocks)
-    return blocks.observation.toarray() + a * residual + initial
+    return blocks.observation.materialize().toarray() + a * residual + initial
 
 
 def dual_grams(spaces: DiscreteSpaces, blocks: SystemBlocks):
@@ -203,11 +204,11 @@ def dual_grams(spaces: DiscreteSpaces, blocks: SystemBlocks):
     Returns (K_U' M_U^{-1} K_U, K_R1' S^{-1} K_R1 [+ K_R2' M_R2^{-1} K_R2]).
     """
     def dual(k, solve):
-        k = k.toarray()
+        k = k.materialize().toarray()
         return k.T @ solve(k)
 
     residual = dual(blocks.k_u, mass_solver(spaces, "u_time", "u_x", "u_y").solve)
-    initial = dual(blocks.k_r1, splu(blocks.r1_gram.tocsc()).solve)
+    initial = dual(blocks.k_r1, splu(blocks.r1_gram.materialize().tocsc()).solve)
     if spaces.has_r2:
         initial += dual(blocks.k_r2, mass_solver(spaces, "r2_x", "r2_y").solve)
     return residual, initial

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import block_diag, eigh
 
-from .blocksys import BlockTridiagonalSystem, _check_inner_product_blocks
+from .blocksys import BlockTridiagonalSystem, gamma_pencil
 
 SPD_RTOL = 1e-12
 PSD_DECISION_RTOL = 1e-10
@@ -119,48 +119,21 @@ def block2x2_equivalence_check(inst: Block2x2Instance):
 
 
 def check_condition_n(sys: BlockTridiagonalSystem, inner_blocks):
-    """Per-condition spectral bounds for the block-diagonal equivalence, n in {2, 3, 4}.
+    """Bounds of the block-diagonal equivalence conditions, for any n >= 2.
 
-    For each condition the right-hand side combines the unsigned diagonal
-    blocks with coupled products through the inner-product inverses; the
-    bounds are the extreme generalized eigenvalues against the matching
-    inner-product blocks. Jointly (the conditions are an odd/even block
-    permutation of the full relation) they reproduce measure_gamma.
+    G = D + B P^{-1} B couples block i only to blocks i and i +- 2, so an
+    odd/even permutation splits it into two principal blocks: one on the
+    odd-indexed blocks 1, 3, ... and one on the even-indexed blocks 2, 4, ...
+    (counting from 1). Each condition returns the extreme generalized
+    eigenvalues of its principal block against the matching blocks of P;
+    jointly they reproduce measure_gamma.
     """
-    n = sys.n
-    if n not in (2, 3, 4):
-        raise ValueError("conditions are spelled out for n in {2, 3, 4} only")
-    P = _check_inner_product_blocks(inner_blocks, sys.block_dims)
-    Pi = [np.linalg.inv(p) for p in P]
-    A = sys.diag
-    B = sys.off
-
-    def bounds(rhs, lhs):
-        ev = eigh(rhs, lhs, eigvals_only=True)
-        return float(ev[0]), float(ev[-1])
-
-    if n == 2:
-        c1 = A[0] + B[0].T @ Pi[1] @ B[0]
-        c2 = A[1] + B[0] @ Pi[0] @ B[0].T
-        return [bounds(c1, P[0]), bounds(c2, P[1])]
-
-    if n == 3:
-        odd = np.block([
-            [A[0] + B[0].T @ Pi[1] @ B[0], B[0].T @ Pi[1] @ B[1].T],
-            [B[1] @ Pi[1] @ B[0], A[2] + B[1] @ Pi[1] @ B[1].T],
-        ])
-        even = A[1] + B[0] @ Pi[0] @ B[0].T + B[1].T @ Pi[2] @ B[1]
-        return [bounds(odd, block_diag(P[0], P[2])), bounds(even, P[1])]
-
-    odd = np.block([
-        [A[0] + B[0].T @ Pi[1] @ B[0], B[0].T @ Pi[1] @ B[1].T],
-        [B[1] @ Pi[1] @ B[0],
-         A[2] + B[1] @ Pi[1] @ B[1].T + B[2].T @ Pi[3] @ B[2]],
-    ])
-    even = np.block([
-        [A[1] + B[0] @ Pi[0] @ B[0].T + B[1].T @ Pi[2] @ B[1],
-         B[1].T @ Pi[2] @ B[2].T],
-        [B[2] @ Pi[2] @ B[1], A[3] + B[2] @ Pi[2] @ B[2].T],
-    ])
-    return [bounds(odd, block_diag(P[0], P[2])),
-            bounds(even, block_diag(P[1], P[3]))]
+    G, P = gamma_pencil(sys, inner_blocks)
+    offs = sys.offsets()
+    bounds = []
+    for first in (0, 1):
+        idx = np.concatenate([np.arange(offs[i], offs[i + 1])
+                              for i in range(first, sys.n, 2)])
+        ev = eigh(G[np.ix_(idx, idx)], P[np.ix_(idx, idx)], eigvals_only=True)
+        bounds.append((float(ev[0]), float(ev[-1])))
+    return bounds

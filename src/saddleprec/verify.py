@@ -133,11 +133,11 @@ def measure_discrete_infsup(system: DiscreteSystem,
         raise ValueError("state dimension beyond the dense verification cap")
     n_y = y_norm_gram(spec, spaces).toarray()
     k_r = system.matrix[spaces.block_slice("p_r1").start:, :spaces.dim_y].toarray()
-    n_r = block_diag(*(g.toarray() for g in (blocks.r1_gram, blocks.r2_mass)
-                       if g is not None))
+    n_r = block_diag(*(g.materialize().toarray()
+                       for g in (blocks.r1_gram, blocks.r2_mass) if g is not None))
 
     if restrict_to_ker_ku:
-        z = null_space(blocks.k_u.toarray())
+        z = null_space(blocks.k_u.materialize().toarray())
         if z.shape[1] == 0:
             return StabilityReport(np.nan, np.nan, np.nan, True, 0, True)
         kz = k_r @ z
@@ -237,7 +237,7 @@ def inclusion_residuals(system: DiscreteSystem, n_samples: int = 20,
     for i in range(n_samples):
         yv = rng.standard_normal(spaces.dim_y)
         vals, w3 = residual_on_grid(system, yv)
-        coef = solver.solve(blocks.k_u @ yv).reshape(spaces.u_shape)
+        coef = solver.solve(blocks.k_u.apply(yv)).reshape(spaces.u_shape)
         proj = np.einsum("abc,ta,xb,yc->txy", coef, eu[0], eu[1], eu[2])
         norm_sq = float(np.sum(w3 * vals**2))
         defect_sq = float(np.sum(w3 * (vals - proj) ** 2))

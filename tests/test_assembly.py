@@ -1,22 +1,24 @@
 """Discretization assembly: spaces, coupling blocks, system, projections."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from saddleprec.assembly import (
     ProblemData,
     ProblemSpec,
-    assemble_K_R2,
-    assemble_observation,
     assemble_system,
     build_spaces,
     dof_count,
     initial_velocity_moments,
-    project_control_l2,
-    project_initial_displacement,
+    k_r2_form,
+    observation_form,
     project_state_l2,
 )
+from saddleprec.kron import KroneckerMatrix
 from saddleprec.krylov import minres
+from saddleprec.precond import build_preconditioner
 from saddleprec.splines import (
     eval_basis_many,
     gauss_rule,
@@ -129,7 +131,7 @@ def test_K_U_matches_pointwise_quadrature_oracle(kind, p):
     eu = [eval_basis_many(s, r.flat_points, 0)
           for s, r in zip((sp_.u_time, sp_.u_x, sp_.u_y), rules)]
     oracle = np.einsum("txy,ta,xb,yc->abc", w3 * vals, *eu).reshape(-1)
-    got = system.blocks.k_u @ yv
+    got = system.blocks.k_u.apply(yv)
     assert np.allclose(got, oracle, atol=1e-12 * np.abs(oracle).max())
 
 
@@ -173,7 +175,7 @@ def test_K_R1_zero_rows_for_vanishing_initial_trace():
     rng = np.random.default_rng(4)
     y3 = rng.standard_normal(sp_.y_shape)
     y3[0, :, :] = 0.0
-    assert np.max(np.abs(system.blocks.k_r1 @ y3.reshape(-1))) < 1e-13
+    assert np.max(np.abs(system.blocks.k_r1.apply(y3.reshape(-1)))) < 1e-13
 
 
 def test_K_R1_separable_state_gives_stiffness_column():
@@ -184,8 +186,8 @@ def test_K_R1_separable_state_gives_stiffness_column():
     for j in (0, 5, nx * ny - 1):
         y3 = np.zeros(sp_.y_shape)
         y3[0, j // ny, j % ny] = 1.0  # first time basis: value 1 at t = 0
-        got = system.blocks.k_r1 @ y3.reshape(-1)
-        expect = system.blocks.r1_gram.toarray()[:, j]
+        got = system.blocks.k_r1.apply(y3.reshape(-1))
+        expect = system.blocks.r1_gram.materialize().toarray()[:, j]
         assert np.allclose(got, expect, atol=1e-13)
 
 
@@ -212,7 +214,7 @@ def test_K_R1_pairing_matches_quadrature():
 
     oracle = np.sum(w2 * (grad(spat, 0) * grad(r2, 0)
                           + grad(spat, 1) * grad(r2, 1)))
-    assert rv @ (system.blocks.k_r1 @ yv) == pytest.approx(oracle, rel=1e-12)
+    assert rv @ system.blocks.k_r1.apply(yv) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_K_R2_time_constant_state_gives_zero():
@@ -222,7 +224,7 @@ def test_K_R2_time_constant_state_gives_zero():
     rng = np.random.default_rng(6)
     spatial = rng.standard_normal((len(sp_.ix), len(sp_.iy)))
     y3 = np.broadcast_to(spatial, sp_.y_shape).copy()  # constant in time
-    assert np.max(np.abs(system.blocks.k_r2 @ y3.reshape(-1))) < 1e-12
+    assert np.max(np.abs(system.blocks.k_r2.apply(y3.reshape(-1)))) < 1e-12
 
 
 def _spatial_eval(coef2, sp_, x, y):
@@ -245,7 +247,7 @@ def test_K_R2_linear_time_state_gives_mass_column():
     rng = np.random.default_rng(7)
     spatial = rng.standard_normal((len(sp_.ix), len(sp_.iy)))
     y3 = tcoef[:, None, None] * spatial[None, :, :]
-    got = system.blocks.k_r2 @ y3.reshape(-1)
+    got = system.blocks.k_r2.apply(y3.reshape(-1))
     # d_t y(0) = spatial part; oracle through the 2-D mass moments
     oracle = initial_velocity_moments(
         sp_, lambda x, y: _spatial_eval(spatial, sp_, x, y))
@@ -255,12 +257,12 @@ def test_K_R2_linear_time_state_gives_mass_column():
 def test_observation_full_domain_is_full_mass():
     spec = ProblemSpec("wave", 2, 2, 1e-3, omega=((0.0, 1.0), (0.0, 1.0)))
     sp_ = build_spaces(spec)
-    obs = assemble_observation(spec, sp_)
+    obs = observation_form(spec, sp_)
     mt = univariate_matrix(sp_.y_time, sp_.y_time, 0, 0)
     mx = univariate_matrix(sp_.y_x, sp_.y_x, 0, 0)[
         np.ix_(sp_.ix, sp_.ix)]
     full = np.kron(np.kron(mt, mx), mx)
-    assert np.allclose(obs.toarray(), full, atol=1e-14)
+    assert np.allclose(obs.materialize().toarray(), full, atol=1e-14)
 
 
 def test_observation_quadratic_form_at_indicator_state():
@@ -268,10 +270,10 @@ def test_observation_quadratic_form_at_indicator_state():
     # (the omitted boundary functions vanish there for level >= 2)
     spec = ProblemSpec("wave", 2, 2, 1e-3)
     sp_ = build_spaces(spec)
-    obs = assemble_observation(spec, sp_)
+    obs = observation_form(spec, sp_)
     ones = np.ones(sp_.dim_y)
-    assert ones @ (obs @ ones) == pytest.approx(0.25, rel=1e-12)
-    assert obs.diagonal().sum() > 0
+    assert ones @ obs.apply(ones) == pytest.approx(0.25, rel=1e-12)
+    assert obs.materialize().diagonal().sum() > 0
 
 
 def test_system_structure_wave():
@@ -330,12 +332,13 @@ def test_blockwise_apply_matches_sparse_matrix(blocks_by_case, kind, p, lev,
 
 def test_system_matrix_built_on_first_read_only():
     system = assemble_system(ProblemSpec("wave", 2, 1, 1e-3))
-    assert "k_u" not in vars(system.blocks) and "u_mass" not in vars(system.blocks)
+    assert all(isinstance(getattr(system.blocks, f.name), KroneckerMatrix)
+               for f in dataclasses.fields(system.blocks))
+    assert "matrix" not in vars(system)
     system.apply(np.ones(system.dim))
-    assert "k_u" not in vars(system.blocks)
+    assert "matrix" not in vars(system)
     m = system.matrix
     assert system.matrix is m
-    assert system.blocks.k_u is system.blocks.k_u
 
 
 def test_homogeneous_system_zero_rhs_and_instant_convergence():
@@ -354,7 +357,7 @@ def test_heat_system_structure():
     assert system.dim == 3568
     assert abs(system.matrix - system.matrix.T).max() == 0.0
     with pytest.raises(ValueError):
-        assemble_K_R2(spec, system.spaces)
+        k_r2_form(spec, system.spaces)
 
 
 def test_project_state_reproduces_member_function():
@@ -368,16 +371,6 @@ def test_project_state_reproduces_member_function():
     assert np.allclose(got, coef.reshape(-1), atol=1e-12)
 
 
-def test_project_control_reproduces_member_function():
-    spec = ProblemSpec("wave", 2, 2, 1e-3)
-    sp_ = build_spaces(spec)
-    rng = np.random.default_rng(9)
-    coef = rng.standard_normal(sp_.u_shape)
-    f = tensor_eval(coef, [sp_.u_time, sp_.u_x, sp_.u_y], [None, None, None])
-    got = project_control_l2(sp_, f)
-    assert np.allclose(got, coef.reshape(-1), atol=1e-11)
-
-
 def test_univariate_projection_of_linear_on_hats():
     # L2 projection of x onto two-element hats interpolates: (0, 1/2, 1)
     s = make_space(1, 1, 0)
@@ -387,23 +380,6 @@ def test_univariate_projection_of_linear_on_hats():
         rule.flat_weights * rule.flat_points)
     coef = np.linalg.solve(m, mom)
     assert np.allclose(coef, [0.0, 0.5, 1.0], atol=1e-13)
-
-
-def test_h10_projection_residual_decreases_with_level():
-    from saddleprec.assembly import assemble_r1_gram
-
-    def grad(x, y):
-        return (np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
-                np.pi * np.sin(np.pi * x) * np.cos(np.pi * y))
-
-    energies = []
-    for lev in (1, 2, 3):
-        sp_ = build_spaces(ProblemSpec("wave", 2, lev, 1e-3))
-        coef = project_initial_displacement(sp_, grad)
-        # Galerkin orthogonality: residual energy = |grad f|^2 - c' S c,
-        # with |grad f|^2 = pi^2/2 for sin(pi x) sin(pi y)
-        energies.append(np.pi**2 / 2.0 - coef @ (assemble_r1_gram(sp_) @ coef))
-    assert energies[0] > energies[1] > energies[2] > 0
 
 
 def test_rhs_moments_for_member_data():
@@ -435,8 +411,8 @@ def test_rhs_moments_for_member_data():
     system = assemble_system(spec, sp_, data=data)
     r1 = system.rhs[system.spaces.block_slice("p_r1")]
     r2 = system.rhs[system.spaces.block_slice("p_r2")]
-    assert np.allclose(r1, system.blocks.r1_gram @ y0c, atol=1e-12)
-    assert np.allclose(r2, system.blocks.r2_mass @ y1c, atol=1e-12)
+    assert np.allclose(r1, system.blocks.r1_gram.apply(y0c), atol=1e-12)
+    assert np.allclose(r2, system.blocks.r2_mass.apply(y1c), atol=1e-12)
 
 
 def test_missing_gradient_is_rejected():
@@ -446,10 +422,39 @@ def test_missing_gradient_is_rejected():
         assemble_system(spec, data=data)
 
 
+def _sine_grad(x, y):
+    return (np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
+            np.pi * np.sin(np.pi * x) * np.cos(np.pi * y))
+
+
+# every data callback except the initial velocity y1: the wave operator does
+# not reach the whole p_r2 block, so y1 data need a range projection first
+NONHOMOGENEOUS_DATA = ProblemData(
+    d=lambda t, x, y: (1.0 + t) * np.sin(np.pi * x) * np.sin(np.pi * y),
+    g_u=lambda t, x, y: np.cos(np.pi * t) * x * (1.0 - y),
+    y0=lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y),
+    y0_grad=_sine_grad,
+)
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 1e-6])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("kind", ["wave", "heat"])
+def test_nonhomogeneous_data_solves(kind, p, alpha):
+    spec = ProblemSpec(kind, p, 2, alpha)
+    sp_ = build_spaces(spec)
+    system = assemble_system(spec, sp_, data=NONHOMOGENEOUS_DATA)
+    for name in ("y", "p_u", "p_r1"):
+        assert system.rhs[sp_.block_slice(name)].any(), name
+    precon = build_preconditioner(spec, sp_, system.blocks)
+    _, rep = minres(system.apply, precon.apply_inverse, system.rhs)
+    assert rep.converged and not rep.stagnated
+    assert rep.final_true_relres <= 1e-8
+
+
 def test_coarsest_level_assembles_and_solves():
     # one spatial interior function per direction: the smallest legal setup
-    from saddleprec.krylov import minres, random_start
-    from saddleprec.precond import build_preconditioner
+    from saddleprec.krylov import random_start
 
     spec = ProblemSpec("wave", 2, 0, 1e-3)
     sp_ = build_spaces(spec)

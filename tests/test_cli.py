@@ -16,8 +16,10 @@ from saddleprec.cli import (
     estimate_memory_gb,
     main,
     solve_nnz,
+    solve_once,
 )
 from saddleprec.assembly import ProblemSpec, assemble_system, build_spaces
+from saddleprec.kron import KroneckerMatrix
 from saddleprec.precond import build_preconditioner
 
 
@@ -181,6 +183,12 @@ def _held_bytes(mat):
     return mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
 
 
+def _factor_bytes(sums):
+    """Bytes of the distinct univariate factors behind Kronecker sums."""
+    factors = {id(f): f for km in sums for t in km.terms for f in t.factors}
+    return sum(f.nbytes for f in factors.values())
+
+
 @pytest.mark.parametrize("lev", [2, 3])
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("kind", ["wave", "heat"])
@@ -189,21 +197,43 @@ def test_memory_estimate_covers_held_blocks(kind, p, lev):
     spaces = build_spaces(spec)
     system = assemble_system(spec, spaces)
     precon = build_preconditioner(spec, spaces, system.blocks)
-    b = system.blocks
-    held = {"observation": b.observation, "P_Y": precon.block_matrix("y"),
-            "r1_gram": b.r1_gram, "k_r1": b.k_r1}
-    if spec.is_wave:
-        held.update(r2_mass=b.r2_mass, k_r2=b.k_r2)
+    factorized = {"P_Y": precon.block_matrix("y"),
+                  "r1_gram": system.blocks.r1_gram.materialize()}
     # the counts are exact, and the flat fill bounds both LUs
-    assert solve_nnz(spec) == {name: m.nnz for name, m in held.items()}
+    assert solve_nnz(spec) == {name: m.nnz for name, m in factorized.items()}
     lus = {"P_Y": precon._y_lu, "r1_gram": precon._r1_lu}
     for name, lu in lus.items():
-        assert lu.L.nnz + lu.U.nnz <= LU_FILL * held[name].nnz
-    # the bytes held: every materialized block and both LUs' L and U, plus
-    # the work vectors; the interpreter base is left out
-    mats = list(held.values()) + [f for lu in lus.values() for f in (lu.L, lu.U)]
-    total = sum(_held_bytes(m) for m in mats) + 8 * WORK_VECTORS * system.dim
+        assert lu.L.nnz + lu.U.nnz <= LU_FILL * factorized[name].nnz
+    # the bytes held: both factorized blocks and their LUs' L and U, the
+    # univariate factors of every block and of the mass inverses, and the
+    # work vectors; the interpreter base is left out
+    mats = list(factorized.values()) + [f for lu in lus.values()
+                                        for f in (lu.L, lu.U)]
+    solvers = [precon._u_solver] + ([precon._r2_solver] if spec.is_wave else [])
+    sums = [km for km in vars(system.blocks).values() if km is not None]
+    sums += [s._inverse for s in solvers]
+    total = (sum(_held_bytes(m) for m in mats) + _factor_bytes(sums)
+             + 8 * WORK_VECTORS * system.dim)
     assert (estimate_memory_gb(spec) - BASE_GB) * 1e9 >= total
+
+
+def test_solve_materializes_only_the_factorized_blocks(monkeypatch):
+    # the blocks a solve only applies stay Kronecker sums; it materializes
+    # the terms of P_Y (dim Y) and the r1 Gram (dim R1) for their LUs
+    shapes = []
+    materialize = KroneckerMatrix.materialize
+
+    def record(self):
+        mat = materialize(self)
+        shapes.append(mat.shape)
+        return mat
+
+    monkeypatch.setattr(KroneckerMatrix, "materialize", record)
+    spec = ProblemSpec("wave", 2, 2, 1e-6)
+    spaces = build_spaces(spec)
+    assert solve_once(spec, 1e-8)["converged"]
+    assert set(shapes) == {(spaces.dim_y, spaces.dim_y),
+                           (spaces.dim_r1, spaces.dim_r1)}
 
 
 def test_export_round_trip(tmp_path, capsys):

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from saddleprec.assembly import ProblemSpec, build_spaces
-from saddleprec.kron import KroneckerMatrix, KroneckerSolver, kron_materialize
+from saddleprec.kron import KroneckerMatrix, KroneckerSolver
 from saddleprec.precond import mass_solver
 
 
@@ -25,6 +25,7 @@ def test_materialize_matches_dense_kron():
     km.add(2.0, a, b, c)
     km.add(-0.5, a, b, c)
     dense = 1.5 * np.kron(np.kron(a, b), c)
+    assert sp.issparse(km.materialize())
     assert np.allclose(km.materialize().toarray(), dense, atol=1e-14)
     assert km.shape == (3 * 2 * 4, 4 * 5 * 2)
 
@@ -36,14 +37,6 @@ def test_nonconforming_terms_rejected():
         km.add(1.0, np.eye(2), np.eye(4))
     with pytest.raises(ValueError):
         km.add(1.0, np.eye(2), np.eye(3), np.eye(2))
-
-
-def test_kron_materialize_helper():
-    a = np.diag([1.0, 2.0])
-    b = np.diag([3.0, 4.0])
-    out = kron_materialize(a, b)
-    assert sp.issparse(out)
-    assert np.allclose(out.toarray(), np.kron(a, b))
 
 
 @pytest.mark.parametrize("dims", [(4, 3), (3, 4, 5)])
@@ -128,7 +121,8 @@ def test_solver_matches_spsolve_on_spline_masses(block, p):
     spaces = build_spaces(ProblemSpec("wave", p, 2, 1e-3))
     names = MASS_FACTORS[block]
     solver = mass_solver(spaces, *names)
-    mass = kron_materialize(*(spaces.factor(n, n) for n in names)).tocsc()
+    mass = KroneckerMatrix().add(
+        1.0, *(spaces.factor(n, n) for n in names)).materialize().tocsc()
     rng = np.random.default_rng(5 + p)
     r = rng.standard_normal(mass.shape[0])
     ref = spsolve(mass, r)

@@ -213,11 +213,11 @@ def test_kron_blocks_match_dense_solves():
     r = rng.standard_normal(precon.dim)
     x = precon.apply_inverse(r)
     u_slice = slice(sp_.dim_y, sp_.dim_y + sp_.dim_u)
-    dense_u = (precon.alpha * system.blocks.u_mass).toarray()
+    dense_u = precon.alpha * system.blocks.u_mass.materialize().toarray()
     assert np.allclose(x[u_slice], np.linalg.solve(dense_u, r[u_slice]),
                        rtol=1e-10)
     r2_slice = slice(precon.dim - sp_.dim_r2, precon.dim)
-    dense_r2 = system.blocks.r2_mass.toarray()
+    dense_r2 = system.blocks.r2_mass.materialize().toarray()
     assert np.allclose(x[r2_slice], np.linalg.solve(dense_r2, r[r2_slice]),
                        rtol=1e-10)
 
@@ -240,7 +240,7 @@ def test_reference_alpha_zero_drops_residual_term():
     sp_ = build_spaces(spec)
     system = assemble_system(spec, sp_)
     ref0 = build_Ptilde_Y(spec, sp_, system.blocks, alpha=0.0)
-    expect = system.blocks.observation.toarray()
+    expect = system.blocks.observation.materialize().toarray()
     expect += trace_form(spec, sp_).materialize().toarray()
     assert np.allclose(ref0, expect, atol=1e-10 * np.abs(expect).max())
 

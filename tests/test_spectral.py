@@ -1,8 +1,8 @@
-"""Schur-complement and block-diagonal equivalence oracles, n = 2, 3, 4 conditions."""
+"""Schur-complement and block-diagonal equivalence oracles, n-block conditions."""
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh
+from scipy.linalg import block_diag, eigh
 
 from saddleprec.blocksys import (
     measure_gamma,
@@ -163,7 +163,27 @@ def test_condition_n2_recovers_two_block_formulas():
     assert bounds[1] == (pytest.approx(ev2[0]), pytest.approx(ev2[-1]))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+def test_condition_n3_recovers_hand_formulas():
+    # odd blocks 1, 3 against diag(P1, P3) and the even block 2 against P2,
+    # spelled out term by term
+    rng = np.random.default_rng(19)
+    sys_ = random_system(rng, 3, [2, 3, 2])
+    p = random_spd_blocks(rng, [2, 3, 2])
+    a, b = sys_.diag, sys_.off
+    pi = [np.linalg.inv(m) for m in p]
+    odd = np.block([
+        [a[0] + b[0].T @ pi[1] @ b[0], b[0].T @ pi[1] @ b[1].T],
+        [b[1] @ pi[1] @ b[0], a[2] + b[1] @ pi[1] @ b[1].T],
+    ])
+    even = a[1] + b[0] @ pi[0] @ b[0].T + b[1].T @ pi[2] @ b[1]
+    ev_odd = eigh(odd, block_diag(p[0], p[2]), eigvals_only=True)
+    ev_even = eigh(even, p[1], eigvals_only=True)
+    bounds = check_condition_n(sys_, p)
+    assert bounds[0] == (pytest.approx(ev_odd[0]), pytest.approx(ev_odd[-1]))
+    assert bounds[1] == (pytest.approx(ev_even[0]), pytest.approx(ev_even[-1]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_conditions_reproduce_measure_gamma(n):
     # the conditions are an odd/even block permutation of the full relation,
     # so their combined extreme bounds equal the direct measurement
@@ -179,9 +199,3 @@ def test_conditions_reproduce_measure_gamma(n):
         assert lo == pytest.approx(g_lo, rel=1e-10, abs=1e-12)
         assert hi == pytest.approx(g_hi, rel=1e-10, abs=1e-12)
 
-
-def test_condition_n_rejects_large_n():
-    rng = np.random.default_rng(18)
-    sys_ = random_system(rng, 5, [1] * 5)
-    with pytest.raises(ValueError):
-        check_condition_n(sys_, [np.eye(1)] * 5)
