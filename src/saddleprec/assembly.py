@@ -3,12 +3,14 @@
 The state space is a tensor product of a temporal spline factor and two
 H^1_0-restricted spatial spline factors; the control/test space uses three
 reduced-continuity factors so that the state residual is exactly
-representable in it. Every block is a sum of Kronecker products of
-univariate matrices and is kept in that form: the system operator is applied
-block by block by mode products without being assembled. A block is
-materialized only where a matrix is needed; the sparse system matrix,
-symmetric by construction (transposed blocks are placed explicitly), is built
-only when read, as the reference for verification and export.
+representable in it. Block masses, their inverses and data moments read the
+factors of a block from `BLOCK_FACTORS`. Every block is a sum of Kronecker
+products of univariate matrices and is kept in that form: the system
+operator is applied block by block by mode products without being
+assembled. A block is materialized only where a matrix is needed; the sparse
+system matrix, symmetric by construction (transposed blocks are placed
+explicitly), is built only when read, as the reference for verification and
+export.
 """
 
 import math
@@ -18,7 +20,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .kron import KroneckerMatrix, KroneckerSolver
+from .kron import KroneckerMatrix, KroneckerSolver, mode_products
 from .splines import (
     SplineSpace,
     endpoint_row,
@@ -62,6 +64,8 @@ class ProblemSpec:
             raise ValueError("level must be nonnegative")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError("alpha must be a finite positive number")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError("seed must be a nonnegative integer")
         if not (math.isfinite(self.final_time) and self.final_time > 0):
             raise ValueError("final_time must be a finite positive number")
         (x0, x1), (y0, y1) = self.omega
@@ -80,6 +84,14 @@ FACTOR_SPACES = {
     "y_time": ("y_time", None), "y_x": ("y_x", "ix"), "y_y": ("y_y", "iy"),
     "u_time": ("u_time", None), "u_x": ("u_x", None), "u_y": ("u_y", None),
     "r2_x": ("y_x", None), "r2_y": ("y_y", None),
+}
+
+# unknown block -> its factor names, in Kronecker order. The
+# initial-displacement multipliers live on the spatial state factors.
+BLOCK_FACTORS = {
+    "y": ("y_time", "y_x", "y_y"),
+    "u": ("u_time", "u_x", "u_y"), "p_u": ("u_time", "u_x", "u_y"),
+    "p_r1": ("y_x", "y_y"), "p_r2": ("r2_x", "r2_y"),
 }
 
 
@@ -198,19 +210,22 @@ def dof_count(spec: ProblemSpec) -> int:
     return sum(build_spaces(spec).block_dims)
 
 
+def mass_form(spaces: DiscreteSpaces, block: str) -> KroneckerMatrix:
+    """L2 mass of a block's space: the product of its factor masses."""
+    return KroneckerMatrix().add(1.0, *(spaces.factor(n, n)
+                                        for n in BLOCK_FACTORS[block]))
+
+
+def mass_solver(spaces: DiscreteSpaces, block: str) -> KroneckerSolver:
+    """Inverse of `mass_form(spaces, block)`, by its factor inverses."""
+    return KroneckerSolver([spaces.factor(n, n) for n in BLOCK_FACTORS[block]])
+
+
 def observation_form(spec: ProblemSpec, spaces: DiscreteSpaces) -> KroneckerMatrix:
     """Mass matrix of the state space over the observed sub-cylinder omega x (0, T)."""
-    (wx, wy) = spec.omega
-    f = spaces.factor
-    return KroneckerMatrix().add(1.0, f("y_time", "y_time"),
-                                 f("y_x", "y_x", sub=wx), f("y_y", "y_y", sub=wy))
-
-
-def u_mass_form(spaces: DiscreteSpaces) -> KroneckerMatrix:
-    """Mass matrix of the control space over the full cylinder."""
-    f = spaces.factor
-    return KroneckerMatrix().add(1.0, f("u_time", "u_time"), f("u_x", "u_x"),
-                                 f("u_y", "u_y"))
+    subs = (None,) + tuple(spec.omega)
+    return KroneckerMatrix().add(1.0, *(spaces.factor(n, n, sub=s) for n, s
+                                        in zip(BLOCK_FACTORS["y"], subs)))
 
 
 def residual_terms(spec: ProblemSpec) -> tuple:
@@ -230,21 +245,22 @@ def k_u_form(spec: ProblemSpec, spaces: DiscreteSpaces) -> KroneckerMatrix:
     Kronecker term per entry of `residual_terms`, its derivative orders
     falling on the state factors.
     """
-    f = spaces.factor
+    pairs = list(zip(BLOCK_FACTORS["p_u"], BLOCK_FACTORS["y"]))
     km = KroneckerMatrix()
-    for sign, dt, dx, dy in residual_terms(spec):
-        km.add(sign, f("u_time", "y_time", 0, dt), f("u_x", "y_x", 0, dx),
-               f("u_y", "y_y", 0, dy))
+    for sign, *derivs in residual_terms(spec):
+        km.add(sign, *(spaces.factor(row, col, 0, d)
+                       for (row, col), d in zip(pairs, derivs)))
     return km
 
 
 def h10_gram_form(spaces: DiscreteSpaces, *lead) -> KroneckerMatrix:
     """2-D H^1_0 inner product Sx x My + Mx x Sy on the restricted spatial
     space (the r1 Gram), behind optional leading (time) factors."""
+    x, y = BLOCK_FACTORS["p_r1"]
     f = spaces.factor
     km = KroneckerMatrix()
-    km.add(1.0, *lead, f("y_x", "y_x", 1, 1), f("y_y", "y_y"))
-    km.add(1.0, *lead, f("y_x", "y_x"), f("y_y", "y_y", 1, 1))
+    km.add(1.0, *lead, f(x, x, 1, 1), f(y, y))
+    km.add(1.0, *lead, f(x, x), f(y, y, 1, 1))
     return km
 
 
@@ -254,19 +270,14 @@ def k_r1_form(spaces: DiscreteSpaces) -> KroneckerMatrix:
     return h10_gram_form(spaces, endpoint_row(spaces.y_time, "a", 0)[None, :])
 
 
-def r2_mass_form(spaces: DiscreteSpaces) -> KroneckerMatrix:
-    """2-D mass on the unrestricted spatial space (wave initial-velocity test space)."""
-    return KroneckerMatrix().add(1.0, spaces.factor("r2_x", "r2_x"),
-                                 spaces.factor("r2_y", "r2_y"))
-
-
 def k_r2_form(spec: ProblemSpec, spaces: DiscreteSpaces) -> KroneckerMatrix:
     """Initial-velocity pairing (d_t y(0), r) against the unrestricted spatial space."""
     if not spec.is_wave:
         raise ValueError("the initial-velocity block exists only for the wave problem")
     e1 = endpoint_row(spaces.y_time, "a", 1)[None, :]
-    return KroneckerMatrix().add(1.0, e1, spaces.factor("r2_x", "y_x"),
-                                 spaces.factor("r2_y", "y_y"))
+    return KroneckerMatrix().add(1.0, e1, *(
+        spaces.factor(r, c) for r, c in zip(BLOCK_FACTORS["p_r2"],
+                                            BLOCK_FACTORS["p_r1"])))
 
 
 @dataclass
@@ -294,14 +305,14 @@ class SystemBlocks:
 def assemble_blocks(spec: ProblemSpec, spaces: DiscreteSpaces) -> SystemBlocks:
     blocks = SystemBlocks(
         observation=observation_form(spec, spaces),
-        u_mass=u_mass_form(spaces),
+        u_mass=mass_form(spaces, "u"),
         k_u=k_u_form(spec, spaces),
         k_r1=k_r1_form(spaces),
         r1_gram=h10_gram_form(spaces),
     )
     if spec.is_wave:
         blocks.k_r2 = k_r2_form(spec, spaces)
-        blocks.r2_mass = r2_mass_form(spaces)
+        blocks.r2_mass = mass_form(spaces, "p_r2")
     return blocks
 
 
@@ -312,6 +323,9 @@ class ProblemData:
     d(t, x, y): observation target on the sub-cylinder; g_u(t, x, y): forcing
     tested against the control space; y0(x, y) with gradient y0_grad(x, y) ->
     (gx, gy): initial displacement; y1(x, y): initial velocity (wave only).
+    The velocity trace of a discrete state lies in the H^1_0 spatial space,
+    so the part of the y1 moments outside the range of K_R2 is unreachable
+    and is dropped: `assemble_system` projects them onto that range.
     Callbacks must broadcast over numpy grids.
     """
 
@@ -369,55 +383,27 @@ class DiscreteSystem:
         return out
 
 
-def _grid_moments(f, rules, spaces, restrictions, derivs=None):
-    """Moments of f against an n-D tensor basis on the given per-direction rules."""
-    n = len(rules)
-    args = []
-    for k, (space, rule, restr, d) in enumerate(
-            zip(spaces, rules, restrictions, derivs or (0,) * n)):
-        e = eval_basis_many(space, rule.flat_points, d)
-        args += [e if restr is None else e[:, restr], [k, n + k]]
+def moments(spaces: DiscreteSpaces, block: str, f, derivs=None,
+            subs=None) -> np.ndarray:
+    """(f, basis)_{L2} moments against a block's tensor basis.
+
+    One Gauss rule per factor of `BLOCK_FACTORS[block]`, clipped to the
+    per-direction interval of ``subs``; ``derivs`` differentiates the basis
+    per direction. The basis is restricted as `FACTOR_SPACES` says.
+    """
+    n = len(BLOCK_FACTORS[block])
+    rules, args = [], []
+    for k, (name, d, sub) in enumerate(zip(
+            BLOCK_FACTORS[block], derivs or (0,) * n, subs or (None,) * n)):
+        space, restr = FACTOR_SPACES[name]
+        space = getattr(spaces, space)
+        rules.append(gauss_rule(space, sub=sub))
+        e = eval_basis_many(space, rules[-1].flat_points, d)
+        args += [e if restr is None else e[:, getattr(spaces, restr)], [k, n + k]]
     vals = np.asarray(f(*np.ix_(*(r.flat_points for r in rules))), dtype=float)
     w = math.prod(np.ix_(*(r.flat_weights for r in rules)))
     m = np.einsum(vals * w, list(range(n)), *args, list(range(n, 2 * n)))
     return m.reshape(-1)
-
-
-def state_moments_qT(spec: ProblemSpec, spaces: DiscreteSpaces, f) -> np.ndarray:
-    """(f, basis)_{L2(q_T)} over the observed sub-cylinder, for the rhs d-term."""
-    (wx, wy) = spec.omega
-    rules = [gauss_rule(spaces.y_time),
-             gauss_rule(spaces.y_x, sub=wx),
-             gauss_rule(spaces.y_y, sub=wy)]
-    return _grid_moments(f, rules, [spaces.y_time, spaces.y_x, spaces.y_y],
-                         [None, spaces.ix, spaces.iy])
-
-
-def control_moments(spaces: DiscreteSpaces, f) -> np.ndarray:
-    """(f, basis)_{L2(Q_T)} against the control space."""
-    rules = [gauss_rule(spaces.u_time), gauss_rule(spaces.u_x),
-             gauss_rule(spaces.u_y)]
-    return _grid_moments(f, rules, [spaces.u_time, spaces.u_x, spaces.u_y],
-                         [None, None, None])
-
-
-def initial_displacement_moments(spaces: DiscreteSpaces, grad) -> np.ndarray:
-    """(grad f, grad r) moments against the restricted 2-D space; grad returns (fx, fy)."""
-    rules = [gauss_rule(spaces.y_x), gauss_rule(spaces.y_y)]
-    ones = lambda x, y: np.ones_like(x * y)
-    fx = lambda x, y: np.asarray(grad(x, y)[0], dtype=float) * ones(x, y)
-    fy = lambda x, y: np.asarray(grad(x, y)[1], dtype=float) * ones(x, y)
-    mx = _grid_moments(fx, rules, [spaces.y_x, spaces.y_y],
-                       [spaces.ix, spaces.iy], derivs=(1, 0))
-    my = _grid_moments(fy, rules, [spaces.y_x, spaces.y_y],
-                       [spaces.ix, spaces.iy], derivs=(0, 1))
-    return mx + my
-
-
-def initial_velocity_moments(spaces: DiscreteSpaces, f) -> np.ndarray:
-    """(f, r)_{L2} moments against the unrestricted 2-D space."""
-    rules = [gauss_rule(spaces.y_x), gauss_rule(spaces.y_y)]
-    return _grid_moments(f, rules, [spaces.y_x, spaces.y_y], [None, None])
 
 
 def assemble_system(spec: ProblemSpec, spaces: DiscreteSpaces | None = None,
@@ -439,27 +425,31 @@ def assemble_system(spec: ProblemSpec, spaces: DiscreteSpaces | None = None,
         data = ProblemData()
     rhs = np.zeros(sum(spaces.block_dims))
     if data.d is not None:
-        rhs[spaces.block_slice("y")] = state_moments_qT(spec, spaces, data.d)
+        rhs[spaces.block_slice("y")] = moments(spaces, "y", data.d,
+                                               subs=(None,) + tuple(spec.omega))
     if data.g_u is not None:
-        rhs[spaces.block_slice("p_u")] = control_moments(spaces, data.g_u)
+        rhs[spaces.block_slice("p_u")] = moments(spaces, "p_u", data.g_u)
     if data.y0 is not None:
         if data.y0_grad is None:
             raise ValueError("initial displacement needs its gradient callback "
                              "for the H^1_0 pairing")
-        rhs[spaces.block_slice("p_r1")] = initial_displacement_moments(
-            spaces, data.y0_grad)
+        # (grad y0, grad r), one gradient component at a time
+        mx = moments(spaces, "p_r1", lambda x, y: data.y0_grad(x, y)[0],
+                     derivs=(1, 0))
+        my = moments(spaces, "p_r1", lambda x, y: data.y0_grad(x, y)[1],
+                     derivs=(0, 1))
+        rhs[spaces.block_slice("p_r1")] = mx + my
     if data.y1 is not None:
         if not spec.is_wave:
             raise ValueError("initial velocity data only exists for the wave problem")
-        rhs[spaces.block_slice("p_r2")] = initial_velocity_moments(spaces, data.y1)
+        # keep the part K_R2 reaches: with K_R2 = e x F_x x F_y, project by
+        # (F_x F_x^+) x (F_y F_y^+) onto range(K_R2) = range(F_x x F_y)
+        ranges = [f @ np.linalg.pinv(f) for f in blocks.k_r2.terms[0].factors[1:]]
+        rhs[spaces.block_slice("p_r2")] = mode_products(
+            ranges, moments(spaces, "p_r2", data.y1))
     return DiscreteSystem(spec, spaces, blocks, rhs)
 
 
 def project_state_l2(spaces: DiscreteSpaces, f) -> np.ndarray:
     """L2(Q_T) projection of f onto the state space (coefficients)."""
-    rules = [gauss_rule(spaces.y_time), gauss_rule(spaces.y_x),
-             gauss_rule(spaces.y_y)]
-    m = _grid_moments(f, rules, [spaces.y_time, spaces.y_x, spaces.y_y],
-                      [None, spaces.ix, spaces.iy])
-    return KroneckerSolver([spaces.factor(n, n)
-                            for n in ("y_time", "y_x", "y_y")]).solve(m)
+    return mass_solver(spaces, "y").solve(moments(spaces, "y", f))

@@ -18,7 +18,13 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import blocksys, matrixio, spectral, verify
-from .assembly import ProblemSpec, assemble_system, build_spaces, dof_count
+from .assembly import (
+    BLOCK_FACTORS,
+    ProblemSpec,
+    assemble_system,
+    build_spaces,
+    dof_count,
+)
 from .krylov import MinresConfig, minres, random_start
 from .precond import build_preconditioner
 # univariate_matrix is imported here only so the benchmark probes can rebind it
@@ -58,7 +64,7 @@ def solve_nnz(spec: ProblemSpec) -> dict:
     """
     spaces = build_spaces(spec)
     n_t, n_x, n_y = (int(np.count_nonzero(spaces.factor(name, name)))
-                     for name in ("y_time", "y_x", "y_y"))
+                     for name in BLOCK_FACTORS["y"])
     return {"P_Y": n_t * n_x * n_y, "r1_gram": n_x * n_y}
 
 
@@ -157,6 +163,7 @@ def render_table(levels, alphas, dofs, cells, fmt: str) -> str:
 
 
 def cmd_run(args) -> int:
+    MinresConfig(rel_tol=args.tol)  # refuses a bad tolerance before any work
     spec = ProblemSpec(args.problem, args.degree, args.level, args.alpha,
                        seed=args.seed)
     _check_budget(spec, args.max_memory_gb)
@@ -170,8 +177,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_table(args) -> int:
-    # every cell's spec is validated up front; the memory estimate does not
-    # depend on alpha, so it is checked once per (degree, level)
+    # the tolerance and every cell's spec are validated up front; the memory
+    # estimate does not depend on alpha: checked once per (degree, level)
+    MinresConfig(rel_tol=args.tol)
     for p in args.degrees:
         for lev in args.levels:
             specs = [ProblemSpec(args.problem, p, lev, a, seed=args.seed)

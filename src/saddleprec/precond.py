@@ -1,33 +1,39 @@
 """Block-diagonal preconditioner for the discrete optimality systems.
 
-The state block realizes the weighted norm
+The preconditioner is one table, block name -> (scale, unscaled matrix,
+solver), scaled as diag(P_Y, alpha M_U, M_U / alpha, S_R1[, M_R2]); its
+apply, its export and the dense reference below all read it. The state
+block realizes the weighted norm
 
     |y|^2 = (y, y)_{L2(q_T)} + alpha * |state residual|^2_{L2(Q_T)}
             + |grad y(0)|^2_{L2} [+ |d_t y(0)|^2_{L2} for the wave problem]
 
-materialized from its Kronecker terms and factorized by a sparse direct
-solver. The initial-displacement block (a 2-D stiffness, not a pure tensor
-product) is materialized for a sparse LU too; these two are the only blocks
-a solve materializes. The control and initial-velocity blocks are pure
-tensor-product mass matrices; their inverses are Kronecker products of the
-univariate factor inverses, applied by mode products. A dense reference for
-the state block, built from the system blocks through explicit mass
-inverses, witnesses that the sparse block equals the operator-preconditioning
-candidate whenever the residual inclusion holds.
+and is factorized by a sparse LU, as is the r1 Gram (a 2-D stiffness, not a
+pure tensor product); these two are the only blocks a solve materializes.
+The mass blocks are inverted by Kronecker products of the univariate factor
+inverses, applied by mode products. The dense reference is the Schur
+complement observation + sum_m K_m' P_m^{-1} K_m over the multiplier blocks
+m of the same P; it equals the sparse state block whenever the residual
+inclusion holds.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .assembly import (
+    BLOCK_FACTORS,
     DiscreteSpaces,
+    DiscreteSystem,
     ProblemSpec,
     SystemBlocks,
     h10_gram_form,
+    mass_solver,
     residual_terms,
 )
-from .kron import KroneckerMatrix, KroneckerSolver
+from .kron import KroneckerMatrix
 # univariate_matrix is imported here only so the benchmark probes can rebind it
 from .splines import endpoint_row, univariate_matrix  # noqa: F401
 
@@ -41,7 +47,7 @@ def state_residual_form(spec: ProblemSpec, spaces: DiscreteSpaces) -> KroneckerM
     Mixed terms are exact transposes of each other only up to roundoff;
     `_symmetrize` makes the materialized Gram exactly symmetric.
     """
-    names = ("y_time", "y_x", "y_y")
+    names = BLOCK_FACTORS["y"]
     terms = residual_terms(spec)
     km = KroneckerMatrix()
     for s_i, *d_i in terms:
@@ -61,8 +67,8 @@ def trace_form(spec: ProblemSpec, spaces: DiscreteSpaces) -> KroneckerMatrix:
     km = h10_gram_form(spaces, np.outer(e0, e0))
     if spec.is_wave:
         e1 = endpoint_row(spaces.y_time, "a", 1)
-        km.add(1.0, np.outer(e1, e1), spaces.factor("y_x", "y_x"),
-               spaces.factor("y_y", "y_y"))
+        km.add(1.0, np.outer(e1, e1),
+               *(spaces.factor(n, n) for n in BLOCK_FACTORS["p_r1"]))
     return km
 
 
@@ -95,57 +101,53 @@ def state_block(spec: ProblemSpec, spaces: DiscreteSpaces, blocks: SystemBlocks,
     return _symmetrize(observation + alpha * residual + trace)
 
 
-def mass_solver(spaces: DiscreteSpaces, *names: str) -> KroneckerSolver:
-    """Inverse of the tensor-product mass on the named factors."""
-    return KroneckerSolver([spaces.factor(n, n) for n in names])
+class DiagonalBlock(NamedTuple):
+    """One block of P: scale * matrix, inverted as solver.solve(r) / scale."""
+
+    scale: float
+    matrix: object  # sparse matrix or KroneckerMatrix, unscaled
+    solver: object  # SuperLU or KroneckerSolver of the unscaled matrix
 
 
 class BlockDiagPreconditioner:
-    """Factored diagonal blocks of the preconditioner, in system block order.
+    """Factored diagonal blocks of the preconditioner at alpha = spec.alpha.
 
-    Block scaling follows diag(P_Y, alpha P_U, alpha^{-1} P_U, P_R1[, P_R2])
-    with alpha = spec.alpha. The state block comes from `state_block` and is
-    factorized by a sparse LU; the control-mass and initial-velocity blocks
-    are inverted by Kronecker products of univariate inverses, the
-    initial-displacement block by a sparse LU. `block_matrix` and
-    `materialize` build the sparse control blocks on request, for
-    verification and export.
+    `table` maps each block name to its `DiagonalBlock`: P_Y from
+    `state_block` and the r1 Gram with sparse LUs, the mass blocks as
+    Kronecker sums with their `mass_solver`.
     """
 
     def __init__(self, spec, spaces, blocks):
         self.spec = spec
         self.spaces = spaces
-        self.blocks = blocks
-        self.alpha = spec.alpha
-        self._p_y = state_block(spec, spaces, blocks, self.alpha)
+        self.alpha = a = spec.alpha
+        p_y = state_block(spec, spaces, blocks, a)
         try:
-            self._y_lu = splu(self._p_y.tocsc())
+            y_lu = splu(p_y.tocsc())
         except RuntimeError as exc:  # pragma: no cover - signals an assembly bug
             raise ValueError(f"state block factorization failed: {exc}") from exc
-        self._u_solver = mass_solver(spaces, "u_time", "u_x", "u_y")
-        self._r1_lu = splu(blocks.r1_gram.materialize().tocsc())
-        if spec.is_wave:
-            self._r2_solver = mass_solver(spaces, "r2_x", "r2_y")
-        self._offsets = spaces.offsets()
+        r1_gram = blocks.r1_gram.materialize()
+        u_solver = mass_solver(spaces, "u")
+        self.table = {
+            "y": DiagonalBlock(1.0, p_y, y_lu),
+            "u": DiagonalBlock(a, blocks.u_mass, u_solver),
+            "p_u": DiagonalBlock(1.0 / a, blocks.u_mass, u_solver),
+            "p_r1": DiagonalBlock(1.0, r1_gram, splu(r1_gram.tocsc())),
+        }
+        if spaces.has_r2:
+            self.table["p_r2"] = DiagonalBlock(1.0, blocks.r2_mass,
+                                               mass_solver(spaces, "p_r2"))
 
     @property
     def dim(self) -> int:
-        return int(self._offsets[-1])
+        return sum(self.spaces.block_dims)
 
     def block_matrix(self, name: str) -> sp.csr_matrix:
         """The scaled sparse matrix of one diagonal block."""
-        a = self.alpha
-        if name == "y":
-            return self._p_y
-        if name == "u":
-            return (a * self.blocks.u_mass.materialize()).tocsr()
-        if name == "p_u":
-            return (self.blocks.u_mass.materialize() / a).tocsr()
-        if name == "p_r1":
-            return self.blocks.r1_gram.materialize()
-        if name == "p_r2" and self.spec.is_wave:
-            return self.blocks.r2_mass.materialize()
-        raise KeyError(name)
+        scale, mat, _ = self.table[name]
+        if isinstance(mat, KroneckerMatrix):
+            mat = mat.materialize()
+        return mat if scale == 1.0 else (scale * mat).tocsr()
 
     def materialize(self) -> sp.csr_matrix:
         """The full block-diagonal matrix (verification and export use)."""
@@ -153,20 +155,20 @@ class BlockDiagPreconditioner:
                               for n in self.spaces.block_names],
                              format="csr")
 
+    def solve_block(self, name: str, r: np.ndarray) -> np.ndarray:
+        """Solve with one scaled diagonal block; r may carry extra columns."""
+        scale, _, solver = self.table[name]
+        return solver.solve(r) / scale
+
     def apply_inverse(self, r: np.ndarray) -> np.ndarray:
         """Per-block solve; Kronecker blocks by mode products of factor inverses."""
         r = np.asarray(r, dtype=float)
         if r.shape != (self.dim,):
             raise ValueError(f"residual has shape {r.shape}, expected ({self.dim},)")
-        o = self._offsets
-        out = np.empty_like(r)
-        out[o[0]:o[1]] = self._y_lu.solve(r[o[0]:o[1]])
-        out[o[1]:o[2]] = self._u_solver.solve(r[o[1]:o[2]]) / self.alpha
-        out[o[2]:o[3]] = self._u_solver.solve(r[o[2]:o[3]]) * self.alpha
-        out[o[3]:o[4]] = self._r1_lu.solve(r[o[3]:o[4]])
-        if self.spec.is_wave:
-            out[o[4]:o[5]] = self._r2_solver.solve(r[o[4]:o[5]])
-        return out
+        names = self.spaces.block_names
+        parts = np.split(r, self.spaces.offsets()[1:-1])
+        return np.concatenate([self.solve_block(n, part)
+                               for n, part in zip(names, parts)])
 
 
 def build_preconditioner(spec: ProblemSpec, spaces: DiscreteSpaces,
@@ -178,37 +180,31 @@ def build_preconditioner(spec: ProblemSpec, spaces: DiscreteSpaces,
 PTILDE_DIM_CAP = 200
 
 
-def build_Ptilde_Y(spec: ProblemSpec, spaces: DiscreteSpaces,
-                   blocks: SystemBlocks, alpha: float | None = None) -> np.ndarray:
+def dual_grams(system: DiscreteSystem,
+               precon: BlockDiagPreconditioner) -> dict:
+    """Dense K_m' P_m^{-1} K_m on the state space for each multiplier block m.
+
+    K_m couples the state to block m (K_U, K_R1 [, K_R2]); P_m^{-1} is
+    `precon.solve_block`, so the p_u term is alpha K_U' M_U^{-1} K_U.
+    """
+    b = system.blocks
+    grams = {}
+    for name, k in zip(system.spaces.block_names[2:], [b.k_u] + b.couplings):
+        k = k.materialize().toarray()
+        grams[name] = k.T @ precon.solve_block(name, k)
+    return grams
+
+
+def build_Ptilde_Y(system: DiscreteSystem,
+                   precon: BlockDiagPreconditioner) -> np.ndarray:
     """Dense operator-preconditioning reference for the state block.
 
-    observation + alpha K_U' M_U^{-1} K_U + K_R1' S^{-1} K_R1
-    [+ K_R2' M_R2^{-1} K_R2]. Dense by construction, so it is refused beyond
-    the state-space dimension PTILDE_DIM_CAP; alpha = 0 is allowed here to
-    inspect the term dropout.
+    The observation plus `dual_grams`: the Schur complement of the system in
+    the multiplier blocks of P. Refused beyond PTILDE_DIM_CAP state unknowns.
     """
-    if spaces.dim_y > PTILDE_DIM_CAP:
-        raise ValueError(f"state dimension {spaces.dim_y} exceeds the dense "
+    dim_y = system.spaces.dim_y
+    if dim_y > PTILDE_DIM_CAP:
+        raise ValueError(f"state dimension {dim_y} exceeds the dense "
                          f"reference cap {PTILDE_DIM_CAP}")
-    a = spec.alpha if alpha is None else float(alpha)
-    if a < 0:
-        raise ValueError("alpha must be nonnegative")
-    residual, initial = dual_grams(spaces, blocks)
-    return blocks.observation.materialize().toarray() + a * residual + initial
-
-
-def dual_grams(spaces: DiscreteSpaces, blocks: SystemBlocks):
-    """Dense K' N^{-1} K on the state space, for the residual rows and the
-    initial-condition rows.
-
-    Returns (K_U' M_U^{-1} K_U, K_R1' S^{-1} K_R1 [+ K_R2' M_R2^{-1} K_R2]).
-    """
-    def dual(k, solve):
-        k = k.materialize().toarray()
-        return k.T @ solve(k)
-
-    residual = dual(blocks.k_u, mass_solver(spaces, "u_time", "u_x", "u_y").solve)
-    initial = dual(blocks.k_r1, splu(blocks.r1_gram.materialize().tocsc()).solve)
-    if spaces.has_r2:
-        initial += dual(blocks.k_r2, mass_solver(spaces, "r2_x", "r2_y").solve)
-    return residual, initial
+    return (system.blocks.observation.materialize().toarray()
+            + sum(dual_grams(system, precon).values()))

@@ -12,14 +12,12 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 from scipy.linalg import block_diag, eigh, null_space
 
-from .assembly import DiscreteSystem, assemble_system
+from .assembly import DiscreteSystem, assemble_system, mass_solver
 from .splines import eval_basis_many, gauss_rule
 from .precond import (
     BlockDiagPreconditioner,
     build_Ptilde_Y,
     dual_grams,
-    mass_solver,
-    state_block,
     y_norm_gram,
 )
 
@@ -108,13 +106,15 @@ class StabilityReport:
 def measure_discrete_K1(system: DiscreteSystem) -> StabilityReport:
     """Smallest stacked-dual-norm over graph-norm ratio; its inverse root is c_K.
 
-    When the residual inclusion holds the two metrics coincide and c_K = 1.
+    The stacked dual norm sums `dual_grams` of P at alpha = 1. When the
+    residual inclusion holds the two metrics coincide and c_K = 1.
     """
     spec, spaces = system.spec, system.spaces
     if spaces.dim_y > DENSE_EIG_CAP:
         raise ValueError("state dimension beyond the dense verification cap")
-    residual, initial = dual_grams(spaces, system.blocks)
-    g = residual + initial
+    precon = BlockDiagPreconditioner(replace(spec, alpha=1.0), spaces,
+                                     system.blocks)
+    g = sum(dual_grams(system, precon).values())
     n_y = y_norm_gram(spec, spaces).toarray()
     lam = eigh(g, n_y, eigvals_only=True)[0]
     c_k = float(1.0 / np.sqrt(max(lam, np.finfo(float).tiny)))
@@ -132,7 +132,7 @@ def measure_discrete_infsup(system: DiscreteSystem,
     if spaces.dim_y > DENSE_EIG_CAP:
         raise ValueError("state dimension beyond the dense verification cap")
     n_y = y_norm_gram(spec, spaces).toarray()
-    k_r = system.matrix[spaces.block_slice("p_r1").start:, :spaces.dim_y].toarray()
+    k_r = np.vstack([k.materialize().toarray() for k in blocks.couplings])
     n_r = block_diag(*(g.materialize().toarray()
                        for g in (blocks.r1_gram, blocks.r2_mass) if g is not None))
 
@@ -228,7 +228,7 @@ def inclusion_residuals(system: DiscreteSystem, n_samples: int = 20,
     defect is zero up to projection-solve roundoff.
     """
     spec, spaces, blocks = system.spec, system.spaces, system.blocks
-    solver = mass_solver(spaces, "u_time", "u_x", "u_y")
+    solver = mass_solver(spaces, "p_u")
     rules = [gauss_rule(s) for s in (spaces.u_time, spaces.u_x, spaces.u_y)]
     eu = [eval_basis_many(s, r.flat_points, 0)
           for s, r in zip((spaces.u_time, spaces.u_x, spaces.u_y), rules)]
@@ -256,10 +256,11 @@ class ReferenceGapReport:
 
 
 def sparse_vs_reference_gap(system: DiscreteSystem) -> ReferenceGapReport:
-    """Max-abs gap between the sparse state block and its dense reference."""
-    spec, spaces, blocks = system.spec, system.spaces, system.blocks
-    sparse_block = state_block(spec, spaces, blocks, spec.alpha).toarray()
-    reference = build_Ptilde_Y(spec, spaces, blocks)
+    """Max-abs gap between P's factorized state block and the reference
+    `build_Ptilde_Y` builds from the same P."""
+    precon = BlockDiagPreconditioner(system.spec, system.spaces, system.blocks)
+    sparse_block = precon.block_matrix("y").toarray()
+    reference = build_Ptilde_Y(system, precon)
     scale = float(np.abs(sparse_block).max())
     gap = float(np.abs(sparse_block - reference).max())
     return ReferenceGapReport(gap, gap / scale, scale)

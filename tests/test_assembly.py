@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import orth
 
 from saddleprec.assembly import (
     ProblemData,
@@ -11,8 +12,8 @@ from saddleprec.assembly import (
     assemble_system,
     build_spaces,
     dof_count,
-    initial_velocity_moments,
     k_r2_form,
+    moments,
     observation_form,
     project_state_l2,
 )
@@ -249,8 +250,7 @@ def test_K_R2_linear_time_state_gives_mass_column():
     y3 = tcoef[:, None, None] * spatial[None, :, :]
     got = system.blocks.k_r2.apply(y3.reshape(-1))
     # d_t y(0) = spatial part; oracle through the 2-D mass moments
-    oracle = initial_velocity_moments(
-        sp_, lambda x, y: _spatial_eval(spatial, sp_, x, y))
+    oracle = moments(sp_, "p_r2", lambda x, y: _spatial_eval(spatial, sp_, x, y))
     assert np.allclose(got, oracle, atol=1e-12 * max(np.abs(oracle).max(), 1.0))
 
 
@@ -384,7 +384,8 @@ def test_univariate_projection_of_linear_on_hats():
 
 def test_rhs_moments_for_member_data():
     # initial data already in the discrete spaces: the rhs rows equal the
-    # Gram matrices applied to the member coefficients
+    # Gram matrices applied to the member coefficients, the p_r2 rows after
+    # the projection onto range(K_R2)
     spec = ProblemSpec("wave", 2, 2, 1e-3)
     sp_ = build_spaces(spec)
     rng = np.random.default_rng(10)
@@ -401,18 +402,34 @@ def test_rhs_moments_for_member_data():
         return (np.einsum("bc,xb,yc->xy", c, ex[1], ey[0]),
                 np.einsum("bc,xb,yc->xy", c, ex[0], ey[1]))
 
-    def y1(x, y):
-        ex = eval_basis_many(sp_.y_x, np.ravel(x), 0)
-        ey = eval_basis_many(sp_.y_y, np.ravel(y), 0)
-        return np.einsum("bc,xb,yc->xy", y1c.reshape(sp_.y_x.dim, sp_.y_y.dim),
-                         ex, ey)
+    def velocity(coef):
+        def y1(x, y):
+            ex = eval_basis_many(sp_.y_x, np.ravel(x), 0)
+            ey = eval_basis_many(sp_.y_y, np.ravel(y), 0)
+            return np.einsum("bc,xb,yc->xy",
+                             coef.reshape(sp_.y_x.dim, sp_.y_y.dim), ex, ey)
+        return y1
 
-    data = ProblemData(y0=y0, y0_grad=y0_grad, y1=y1)
+    data = ProblemData(y0=y0, y0_grad=y0_grad, y1=velocity(y1c))
     system = assemble_system(spec, sp_, data=data)
     r1 = system.rhs[system.spaces.block_slice("p_r1")]
     r2 = system.rhs[system.spaces.block_slice("p_r2")]
     assert np.allclose(r1, system.blocks.r1_gram.apply(y0c), atol=1e-12)
-    assert np.allclose(r2, system.blocks.r2_mass.apply(y1c), atol=1e-12)
+    # unrestricted y1: Q Q' (M_R2 y1c), Q an orthonormal basis of each
+    # factor's range (independent of the pseudo-inverse projector)
+    qx, qy = (orth(sp_.factor(r, c)) for r, c in (("r2_x", "y_x"),
+                                                 ("r2_y", "y_y")))
+    proj = np.kron(qx @ qx.T, qy @ qy.T)
+    full = system.blocks.r2_mass.apply(y1c)
+    assert np.allclose(r2, proj @ full, atol=1e-12)
+    assert np.linalg.norm(r2 - full) > 1e-3 * np.linalg.norm(full)
+    # y1 in the H^1_0 spatial space: K_R2 reaches its moments, none dropped
+    y1r = np.zeros((sp_.y_x.dim, sp_.y_y.dim))
+    y1r[np.ix_(sp_.ix, sp_.iy)] = rng.standard_normal((len(sp_.ix), len(sp_.iy)))
+    system = assemble_system(spec, sp_, data=ProblemData(y1=velocity(y1r)))
+    r2 = system.rhs[system.spaces.block_slice("p_r2")]
+    assert np.allclose(r2, system.blocks.r2_mass.apply(y1r.reshape(-1)),
+                       atol=1e-12)
 
 
 def test_missing_gradient_is_rejected():
@@ -427,8 +444,6 @@ def _sine_grad(x, y):
             np.pi * np.sin(np.pi * x) * np.cos(np.pi * y))
 
 
-# every data callback except the initial velocity y1: the wave operator does
-# not reach the whole p_r2 block, so y1 data need a range projection first
 NONHOMOGENEOUS_DATA = ProblemData(
     d=lambda t, x, y: (1.0 + t) * np.sin(np.pi * x) * np.sin(np.pi * y),
     g_u=lambda t, x, y: np.cos(np.pi * t) * x * (1.0 - y),
@@ -443,8 +458,12 @@ NONHOMOGENEOUS_DATA = ProblemData(
 def test_nonhomogeneous_data_solves(kind, p, alpha):
     spec = ProblemSpec(kind, p, 2, alpha)
     sp_ = build_spaces(spec)
-    system = assemble_system(spec, sp_, data=NONHOMOGENEOUS_DATA)
-    for name in ("y", "p_u", "p_r1"):
+    data = NONHOMOGENEOUS_DATA
+    if spec.is_wave:
+        data = dataclasses.replace(
+            data, y1=lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
+    system = assemble_system(spec, sp_, data=data)
+    for name in set(sp_.block_names) - {"u"}:
         assert system.rhs[sp_.block_slice(name)].any(), name
     precon = build_preconditioner(spec, sp_, system.blocks)
     _, rep = minres(system.apply, precon.apply_inverse, system.rhs)

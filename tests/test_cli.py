@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from saddleprec import matrixio
+from saddleprec import cli, matrixio
 from saddleprec.cli import (
     BASE_GB,
     CSV_COLUMNS,
@@ -148,7 +148,16 @@ def test_table_multiple_degrees(capsys):
     assert out.count("| level") == 2  # one grid per degree
 
 
-def test_config_error_exit_code(capsys):
+def test_config_error_exit_code(capsys, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("a configuration error reached the solve")
+
+    monkeypatch.setattr(cli, "solve_once", no_solve)
+    for argv in (["table", "--levels", "1", "--tol", "0"],
+                 ["table", "--levels", "1", "--seed", "-1"],
+                 ["run", "--tol", "2"]):
+        assert main(argv) == 2, argv
+        assert "configuration error" in capsys.readouterr().err
     rc = main(["run", "--alpha", "-1.0"])
     assert rc == 2
     assert "configuration error" in capsys.readouterr().err
@@ -201,7 +210,7 @@ def test_memory_estimate_covers_held_blocks(kind, p, lev):
                   "r1_gram": system.blocks.r1_gram.materialize()}
     # the counts are exact, and the flat fill bounds both LUs
     assert solve_nnz(spec) == {name: m.nnz for name, m in factorized.items()}
-    lus = {"P_Y": precon._y_lu, "r1_gram": precon._r1_lu}
+    lus = {"P_Y": precon.table["y"].solver, "r1_gram": precon.table["p_r1"].solver}
     for name, lu in lus.items():
         assert lu.L.nnz + lu.U.nnz <= LU_FILL * factorized[name].nnz
     # the bytes held: both factorized blocks and their LUs' L and U, the
@@ -209,7 +218,8 @@ def test_memory_estimate_covers_held_blocks(kind, p, lev):
     # work vectors; the interpreter base is left out
     mats = list(factorized.values()) + [f for lu in lus.values()
                                         for f in (lu.L, lu.U)]
-    solvers = [precon._u_solver] + ([precon._r2_solver] if spec.is_wave else [])
+    solvers = [precon.table[n].solver for n in spaces.block_names
+               if n not in ("y", "p_r1")]
     sums = [km for km in vars(system.blocks).values() if km is not None]
     sums += [s._inverse for s in solvers]
     total = (sum(_held_bytes(m) for m in mats) + _factor_bytes(sums)

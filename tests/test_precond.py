@@ -9,6 +9,7 @@ from saddleprec.assembly import ProblemSpec, assemble_system, build_spaces
 from saddleprec.precond import (
     build_preconditioner,
     build_Ptilde_Y,
+    dual_grams,
     state_block,
     trace_form,
 )
@@ -184,8 +185,9 @@ def test_blocks_stay_spd_across_alpha(alpha):
         assert lo > 0, f"block {name} lost definiteness at alpha={alpha}"
 
 
-def test_apply_inverse_contracts():
-    spec = ProblemSpec("wave", 2, 1, 1e-4)
+@pytest.mark.parametrize("kind", ["heat", "wave"])
+def test_apply_inverse_contracts(kind):
+    spec = ProblemSpec(kind, 2, 1, 1e-4)
     sp_ = build_spaces(spec)
     system = assemble_system(spec, sp_)
     precon = build_preconditioner(spec, sp_, system.blocks)
@@ -201,6 +203,12 @@ def test_apply_inverse_contracts():
     assert np.allclose(lhs, rhs, atol=1e-12 * np.linalg.norm(lhs))
     with pytest.raises(ValueError):
         precon.apply_inverse(r[:-1])
+    # every named block inverts its own scaled matrix, columns included
+    for name in sp_.block_names:
+        cols = rng.standard_normal((precon.block_matrix(name).shape[0], 3))
+        got = precon.solve_block(name, precon.block_matrix(name) @ cols)
+        assert got.shape == cols.shape
+        assert np.allclose(got, cols, rtol=0, atol=1e-10 * np.abs(cols).max())
 
 
 def test_kron_blocks_match_dense_solves():
@@ -235,22 +243,25 @@ def test_reference_equality_and_counterexample():
     assert rep.rel_gap > 1e-6
 
 
-def test_reference_alpha_zero_drops_residual_term():
+def test_initial_dual_grams_are_the_trace_gram():
+    # the initial-condition terms of the reference, without the residual term
+    # and the observation, are the trace Gram of the state block
     spec = ProblemSpec("wave", 2, 1, 0.5)
     sp_ = build_spaces(spec)
     system = assemble_system(spec, sp_)
-    ref0 = build_Ptilde_Y(spec, sp_, system.blocks, alpha=0.0)
-    expect = system.blocks.observation.materialize().toarray()
-    expect += trace_form(spec, sp_).materialize().toarray()
-    assert np.allclose(ref0, expect, atol=1e-10 * np.abs(expect).max())
+    grams = dual_grams(system, build_preconditioner(spec, sp_, system.blocks))
+    expect = trace_form(spec, sp_).materialize().toarray()
+    got = grams["p_r1"] + grams["p_r2"]
+    assert np.allclose(got, expect, atol=1e-10 * np.abs(expect).max())
 
 
 def test_reference_refuses_beyond_cap():
     spec = ProblemSpec("wave", 2, 3, 1e-3)
     sp_ = build_spaces(spec)
     system = assemble_system(spec, sp_)
+    precon = build_preconditioner(spec, sp_, system.blocks)
     with pytest.raises(ValueError):
-        build_Ptilde_Y(spec, sp_, system.blocks)
+        build_Ptilde_Y(system, precon)
 
 
 def test_invalid_alpha_rejected():

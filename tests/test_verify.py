@@ -91,6 +91,14 @@ def test_infsup_wave_rank_deficient(wave_system):
     assert rep.c_r < 1e-6
 
 
+def test_infsup_does_not_build_the_system_matrix():
+    # the initial-condition rows are stacked from the coupling blocks
+    system = assemble_system(ProblemSpec("wave", 2, 2, 1e-3))
+    rep = measure_discrete_infsup(system)
+    assert "matrix" not in vars(system)
+    assert np.isfinite(rep.c_r)
+
+
 def test_infsup_restricted_empty_kernel_reported(wave_system, heat_system):
     for system in (wave_system, heat_system):
         rep = measure_discrete_infsup(system, restrict_to_ker_ku=True)
