@@ -3,19 +3,21 @@
 The state space is a tensor product of a temporal spline factor and two
 H^1_0-restricted spatial spline factors; the control/test space uses three
 reduced-continuity factors so that the state residual is exactly
-representable in it. Block masses, their inverses and data moments read the
-factors of a block from `BLOCK_FACTORS`. Every block is a sum of Kronecker
-products of univariate matrices and is kept in that form: the system
-operator is applied block by block by mode products without being
-assembled. A block is materialized only where a matrix is needed; the sparse
-system matrix, symmetric by construction (transposed blocks are placed
+representable in it. Block shapes, block masses, their inverses and data
+moments read the factors of a block from `BLOCK_FACTORS`. The system
+operator A is one table, `system_blocks`: (row, column) -> sum of Kronecker
+products of univariate matrices, one entry per symmetric pair of nonzero
+blocks. Its apply, its sparse matrix, the dual Grams of the preconditioner
+reference and the verify instruments all read that table. A is applied
+block by block by mode products without being assembled; the sparse system
+matrix, symmetric by construction (transposed blocks are placed
 explicitly), is built only when read, as the reference for verification and
 export.
 """
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -140,39 +142,24 @@ class DiscreteSpaces:
         return self._factors[key]
 
     @property
-    def dim_y(self) -> int:
-        return self.y_time.dim * len(self.ix) * len(self.iy)
-
-    @property
-    def dim_u(self) -> int:
-        return self.u_time.dim * self.u_x.dim * self.u_y.dim
-
-    @property
-    def dim_r1(self) -> int:
-        return len(self.ix) * len(self.iy)
-
-    @property
-    def dim_r2(self) -> int:
-        return self.y_x.dim * self.y_y.dim if self.has_r2 else 0
-
-    @property
-    def y_shape(self):
-        return (self.y_time.dim, len(self.ix), len(self.iy))
-
-    @property
-    def u_shape(self):
-        return (self.u_time.dim, self.u_x.dim, self.u_y.dim)
-
-    @property
     def block_names(self) -> tuple:
         """Unknown blocks of the optimality system, in system order."""
         return ("y", "u", "p_u", "p_r1") + (("p_r2",) if self.has_r2 else ())
 
-    @property
+    def block_shape(self, name: str) -> tuple:
+        """A block's factor dimensions in Kronecker order, restricted to the
+        H^1_0 indices where `FACTOR_SPACES` names an index set."""
+        if name not in self.block_names:
+            raise ValueError(f"no block {name!r} in {self.block_names}")
+        return tuple(len(getattr(self, idx)) if idx else getattr(self, space).dim
+                     for space, idx in map(FACTOR_SPACES.get, BLOCK_FACTORS[name]))
+
+    def block_dim(self, name: str) -> int:
+        return math.prod(self.block_shape(name))
+
+    @cached_property
     def block_dims(self) -> tuple:
-        dims = {"y": self.dim_y, "u": self.dim_u, "p_u": self.dim_u,
-                "p_r1": self.dim_r1, "p_r2": self.dim_r2}
-        return tuple(dims[name] for name in self.block_names)
+        return tuple(self.block_dim(name) for name in self.block_names)
 
     def offsets(self) -> np.ndarray:
         return np.concatenate([[0], np.cumsum(self.block_dims)])
@@ -280,39 +267,21 @@ def k_r2_form(spec: ProblemSpec, spaces: DiscreteSpaces) -> KroneckerMatrix:
                                             BLOCK_FACTORS["p_r1"])))
 
 
-@dataclass
-class SystemBlocks:
-    """The blocks of the optimality system, each a sum of Kronecker products.
-
-    A solve applies them by mode products; a caller that needs a matrix (a
-    sparse LU, export, the dense verify instruments) calls `materialize`.
-    """
-
-    observation: KroneckerMatrix
-    u_mass: KroneckerMatrix
-    k_u: KroneckerMatrix
-    k_r1: KroneckerMatrix
-    r1_gram: KroneckerMatrix
-    k_r2: KroneckerMatrix | None = None
-    r2_mass: KroneckerMatrix | None = None
-
-    @property
-    def couplings(self) -> list:
-        """Initial-condition pairings in system order: K_R1 [, K_R2]."""
-        return [k for k in (self.k_r1, self.k_r2) if k is not None]
-
-
-def assemble_blocks(spec: ProblemSpec, spaces: DiscreteSpaces) -> SystemBlocks:
-    blocks = SystemBlocks(
-        observation=observation_form(spec, spaces),
-        u_mass=mass_form(spaces, "u"),
-        k_u=k_u_form(spec, spaces),
-        k_r1=k_r1_form(spaces),
-        r1_gram=h10_gram_form(spaces),
-    )
+def system_blocks(spec: ProblemSpec, spaces: DiscreteSpaces) -> dict:
+    """A's nonzero blocks, (row, column) -> Kronecker sum, one entry per
+    symmetric pair: entry (r, c) is A[r, c], and off the diagonal A[c, r] is
+    its transpose. The control mass serves (u, u) and (u, p_u) as one object.
+    No entry holds alpha: `DiscreteSystem` scales (u, u) by `spec.alpha`."""
+    u_mass = mass_form(spaces, "u")
+    blocks = {
+        ("y", "y"): observation_form(spec, spaces),
+        ("u", "u"): u_mass,
+        ("u", "p_u"): u_mass,
+        ("p_u", "y"): k_u_form(spec, spaces),
+        ("p_r1", "y"): k_r1_form(spaces),
+    }
     if spec.is_wave:
-        blocks.k_r2 = k_r2_form(spec, spaces)
-        blocks.r2_mass = mass_form(spaces, "p_r2")
+        blocks["p_r2", "y"] = k_r2_form(spec, spaces)
     return blocks
 
 
@@ -340,47 +309,67 @@ class ProblemData:
 class DiscreteSystem:
     """Symmetric optimality system; block layout as in its spaces.
 
-    `apply` multiplies by the system operator block by block. `matrix` is its
-    sparse form, built on first read as the reference for verification and
-    export.
+    `blocks` is the table of `system_blocks`, its (u, u) entry scaled by
+    `spec.alpha` here. `apply` multiplies by the system operator block by
+    block. `matrix` is its sparse form, built on first read as the reference
+    for verification and export.
     """
 
     spec: ProblemSpec
     spaces: DiscreteSpaces
-    blocks: SystemBlocks
+    blocks: dict
     rhs: np.ndarray
 
     @property
     def dim(self) -> int:
         return int(self.spaces.offsets()[-1])
 
+    def _weight(self, row: str, col: str) -> float:
+        return self.spec.alpha if (row, col) == ("u", "u") else 1.0
+
     @cached_property
     def matrix(self) -> sp.csr_matrix:
         """Sparse matrix of the symmetric optimality system, in block order."""
-        b = self.blocks
-        obs, mu, k_u = (k.materialize() for k in (b.observation, b.u_mass, b.k_u))
-        couplings = [k.materialize() for k in b.couplings]
-        pad = [None] * len(couplings)
-        return sp.bmat([
-            [obs, None, k_u.T] + [k.T for k in couplings],
-            [None, self.spec.alpha * mu, mu] + pad,
-            [k_u, mu, None] + pad,
-        ] + [[k, None, None] + pad for k in couplings], format="csr")
+        index = {name: i for i, name in enumerate(self.spaces.block_names)}
+        grid = [[None] * len(index) for _ in index]
+        for (r, c), k in self.blocks.items():
+            grid[index[r]][index[c]] = mat = self._weight(r, c) * k.materialize()
+            if r != c:
+                grid[index[c]][index[r]] = mat.T
+        return sp.bmat(grid, format="csr")
+
+    @cached_property
+    def _plan(self) -> list:
+        """Per block row, [(operator, [(column, weight), ...])], built once:
+        each distinct operator of a row acts on the weighted sum of its
+        columns (the control mass on alpha u + p_u). A diagonal block is
+        symmetric, so an entry that is also its row's diagonal block is its
+        own transpose."""
+        rows = {name: {} for name in self.spaces.block_names}
+
+        def put(row, op, col, weight):
+            rows[row].setdefault(id(op), (op, []))[1].append((col, weight))
+
+        for (r, c), k in self.blocks.items():
+            put(r, k, c, self._weight(r, c))
+            if r != c:
+                put(c, k if self.blocks.get((r, r)) is k else k.T, r, 1.0)
+        return [list(ops.values()) for ops in rows.values()]
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """A v by blocks, every block by mode products."""
-        b, a = self.blocks, self.spec.alpha
+        """A v by block rows, every operator by mode products."""
         o = self.spaces.offsets()
-        y, u, p_u = v[o[0]:o[1]], v[o[1]:o[2]], v[o[2]:o[3]]
-        out = np.empty_like(v)
-        out_y = b.observation.apply(y) + b.k_u.T.apply(p_u)
-        for k, lo, hi in zip(b.couplings, o[3:], o[4:]):
-            out_y += k.T.apply(v[lo:hi])
-            out[lo:hi] = k.apply(y)
-        out[o[0]:o[1]] = out_y
-        out[o[1]:o[2]] = b.u_mass.apply(a * u + p_u)
-        out[o[2]:o[3]] = b.u_mass.apply(u) + b.k_u.apply(y)
-        return out
+        parts = {name: v[lo:hi] for name, lo, hi in zip(self.spaces.block_names,
+                                                        o, o[1:])}
+        out = []
+        for row in self._plan:
+            total = None
+            for op, cols in row:
+                y = op.apply(reduce(np.add, (parts[c] if w == 1.0 else
+                                             w * parts[c] for c, w in cols)))
+                total = y if total is None else np.add(total, y, out=total)
+            out.append(total)
+        return np.concatenate(out)
 
 
 def moments(spaces: DiscreteSpaces, block: str, f, derivs=None,
@@ -408,7 +397,7 @@ def moments(spaces: DiscreteSpaces, block: str, f, derivs=None,
 
 def assemble_system(spec: ProblemSpec, spaces: DiscreteSpaces | None = None,
                     data: ProblemData | None = None,
-                    blocks: SystemBlocks | None = None) -> DiscreteSystem:
+                    blocks: dict | None = None) -> DiscreteSystem:
     """The symmetric saddle-point system and its right-hand side.
 
     Unknown order is (y, u, p_u, p_r1[, p_r2]). No system matrix is built
@@ -420,7 +409,7 @@ def assemble_system(spec: ProblemSpec, spaces: DiscreteSpaces | None = None,
     if spaces is None:
         spaces = build_spaces(spec)
     if blocks is None:
-        blocks = assemble_blocks(spec, spaces)
+        blocks = system_blocks(spec, spaces)
     if data is None:
         data = ProblemData()
     rhs = np.zeros(sum(spaces.block_dims))
@@ -444,7 +433,8 @@ def assemble_system(spec: ProblemSpec, spaces: DiscreteSpaces | None = None,
             raise ValueError("initial velocity data only exists for the wave problem")
         # keep the part K_R2 reaches: with K_R2 = e x F_x x F_y, project by
         # (F_x F_x^+) x (F_y F_y^+) onto range(K_R2) = range(F_x x F_y)
-        ranges = [f @ np.linalg.pinv(f) for f in blocks.k_r2.terms[0].factors[1:]]
+        ranges = [f @ np.linalg.pinv(f)
+                  for f in blocks["p_r2", "y"].terms[0].factors[1:]]
         rhs[spaces.block_slice("p_r2")] = mode_products(
             ranges, moments(spaces, "p_r2", data.y1))
     return DiscreteSystem(spec, spaces, blocks, rhs)

@@ -419,7 +419,6 @@ def cmd_export(args) -> int:
 
 def _add_common(parser, levels=False):
     parser.add_argument("--problem", choices=("heat", "wave"), default="wave")
-    parser.add_argument("--tol", type=float, default=1e-8)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--max-memory-gb", type=float, default=None)
     parser.add_argument("--output", default=None)
@@ -449,6 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="iteration-count grid over levels/alphas")
     _add_common(p_table, levels=True)
+    for solving in (p_run, p_table):
+        solving.add_argument("--tol", type=float, default=1e-8)
 
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument("--suite", choices=SUITES, default="all")

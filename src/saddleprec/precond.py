@@ -11,10 +11,12 @@ block realizes the weighted norm
 and is factorized by a sparse LU, as is the r1 Gram (a 2-D stiffness, not a
 pure tensor product); these two are the only blocks a solve materializes.
 The mass blocks are inverted by Kronecker products of the univariate factor
-inverses, applied by mode products. The dense reference is the Schur
-complement observation + sum_m K_m' P_m^{-1} K_m over the multiplier blocks
-m of the same P; it equals the sparse state block whenever the residual
-inclusion holds.
+inverses, applied by mode products. P reads the observation and the control
+mass from the system table of `assembly.system_blocks` and builds the r1
+Gram and the r2 mass, which A does not contain. The dense reference is the
+Schur complement observation + sum_m K_m' P_m^{-1} K_m over the multiplier
+blocks m of the same P, K_m the (m, y) entries of the system table; it
+equals the sparse state block whenever the residual inclusion holds.
 """
 
 from typing import NamedTuple
@@ -28,8 +30,8 @@ from .assembly import (
     DiscreteSpaces,
     DiscreteSystem,
     ProblemSpec,
-    SystemBlocks,
     h10_gram_form,
+    mass_form,
     mass_solver,
     residual_terms,
 )
@@ -93,11 +95,11 @@ def y_norm_gram(spec: ProblemSpec, spaces: DiscreteSpaces) -> sp.csr_matrix:
     return _symmetrize(residual + trace)
 
 
-def state_block(spec: ProblemSpec, spaces: DiscreteSpaces, blocks: SystemBlocks,
+def state_block(spec: ProblemSpec, spaces: DiscreteSpaces, blocks: dict,
                 alpha: float) -> sp.csr_matrix:
-    """The state block P_Y: observation + alpha * residual Gram + trace Grams."""
+    """P_Y: observation blocks["y", "y"] + alpha * residual Gram + trace Grams."""
     residual, trace = graph_norm_terms(spec, spaces)
-    observation = blocks.observation.materialize()
+    observation = blocks["y", "y"].materialize()
     return _symmetrize(observation + alpha * residual + trace)
 
 
@@ -118,7 +120,6 @@ class BlockDiagPreconditioner:
     """
 
     def __init__(self, spec, spaces, blocks):
-        self.spec = spec
         self.spaces = spaces
         self.alpha = a = spec.alpha
         p_y = state_block(spec, spaces, blocks, a)
@@ -126,16 +127,16 @@ class BlockDiagPreconditioner:
             y_lu = splu(p_y.tocsc())
         except RuntimeError as exc:  # pragma: no cover - signals an assembly bug
             raise ValueError(f"state block factorization failed: {exc}") from exc
-        r1_gram = blocks.r1_gram.materialize()
-        u_solver = mass_solver(spaces, "u")
+        r1_gram = h10_gram_form(spaces).materialize()
+        u_mass, u_solver = blocks["u", "u"], mass_solver(spaces, "u")
         self.table = {
             "y": DiagonalBlock(1.0, p_y, y_lu),
-            "u": DiagonalBlock(a, blocks.u_mass, u_solver),
-            "p_u": DiagonalBlock(1.0 / a, blocks.u_mass, u_solver),
+            "u": DiagonalBlock(a, u_mass, u_solver),
+            "p_u": DiagonalBlock(1.0 / a, u_mass, u_solver),
             "p_r1": DiagonalBlock(1.0, r1_gram, splu(r1_gram.tocsc())),
         }
         if spaces.has_r2:
-            self.table["p_r2"] = DiagonalBlock(1.0, blocks.r2_mass,
+            self.table["p_r2"] = DiagonalBlock(1.0, mass_form(spaces, "p_r2"),
                                                mass_solver(spaces, "p_r2"))
 
     @property
@@ -172,7 +173,7 @@ class BlockDiagPreconditioner:
 
 
 def build_preconditioner(spec: ProblemSpec, spaces: DiscreteSpaces,
-                         blocks: SystemBlocks) -> BlockDiagPreconditioner:
+                         blocks: dict) -> BlockDiagPreconditioner:
     """Assemble and factorize all diagonal blocks at alpha = spec.alpha."""
     return BlockDiagPreconditioner(spec, spaces, blocks)
 
@@ -184,14 +185,14 @@ def dual_grams(system: DiscreteSystem,
                precon: BlockDiagPreconditioner) -> dict:
     """Dense K_m' P_m^{-1} K_m on the state space for each multiplier block m.
 
-    K_m couples the state to block m (K_U, K_R1 [, K_R2]); P_m^{-1} is
+    K_m is the (m, y) entry of the system table; P_m^{-1} is
     `precon.solve_block`, so the p_u term is alpha K_U' M_U^{-1} K_U.
     """
-    b = system.blocks
     grams = {}
-    for name, k in zip(system.spaces.block_names[2:], [b.k_u] + b.couplings):
-        k = k.materialize().toarray()
-        grams[name] = k.T @ precon.solve_block(name, k)
+    for (name, col), k in system.blocks.items():
+        if col == "y" and name != "y":
+            k = k.materialize().toarray()
+            grams[name] = k.T @ precon.solve_block(name, k)
     return grams
 
 
@@ -202,9 +203,9 @@ def build_Ptilde_Y(system: DiscreteSystem,
     The observation plus `dual_grams`: the Schur complement of the system in
     the multiplier blocks of P. Refused beyond PTILDE_DIM_CAP state unknowns.
     """
-    dim_y = system.spaces.dim_y
+    dim_y = system.spaces.block_dim("y")
     if dim_y > PTILDE_DIM_CAP:
         raise ValueError(f"state dimension {dim_y} exceeds the dense "
                          f"reference cap {PTILDE_DIM_CAP}")
-    return (system.blocks.observation.materialize().toarray()
+    return (system.blocks["y", "y"].materialize().toarray()
             + sum(dual_grams(system, precon).values()))

@@ -135,9 +135,6 @@ class QuadratureRule:
     def flat_weights(self) -> np.ndarray:
         return self.weights.reshape(-1)
 
-    def integrate(self, values: np.ndarray) -> float:
-        return float(self.flat_weights @ np.asarray(values).reshape(-1))
-
 
 def gauss_rule(space: SplineSpace, n_points: int | None = None,
                sub: tuple[float, float] | None = None) -> QuadratureRule:

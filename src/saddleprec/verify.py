@@ -12,7 +12,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 from scipy.linalg import block_diag, eigh, null_space
 
-from .assembly import DiscreteSystem, assemble_system, mass_solver
+from .assembly import (DiscreteSystem, assemble_system, h10_gram_form,
+                       mass_form, mass_solver)
 from .splines import eval_basis_many, gauss_rule
 from .precond import (
     BlockDiagPreconditioner,
@@ -62,7 +63,7 @@ def measure_brezzi(system: DiscreteSystem, alpha: float | None = None) -> Brezzi
     spaces, blocks = system.spaces, system.blocks
     mat = assemble_system(spec_a, spaces, blocks=blocks).matrix
     metric = BlockDiagPreconditioner(spec_a, spaces, blocks).materialize()
-    k = spaces.dim_y + spaces.dim_u
+    k = spaces.block_dim("y") + spaces.block_dim("u")
     a_mat, b_mat = mat[:k, :k].toarray(), mat[k:, :k].toarray()
     n_x, n_m = metric[:k, :k].toarray(), metric[k:, k:].toarray()
 
@@ -110,7 +111,7 @@ def measure_discrete_K1(system: DiscreteSystem) -> StabilityReport:
     residual inclusion holds the two metrics coincide and c_K = 1.
     """
     spec, spaces = system.spec, system.spaces
-    if spaces.dim_y > DENSE_EIG_CAP:
+    if spaces.block_dim("y") > DENSE_EIG_CAP:
         raise ValueError("state dimension beyond the dense verification cap")
     precon = BlockDiagPreconditioner(replace(spec, alpha=1.0), spaces,
                                      system.blocks)
@@ -125,19 +126,23 @@ def measure_discrete_infsup(system: DiscreteSystem,
                             restrict_to_ker_ku: bool = False) -> StabilityReport:
     """Smallest weighted singular value of the initial-condition rows.
 
+    K_R stacks the (p_r1, y) [and (p_r2, y)] entries of the system table;
+    N_R is the r1 Gram [and the r2 mass] from the builders P uses.
     Optionally restricted to the kernel of the residual rows; an empty kernel
     is reported as degenerate rather than raised.
     """
     spec, spaces, blocks = system.spec, system.spaces, system.blocks
-    if spaces.dim_y > DENSE_EIG_CAP:
+    if spaces.block_dim("y") > DENSE_EIG_CAP:
         raise ValueError("state dimension beyond the dense verification cap")
     n_y = y_norm_gram(spec, spaces).toarray()
-    k_r = np.vstack([k.materialize().toarray() for k in blocks.couplings])
-    n_r = block_diag(*(g.materialize().toarray()
-                       for g in (blocks.r1_gram, blocks.r2_mass) if g is not None))
+    k_r = np.vstack([blocks[n, "y"].materialize().toarray()
+                     for n in spaces.block_names[3:]])
+    grams = [h10_gram_form(spaces)] + (
+        [mass_form(spaces, "p_r2")] if spaces.has_r2 else [])
+    n_r = block_diag(*(g.materialize().toarray() for g in grams))
 
     if restrict_to_ker_ku:
-        z = null_space(blocks.k_u.materialize().toarray())
+        z = null_space(blocks["p_u", "y"].materialize().toarray())
         if z.shape[1] == 0:
             return StabilityReport(np.nan, np.nan, np.nan, True, 0, True)
         kz = k_r @ z
@@ -207,7 +212,7 @@ def residual_on_grid(system: DiscreteSystem, y_coef: np.ndarray):
         e = eval_basis_many(space, x, d)
         return e[:, restrict] if restrict is not None else e
 
-    y3 = y_coef.reshape(spaces.y_shape)
+    y3 = y_coef.reshape(spaces.block_shape("y"))
     et = [ev(spaces.y_time, pts[0], d, None) for d in (0, dt)]
     ex = [ev(spaces.y_x, pts[1], d, spaces.ix) for d in (0, 2)]
     ey = [ev(spaces.y_y, pts[2], d, spaces.iy) for d in (0, 2)]
@@ -235,9 +240,10 @@ def inclusion_residuals(system: DiscreteSystem, n_samples: int = 20,
     rng = np.random.default_rng(seed)
     out = np.empty(n_samples)
     for i in range(n_samples):
-        yv = rng.standard_normal(spaces.dim_y)
+        yv = rng.standard_normal(spaces.block_dim("y"))
         vals, w3 = residual_on_grid(system, yv)
-        coef = solver.solve(blocks.k_u.apply(yv)).reshape(spaces.u_shape)
+        coef = solver.solve(blocks["p_u", "y"].apply(yv)).reshape(
+            spaces.block_shape("p_u"))
         proj = np.einsum("abc,ta,xb,yc->txy", coef, eu[0], eu[1], eu[2])
         norm_sq = float(np.sum(w3 * vals**2))
         defect_sq = float(np.sum(w3 * (vals - proj) ** 2))

@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 from scipy.linalg import orth
 
+from saddleprec import kron
 from saddleprec.assembly import (
     ProblemData,
     ProblemSpec,
     assemble_system,
     build_spaces,
     dof_count,
+    h10_gram_form,
     k_r2_form,
+    mass_form,
     moments,
     observation_form,
     project_state_l2,
@@ -47,17 +50,38 @@ def tensor_eval(coef3, spaces3, restrictions):
 def test_space_dimensions_wave():
     spec = ProblemSpec("wave", 2, 2, 1e-3)
     sp_ = build_spaces(spec)
-    assert (sp_.dim_y, sp_.dim_u, sp_.dim_r1, sp_.dim_r2) == (96, 1728, 16, 36)
+    assert tuple(map(sp_.block_dim, ("y", "u", "p_r1", "p_r2"))) == (
+        96, 1728, 16, 36)
     spec3 = ProblemSpec("wave", 3, 2, 1e-3)
     sp3 = build_spaces(spec3)
-    assert (sp3.dim_y, sp3.dim_u, sp3.dim_r1, sp3.dim_r2) == (175, 2197, 25, 49)
+    assert tuple(map(sp3.block_dim, ("y", "u", "p_r1", "p_r2"))) == (
+        175, 2197, 25, 49)
 
 
 def test_space_dimensions_heat():
     spec = ProblemSpec("heat", 2, 2, 1e-3)
     sp_ = build_spaces(spec)
-    assert (sp_.dim_y, sp_.dim_u, sp_.dim_r1) == (96, 1728, 16)
-    assert sp_.dim_r2 == 0
+    assert tuple(map(sp_.block_dim, ("y", "u", "p_r1"))) == (96, 1728, 16)
+    assert "p_r2" not in sp_.block_names
+    with pytest.raises(ValueError):
+        sp_.block_dim("p_r2")
+
+
+@pytest.mark.parametrize("lev", [0, 1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("kind", ["wave", "heat"])
+def test_block_dims_match_hand_formulas(kind, p, lev):
+    # the block sizes derived from BLOCK_FACTORS against formulas written out
+    # by hand: the H^1_0 restriction drops the two endpoint functions
+    s = build_spaces(ProblemSpec(kind, p, lev, 1e-3))
+    n_u = s.u_time.dim * s.u_x.dim * s.u_y.dim
+    expect = {"y": s.y_time.dim * (s.y_x.dim - 2) * (s.y_y.dim - 2),
+              "u": n_u, "p_u": n_u, "p_r1": (s.y_x.dim - 2) * (s.y_y.dim - 2)}
+    if kind == "wave":
+        expect["p_r2"] = s.y_x.dim * s.y_y.dim
+    assert s.block_names == tuple(expect)
+    assert s.block_dims == tuple(expect.values())
+    assert s.block_shape("y") == (s.y_time.dim, s.y_x.dim - 2, s.y_y.dim - 2)
 
 
 def test_dof_counts_match_reference_tables():
@@ -124,7 +148,7 @@ def test_K_U_matches_pointwise_quadrature_oracle(kind, p):
     system = assemble_system(spec)
     sp_ = system.spaces
     rng = np.random.default_rng(21)
-    yv = rng.standard_normal(sp_.dim_y)
+    yv = rng.standard_normal(sp_.block_dim("y"))
     # oracle: sample the residual on the exact Gauss grid and integrate it
     # against every control basis function
     vals, w3 = residual_on_grid(system, yv)
@@ -132,7 +156,7 @@ def test_K_U_matches_pointwise_quadrature_oracle(kind, p):
     eu = [eval_basis_many(s, r.flat_points, 0)
           for s, r in zip((sp_.u_time, sp_.u_x, sp_.u_y), rules)]
     oracle = np.einsum("txy,ta,xb,yc->abc", w3 * vals, *eu).reshape(-1)
-    got = system.blocks.k_u.apply(yv)
+    got = system.blocks["p_u", "y"].apply(yv)
     assert np.allclose(got, oracle, atol=1e-12 * np.abs(oracle).max())
 
 
@@ -154,12 +178,13 @@ def test_inclusion_defect_independent_lstsq_oracle():
     system = assemble_system(spec)
     sp_ = system.spaces
     rng = np.random.default_rng(3)
-    yv = rng.standard_normal(sp_.dim_y)
+    yv = rng.standard_normal(sp_.block_dim("y"))
     vals, w3 = residual_on_grid(system, yv)
     rules = [gauss_rule(s) for s in (sp_.u_time, sp_.u_x, sp_.u_y)]
     eu = [eval_basis_many(s, r.flat_points, 0)
           for s, r in zip((sp_.u_time, sp_.u_x, sp_.u_y), rules)]
-    basis = np.einsum("ta,xb,yc->txyabc", *eu).reshape(vals.size, sp_.dim_u)
+    basis = np.einsum("ta,xb,yc->txyabc", *eu).reshape(vals.size,
+                                                       sp_.block_dim("u"))
     sw = np.sqrt(w3.reshape(-1))
     sol, *_ = np.linalg.lstsq(sw[:, None] * basis, sw * vals.reshape(-1),
                               rcond=None)
@@ -174,9 +199,10 @@ def test_K_R1_zero_rows_for_vanishing_initial_trace():
     system = assemble_system(spec, sp_)
     # time coefficient zero on the first basis function: y(0) = 0
     rng = np.random.default_rng(4)
-    y3 = rng.standard_normal(sp_.y_shape)
+    y3 = rng.standard_normal(sp_.block_shape("y"))
     y3[0, :, :] = 0.0
-    assert np.max(np.abs(system.blocks.k_r1.apply(y3.reshape(-1)))) < 1e-13
+    k_r1 = system.blocks["p_r1", "y"]
+    assert np.max(np.abs(k_r1.apply(y3.reshape(-1)))) < 1e-13
 
 
 def test_K_R1_separable_state_gives_stiffness_column():
@@ -185,10 +211,10 @@ def test_K_R1_separable_state_gives_stiffness_column():
     system = assemble_system(spec, sp_)
     nx, ny = len(sp_.ix), len(sp_.iy)
     for j in (0, 5, nx * ny - 1):
-        y3 = np.zeros(sp_.y_shape)
+        y3 = np.zeros(sp_.block_shape("y"))
         y3[0, j // ny, j % ny] = 1.0  # first time basis: value 1 at t = 0
-        got = system.blocks.k_r1.apply(y3.reshape(-1))
-        expect = system.blocks.r1_gram.materialize().toarray()[:, j]
+        got = system.blocks["p_r1", "y"].apply(y3.reshape(-1))
+        expect = h10_gram_form(sp_).materialize().toarray()[:, j]
         assert np.allclose(got, expect, atol=1e-13)
 
 
@@ -197,11 +223,11 @@ def test_K_R1_pairing_matches_quadrature():
     sp_ = build_spaces(spec)
     system = assemble_system(spec, sp_)
     rng = np.random.default_rng(5)
-    yv = rng.standard_normal(sp_.dim_y)
-    rv = rng.standard_normal(sp_.dim_r1)
+    yv = rng.standard_normal(sp_.block_dim("y"))
+    rv = rng.standard_normal(sp_.block_dim("p_r1"))
     # quadrature oracle for (grad y(0), grad r)
     e0 = eval_basis_many(sp_.y_time, [sp_.y_time.a], 0)[0]
-    spat = np.einsum("a,abc->bc", e0, yv.reshape(sp_.y_shape))
+    spat = np.einsum("a,abc->bc", e0, yv.reshape(sp_.block_shape("y")))
     rules = [gauss_rule(sp_.y_x), gauss_rule(sp_.y_y)]
     ex = [eval_basis_many(sp_.y_x, rules[0].flat_points, d)[:, sp_.ix]
           for d in (0, 1)]
@@ -215,7 +241,8 @@ def test_K_R1_pairing_matches_quadrature():
 
     oracle = np.sum(w2 * (grad(spat, 0) * grad(r2, 0)
                           + grad(spat, 1) * grad(r2, 1)))
-    assert rv @ system.blocks.k_r1.apply(yv) == pytest.approx(oracle, rel=1e-12)
+    k_r1 = system.blocks["p_r1", "y"]
+    assert rv @ k_r1.apply(yv) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_K_R2_time_constant_state_gives_zero():
@@ -224,8 +251,9 @@ def test_K_R2_time_constant_state_gives_zero():
     system = assemble_system(spec, sp_)
     rng = np.random.default_rng(6)
     spatial = rng.standard_normal((len(sp_.ix), len(sp_.iy)))
-    y3 = np.broadcast_to(spatial, sp_.y_shape).copy()  # constant in time
-    assert np.max(np.abs(system.blocks.k_r2.apply(y3.reshape(-1)))) < 1e-12
+    y3 = np.broadcast_to(spatial, sp_.block_shape("y")).copy()  # constant in time
+    k_r2 = system.blocks["p_r2", "y"]
+    assert np.max(np.abs(k_r2.apply(y3.reshape(-1)))) < 1e-12
 
 
 def _spatial_eval(coef2, sp_, x, y):
@@ -248,7 +276,7 @@ def test_K_R2_linear_time_state_gives_mass_column():
     rng = np.random.default_rng(7)
     spatial = rng.standard_normal((len(sp_.ix), len(sp_.iy)))
     y3 = tcoef[:, None, None] * spatial[None, :, :]
-    got = system.blocks.k_r2.apply(y3.reshape(-1))
+    got = system.blocks["p_r2", "y"].apply(y3.reshape(-1))
     # d_t y(0) = spatial part; oracle through the 2-D mass moments
     oracle = moments(sp_, "p_r2", lambda x, y: _spatial_eval(spatial, sp_, x, y))
     assert np.allclose(got, oracle, atol=1e-12 * max(np.abs(oracle).max(), 1.0))
@@ -271,7 +299,7 @@ def test_observation_quadratic_form_at_indicator_state():
     spec = ProblemSpec("wave", 2, 2, 1e-3)
     sp_ = build_spaces(spec)
     obs = observation_form(spec, sp_)
-    ones = np.ones(sp_.dim_y)
+    ones = np.ones(sp_.block_dim("y"))
     assert ones @ obs.apply(ones) == pytest.approx(0.25, rel=1e-12)
     assert obs.materialize().diagonal().sum() > 0
 
@@ -332,13 +360,39 @@ def test_blockwise_apply_matches_sparse_matrix(blocks_by_case, kind, p, lev,
 
 def test_system_matrix_built_on_first_read_only():
     system = assemble_system(ProblemSpec("wave", 2, 1, 1e-3))
-    assert all(isinstance(getattr(system.blocks, f.name), KroneckerMatrix)
-               for f in dataclasses.fields(system.blocks))
+    assert all(isinstance(k, KroneckerMatrix) for k in system.blocks.values())
     assert "matrix" not in vars(system)
     system.apply(np.ones(system.dim))
     assert "matrix" not in vars(system)
     m = system.matrix
     assert system.matrix is m
+
+
+@pytest.mark.parametrize("kind,mode_products", [("wave", 15), ("heat", 13)])
+def test_apply_fuses_shared_operators_and_plans_once(monkeypatch, kind,
+                                                     mode_products):
+    # one mode product per Kronecker term of each distinct operator in a
+    # block row: the control mass acts once on alpha u + p_u (one more call
+    # per apply if it acted on u and p_u apart)
+    system = assemble_system(ProblemSpec(kind, 2, 1, 1e-3))
+    v = np.random.default_rng(11).standard_normal(system.dim)
+    calls = {"mode_products": 0, "add": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(kron, "mode_products",
+                        counted("mode_products", kron.mode_products))
+    first = system.apply(v)
+    assert calls["mode_products"] == mode_products
+    # the plan, transposes included, is built once per system
+    monkeypatch.setattr(KroneckerMatrix, "add",
+                        counted("add", KroneckerMatrix.add))
+    assert np.array_equal(system.apply(v), first)
+    assert calls["add"] == 0
 
 
 def test_homogeneous_system_zero_rhs_and_instant_convergence():
@@ -364,7 +418,7 @@ def test_project_state_reproduces_member_function():
     spec = ProblemSpec("wave", 2, 2, 1e-3)
     sp_ = build_spaces(spec)
     rng = np.random.default_rng(8)
-    coef = rng.standard_normal(sp_.y_shape)
+    coef = rng.standard_normal(sp_.block_shape("y"))
     f = tensor_eval(coef, [sp_.y_time, sp_.y_x, sp_.y_y],
                     [None, sp_.ix, sp_.iy])
     got = project_state_l2(sp_, f)
@@ -389,8 +443,8 @@ def test_rhs_moments_for_member_data():
     spec = ProblemSpec("wave", 2, 2, 1e-3)
     sp_ = build_spaces(spec)
     rng = np.random.default_rng(10)
-    y0c = rng.standard_normal(sp_.dim_r1)
-    y1c = rng.standard_normal(sp_.dim_r2)
+    y0c = rng.standard_normal(sp_.block_dim("p_r1"))
+    y1c = rng.standard_normal(sp_.block_dim("p_r2"))
 
     def y0(x, y):
         return _spatial_eval(y0c.reshape(len(sp_.ix), len(sp_.iy)), sp_, x, y)
@@ -414,13 +468,14 @@ def test_rhs_moments_for_member_data():
     system = assemble_system(spec, sp_, data=data)
     r1 = system.rhs[system.spaces.block_slice("p_r1")]
     r2 = system.rhs[system.spaces.block_slice("p_r2")]
-    assert np.allclose(r1, system.blocks.r1_gram.apply(y0c), atol=1e-12)
+    assert np.allclose(r1, h10_gram_form(sp_).apply(y0c), atol=1e-12)
     # unrestricted y1: Q Q' (M_R2 y1c), Q an orthonormal basis of each
     # factor's range (independent of the pseudo-inverse projector)
     qx, qy = (orth(sp_.factor(r, c)) for r, c in (("r2_x", "y_x"),
                                                  ("r2_y", "y_y")))
     proj = np.kron(qx @ qx.T, qy @ qy.T)
-    full = system.blocks.r2_mass.apply(y1c)
+    r2_mass = mass_form(sp_, "p_r2")
+    full = r2_mass.apply(y1c)
     assert np.allclose(r2, proj @ full, atol=1e-12)
     assert np.linalg.norm(r2 - full) > 1e-3 * np.linalg.norm(full)
     # y1 in the H^1_0 spatial space: K_R2 reaches its moments, none dropped
@@ -428,7 +483,7 @@ def test_rhs_moments_for_member_data():
     y1r[np.ix_(sp_.ix, sp_.iy)] = rng.standard_normal((len(sp_.ix), len(sp_.iy)))
     system = assemble_system(spec, sp_, data=ProblemData(y1=velocity(y1r)))
     r2 = system.rhs[system.spaces.block_slice("p_r2")]
-    assert np.allclose(r2, system.blocks.r2_mass.apply(y1r.reshape(-1)),
+    assert np.allclose(r2, r2_mass.apply(y1r.reshape(-1)),
                        atol=1e-12)
 
 
@@ -477,7 +532,7 @@ def test_coarsest_level_assembles_and_solves():
 
     spec = ProblemSpec("wave", 2, 0, 1e-3)
     sp_ = build_spaces(spec)
-    assert sp_.dim_y == 3
+    assert sp_.block_dim("y") == 3
     system = assemble_system(spec, sp_)
     precon = build_preconditioner(spec, sp_, system.blocks)
     x0 = random_start(system.dim, 1)

@@ -148,7 +148,7 @@ def test_table_multiple_degrees(capsys):
     assert out.count("| level") == 2  # one grid per degree
 
 
-def test_config_error_exit_code(capsys, monkeypatch):
+def test_config_error_exit_code(capsys, monkeypatch, tmp_path):
     def no_solve(*args):
         raise AssertionError("a configuration error reached the solve")
 
@@ -168,6 +168,12 @@ def test_config_error_exit_code(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["table", "--alphas"])  # empty list rejected by the parser
     assert exc.value.code == 2
+    # export solves nothing, so its parser has no --tol to ignore
+    out = tmp_path / "export"
+    with pytest.raises(SystemExit) as exc:
+        main(["export", "--level", "1", "--tol", "0", "--export-dir", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 def test_memory_gate_refuses_level_four(capsys):
@@ -207,7 +213,7 @@ def test_memory_estimate_covers_held_blocks(kind, p, lev):
     system = assemble_system(spec, spaces)
     precon = build_preconditioner(spec, spaces, system.blocks)
     factorized = {"P_Y": precon.block_matrix("y"),
-                  "r1_gram": system.blocks.r1_gram.materialize()}
+                  "r1_gram": precon.block_matrix("p_r1")}
     # the counts are exact, and the flat fill bounds both LUs
     assert solve_nnz(spec) == {name: m.nnz for name, m in factorized.items()}
     lus = {"P_Y": precon.table["y"].solver, "r1_gram": precon.table["p_r1"].solver}
@@ -220,7 +226,9 @@ def test_memory_estimate_covers_held_blocks(kind, p, lev):
                                         for f in (lu.L, lu.U)]
     solvers = [precon.table[n].solver for n in spaces.block_names
                if n not in ("y", "p_r1")]
-    sums = [km for km in vars(system.blocks).values() if km is not None]
+    sums = list(system.blocks.values())
+    sums += [precon.table[n].matrix for n in spaces.block_names
+             if n not in ("y", "p_r1")]
     sums += [s._inverse for s in solvers]
     total = (sum(_held_bytes(m) for m in mats) + _factor_bytes(sums)
              + 8 * WORK_VECTORS * system.dim)
@@ -242,8 +250,8 @@ def test_solve_materializes_only_the_factorized_blocks(monkeypatch):
     spec = ProblemSpec("wave", 2, 2, 1e-6)
     spaces = build_spaces(spec)
     assert solve_once(spec, 1e-8)["converged"]
-    assert set(shapes) == {(spaces.dim_y, spaces.dim_y),
-                           (spaces.dim_r1, spaces.dim_r1)}
+    n_y, n_r1 = spaces.block_dim("y"), spaces.block_dim("p_r1")
+    assert set(shapes) == {(n_y, n_y), (n_r1, n_r1)}
 
 
 def test_export_round_trip(tmp_path, capsys):

@@ -5,7 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from saddleprec.assembly import ProblemSpec, assemble_system, build_spaces
+from saddleprec.assembly import (
+    ProblemSpec,
+    assemble_system,
+    build_spaces,
+    mass_form,
+)
 from saddleprec.precond import (
     build_preconditioner,
     build_Ptilde_Y,
@@ -21,7 +26,8 @@ def _eval_state(sp_, coef, tpts, xpts, ypts, dt=0, dx=0, dy=0):
     et = eval_basis_many(sp_.y_time, tpts, dt)
     ex = eval_basis_many(sp_.y_x, xpts, dx)[:, sp_.ix]
     ey = eval_basis_many(sp_.y_y, ypts, dy)[:, sp_.iy]
-    return np.einsum("abc,ta,xb,yc->txy", coef.reshape(sp_.y_shape), et, ex, ey)
+    return np.einsum("abc,ta,xb,yc->txy", coef.reshape(sp_.block_shape("y")),
+                     et, ex, ey)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -34,7 +40,7 @@ def test_state_block_terms_match_quadrature(p):
     precon = build_preconditioner(spec, sp_, system.blocks)
     p_y = precon.block_matrix("y").toarray()
     rng = np.random.default_rng(23)
-    yv = rng.standard_normal(sp_.dim_y)
+    yv = rng.standard_normal(sp_.block_dim("y"))
 
     # term 1: observation over the sub-cylinder
     (wx, wy) = spec.omega
@@ -87,7 +93,8 @@ def test_full_block_vector_form_is_sum_of_named_terms():
                       gauss_rule(sp_.u_y))
         evals = [eval_basis_many(s, r.flat_points, 0)
                  for s, r in ((sp_.u_time, rt), (sp_.u_x, rx), (sp_.u_y, ry))]
-        vals = np.einsum("abc,ta,xb,yc->txy", coef.reshape(sp_.u_shape), *evals)
+        vals = np.einsum("abc,ta,xb,yc->txy",
+                         coef.reshape(sp_.block_shape("u")), *evals)
         w3 = (rt.flat_weights[:, None, None] * rx.flat_weights[None, :, None]
               * ry.flat_weights[None, None, :])
         return np.sum(w3 * vals**2)
@@ -118,7 +125,7 @@ def test_heat_state_block_has_no_velocity_trace(p):
     precon = build_preconditioner(spec, sp_, system.blocks)
     p_y = precon.block_matrix("y").toarray()
     rng = np.random.default_rng(24)
-    yv = rng.standard_normal(sp_.dim_y)
+    yv = rng.standard_normal(sp_.block_dim("y"))
 
     (wx, wy) = spec.omega
     rt, rx, ry = (gauss_rule(sp_.y_time), gauss_rule(sp_.y_x, sub=wx),
@@ -149,7 +156,7 @@ def test_state_block_is_the_factorized_block(kind, alpha):
     precon = build_preconditioner(dataclasses.replace(spec, alpha=alpha), sp_,
                                   system.blocks)
     held = precon.block_matrix("y")
-    assert direct.shape == held.shape == (sp_.dim_y, sp_.dim_y)
+    assert direct.shape == held.shape == (sp_.block_dim("y"), sp_.block_dim("y"))
     assert np.array_equal(direct.toarray(), held.toarray())
     assert (direct != direct.T).nnz == 0
 
@@ -162,7 +169,7 @@ def test_alpha_scaling_of_blocks():
     p2 = build_preconditioner(dataclasses.replace(spec, alpha=1e-3), sp_,
                               system.blocks)
     rng = np.random.default_rng(25)
-    u = rng.standard_normal(sp_.dim_u)
+    u = rng.standard_normal(sp_.block_dim("u"))
     q1 = u @ (p1.block_matrix("u") @ u)
     q2 = u @ (p2.block_matrix("u") @ u)
     assert q2 == pytest.approx(q1 / 10.0, rel=1e-13)
@@ -220,12 +227,12 @@ def test_kron_blocks_match_dense_solves():
     rng = np.random.default_rng(28)
     r = rng.standard_normal(precon.dim)
     x = precon.apply_inverse(r)
-    u_slice = slice(sp_.dim_y, sp_.dim_y + sp_.dim_u)
-    dense_u = precon.alpha * system.blocks.u_mass.materialize().toarray()
+    u_slice = slice(sp_.block_dim("y"), sp_.block_dim("y") + sp_.block_dim("u"))
+    dense_u = precon.alpha * system.blocks["u", "u"].materialize().toarray()
     assert np.allclose(x[u_slice], np.linalg.solve(dense_u, r[u_slice]),
                        rtol=1e-10)
-    r2_slice = slice(precon.dim - sp_.dim_r2, precon.dim)
-    dense_r2 = system.blocks.r2_mass.materialize().toarray()
+    r2_slice = slice(precon.dim - sp_.block_dim("p_r2"), precon.dim)
+    dense_r2 = mass_form(sp_, "p_r2").materialize().toarray()
     assert np.allclose(x[r2_slice], np.linalg.solve(dense_r2, r[r2_slice]),
                        rtol=1e-10)
 
