@@ -15,19 +15,32 @@ from scipy.linalg import block_diag, eigh, subspace_angles
 from scipy.optimize import brentq
 
 MAX_TOTAL_DIM = 64
-SYM_RTOL = 1e-12
-PSD_RTOL = 1e-10
+# every tolerance relative to the spectral norm of the matrix tested
+SYM_RTOL = 1e-12  # largest asymmetry
+PSD_RTOL = 1e-10  # semidefinite: smallest eigenvalue at least -PSD_RTOL
+SPD_RTOL = 1e-12  # definite: smallest eigenvalue above SPD_RTOL
 
 
-def _check_symmetric_psd(mat: np.ndarray, what: str) -> None:
+def is_definite(mat, what: str, strict: bool = True) -> bool:
+    """Whether the symmetric `mat` is positive definite (`strict`) or
+    semidefinite, to the relative tolerances above; the zero matrix is
+    semidefinite only. Refuses a `mat` that is not symmetric."""
     nrm = np.linalg.norm(mat, 2) if mat.size else 0.0
     if nrm == 0.0:
-        return
+        return not strict
     if np.max(np.abs(mat - mat.T)) > SYM_RTOL * nrm:
         raise ValueError(f"{what} is not symmetric")
-    lo = eigh(mat, eigvals_only=True, subset_by_index=[0, 0])[0]
-    if lo < -PSD_RTOL * nrm:
-        raise ValueError(f"{what} has eigenvalue {lo:g} below the PSD tolerance")
+    lo = eigh(mat, eigvals_only=True, subset_by_index=[0, 0])[0] / nrm
+    return bool(lo > SPD_RTOL) if strict else bool(lo >= -PSD_RTOL)
+
+
+def require_definite(mat, what: str, strict: bool = True) -> np.ndarray:
+    """`mat` as a float array, refused unless `is_definite`."""
+    mat = np.asarray(mat, dtype=float)
+    if not is_definite(mat, what, strict):
+        raise ValueError(f"{what} is not positive "
+                         f"{'definite' if strict else 'semidefinite'}")
+    return mat
 
 
 @dataclass
@@ -55,7 +68,7 @@ class BlockTridiagonalSystem:
         for i, a in enumerate(self.diag):
             if a.shape[0] != a.shape[1]:
                 raise ValueError(f"diagonal block {i} is not square")
-            _check_symmetric_psd(a, f"diagonal block {i}")
+            require_definite(a, f"diagonal block {i}", strict=False)
         for i, b in enumerate(self.off):
             expect = (self.block_dims[i + 1], self.block_dims[i])
             if b.shape != expect:
@@ -188,17 +201,10 @@ def c_from_gamma(gamma_lo: float, gamma_hi: float):
 
 
 def _check_inner_product_blocks(blocks, dims):
-    blocks = [np.asarray(p, dtype=float) for p in blocks]
-    if [p.shape[0] for p in blocks] != list(dims):
+    if [len(p) for p in blocks] != list(dims):
         raise ValueError("inner-product blocks do not conform to block dims")
-    for i, p in enumerate(blocks):
-        nrm = np.linalg.norm(p, 2)
-        if np.max(np.abs(p - p.T)) > SYM_RTOL * max(nrm, 1e-300):
-            raise ValueError(f"inner-product block {i} is not symmetric")
-        lo = eigh(p, eigvals_only=True, subset_by_index=[0, 0])[0]
-        if lo <= 0:
-            raise ValueError(f"inner-product block {i} is not positive definite")
-    return blocks
+    return [require_definite(p, f"inner-product block {i}")
+            for i, p in enumerate(blocks)]
 
 
 def measure_c(sys: BlockTridiagonalSystem, inner_blocks):

@@ -9,21 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import block_diag, eigh
 
-from .blocksys import BlockTridiagonalSystem, gamma_pencil
-
-SPD_RTOL = 1e-12
-PSD_DECISION_RTOL = 1e-10
-
-
-def _require_spd(mat: np.ndarray, what: str) -> np.ndarray:
-    mat = np.asarray(mat, dtype=float)
-    nrm = np.linalg.norm(mat, 2)
-    if nrm == 0.0 or np.max(np.abs(mat - mat.T)) > 1e-12 * nrm:
-        raise ValueError(f"{what} must be symmetric and nonzero")
-    lo = eigh(mat, eigvals_only=True, subset_by_index=[0, 0])[0]
-    if lo <= SPD_RTOL * nrm:
-        raise ValueError(f"{what} is not positive definite")
-    return mat
+from .blocksys import (BlockTridiagonalSystem, gamma_pencil, is_definite,
+                       require_definite)
 
 
 @dataclass
@@ -35,8 +22,8 @@ class SchurInstance:
     c: np.ndarray
 
     def __post_init__(self):
-        self.a = _require_spd(self.a, "A")
-        self.c = _require_spd(self.c, "C")
+        self.a = require_definite(self.a, "A")
+        self.c = require_definite(self.c, "C")
         self.b = np.asarray(self.b, dtype=float)
         if self.b.shape != (self.c.shape[0], self.a.shape[0]):
             raise ValueError("B must map V into Q'")
@@ -56,9 +43,9 @@ class Block2x2Instance:
         self.m11 = np.asarray(self.m11, dtype=float)
         self.m12 = np.asarray(self.m12, dtype=float)
         self.m22 = np.asarray(self.m22, dtype=float)
-        self.d11 = _require_spd(self.d11, "D11")
-        self.d22 = _require_spd(self.d22, "D22")
-        _require_spd(self.full(), "assembled 2x2 operator")
+        self.d11 = require_definite(self.d11, "D11")
+        self.d22 = require_definite(self.d22, "D22")
+        require_definite(self.full(), "assembled 2x2 operator")
 
     def full(self) -> np.ndarray:
         return np.block([[self.m11, self.m12], [self.m12.T, self.m22]])
@@ -89,13 +76,9 @@ def domination_equivalence(inst: SchurInstance):
     """
     s1 = inst.c - inst.b @ np.linalg.solve(inst.a, inst.b.T)
     s2 = inst.a - inst.b.T @ np.linalg.solve(inst.c, inst.b)
-
-    def is_psd(mat):
-        nrm = np.linalg.norm(mat, 2)
-        lo = eigh(mat, eigvals_only=True, subset_by_index=[0, 0])[0]
-        return bool(lo >= -PSD_DECISION_RTOL * max(nrm, 1.0))
-
-    return is_psd(s1), is_psd(s2)
+    # both differences are symmetric in exact arithmetic
+    return tuple(is_definite((s + s.T) / 2, what, strict=False)
+                 for s, what in ((s1, "C - B A^-1 B'"), (s2, "A - B' C^-1 B")))
 
 
 def block2x2_equivalence_check(inst: Block2x2Instance):

@@ -231,6 +231,13 @@ def test_measure_rejects_bad_inner_products():
         measure_c(sys_, [np.zeros((1, 1)), np.eye(1)])
     with pytest.raises(ValueError):
         measure_gamma(sys_, [np.eye(1)])
+    # definite only to roundoff relative to its norm: refused, as
+    # spectral.SchurInstance refuses it, not measured as c_hi = 1e14
+    sys2 = BlockTridiagonalSystem([np.eye(2), np.eye(2)], [np.eye(2)])
+    near_singular = [np.diag([1.0, 1e-14]), np.eye(2)]
+    for measure in (measure_c, measure_gamma):
+        with pytest.raises(ValueError, match="not positive definite"):
+            measure(sys2, near_singular)
 
 
 def _roundtrip_instances(count, seed):

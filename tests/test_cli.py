@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from saddleprec import cli, matrixio
+from saddleprec import blocksys, cli, matrixio
 from saddleprec.cli import (
     BASE_GB,
     CSV_COLUMNS,
@@ -136,7 +136,19 @@ def test_verify_structured_csv(tmp_path, capsys):
     assert {"suite", "metric", "value"} == set(rows[0])
     by_metric = {r["metric"]: float(r["value"]) for r in rows}
     assert by_metric["passed"] == 1.0
-    assert 0.29 <= by_metric["quarter_circle_minimum"] <= 0.30
+    assert by_metric["quarter_circle_minimum"] == blocksys.phi_min()
+
+
+def test_verify_failed_check_exits_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(blocksys, "phi_min", lambda: 0.5)
+    path = tmp_path / "report.csv"
+    rc = main(["verify", "--suite", "theorem22", "--output", str(path)])
+    assert rc == 1
+    assert "## suite theorem22: [FAIL]" in capsys.readouterr().out
+    with open(path) as fh:
+        by_metric = {r["metric"]: float(r["value"]) for r in csv.DictReader(fh)}
+    assert by_metric["passed"] == 0.0
+    assert by_metric["quarter_circle_minimum"] == 0.5
 
 
 def test_table_multiple_degrees(capsys):
@@ -174,6 +186,10 @@ def test_config_error_exit_code(capsys, monkeypatch, tmp_path):
         main(["export", "--level", "1", "--tol", "0", "--export-dir", str(out)])
     assert exc.value.code == 2
     assert not out.exists()
+    # verify measures fixed instances: it has no --level to ignore or clamp
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--level", "3"])
+    assert exc.value.code == 2
 
 
 def test_memory_gate_refuses_level_four(capsys):
