@@ -42,9 +42,10 @@ CSV_COLUMNS = ("problem", "p", "level", "alpha", "dofs", "iterations",
 
 # bytes per stored nonzero: a float64 value and an index of up to 8 bytes
 BYTES_PER_NNZ = 16
-# (L + U) nnz over matrix nnz of the sparse LUs. Measured on the state block
-# at p=2: 1.6, 3.4, 11.2 and 24.2 at levels 2-5; at p=3: 2.8 at level 3 and
-# 7.3 at level 4. It grows with the level; this covers every measured case.
+# SuperLU.nnz over matrix nnz of the nested-dissection LUs. Measured on the
+# state block at p=2: 1.4, 2.9, 7.4 and 17.4 at levels 2-5; at p=3: 1.2, 2.3
+# and 5.5 at levels 2-4; the r1 Gram stays below. It grows with the level;
+# this covers every measured case.
 LU_FILL = 25.0
 # length-dofs float64 vectors alive at once: the MINRES recurrence, the
 # true-residual checks, the block applies and the preconditioner solve

@@ -10,6 +10,10 @@ block realizes the weighted norm
 
 and is factorized by a sparse LU, as is the r1 Gram (a 2-D stiffness, not a
 pure tensor product); these two are the only blocks a solve materializes.
+Both LUs run in the geometric nested-dissection order of the block's tensor
+grid (`nested_dissection`, after George, SINUM 1973) without pivoting: the
+blocks are SPD, and a state-space basis function couples only with those
+within p indices per axis, so a slab of p grid planes separates the grid.
 The mass blocks are inverted by Kronecker products of the univariate factor
 inverses, applied by mode products. P reads the observation and the control
 mass from the system table of `assembly.system_blocks` and builds the r1
@@ -19,6 +23,7 @@ blocks m of the same P, K_m the (m, y) entries of the system table; it
 equals the sparse state block whenever the residual inclusion holds.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -103,37 +108,83 @@ def state_block(spec: ProblemSpec, spaces: DiscreteSpaces, blocks: dict,
     return _symmetrize(observation + alpha * residual + trace)
 
 
+# unknowns at which `nested_dissection` stops splitting
+ND_LEAF = 64
+
+
+def nested_dissection(shape: tuple, p: int) -> np.ndarray:
+    """Nested-dissection order of the C-ordered tensor grid `shape`.
+
+    The longest axis is split by a separator slab of p planes; the two
+    halves are ordered first, recursively, and the separator last. Blocks of
+    at most ND_LEAF unknowns keep their natural order.
+    """
+    order = []
+
+    def visit(block):
+        n = max(block.shape)
+        if block.size <= ND_LEAF or n <= p:
+            order.append(block.ravel())
+            return
+        axis = block.shape.index(n)
+        left, sep, right = np.split(block, [(n - p) // 2, (n + p) // 2], axis=axis)
+        visit(left)
+        visit(right)
+        order.append(sep.ravel())
+
+    visit(np.arange(math.prod(shape)).reshape(shape))
+    return np.concatenate(order)
+
+
+class OrderedLU:
+    """Unpivoted sparse LU of an SPD block in the `nested_dissection` order
+    of its tensor grid `shape`."""
+
+    def __init__(self, mat: sp.spmatrix, shape: tuple, p: int):
+        self.perm = nested_dissection(shape, p)
+        try:
+            self.lu = splu(mat[self.perm][:, self.perm].tocsc(),
+                           permc_spec="NATURAL", diag_pivot_thresh=0,
+                           options=dict(SymmetricMode=True))
+        except RuntimeError as exc:  # pragma: no cover - signals an assembly bug
+            raise ValueError(f"block factorization failed: {exc}") from exc
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """Solve with the unpermuted block; r may carry extra columns."""
+        x = np.empty(r.shape)
+        x[self.perm] = self.lu.solve(r[self.perm])
+        return x
+
+
 class DiagonalBlock(NamedTuple):
     """One block of P: scale * matrix, inverted as solver.solve(r) / scale."""
 
     scale: float
     matrix: object  # sparse matrix or KroneckerMatrix, unscaled
-    solver: object  # SuperLU or KroneckerSolver of the unscaled matrix
+    solver: object  # OrderedLU or KroneckerSolver of the unscaled matrix
 
 
 class BlockDiagPreconditioner:
     """Factored diagonal blocks of the preconditioner at alpha = spec.alpha.
 
     `table` maps each block name to its `DiagonalBlock`: P_Y from
-    `state_block` and the r1 Gram with sparse LUs, the mass blocks as
+    `state_block` and the r1 Gram with `OrderedLU`s, the mass blocks as
     Kronecker sums with their `mass_solver`.
     """
 
     def __init__(self, spec, spaces, blocks):
         self.spaces = spaces
         self.alpha = a = spec.alpha
+        p = spec.degree  # separator width of the nested dissections
         p_y = state_block(spec, spaces, blocks, a)
-        try:
-            y_lu = splu(p_y.tocsc())
-        except RuntimeError as exc:  # pragma: no cover - signals an assembly bug
-            raise ValueError(f"state block factorization failed: {exc}") from exc
         r1_gram = h10_gram_form(spaces).materialize()
         u_mass, u_solver = blocks["u", "u"], mass_solver(spaces, "u")
         self.table = {
-            "y": DiagonalBlock(1.0, p_y, y_lu),
+            "y": DiagonalBlock(1.0, p_y, OrderedLU(p_y, spaces.block_shape("y"), p)),
             "u": DiagonalBlock(a, u_mass, u_solver),
             "p_u": DiagonalBlock(1.0 / a, u_mass, u_solver),
-            "p_r1": DiagonalBlock(1.0, r1_gram, splu(r1_gram.tocsc())),
+            "p_r1": DiagonalBlock(1.0, r1_gram,
+                                  OrderedLU(r1_gram, spaces.block_shape("p_r1"), p)),
         }
         if spaces.has_r2:
             self.table["p_r2"] = DiagonalBlock(1.0, mass_form(spaces, "p_r2"),

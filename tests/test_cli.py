@@ -230,23 +230,28 @@ def test_memory_estimate_covers_held_blocks(kind, p, lev):
     precon = build_preconditioner(spec, spaces, system.blocks)
     factorized = {"P_Y": precon.block_matrix("y"),
                   "r1_gram": precon.block_matrix("p_r1")}
-    # the counts are exact, and the flat fill bounds both LUs
+    # the counts are exact, and the flat fill bounds both LUs; SuperLU.nnz
+    # reads the fill without copying the factors out as lu.L and lu.U do
     assert solve_nnz(spec) == {name: m.nnz for name, m in factorized.items()}
     lus = {"P_Y": precon.table["y"].solver, "r1_gram": precon.table["p_r1"].solver}
-    for name, lu in lus.items():
-        assert lu.L.nnz + lu.U.nnz <= LU_FILL * factorized[name].nnz
-    # the bytes held: both factorized blocks and their LUs' L and U, the
-    # univariate factors of every block and of the mass inverses, and the
-    # work vectors; the interpreter base is left out
-    mats = list(factorized.values()) + [f for lu in lus.values()
-                                        for f in (lu.L, lu.U)]
+    for name, ordered in lus.items():
+        assert ordered.lu.nnz <= LU_FILL * factorized[name].nnz
+    # the bytes held: both factorized blocks, their LUs (a float64 value and
+    # an int32 row index per nonzero, and the column pointers of L and U) with
+    # the ordering and SuperLU's row and column permutations, the univariate
+    # factors of every block and of the mass inverses, and the work vectors;
+    # the interpreter base is left out
+    lu_bytes = sum(12 * o.lu.nnz + 8 * (o.lu.shape[0] + 1) + o.perm.nbytes
+                   + o.lu.perm_r.nbytes + o.lu.perm_c.nbytes
+                   for o in lus.values())
     solvers = [precon.table[n].solver for n in spaces.block_names
                if n not in ("y", "p_r1")]
     sums = list(system.blocks.values())
     sums += [precon.table[n].matrix for n in spaces.block_names
              if n not in ("y", "p_r1")]
     sums += [s._inverse for s in solvers]
-    total = (sum(_held_bytes(m) for m in mats) + _factor_bytes(sums)
+    total = (sum(_held_bytes(m) for m in factorized.values()) + lu_bytes
+             + _factor_bytes(sums)
              + 8 * WORK_VECTORS * system.dim)
     assert (estimate_memory_gb(spec) - BASE_GB) * 1e9 >= total
 

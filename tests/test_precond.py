@@ -1,9 +1,11 @@
 """Preconditioner blocks: quadratic forms, inverses, dense reference."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from saddleprec.assembly import (
     ProblemSpec,
@@ -15,6 +17,7 @@ from saddleprec.precond import (
     build_preconditioner,
     build_Ptilde_Y,
     dual_grams,
+    nested_dissection,
     state_block,
     trace_form,
 )
@@ -159,6 +162,66 @@ def test_state_block_is_the_factorized_block(kind, alpha):
     assert direct.shape == held.shape == (sp_.block_dim("y"), sp_.block_dim("y"))
     assert np.array_equal(direct.toarray(), held.toarray())
     assert (direct != direct.T).nnz == 0
+
+
+@pytest.mark.parametrize("lev", [2, 3])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("kind", ["heat", "wave"])
+def test_ordered_lus_agree_with_default_ordered_splu(kind, p, lev):
+    # the nested-dissection LUs against scipy's default-ordered, pivoted splu
+    # of the same unpermuted block, on one vector and on a block of columns
+    spec = ProblemSpec(kind, p, lev, 1e-6)
+    sp_ = build_spaces(spec)
+    system = assemble_system(spec, sp_)
+    precon = build_preconditioner(spec, sp_, system.blocks)
+    # the held block keeps the original ordering, entry for entry
+    direct = state_block(spec, sp_, system.blocks, spec.alpha)
+    held = precon.block_matrix("y")
+    assert held.shape == direct.shape and (held != direct).nnz == 0
+    rng = np.random.default_rng(31)
+    for name in ("y", "p_r1"):
+        mat = precon.block_matrix(name)
+        oracle = splu(mat.tocsc())
+        for r in (rng.standard_normal(mat.shape[0]),
+                  rng.standard_normal((mat.shape[0], 4))):
+            got, want = precon.table[name].solver.solve(r), oracle.solve(r)
+            assert got.shape == r.shape
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("shape, p", [
+    ((7,), 2), ((3, 4, 5), 3),                  # smaller than a leaf
+    ((1, 40, 40), 2), ((30, 1, 7), 3), ((1, 1, 200), 2),  # an axis of width 1
+    ((18, 16, 16), 2), ((19, 17, 17), 3),       # state grids at level 4
+    ((17, 9, 12), 2),
+    ((16, 16), 2), ((33, 33), 3),               # r1 grids at levels 4 and 5
+])
+def test_nested_dissection_is_a_permutation(shape, p):
+    perm = nested_dissection(shape, p)
+    assert np.array_equal(np.sort(perm), np.arange(math.prod(shape)))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_top_separator_splits_the_state_block(p):
+    # a slab of p planes of the longest axis separates P_Y's two halves,
+    # which come first, and p - 1 planes would not
+    spec = ProblemSpec("wave", p, 2, 1e-6)
+    sp_ = build_spaces(spec)
+    system = assemble_system(spec, sp_)
+    p_y = state_block(spec, sp_, system.blocks, spec.alpha)
+    shape = sp_.block_shape("y")
+    perm = nested_dissection(shape, p)
+    axis = int(np.argmax(shape))
+    n, plane = shape[axis], p_y.shape[0] // shape[axis]
+    left, right, sep = np.split(perm, [(n - p) // 2 * plane, (n - p) * plane])
+    coord = np.unravel_index(np.arange(p_y.shape[0]), shape)[axis]
+    assert len(left) and len(right)
+    assert coord[left].max() < coord[sep].min() == coord[sep].max() - p + 1
+    assert coord[sep].max() < coord[right].min()
+    assert not p_y[left][:, right].toarray().any()
+    last_left = left[coord[left] == coord[left].max()]
+    last_sep = sep[coord[sep] == coord[sep].max()]
+    assert p_y[last_left][:, last_sep].toarray().any()
 
 
 def test_alpha_scaling_of_blocks():
