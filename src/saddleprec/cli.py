@@ -136,7 +136,11 @@ def _write_rows(rows, path) -> None:
 
 
 def _format_alpha(alpha: float) -> str:
-    return f"{alpha:.0e}" if alpha < 1 else f"{alpha:g}"
+    """The shortest label in the `.Ne` (alpha < 1) or `.Ng` form that parses
+    back to alpha."""
+    form, first = ("e", 0) if alpha < 1 else ("g", 6)
+    labels = (f"{alpha:.{digits}{form}}" for digits in range(first, 18))
+    return next(label for label in labels if float(label) == alpha)
 
 
 def render_table(levels, alphas, dofs, cells, fmt: str) -> str:
@@ -240,6 +244,7 @@ EXACT_TOL = 1e-10  # identities that hold exactly, up to roundoff
 DENSE_TOL = 1e-8  # dense eigensolves of one quantity along two paths
 PHI_BAND = (0.29, 0.30)  # the quarter-circle minimum of Theorem 2.2
 MIN_DECIDED = 90  # kernel instances out of 100 that get a rank decision
+KAPPA_SPREAD = 10.0  # largest over smallest kappa(P^-1 A) across alpha
 
 
 def check_appendix(seed: int):
@@ -385,6 +390,25 @@ def check_lemma51(seed: int):
     return ok, lines, metrics
 
 
+def check_conditioning(seed: int):
+    """Alpha-robustness: kappa(P^-1 A) varies by at most KAPPA_SPREAD over alpha."""
+    alphas = (1e-3, 1e-6, 1e-9)
+    spaces = build_spaces(ProblemSpec("wave", 2, 2, alphas[0], seed=seed))
+    kappas = {}
+    for alpha in alphas:
+        spec = ProblemSpec("wave", 2, 2, alpha, seed=seed)
+        system = assemble_system(spec, spaces)
+        precon = build_preconditioner(spec, spaces, system.blocks)
+        kappas[alpha] = verify.condition_number_estimate(system, precon).kappa
+    spread = max(kappas.values()) / min(kappas.values())
+    lines = [f"wave p=2 level=2 alpha={a:g}: kappa={k:.6f}"
+             for a, k in kappas.items()]
+    lines.append(f"spread {spread:.3f} (at most {KAPPA_SPREAD:g})")
+    metrics = [(f"alpha={a:g}:kappa", k) for a, k in kappas.items()]
+    metrics.append(("kappa_spread", spread))
+    return spread <= KAPPA_SPREAD, lines, metrics
+
+
 # suite name -> its checks; each check(seed) returns (ok, lines, metrics)
 SUITES = {
     "appendix": (check_appendix,),
@@ -392,6 +416,7 @@ SUITES = {
     "brezzi": (check_brezzi,),
     "inclusion": (check_inclusion,),
     "lemma51": (check_lemma51,),
+    "conditioning": (check_conditioning,),
 }
 
 

@@ -84,26 +84,11 @@ def _symmetrize(mat: sp.spmatrix) -> sp.csr_matrix:
     return (0.5 * (mat + mat.T)).tocsr()
 
 
-def graph_norm_terms(spec: ProblemSpec, spaces: DiscreteSpaces):
-    """Materialized state-residual Gram and initial-trace Gram.
-
-    These are the alpha-independent parts of the state block and, summed,
-    the graph norm of the state operator.
-    """
-    return (state_residual_form(spec, spaces).materialize(),
-            trace_form(spec, spaces).materialize())
-
-
-def y_norm_gram(spec: ProblemSpec, spaces: DiscreteSpaces) -> sp.csr_matrix:
-    """Gram matrix of the graph norm of the state operator (residual + traces)."""
-    residual, trace = graph_norm_terms(spec, spaces)
-    return _symmetrize(residual + trace)
-
-
 def state_block(spec: ProblemSpec, spaces: DiscreteSpaces, blocks: dict,
                 alpha: float) -> sp.csr_matrix:
     """P_Y: observation blocks["y", "y"] + alpha * residual Gram + trace Grams."""
-    residual, trace = graph_norm_terms(spec, spaces)
+    residual = state_residual_form(spec, spaces).materialize()
+    trace = trace_form(spec, spaces).materialize()
     observation = blocks["y", "y"].materialize()
     return _symmetrize(observation + alpha * residual + trace)
 

@@ -1,7 +1,8 @@
 """Numeric oracles for Schur-complement and block-diagonal equivalence identities.
 
 Small dense instances only. Spectral equivalence is witnessed by returning
-the extreme constants; pass/fail thresholds belong to the test layer.
+the extreme constants; the pass/fail thresholds live with the checks of
+`cli.SUITES`.
 """
 
 from dataclasses import dataclass

@@ -1,29 +1,23 @@
 """Verification measurements on the assembled systems.
 
-Measures the discrete Brezzi constants of the 2x2 reordering, the stability
-constants of the stacked state operator, the residual-inclusion defect, the
-gap between the sparse state block and its dense operator-preconditioning
-reference, and the condition number of the preconditioned system.
-Everything here is a measurement; pass/fail thresholds live in the tests.
+Measures the discrete Brezzi constants of the 2x2 reordering, the
+residual-inclusion defect, the gap between the sparse state block and its
+dense operator-preconditioning reference, and the condition number of the
+preconditioned system. Everything here is a measurement; the pass/fail
+thresholds live with the checks of `cli.SUITES`.
 """
 
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy.linalg import block_diag, eigh, null_space
+from scipy.linalg import eigh, null_space
 
-from .assembly import (DiscreteSystem, assemble_system, h10_gram_form,
-                       mass_form, mass_solver)
+from .assembly import DiscreteSystem, assemble_system, mass_solver
 from .splines import eval_basis_many, gauss_rule
-from .precond import (
-    BlockDiagPreconditioner,
-    build_Ptilde_Y,
-    dual_grams,
-    y_norm_gram,
-)
+from .precond import BlockDiagPreconditioner, build_Ptilde_Y
 
-BREZZI_DENSE_CAP = 6000
-DENSE_EIG_CAP = 2000
+# unknowns beyond which the dense instruments refuse a system
+DENSE_CAP = 6000
 
 
 @dataclass
@@ -53,13 +47,16 @@ def measure_brezzi(system: DiscreteSystem, alpha: float | None = None) -> Brezzi
     left block of A is the form a, its lower left block is B, and the two
     diagonal blocks of P are the metrics on the primal pair (state metric,
     alpha control mass) and on the multipliers (control mass / alpha,
-    initial-condition Grams). Dense eigen-solves, desk scale only.
+    initial-condition Grams). c_B and k0 are the roots of the largest and
+    the smallest eigenvalue of the one pencil (B N_x^-1 B', N_m), the
+    smaller of the two that share the nonzero spectrum of B. Dense
+    eigen-solves, desk scale only.
     """
     spec = system.spec
     spec_a = replace(spec, alpha=spec.alpha if alpha is None else float(alpha))
-    if system.dim > BREZZI_DENSE_CAP:
+    if system.dim > DENSE_CAP:
         raise ValueError(f"instance too large for dense Brezzi measurement "
-                         f"({system.dim} > {BREZZI_DENSE_CAP})")
+                         f"({system.dim} > {DENSE_CAP})")
     spaces, blocks = system.spaces, system.blocks
     mat = assemble_system(spec_a, spaces, blocks=blocks).matrix
     metric = BlockDiagPreconditioner(spec_a, spaces, blocks).materialize()
@@ -70,10 +67,6 @@ def measure_brezzi(system: DiscreteSystem, alpha: float | None = None) -> Brezzi
     ev = eigh(a_mat, n_x, eigvals_only=True)
     c_a = float(max(abs(ev[0]), abs(ev[-1])))
 
-    w = np.linalg.solve(n_m, b_mat)
-    ev = eigh(b_mat.T @ w, n_x, eigvals_only=True)
-    c_b = float(np.sqrt(max(ev[-1], 0.0)))
-
     z = null_space(b_mat)
     if z.shape[1]:
         ev = eigh(z.T @ a_mat @ z, z.T @ n_x @ z, eigvals_only=True)
@@ -83,79 +76,11 @@ def measure_brezzi(system: DiscreteSystem, alpha: float | None = None) -> Brezzi
 
     v = np.linalg.solve(n_x, b_mat.T)
     ev = eigh(b_mat @ v, n_m, eigvals_only=True)
+    c_b = float(np.sqrt(max(ev[-1], 0.0)))
     k0 = float(np.sqrt(max(ev[0], 0.0)))
 
     return BrezziReport(spec_a.alpha, c_a, c_b, gamma0, k0, 1.0, np.sqrt(2.0),
                         k, n_m.shape[0], z.shape[1])
-
-
-@dataclass
-class StabilityReport:
-    """Stability constants of the stacked discrete state operator."""
-
-    c_k: float
-    lambda_min: float
-    c_r: float
-    restricted: bool
-    kernel_dim: int
-    degenerate: bool
-
-    def as_dict(self):
-        return asdict(self)
-
-
-def measure_discrete_K1(system: DiscreteSystem) -> StabilityReport:
-    """Smallest stacked-dual-norm over graph-norm ratio; its inverse root is c_K.
-
-    The stacked dual norm sums `dual_grams` of P at alpha = 1. When the
-    residual inclusion holds the two metrics coincide and c_K = 1.
-    """
-    spec, spaces = system.spec, system.spaces
-    if spaces.block_dim("y") > DENSE_EIG_CAP:
-        raise ValueError("state dimension beyond the dense verification cap")
-    precon = BlockDiagPreconditioner(replace(spec, alpha=1.0), spaces,
-                                     system.blocks)
-    g = sum(dual_grams(system, precon).values())
-    n_y = y_norm_gram(spec, spaces).toarray()
-    lam = eigh(g, n_y, eigvals_only=True)[0]
-    c_k = float(1.0 / np.sqrt(max(lam, np.finfo(float).tiny)))
-    return StabilityReport(c_k, float(lam), np.nan, False, 0, False)
-
-
-def measure_discrete_infsup(system: DiscreteSystem,
-                            restrict_to_ker_ku: bool = False) -> StabilityReport:
-    """Smallest weighted singular value of the initial-condition rows.
-
-    K_R stacks the (p_r1, y) [and (p_r2, y)] entries of the system table;
-    N_R is the r1 Gram [and the r2 mass] from the builders P uses.
-    Optionally restricted to the kernel of the residual rows; an empty kernel
-    is reported as degenerate rather than raised.
-    """
-    spec, spaces, blocks = system.spec, system.spaces, system.blocks
-    if spaces.block_dim("y") > DENSE_EIG_CAP:
-        raise ValueError("state dimension beyond the dense verification cap")
-    n_y = y_norm_gram(spec, spaces).toarray()
-    k_r = np.vstack([blocks[n, "y"].materialize().toarray()
-                     for n in spaces.block_names[3:]])
-    grams = [h10_gram_form(spaces)] + (
-        [mass_form(spaces, "p_r2")] if spaces.has_r2 else [])
-    n_r = block_diag(*(g.materialize().toarray() for g in grams))
-
-    if restrict_to_ker_ku:
-        z = null_space(blocks["p_u", "y"].materialize().toarray())
-        if z.shape[1] == 0:
-            return StabilityReport(np.nan, np.nan, np.nan, True, 0, True)
-        kz = k_r @ z
-        nz = z.T @ n_y @ z
-        h = kz @ np.linalg.solve(nz, kz.T)
-        kernel_dim = z.shape[1]
-    else:
-        h = k_r @ np.linalg.solve(n_y, k_r.T)
-        kernel_dim = 0
-    lam = eigh(h, n_r, eigvals_only=True)[0]
-    c_r = float(np.sqrt(max(lam, 0.0)))
-    return StabilityReport(np.nan, np.nan, c_r, restrict_to_ker_ku, kernel_dim,
-                           False)
 
 
 @dataclass
@@ -169,7 +94,6 @@ class ConditionReport:
         return asdict(self)
 
 
-CONDITION_DENSE_CAP = 6000
 ZERO_MODE_RTOL = 1e-8
 
 
@@ -182,11 +106,11 @@ def condition_number_estimate(system: DiscreteSystem,
     eigenvalues below ZERO_MODE_RTOL times the largest magnitude are counted
     as null modes and excluded from kappa; MINRES never sees them when the
     right-hand side is compatible. The full dense pencil is solved, so systems
-    beyond CONDITION_DENSE_CAP unknowns are refused.
+    beyond DENSE_CAP unknowns are refused.
     """
-    if system.dim > CONDITION_DENSE_CAP:
+    if system.dim > DENSE_CAP:
         raise ValueError(f"instance too large for the dense condition number "
-                         f"({system.dim} > {CONDITION_DENSE_CAP})")
+                         f"({system.dim} > {DENSE_CAP})")
     ev = eigh(system.matrix.toarray(), precon.materialize().toarray(),
               eigvals_only=True)
     aev = np.abs(ev)

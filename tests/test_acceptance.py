@@ -1,18 +1,17 @@
 """Acceptance criteria, one test per criterion, each printing pass/fail.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines. Criteria 4-10 run the checks of `saddleprec.cli.SUITES`, the same ones
+lines. Criteria 4-11 run the checks of `saddleprec.cli.SUITES`, the same ones
 `saddleprec verify` runs; their instances, draws and tolerances are defined
-there and nowhere else. Criteria 1-3 and 11 (DoF counts, iteration counts
-of level-2 and level-3 solves, condition numbers) are defined here.
+there and nowhere else. Criteria 1-3 (DoF counts, iteration counts of
+level-2 and level-3 solves) are defined here.
 """
 
 import pytest
 
-from saddleprec import cli, verify
-from saddleprec.assembly import ProblemSpec, assemble_system, build_spaces, dof_count
+from saddleprec import cli
+from saddleprec.assembly import ProblemSpec, dof_count
 from saddleprec.cli import solve_once
-from saddleprec.precond import build_preconditioner
 
 SEED = 0
 
@@ -106,18 +105,5 @@ def test_criterion_10_brezzi_bounds():
 
 
 def test_criterion_11_alpha_robust_conditioning():
-    kappas = {}
-    spaces = None
-    for alpha in (1e-3, 1e-6, 1e-9):
-        spec = ProblemSpec("wave", 2, 2, alpha, seed=SEED)
-        if spaces is None:
-            spaces = build_spaces(spec)
-        system = assemble_system(spec, spaces)
-        precon = build_preconditioner(spec, spaces, system.blocks)
-        rep = verify.condition_number_estimate(system, precon)
-        kappas[alpha] = rep.kappa
-    spread = max(kappas.values()) / min(kappas.values())
-    _report("criterion 11 (condition numbers vary by at most 10x)",
-            spread <= 10.0,
-            ", ".join(f"a={a:g}: {k:.3f}" for a, k in kappas.items())
-            + f"; spread {spread:.3f}")
+    _check("criterion 11 (condition numbers vary by at most 10x)",
+           cli.check_conditioning)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from saddleprec import blocksys, cli, matrixio
+from saddleprec import blocksys, cli, matrixio, verify
 from saddleprec.cli import (
     BASE_GB,
     CSV_COLUMNS,
@@ -95,6 +95,38 @@ def test_table_csv_grid(capsys):
     assert header[0] == "level"
     assert header[-1] == "dofs"
     assert len(header) == 4  # level, two alphas, dofs
+
+
+def test_table_alpha_headers_parse_back(capsys):
+    # alphas that agree to one significant digit keep distinct headers
+    alphas = ["1e-3", "1.5e-3", "2.5e-3"]
+    rc = main(["table", "--levels", "1", "--alphas", *alphas,
+               "--format", "csv"])
+    assert rc == 0
+    header = capsys.readouterr().out.strip().splitlines()[1].split(",")
+    assert header[1:-1] == ["alpha=1e-03", "alpha=1.5e-03", "alpha=2.5e-03"]
+    assert [float(h.removeprefix("alpha=")) for h in header[1:-1]] == [
+        float(a) for a in alphas]
+    # labels that already parse back keep their one-digit form
+    assert [cli._format_alpha(a) for a in (1.0, 1e-3, 1e-6, 1e-9, 10.0)] == [
+        "1", "1e-03", "1e-06", "1e-09", "10"]
+
+
+def test_verify_conditioning_suite_reports_spread(capsys, monkeypatch):
+    # the kappa of each alpha, their spread, and a spread beyond the bound fails
+    kappas = {1e-3: 2.0, 1e-6: 30.0, 1e-9: 4.0}
+
+    def fake_kappa(system, precon):
+        kappa = kappas[precon.alpha]
+        return verify.ConditionReport(kappa, kappa, 1.0, 0)
+
+    monkeypatch.setattr(verify, "condition_number_estimate", fake_kappa)
+    rc = main(["verify", "--suite", "conditioning"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "## suite conditioning: [FAIL]" in out
+    assert "alpha=1e-06: kappa=30.000000" in out
+    assert "spread 15.000 (at most 10)" in out
 
 
 def test_table_long_form_output(tmp_path, capsys):

@@ -1,19 +1,21 @@
-"""Discrete stability measurements: Brezzi constants, K1/K2, conditioning."""
+"""Verify instruments: Brezzi constants, conditioning, the reference gap."""
 
 import dataclasses
+import inspect
+import re
 import time
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
+from saddleprec import cli, verify
 from saddleprec.assembly import ProblemSpec, assemble_system, build_spaces
 from saddleprec.krylov import minres, random_start
-from saddleprec.precond import build_preconditioner
+from saddleprec.precond import BlockDiagPreconditioner, build_preconditioner
 from saddleprec.verify import (
     condition_number_estimate,
     measure_brezzi,
-    measure_discrete_K1,
-    measure_discrete_infsup,
     sparse_vs_reference_gap,
 )
 
@@ -65,54 +67,43 @@ def test_brezzi_rejects_bad_alpha_and_large_instances(wave_system,
         measure_brezzi(wave_l3_system)
 
 
-def test_discrete_K1_is_exactly_one(wave_system, heat_system):
-    for system in (wave_system, heat_system):
-        rep = measure_discrete_K1(system)
-        assert rep.c_k == pytest.approx(1.0, abs=1e-8)
+def _c_b_from_primal_pencil(system, alpha):
+    # the (B' N_m^-1 B, N_x) pencil on the primal pair: the same nonzero
+    # spectrum as the multiplier pencil measure_brezzi reads
+    spec = dataclasses.replace(system.spec, alpha=alpha)
+    mat = assemble_system(spec, system.spaces, blocks=system.blocks).matrix
+    metric = BlockDiagPreconditioner(spec, system.spaces,
+                                     system.blocks).materialize()
+    k = system.spaces.block_dim("y") + system.spaces.block_dim("u")
+    b_mat = mat[k:, :k].toarray()
+    n_x, n_m = metric[:k, :k].toarray(), metric[k:, k:].toarray()
+    ev = eigh(b_mat.T @ np.linalg.solve(n_m, b_mat), n_x, eigvals_only=True)
+    return float(np.sqrt(max(ev[-1], 0.0)))
 
 
-def test_discrete_K1_impoverished_control_space():
-    spec = ProblemSpec("wave", 2, 2, 1e-3, u_continuity=1)
-    system = assemble_system(spec)
-    rep = measure_discrete_K1(system)
-    assert rep.c_k > 1.01
+@pytest.mark.parametrize("kind", ["heat", "wave"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_brezzi_c_b_matches_primal_pencil(kind, p):
+    system = assemble_system(ProblemSpec(kind, p, 1, 1e-3))
+    for alpha in (1.0, 1e-3, 1e-6):
+        reference = _c_b_from_primal_pencil(system, alpha)
+        assert measure_brezzi(system, alpha=alpha).c_b == pytest.approx(
+            reference, rel=1e-12)
 
 
-def test_infsup_heat_positive(heat_system):
-    rep = measure_discrete_infsup(heat_system)
-    assert rep.c_r > 0.01
-    assert not rep.degenerate
-
-
-def test_infsup_wave_rank_deficient(wave_system):
-    # the initial-velocity rows cannot reach the non-H^1_0 part of their
-    # multiplier space, so the stacked inf-sup value degenerates to zero
-    rep = measure_discrete_infsup(wave_system)
-    assert rep.c_r < 1e-6
-
-
-def test_infsup_does_not_build_the_system_matrix():
-    # the initial-condition rows are stacked from the coupling blocks
-    system = assemble_system(ProblemSpec("wave", 2, 2, 1e-3))
-    rep = measure_discrete_infsup(system)
-    assert "matrix" not in vars(system)
-    assert np.isfinite(rep.c_r)
-
-
-def test_infsup_restricted_empty_kernel_reported(wave_system, heat_system):
-    for system in (wave_system, heat_system):
-        rep = measure_discrete_infsup(system, restrict_to_ker_ku=True)
-        assert rep.degenerate
-        assert rep.kernel_dim == 0
-
-
-def test_infsup_level_trend_recorded(heat_system):
-    # mesh dependence is recorded, not bounded: no assertion on the trend
-    values = {2: measure_discrete_infsup(heat_system).c_r}
-    finer = assemble_system(ProblemSpec("heat", 2, 3, 1e-3))
-    values[3] = measure_discrete_infsup(finer).c_r
-    print(f"inf-sup values by level: {values}")
-    assert all(np.isfinite(v) and v > 0 for v in values.values())
+def test_every_verify_function_serves_a_check():
+    # a public verify function is named by cli or called by another verify
+    # function: no instrument that only the tests read
+    functions = {name: fn for name, fn in inspect.getmembers(
+                     verify, inspect.isfunction)
+                 if fn.__module__ == verify.__name__ and not name.startswith("_")}
+    cli_source = inspect.getsource(cli)
+    unread = [
+        name for name in functions
+        if not re.search(rf"\b{name}\b", cli_source)
+        and not any(re.search(rf"\b{name}\(", inspect.getsource(fn))
+                    for other, fn in functions.items() if other != name)]
+    assert unread == []
 
 
 def test_condition_number_identity_case(wave_system):
