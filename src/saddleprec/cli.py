@@ -11,9 +11,11 @@ unconverged `run`, or a `table` cell that did not converge or raised (shown as
 
 import argparse
 import csv
+import dataclasses
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 
@@ -24,9 +26,10 @@ from .assembly import (
     assemble_system,
     build_spaces,
     dof_count,
+    system_blocks,
 )
 from .krylov import MinresConfig, minres, random_start
-from .precond import build_preconditioner
+from .precond import alpha_free_setup, build_preconditioner
 # univariate_matrix is imported here only so the benchmark probes can rebind it
 from .splines import univariate_matrix  # noqa: F401
 
@@ -75,7 +78,10 @@ def estimate_memory_gb(spec: ProblemSpec) -> float:
     and its LU, and the work vectors. Assembling P_Y peaks earlier at about
     six copies of it (measured), below its LU charge. Every other block is
     applied or inverted from its univariate Kronecker factors, whose size is
-    negligible.
+    negligible. A `table` cell also holds the three state Grams of its
+    `shared_setup` across alpha, about 3 P_Y; the LU charge covers them: at
+    wave p=2 level 4 the estimate is 0.34 GB, a table's measured peak RSS
+    163 MB.
     """
     held = (2 + LU_FILL) * sum(solve_nnz(spec).values())
     bytes_total = BYTES_PER_NNZ * held + 8.0 * WORK_VECTORS * dof_count(spec)
@@ -104,12 +110,49 @@ def _check_budget(spec: ProblemSpec, max_memory_gb: float | None) -> None:
               f"(cap {cap:.2f} GB)")
 
 
+def setup_key(spec: ProblemSpec) -> tuple:
+    """Every field of spec but alpha and seed: what all of a solve's setup
+    except P_Y and its LU depends on."""
+    return dataclasses.astuple(dataclasses.replace(spec, alpha=1.0, seed=0))
+
+
+# {setup_key: (spaces, A's table, P's alpha-free setup)} of the last key
+# solved while `shared_setup` is open in this context, None otherwise
+_setups = ContextVar("setups", default=None)
+
+
+@contextmanager
+def shared_setup():
+    """Within, the solves of one setup_key share its setup, built once."""
+    token = _setups.set({})
+    try:
+        yield
+    finally:
+        _setups.reset(token)
+
+
+def build_solve(spec: ProblemSpec) -> tuple:
+    """The system and the preconditioner of spec, from the setup that an
+    open `shared_setup` holds for it."""
+    setups = _setups.get()
+    if setups is None:
+        spaces, blocks, setup = build_spaces(spec), None, None
+    else:
+        key = setup_key(spec)
+        if key not in setups:
+            setups.clear()  # cells come grouped by key: hold one setup
+            spaces = build_spaces(spec)
+            blocks = system_blocks(spec, spaces)
+            setups[key] = spaces, blocks, alpha_free_setup(spec, spaces, blocks)
+        spaces, blocks, setup = setups[key]
+    system = assemble_system(spec, spaces, blocks=blocks)
+    return system, build_preconditioner(spec, spaces, system.blocks, setup)
+
+
 def solve_once(spec: ProblemSpec, tol: float) -> dict:
     """Assemble, precondition, and solve one homogeneous-data instance."""
     t0 = time.perf_counter()
-    spaces = build_spaces(spec)
-    system = assemble_system(spec, spaces)
-    precon = build_preconditioner(spec, spaces, system.blocks)
+    system, precon = build_solve(spec)
     x0 = random_start(system.dim, spec.seed)
     config = MinresConfig(rel_tol=tol, seed=spec.seed)
     _, report = minres(system.apply, precon.apply_inverse, system.rhs, x0=x0,
@@ -184,47 +227,25 @@ def cmd_table(args) -> int:
     # the tolerance and every cell's spec are validated up front; the memory
     # estimate does not depend on alpha: checked once per (degree, level)
     MinresConfig(rel_tol=args.tol)
-    for p in args.degrees:
-        for lev in args.levels:
-            specs = [ProblemSpec(args.problem, p, lev, a, seed=args.seed)
-                     for a in args.alphas]
-            _check_budget(specs[0], args.max_memory_gb)
+    specs = [ProblemSpec(args.problem, p, lev, a, seed=args.seed)
+             for p in args.degrees for lev in args.levels for a in args.alphas]
+    for spec in specs[::len(args.alphas)]:
+        _check_budget(spec, args.max_memory_gb)
 
     all_rows = []
-    chunks = []
-    all_ok = True
-    for p in args.degrees:
-        dofs = {
-            lev: dof_count(ProblemSpec(args.problem, p, lev, args.alphas[0]))
-            for lev in args.levels
-        }
-        cells = {}
-
-        def run_cell(cell):
-            lev, a = cell
-            spec = ProblemSpec(args.problem, p, lev, a, seed=args.seed)
+    with shared_setup():
+        for spec in specs:
             try:
-                return solve_once(spec, args.tol)
+                all_rows.append(solve_once(spec, args.tol))
             except Exception as exc:  # cell failure is recorded, table still emitted
-                print(f"# cell level={lev} alpha={a:g} failed: {exc}",
-                      file=sys.stderr)
-                return None
-
-        grid = [(lev, a) for lev in args.levels for a in args.alphas]
-        if args.workers == 1:
-            # in the calling thread: repeated tables grew the heap of a pool
-            # thread's malloc arena by about 2 MB each (wave level 3)
-            results = [run_cell(cell) for cell in grid]
-        else:
-            with ThreadPoolExecutor(max_workers=args.workers) as pool:
-                results = list(pool.map(run_cell, grid))
-        for cell, row in zip(grid, results):
-            if row is not None:
-                all_rows.append(row)
-            if row is not None and row["converged"]:
-                cells[cell] = row["iterations"]
-            else:
-                all_ok = False
+                print(f"# cell p={spec.degree} level={spec.level} "
+                      f"alpha={spec.alpha:g} failed: {exc}", file=sys.stderr)
+    chunks = []
+    for p in args.degrees:
+        dofs = {lev: dof_count(ProblemSpec(args.problem, p, lev, args.alphas[0]))
+                for lev in args.levels}
+        cells = {(row["level"], row["alpha"]): row["iterations"]
+                 for row in all_rows if row["p"] == p and row["converged"]}
         text = render_table(args.levels, args.alphas, dofs, cells, args.format)
         chunks.append(f"# problem={args.problem} p={p}\n" + text)
     output = "\n".join(chunks)
@@ -235,6 +256,7 @@ def cmd_table(args) -> int:
         else:
             with open(args.output, "w") as fh:
                 fh.write(output)
+    all_ok = len(all_rows) == len(specs) and all(r["converged"] for r in all_rows)
     return EXIT_OK if all_ok else EXIT_FAIL
 
 
@@ -392,14 +414,11 @@ def check_lemma51(seed: int):
 
 def check_conditioning(seed: int):
     """Alpha-robustness: kappa(P^-1 A) varies by at most KAPPA_SPREAD over alpha."""
-    alphas = (1e-3, 1e-6, 1e-9)
-    spaces = build_spaces(ProblemSpec("wave", 2, 2, alphas[0], seed=seed))
     kappas = {}
-    for alpha in alphas:
-        spec = ProblemSpec("wave", 2, 2, alpha, seed=seed)
-        system = assemble_system(spec, spaces)
-        precon = build_preconditioner(spec, spaces, system.blocks)
-        kappas[alpha] = verify.condition_number_estimate(system, precon).kappa
+    with shared_setup():
+        for alpha in (1e-3, 1e-6, 1e-9):
+            system, precon = build_solve(ProblemSpec("wave", 2, 2, alpha, seed=seed))
+            kappas[alpha] = verify.condition_number_estimate(system, precon).kappa
     spread = max(kappas.values()) / min(kappas.values())
     lines = [f"wave p=2 level=2 alpha={a:g}: kappa={k:.6f}"
              for a, k in kappas.items()]
@@ -453,10 +472,7 @@ def cmd_export(args) -> int:
     spec = ProblemSpec(args.problem, args.degree, args.level, args.alpha,
                        seed=args.seed)
     _check_budget(spec, args.max_memory_gb)
-    spaces = build_spaces(spec)
-    system = assemble_system(spec, spaces)
-    precon = build_preconditioner(spec, spaces, system.blocks)
-    manifest = matrixio.export_system(system, precon, args.export_dir)
+    manifest = matrixio.export_system(*build_solve(spec), args.export_dir)
     print(f"wrote {len(manifest['files'])} matrices to {args.export_dir}")
     return EXIT_OK
 
@@ -471,7 +487,6 @@ def _add_common(parser, levels=False):
         parser.add_argument("--levels", type=int, nargs="+", default=[2, 3])
         parser.add_argument("--alphas", type=float, nargs="+",
                             default=[1.0, 1e-3, 1e-6, 1e-9])
-        parser.add_argument("--workers", type=int, default=1)
         parser.add_argument("--format", choices=("markdown", "csv"),
                             default="markdown")
     else:

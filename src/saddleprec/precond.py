@@ -17,7 +17,9 @@ within p indices per axis, so a slab of p grid planes separates the grid.
 The mass blocks are inverted by Kronecker products of the univariate factor
 inverses, applied by mode products. P reads the observation and the control
 mass from the system table of `assembly.system_blocks` and builds the r1
-Gram and the r2 mass, which A does not contain. The dense reference is the
+Gram and the r2 mass, which A does not contain. Only P_Y, its LU and the
+control scales depend on alpha; `alpha_free_setup` holds the rest, so that
+solves at several alphas can share it. The dense reference is the
 Schur complement observation + sum_m K_m' P_m^{-1} K_m over the multiplier
 blocks m of the same P, K_m the (m, y) entries of the system table; it
 equals the sparse state block whenever the residual inclusion holds.
@@ -84,12 +86,17 @@ def _symmetrize(mat: sp.spmatrix) -> sp.csr_matrix:
     return (0.5 * (mat + mat.T)).tocsr()
 
 
+def state_grams(spec: ProblemSpec, spaces: DiscreteSpaces, blocks: dict) -> tuple:
+    """P_Y's alpha-free terms materialized: observation, residual, trace."""
+    return (blocks["y", "y"].materialize(),
+            state_residual_form(spec, spaces).materialize(),
+            trace_form(spec, spaces).materialize())
+
+
 def state_block(spec: ProblemSpec, spaces: DiscreteSpaces, blocks: dict,
-                alpha: float) -> sp.csr_matrix:
-    """P_Y: observation blocks["y", "y"] + alpha * residual Gram + trace Grams."""
-    residual = state_residual_form(spec, spaces).materialize()
-    trace = trace_form(spec, spaces).materialize()
-    observation = blocks["y", "y"].materialize()
+                alpha: float, grams: tuple | None = None) -> sp.csr_matrix:
+    """P_Y: observation + alpha * residual Gram + trace Grams (`grams`)."""
+    observation, residual, trace = grams or state_grams(spec, spaces, blocks)
     return _symmetrize(observation + alpha * residual + trace)
 
 
@@ -149,31 +156,43 @@ class DiagonalBlock(NamedTuple):
     solver: object  # OrderedLU or KroneckerSolver of the unscaled matrix
 
 
+def alpha_free_setup(spec: ProblemSpec, spaces: DiscreteSpaces,
+                     blocks: dict) -> tuple:
+    """The part of P that every alpha shares: the `state_grams`, the control
+    mass solver, and the unscaled r1 Gram with its `OrderedLU` [and the r2
+    mass] by block name."""
+    r1_gram = h10_gram_form(spaces).materialize()
+    fixed = {"p_r1": DiagonalBlock(1.0, r1_gram, OrderedLU(
+        r1_gram, spaces.block_shape("p_r1"), spec.degree))}
+    if spaces.has_r2:
+        fixed["p_r2"] = DiagonalBlock(1.0, mass_form(spaces, "p_r2"),
+                                      mass_solver(spaces, "p_r2"))
+    return state_grams(spec, spaces, blocks), mass_solver(spaces, "u"), fixed
+
+
 class BlockDiagPreconditioner:
     """Factored diagonal blocks of the preconditioner at alpha = spec.alpha.
 
     `table` maps each block name to its `DiagonalBlock`: P_Y from
     `state_block` and the r1 Gram with `OrderedLU`s, the mass blocks as
-    Kronecker sums with their `mass_solver`.
+    Kronecker sums with their `mass_solver`. All but P_Y, its LU and the
+    alpha scales come from `setup`, an `alpha_free_setup` built when None.
     """
 
-    def __init__(self, spec, spaces, blocks):
+    def __init__(self, spec, spaces, blocks, setup=None):
         self.spaces = spaces
         self.alpha = a = spec.alpha
-        p = spec.degree  # separator width of the nested dissections
-        p_y = state_block(spec, spaces, blocks, a)
-        r1_gram = h10_gram_form(spaces).materialize()
-        u_mass, u_solver = blocks["u", "u"], mass_solver(spaces, "u")
+        grams, u_solver, fixed = setup or alpha_free_setup(spec, spaces, blocks)
+        p_y = state_block(spec, spaces, blocks, a, grams)
+        del grams  # those of a setup built here are freed before P_Y's LU
+        u_mass = blocks["u", "u"]
         self.table = {
-            "y": DiagonalBlock(1.0, p_y, OrderedLU(p_y, spaces.block_shape("y"), p)),
+            "y": DiagonalBlock(1.0, p_y, OrderedLU(p_y, spaces.block_shape("y"),
+                                                   spec.degree)),
             "u": DiagonalBlock(a, u_mass, u_solver),
             "p_u": DiagonalBlock(1.0 / a, u_mass, u_solver),
-            "p_r1": DiagonalBlock(1.0, r1_gram,
-                                  OrderedLU(r1_gram, spaces.block_shape("p_r1"), p)),
+            **fixed,
         }
-        if spaces.has_r2:
-            self.table["p_r2"] = DiagonalBlock(1.0, mass_form(spaces, "p_r2"),
-                                               mass_solver(spaces, "p_r2"))
 
     @property
     def dim(self) -> int:
@@ -208,10 +227,10 @@ class BlockDiagPreconditioner:
                                for n, part in zip(names, parts)])
 
 
-def build_preconditioner(spec: ProblemSpec, spaces: DiscreteSpaces,
-                         blocks: dict) -> BlockDiagPreconditioner:
+def build_preconditioner(spec: ProblemSpec, spaces: DiscreteSpaces, blocks: dict,
+                         setup: tuple | None = None) -> BlockDiagPreconditioner:
     """Assemble and factorize all diagonal blocks at alpha = spec.alpha."""
-    return BlockDiagPreconditioner(spec, spaces, blocks)
+    return BlockDiagPreconditioner(spec, spaces, blocks, setup)
 
 
 PTILDE_DIM_CAP = 200

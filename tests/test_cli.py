@@ -1,11 +1,12 @@
 """Command-line harness: rows, tables, suites, export round trips."""
 
 import csv
+import dataclasses
 import json
 
 import pytest
 
-from saddleprec import blocksys, cli, matrixio, verify
+from saddleprec import blocksys, cli, matrixio, precond, verify
 from saddleprec.cli import (
     BASE_GB,
     CSV_COLUMNS,
@@ -132,14 +133,64 @@ def test_verify_conditioning_suite_reports_spread(capsys, monkeypatch):
 def test_table_long_form_output(tmp_path, capsys):
     path = tmp_path / "cells.csv"
     rc = main(["table", "--levels", "1", "--alphas", "1e-3", "1e-6",
-               "--output", str(path), "--workers", "2"])
+               "--output", str(path)])
     assert rc == 0
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2
     assert set(rows[0]) == set(CSV_COLUMNS)
-    # two workers, rows still in the order of --alphas
+    # rows in the order of --alphas
     assert [float(r["alpha"]) for r in rows] == [1e-3, 1e-6]
+
+
+@pytest.mark.parametrize("kind", ["heat", "wave"])
+def test_table_rows_equal_unshared_solves(kind, tmp_path, capsys):
+    # cells that share one setup per (p, level) solve as a fresh solve_once
+    path = tmp_path / "cells.csv"
+    alphas = ("1", "1e-3", "1e-6", "1e-9")
+    main(["table", "--problem", kind, "--degrees", "2", "3", "--levels", "2",
+          "--alphas", *alphas, "--output", str(path)])
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 8
+    for row in rows:
+        fresh = solve_once(ProblemSpec(kind, int(row["p"]), 2,
+                                       float(row["alpha"])), 1e-8)
+        assert int(row["iterations"]) == fresh["iterations"]
+        assert row["converged"] == str(fresh["converged"])
+        assert float(row["final_relres"]) == fresh["final_relres"]
+
+
+def test_setup_shared_within_one_table_only(monkeypatch, capsys):
+    # the alpha-free setup is built once per (p, level) of one table, and
+    # nothing of it survives the command
+    built = []
+    orig = precond.state_residual_form
+
+    def counted(spec, spaces):
+        built.append((spec.degree, spec.level))
+        return orig(spec, spaces)
+
+    monkeypatch.setattr(precond, "state_residual_form", counted)
+    argv = ["table", "--levels", "1", "2", "--alphas", "1", "1e-3", "1e-6"]
+    assert main(argv) == 0
+    assert built == [(2, 1), (2, 2)]
+    assert cli._setups.get() is None
+    assert main(argv) == 0
+    assert len(built) == 4
+    assert main(["run", "--level", "1"]) == 0
+    assert len(built) == 5
+
+
+def test_setup_key_ignores_alpha_and_seed_only():
+    spec = ProblemSpec("wave", 2, 1, 1e-3, seed=1)
+    key = cli.setup_key(spec)
+    assert cli.setup_key(dataclasses.replace(spec, alpha=1e-9, seed=4)) == key
+    for field, value in (("final_time", 2.0),
+                         ("omega", ((0.0, 0.5), (0.25, 0.75))),
+                         ("u_continuity", 1), ("kind", "heat"),
+                         ("degree", 3), ("level", 2)):
+        assert cli.setup_key(dataclasses.replace(spec, **{field: value})) != key
 
 
 def test_verify_fast_suites(capsys):

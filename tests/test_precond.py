@@ -14,6 +14,7 @@ from saddleprec.assembly import (
     mass_form,
 )
 from saddleprec.precond import (
+    alpha_free_setup,
     build_preconditioner,
     build_Ptilde_Y,
     dual_grams,
@@ -162,6 +163,26 @@ def test_state_block_is_the_factorized_block(kind, alpha):
     assert direct.shape == held.shape == (sp_.block_dim("y"), sp_.block_dim("y"))
     assert np.array_equal(direct.toarray(), held.toarray())
     assert (direct != direct.T).nnz == 0
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("kind", ["heat", "wave"])
+def test_shared_setup_state_block_is_bitwise_the_unshared_one(kind, p):
+    # one alpha-free setup serves every alpha; P_Y from it equals, bit for
+    # bit, state_block built from scratch with fresh spaces and A's table
+    spec = ProblemSpec(kind, p, 2, 1.0)
+    sp_ = build_spaces(spec)
+    system = assemble_system(spec, sp_)
+    setup = alpha_free_setup(spec, sp_, system.blocks)
+    for alpha in (1.0, 1e-3, 1e-6, 1e-9):
+        spec_a = dataclasses.replace(spec, alpha=alpha)
+        held = build_preconditioner(spec_a, sp_, system.blocks,
+                                    setup).block_matrix("y")
+        fresh_spaces = build_spaces(spec_a)
+        fresh = state_block(spec_a, fresh_spaces,
+                            assemble_system(spec_a, fresh_spaces).blocks, alpha)
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(held, attr), getattr(fresh, attr))
 
 
 @pytest.mark.parametrize("lev", [2, 3])
