@@ -6,7 +6,7 @@
 Exit status is 0 when every assertion holds; 1 on an assertion failure, an
 unconverged `run`, or a `table` cell that did not converge or raised (shown as
 `fail`, its row still written to --output); and 2 on configuration errors
-(including refused over-budget instances).
+(including refused over-budget instances and outputs that cannot be written).
 """
 
 import argparse
@@ -16,6 +16,7 @@ import sys
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
+from pathlib import Path
 
 import numpy as np
 
@@ -154,9 +155,8 @@ def solve_once(spec: ProblemSpec, tol: float) -> dict:
     t0 = time.perf_counter()
     system, precon = build_solve(spec)
     x0 = random_start(system.dim, spec.seed)
-    config = MinresConfig(rel_tol=tol, seed=spec.seed)
     _, report = minres(system.apply, precon.apply_inverse, system.rhs, x0=x0,
-                       config=config)
+                       config=MinresConfig(rel_tol=tol))
     runtime_ms = 1e3 * (time.perf_counter() - t0)
     return {
         "problem": spec.kind,
@@ -469,6 +469,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export(args) -> int:
+    if Path(args.export_dir).exists() and not Path(args.export_dir).is_dir():
+        raise ConfigError(f"--export-dir {args.export_dir} is not a directory")
     spec = ProblemSpec(args.problem, args.degree, args.level, args.alpha,
                        seed=args.seed)
     _check_budget(spec, args.max_memory_gb)
@@ -527,8 +529,10 @@ def main(argv=None) -> int:
     handlers = {"run": cmd_run, "table": cmd_table, "verify": cmd_verify,
                 "export": cmd_export}
     try:
+        if args.output and not Path(args.output).parent.is_dir():
+            raise ConfigError(f"--output {args.output}: no such directory")
         return handlers[args.command](args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:  # OSError: writing output
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

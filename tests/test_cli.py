@@ -273,6 +273,22 @@ def test_config_error_exit_code(capsys, monkeypatch, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--level", "3"])
     assert exc.value.code == 2
+    # an output that cannot be written is refused before any work, and one
+    # that fails only while writing still ends in one line, not a traceback
+    missing = str(tmp_path / "missing" / "out.csv")
+    a_file = tmp_path / "a_file"
+    a_file.write_text("kept")
+    monkeypatch.setitem(cli.SUITES, "appendix", (lambda seed: (True, [], []),))
+    capsys.readouterr()
+    for argv in (["run", "--level", "1", "--output", missing],
+                 ["table", "--levels", "1", "--output", missing],
+                 ["verify", "--output", missing],
+                 ["export", "--level", "1", "--export-dir", str(a_file)],
+                 ["verify", "--suite", "appendix", "--output", str(tmp_path)]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and err.count("\n") == 1, argv
+    assert a_file.read_text() == "kept"
 
 
 def test_memory_gate_refuses_level_four(capsys):

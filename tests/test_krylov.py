@@ -16,12 +16,22 @@ def _ident(r):
     return r
 
 
+def _assert_verdict(rep, stop, tol):
+    """Every exit: one stop reason, converged exactly when the reported
+    residual meets tol, and that residual is a confirmed one."""
+    assert rep.stop == stop
+    assert rep.converged == (rep.final_true_relres <= tol)
+    rels = [rel for _, rel in rep.true_residual_checks]
+    assert rep.final_true_relres == (min(rels) if stop == "stagnated" else rels[-1])
+
+
 def test_identity_converges_in_one_iteration():
     n = 30
     b = np.arange(1.0, n + 1.0)
     x, rep = minres(_apply(np.eye(n)), _ident, b)
     assert rep.iterations == 1 and rep.converged
     assert np.allclose(x, b, atol=1e-12)
+    _assert_verdict(rep, "converged", MinresConfig().rel_tol)
 
 
 def test_perfect_preconditioning_one_iteration():
@@ -99,7 +109,7 @@ def test_solution_quality_on_convergence():
     x0 = rng.standard_normal(50)
     cfg = MinresConfig(rel_tol=1e-8)
     x, rep = minres(_apply(a), _ident, b, x0=x0, config=cfg)
-    assert rep.converged and not rep.stagnated
+    assert rep.stop == "converged"
     num = np.linalg.norm(b - a @ x)
     den = np.linalg.norm(b - a @ x0)
     assert num / den <= 10 * cfg.rel_tol
@@ -120,9 +130,29 @@ def test_max_iter_reported_not_raised():
     g = rng.standard_normal((100, 100))
     a = g + g.T
     b = rng.standard_normal(100)
-    _, rep = minres(_apply(a), _ident, b, config=MinresConfig(max_iter=3))
+    cfg = MinresConfig(max_iter=3)
+    _, rep = minres(_apply(a), _ident, b, config=cfg)
     assert not rep.converged
     assert rep.iterations == 3
+    _assert_verdict(rep, "iteration cap", cfg.rel_tol)
+
+
+def test_breakdown_held_to_tol():
+    # two distinct eigenvalues 2.5e-6 and 15.5: the Krylov space is exhausted
+    # after two iterations with a true residual of 6e-10, above tol 1e-10
+    rng = np.random.default_rng(21)
+    n = 12
+    m = int(rng.integers(2, 5))
+    vals = rng.uniform(-1.0, 1.0, m) * 10 ** rng.uniform(-6.0, 6.0, m)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = q @ np.diag(np.repeat(vals, n // m + 1)[:n]) @ q.T
+    a = 0.5 * (a + a.T)
+    b = rng.standard_normal(n)
+    cfg = MinresConfig(rel_tol=1e-10)
+    _, rep = minres(_apply(a), _ident, b, config=cfg)
+    assert rep.iterations == 2
+    assert not rep.converged and rep.final_true_relres > cfg.rel_tol
+    _assert_verdict(rep, "breakdown", cfg.rel_tol)
 
 
 def test_stagnation_stops_with_best_confirmed_iterate():
@@ -135,7 +165,8 @@ def test_stagnation_stops_with_best_confirmed_iterate():
     x0 = random_start(system.dim, 0)
     x, rep = minres(system.apply, precon.apply_inverse, system.rhs, x0=x0,
                     config=MinresConfig(rel_tol=1e-16))
-    assert rep.stagnated and not rep.converged
+    assert rep.stop == "stagnated" and not rep.converged
+    _assert_verdict(rep, "stagnated", 1e-16)
     assert rep.iterations <= 60
     assert rep.final_true_relres <= 1e-11
     rels = [rel for _, rel in rep.true_residual_checks]
