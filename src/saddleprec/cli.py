@@ -5,7 +5,8 @@
 
 Exit status is 0 when every assertion holds; 1 on an assertion failure, an
 unconverged `run`, or a `table` cell that did not converge or raised (shown as
-`fail`, its row still written to --output); and 2 on configuration errors
+`fail`, named on stderr with MINRES's stop reason or the error, its row still
+written to --output); and 2 on configuration errors
 (including refused over-budget instances and outputs that cannot be written).
 """
 
@@ -41,7 +42,7 @@ EXIT_CONFIG = 2
 DESK_LEVEL_MAX = 3
 DEFAULT_MEMORY_GB = 2.0
 CSV_COLUMNS = ("problem", "p", "level", "alpha", "dofs", "iterations",
-               "converged", "final_relres", "runtime_ms")
+               "converged", "stop", "final_relres", "runtime_ms")
 
 
 # bytes per stored nonzero: a float64 value and an index of up to 8 bytes
@@ -151,10 +152,16 @@ def build_solve(spec: ProblemSpec) -> tuple:
 
 
 def solve_once(spec: ProblemSpec, tol: float) -> dict:
-    """Assemble, precondition, and solve one homogeneous-data instance."""
+    """Assemble, precondition, and solve one homogeneous-data instance.
+
+    MINRES runs in P's `ControlEigenbasis`, from the seed's start vector
+    rotated into it, so the residual norms are those of the B-spline basis.
+    """
     t0 = time.perf_counter()
     system, precon = build_solve(spec)
-    x0 = random_start(system.dim, spec.seed)
+    basis = precon.basis
+    system, precon = basis.system(system), basis.preconditioner(precon)
+    x0 = basis.rotate(random_start(system.dim, spec.seed))
     _, report = minres(system.apply, precon.apply_inverse, system.rhs, x0=x0,
                        config=MinresConfig(rel_tol=tol))
     runtime_ms = 1e3 * (time.perf_counter() - t0)
@@ -166,6 +173,7 @@ def solve_once(spec: ProblemSpec, tol: float) -> dict:
         "dofs": system.dim,
         "iterations": report.iterations,
         "converged": report.converged,
+        "stop": report.stop,
         "final_relres": report.final_true_relres,
         "runtime_ms": runtime_ms,
     }
@@ -236,10 +244,15 @@ def cmd_table(args) -> int:
     with shared_setup():
         for spec in specs:
             try:
-                all_rows.append(solve_once(spec, args.tol))
+                row = solve_once(spec, args.tol)
             except Exception as exc:  # cell failure is recorded, table still emitted
+                failure = exc
+            else:
+                all_rows.append(row)
+                failure = None if row["converged"] else f"MINRES stop {row['stop']}"
+            if failure is not None:
                 print(f"# cell p={spec.degree} level={spec.level} "
-                      f"alpha={spec.alpha:g} failed: {exc}", file=sys.stderr)
+                      f"alpha={spec.alpha:g} failed: {failure}", file=sys.stderr)
     chunks = []
     for p in args.degrees:
         dofs = {lev: dof_count(ProblemSpec(args.problem, p, lev, args.alphas[0]))
@@ -483,7 +496,6 @@ def _add_common(parser, levels=False):
     parser.add_argument("--problem", choices=("heat", "wave"), default="wave")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--max-memory-gb", type=float, default=None)
-    parser.add_argument("--output", default=None)
     if levels:
         parser.add_argument("--degrees", type=int, nargs="+", default=[2])
         parser.add_argument("--levels", type=int, nargs="+", default=[2, 3])
@@ -511,6 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_table, levels=True)
     for solving in (p_run, p_table):
         solving.add_argument("--tol", type=float, default=1e-8)
+        solving.add_argument("--output", default=None)
 
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument("--suite", choices=(*SUITES, "all"), default="all")
@@ -529,8 +542,9 @@ def main(argv=None) -> int:
     handlers = {"run": cmd_run, "table": cmd_table, "verify": cmd_verify,
                 "export": cmd_export}
     try:
-        if args.output and not Path(args.output).parent.is_dir():
-            raise ConfigError(f"--output {args.output}: no such directory")
+        output = getattr(args, "output", None)  # export writes no --output
+        if output and not Path(output).parent.is_dir():
+            raise ConfigError(f"--output {output}: no such directory")
         return handlers[args.command](args)
     except (ConfigError, ValueError, OSError) as exc:  # OSError: writing output
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -7,10 +7,12 @@ systems is held in this form. This module applies such sums by mode products
 product), materializes them as sparse matrices only where a matrix is needed
 (a sparse LU, export, the dense verify instruments), and inverts a single SPD
 tensor-product operator as the Kronecker product of its factor inverses,
-applied by the same mode products.
+applied by the same mode products. A Kronecker product of diagonal factors
+is held as its diagonal (`KroneckerDiagonal`) and applied elementwise.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -115,6 +117,25 @@ class KroneckerMatrix:
             total = prod if total is None else total + prod
         total.eliminate_zeros()
         return total.tocsr()
+
+
+class KroneckerDiagonal:
+    """The diagonal matrix diag(d_1) x ... x diag(d_m), held as its diagonal.
+
+    It stands in for a KroneckerMatrix where a basis diagonalizes one: its
+    apply and its solve are one elementwise product or quotient.
+    """
+
+    def __init__(self, *diagonals):
+        self.diagonal = reduce(np.multiply.outer, diagonals).ravel()
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Product with the vector x."""
+        return self.diagonal * x
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """Solve with the diagonal for the vector r."""
+        return r / self.diagonal
 
 
 class KroneckerSolver:

@@ -56,10 +56,12 @@ def _probe_symmetry(apply_a, dim):
     for _ in range(3):
         v = rng.standard_normal(dim)
         w = rng.standard_normal(dim)
-        av, aw = apply_a(v), apply_a(w)
-        gap = abs(av @ w - v @ aw)
-        scale = np.linalg.norm(av) * np.linalg.norm(w) \
-            + np.linalg.norm(aw) * np.linalg.norm(v)
+        # each product is read before the next apply, which may reuse its array
+        av = apply_a(v)
+        avw, av_norm = av @ w, np.linalg.norm(av)
+        aw = apply_a(w)
+        gap = abs(avw - v @ aw)
+        scale = av_norm * np.linalg.norm(w) + np.linalg.norm(aw) * np.linalg.norm(v)
         if gap > SYMMETRY_PROBE_RTOL * max(scale, 1e-300):
             raise ValueError("operator failed the symmetry probe "
                              f"(|<Av,w> - <v,Aw>| = {gap:g})")
@@ -109,21 +111,25 @@ def minres(apply_a, apply_pinv, b: np.ndarray, x0: np.ndarray | None = None,
     dbar = epsln = 0.0
     phibar = beta1
     cs, sn = -1.0, 0.0
-    w = np.zeros(n)
-    w2 = np.zeros(n)
-    r2 = r1
+    # the recurrence writes only into these; the arrays apply_a and
+    # apply_pinv return are read, never written, and not kept past the next
+    # call, so an operator may hand back one buffer every time
+    r2, r1 = r1, np.empty(n)
+    v, w, w1, w2, scratch = (np.zeros(n) for _ in range(5))
     itn = 0
     stop = None
 
     while stop is None:
         itn += 1
-        v = y / beta
+        np.divide(y, beta, out=v)
         y = apply_a(v)
         if itn >= 2:
-            y = y - (beta / oldb) * r1
+            np.multiply(r1, beta / oldb, out=r1)
+            y = np.subtract(y, r1, out=r1)
         alfa = float(v @ y)
-        y = y - (alfa / beta) * r2
-        r1, r2 = r2, y
+        np.multiply(r2, alfa / beta, out=scratch)
+        np.subtract(y, scratch, out=r1)
+        r1, r2 = r2, r1
         y = apply_pinv(r2)
         oldb = beta
         beta_sq = float(r2 @ y)
@@ -141,9 +147,14 @@ def minres(apply_a, apply_pinv, b: np.ndarray, x0: np.ndarray | None = None,
         sn = beta / gamma
         phi = cs * phibar
         phibar = sn * phibar
-        w1, w2 = w2, w
-        w = (v - oldeps * w1 - delta * w2) / gamma
-        x = x + phi * w
+        w1, w2, w = w2, w, w1
+        np.multiply(w1, oldeps, out=w)
+        np.subtract(v, w, out=w)
+        np.multiply(w2, delta, out=scratch)
+        np.subtract(w, scratch, out=w)
+        np.divide(w, gamma, out=w)
+        np.multiply(w, phi, out=scratch)
+        np.add(x, scratch, out=x)
         history.append(phibar)
 
         breakdown = beta <= BREAKDOWN_RTOL * beta1

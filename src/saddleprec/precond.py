@@ -19,17 +19,21 @@ inverses, applied by mode products. P reads the observation and the control
 mass from the system table of `assembly.system_blocks` and builds the r1
 Gram and the r2 mass, which A does not contain. Only P_Y, its LU and the
 control scales depend on alpha; `alpha_free_setup` holds the rest, so that
-solves at several alphas can share it. The dense reference is the
+solves at several alphas can share it, and the `ControlEigenbasis` in which
+the solve runs: there the control mass of A and P is diagonal. The table
+itself stays in the B-spline basis. The dense reference is the
 Schur complement observation + sum_m K_m' P_m^{-1} K_m over the multiplier
 blocks m of the same P, K_m the (m, y) entries of the system table; it
 equals the sparse state block whenever the residual inclusion holds.
 """
 
+import copy
 import math
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import eigh
 from scipy.sparse.linalg import splu
 
 from .assembly import (
@@ -42,7 +46,7 @@ from .assembly import (
     mass_solver,
     residual_terms,
 )
-from .kron import KroneckerMatrix
+from .kron import KroneckerDiagonal, KroneckerMatrix, mode_products
 # univariate_matrix is imported here only so the benchmark probes can rebind it
 from .splines import endpoint_row, univariate_matrix  # noqa: F401
 
@@ -149,25 +153,77 @@ class OrderedLU:
 
 
 class DiagonalBlock(NamedTuple):
-    """One block of P: scale * matrix, inverted as solver.solve(r) / scale."""
+    """One block of P: scale * matrix, inverted as solver.solve(r) / scale.
+    In the `ControlEigenbasis` one `KroneckerDiagonal` is both."""
 
     scale: float
     matrix: object  # sparse matrix or KroneckerMatrix, unscaled
     solver: object  # OrderedLU or KroneckerSolver of the unscaled matrix
 
 
+class ControlEigenbasis:
+    """The control mass's orthonormal eigenvectors Q = Q_t x Q_x x Q_y.
+
+    Each control factor is diagonalized exactly, M_f = Q_f diag(lam_f) Q_f'
+    (`scipy.linalg.eigh`), so M_U = Q diag(lam) Q' with lam = lam_t x lam_x x
+    lam_y, as in Lynch, Rice & Thomas (Numer. Math. 1964). The basis change
+    D = blockdiag(I, Q', Q', I[, I]) is orthogonal: MINRES on D A D' with the
+    preconditioner D P D', from D x0 and D b, computes D x_k with the same
+    Euclidean and preconditioned residual norms. There the control mass of
+    A's (u, u) and (u, p_u) entries and of P's u and p_u blocks is `mass`,
+    one elementwise product, and K_U keeps its Kronecker terms with each
+    control factor F replaced by Q_f' F (`k_u`). Nothing depends on alpha.
+    The rotated system and preconditioner serve MINRES: they apply and solve
+    but do not materialize, which stays with the B-spline ones.
+    """
+
+    def __init__(self, spaces: DiscreteSpaces, blocks: dict):
+        self.spaces = spaces
+        values, self.q = zip(*(eigh(spaces.factor(n, n))
+                               for n in BLOCK_FACTORS["u"]))
+        self.mass = KroneckerDiagonal(*values)
+        self.k_u = KroneckerMatrix()
+        for term in blocks["p_u", "y"].terms:
+            self.k_u.add(term.weight, *(q.T @ f for q, f in zip(self.q, term.factors)))
+
+    def rotate(self, v: np.ndarray, back: bool = False) -> np.ndarray:
+        """D v, or D' v when back: the control blocks change basis."""
+        factors = self.q if back else tuple(q.T for q in self.q)
+        out = np.array(v, dtype=float)
+        for name in ("u", "p_u"):
+            part = self.spaces.block_slice(name)
+            out[part] = mode_products(factors, out[part])
+        return out
+
+    def system(self, system: DiscreteSystem) -> DiscreteSystem:
+        """D A D' and D b: A's table with the control entries replaced."""
+        blocks = {**system.blocks, ("u", "u"): self.mass, ("u", "p_u"): self.mass,
+                  ("p_u", "y"): self.k_u}
+        return DiscreteSystem(system.spec, system.spaces, blocks,
+                              self.rotate(system.rhs))
+
+    def preconditioner(self, precon: "BlockDiagPreconditioner"):
+        """D P D': P's table with the control mass diagonal."""
+        rotated = copy.copy(precon)
+        rotated.table = {**precon.table, **{
+            name: DiagonalBlock(precon.table[name].scale, self.mass, self.mass)
+            for name in ("u", "p_u")}}
+        return rotated
+
+
 def alpha_free_setup(spec: ProblemSpec, spaces: DiscreteSpaces,
                      blocks: dict) -> tuple:
     """The part of P that every alpha shares: the `state_grams`, the control
-    mass solver, and the unscaled r1 Gram with its `OrderedLU` [and the r2
-    mass] by block name."""
+    mass solver, the unscaled r1 Gram with its `OrderedLU` [and the r2 mass]
+    by block name, and the `ControlEigenbasis` the solve runs in."""
     r1_gram = h10_gram_form(spaces).materialize()
     fixed = {"p_r1": DiagonalBlock(1.0, r1_gram, OrderedLU(
         r1_gram, spaces.block_shape("p_r1"), spec.degree))}
     if spaces.has_r2:
         fixed["p_r2"] = DiagonalBlock(1.0, mass_form(spaces, "p_r2"),
                                       mass_solver(spaces, "p_r2"))
-    return state_grams(spec, spaces, blocks), mass_solver(spaces, "u"), fixed
+    return (state_grams(spec, spaces, blocks), mass_solver(spaces, "u"), fixed,
+            ControlEigenbasis(spaces, blocks))
 
 
 class BlockDiagPreconditioner:
@@ -176,13 +232,15 @@ class BlockDiagPreconditioner:
     `table` maps each block name to its `DiagonalBlock`: P_Y from
     `state_block` and the r1 Gram with `OrderedLU`s, the mass blocks as
     Kronecker sums with their `mass_solver`. All but P_Y, its LU and the
-    alpha scales come from `setup`, an `alpha_free_setup` built when None.
+    alpha scales come from `setup`, an `alpha_free_setup` built when None;
+    `basis` is its `ControlEigenbasis`.
     """
 
     def __init__(self, spec, spaces, blocks, setup=None):
         self.spaces = spaces
         self.alpha = a = spec.alpha
-        grams, u_solver, fixed = setup or alpha_free_setup(spec, spaces, blocks)
+        grams, u_solver, fixed, self.basis = (
+            setup or alpha_free_setup(spec, spaces, blocks))
         p_y = state_block(spec, spaces, blocks, a, grams)
         del grams  # those of a setup built here are freed before P_Y's LU
         u_mass = blocks["u", "u"]

@@ -524,6 +524,18 @@ def test_nonhomogeneous_data_solves(kind, p, alpha):
     _, rep = minres(system.apply, precon.apply_inverse, system.rhs)
     assert rep.stop == "converged"
     assert rep.final_true_relres <= 1e-8
+    # in the control eigenbasis, as `saddleprec run` solves: the iterate
+    # rotated back meets tol against the CSR matrix of the B-spline basis
+    basis = precon.basis
+    rot_system = basis.system(system)
+    x_rot, rep = minres(rot_system.apply, basis.preconditioner(precon).apply_inverse,
+                        rot_system.rhs)
+    assert rep.stop == "converged"
+    x = basis.rotate(x_rot, back=True)
+    relres = (np.linalg.norm(system.rhs - system.matrix @ x)
+              / np.linalg.norm(system.rhs))
+    assert relres <= 1e-8
+    assert relres == pytest.approx(rep.final_true_relres, rel=1e-6)
 
 
 def test_coarsest_level_assembles_and_solves():

@@ -3,9 +3,10 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from saddleprec import assembly, cli, verify
+from saddleprec import assembly, cli, krylov, verify
 from saddleprec.assembly import ProblemSpec, assemble_system, build_spaces
 from saddleprec.precond import build_preconditioner
 
@@ -72,3 +73,33 @@ def test_verify_instruments_keep_the_benchmark_signatures():
     precon = build_preconditioner(spec, spaces, system.blocks)
     kappa = verify.condition_number_estimate(system, precon).as_dict()["kappa"]
     assert isinstance(kappa, float) and kappa >= 1.0
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1e-6])
+def test_benchmark_residual_check_is_the_bspline_residual(monkeypatch, alpha):
+    # the benchmark recomputes |b - A x| / |b - A x0| with the operator that
+    # solve_once hands to cli.minres, positionally with x0= and config=; in
+    # the control eigenbasis that is the B-spline CSR residual of D' x
+    calls = []
+
+    def recording_minres(*args, **kwargs):
+        x, report = krylov.minres(*args, **kwargs)
+        calls.append((args, kwargs, x))
+        return x, report
+
+    monkeypatch.setattr(cli, "minres", recording_minres)
+    spec = ProblemSpec("wave", 2, 2, alpha)
+    assert cli.solve_once(spec, 1e-8)["converged"]
+    [((apply_a, apply_pinv, b), kwargs, x)] = calls
+    assert set(kwargs) == {"x0", "config"} and callable(apply_pinv)
+    x0 = kwargs["x0"]
+    bench = (np.linalg.norm(b - apply_a(x)) / np.linalg.norm(b - apply_a(x0)))
+
+    system, precon = cli.build_solve(spec)
+    back = precon.basis.rotate
+    csr = (np.linalg.norm(system.rhs - system.matrix @ back(x, back=True))
+           / np.linalg.norm(system.rhs - system.matrix @ back(x0, back=True)))
+    assert bench == pytest.approx(csr, rel=1e-10)
+    # and the start is the seed's B-spline start vector, rotated
+    assert np.allclose(back(x0, back=True), krylov.random_start(system.dim, 0),
+                       rtol=0, atol=1e-13)

@@ -35,6 +35,7 @@ def test_run_single_row(capsys):
     assert int(row[4]) == 468  # dofs at p=2, level=1
     assert int(row[5]) > 0  # iterations
     assert row[6] == "True"
+    assert row[CSV_COLUMNS.index("stop")] == "converged"
 
 
 def test_run_writes_csv(tmp_path, capsys):
@@ -47,6 +48,7 @@ def test_run_writes_csv(tmp_path, capsys):
     assert len(rows) == 1
     assert set(rows[0]) == set(CSV_COLUMNS)
     assert rows[0]["converged"] == "True"
+    assert rows[0]["stop"] == "converged"
 
 
 def test_unconverged_solve_exits_nonzero(tmp_path, capsys):
@@ -56,18 +58,25 @@ def test_unconverged_solve_exits_nonzero(tmp_path, capsys):
     assert rc == 1
     row = capsys.readouterr().out.strip().splitlines()[1].split(",")
     assert row[6] == "False"
+    assert row[CSV_COLUMNS.index("stop")] == "stagnated"
     with open(path) as fh:
-        assert next(csv.DictReader(fh))["converged"] == "False"
+        written = next(csv.DictReader(fh))
+    assert (written["converged"], written["stop"]) == ("False", "stagnated")
 
     path = tmp_path / "cells.csv"
     rc = main(["table", "--levels", "1", "--alphas", "1e-3", "--tol", "1e-16",
                "--format", "csv", "--output", str(path)])
     assert rc == 1
-    out = capsys.readouterr().out.strip().splitlines()
+    captured = capsys.readouterr()
+    out = captured.out.strip().splitlines()
     assert out[-1].split(",") == ["1", "fail", "468"]
+    # the failed cell is named on stderr with the stop reason
+    assert captured.err.strip().splitlines() == [
+        "# cell p=2 level=1 alpha=0.001 failed: MINRES stop stagnated"]
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 1 and rows[0]["converged"] == "False"
+    assert rows[0]["stop"] == "stagnated"
 
 
 def test_seed_reproducibility(capsys):
@@ -139,6 +148,7 @@ def test_table_long_form_output(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2
     assert set(rows[0]) == set(CSV_COLUMNS)
+    assert [r["stop"] for r in rows] == ["converged", "converged"]
     # rows in the order of --alphas
     assert [float(r["alpha"]) for r in rows] == [1e-3, 1e-6]
 
@@ -269,6 +279,12 @@ def test_config_error_exit_code(capsys, monkeypatch, tmp_path):
         main(["export", "--level", "1", "--tol", "0", "--export-dir", str(out)])
     assert exc.value.code == 2
     assert not out.exists()
+    # export writes only --export-dir: its parser has no --output to ignore
+    with pytest.raises(SystemExit) as exc:
+        main(["export", "--level", "1", "--export-dir", str(out),
+              "--output", str(tmp_path / "e.csv")])
+    assert exc.value.code == 2
+    assert not out.exists() and not (tmp_path / "e.csv").exists()
     # verify measures fixed instances: it has no --level to ignore or clamp
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--level", "3"])
@@ -338,8 +354,9 @@ def test_memory_estimate_covers_held_blocks(kind, p, lev):
     # the bytes held: both factorized blocks, their LUs (a float64 value and
     # an int32 row index per nonzero, and the column pointers of L and U) with
     # the ordering and SuperLU's row and column permutations, the univariate
-    # factors of every block and of the mass inverses, and the work vectors;
-    # the interpreter base is left out
+    # factors of every block, of the mass inverses and of the control
+    # eigenbasis with its diagonal, and the work vectors; the interpreter
+    # base is left out
     lu_bytes = sum(12 * o.lu.nnz + 8 * (o.lu.shape[0] + 1) + o.perm.nbytes
                    + o.lu.perm_r.nbytes + o.lu.perm_c.nbytes
                    for o in lus.values())
@@ -349,8 +366,11 @@ def test_memory_estimate_covers_held_blocks(kind, p, lev):
     sums += [precon.table[n].matrix for n in spaces.block_names
              if n not in ("y", "p_r1")]
     sums += [s._inverse for s in solvers]
+    sums += [precon.basis.k_u]
+    basis_bytes = (sum(q.nbytes for q in precon.basis.q)
+                   + precon.basis.mass.diagonal.nbytes)
     total = (sum(_held_bytes(m) for m in factorized.values()) + lu_bytes
-             + _factor_bytes(sums)
+             + _factor_bytes(sums) + basis_bytes
              + 8 * WORK_VECTORS * system.dim)
     assert (estimate_memory_gb(spec) - BASE_GB) * 1e9 >= total
 

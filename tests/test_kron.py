@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from saddleprec.assembly import ProblemSpec, build_spaces, mass_solver
-from saddleprec.kron import KroneckerMatrix, KroneckerSolver
+from saddleprec.kron import KroneckerDiagonal, KroneckerMatrix, KroneckerSolver
 
 
 def _rand_spd(rng, n):
@@ -130,3 +130,13 @@ def test_solver_matches_spsolve_on_spline_masses(block, p):
     got = solver.solve(cols)
     assert got.shape == cols.shape
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_kronecker_diagonal_is_the_kron_of_its_diagonals():
+    rng = np.random.default_rng(42)
+    diags = [rng.uniform(0.5, 2.0, n) for n in (3, 4, 5)]
+    dense = np.diag(np.kron(np.kron(diags[0], diags[1]), diags[2]))
+    kd = KroneckerDiagonal(*diags)
+    x = rng.standard_normal(60)
+    assert np.allclose(kd.apply(x), dense @ x, rtol=1e-15, atol=0)
+    assert np.allclose(kd.solve(x), np.linalg.solve(dense, x), rtol=1e-14, atol=0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from saddleprec import krylov
 from saddleprec.assembly import ProblemSpec, assemble_system
 from saddleprec.krylov import STAGNATION_CHECKS, MinresConfig, minres, random_start
 from saddleprec.precond import build_preconditioner
@@ -216,3 +217,155 @@ def test_random_start_reproducibility_and_spread():
     v = random_start(4000, seed=11)
     assert 0.2 <= (v @ v) / len(v) <= 0.47
 
+
+
+def _allocating_minres(apply_a, apply_pinv, b, x0=None, config=None):
+    """The recurrence as it was written before its buffers were preallocated:
+    a new array for every vector update. The reference for bitwise equality."""
+    if config is None:
+        config = MinresConfig()
+    b = np.asarray(b, dtype=float)
+    n = b.shape[0]
+    krylov._probe_symmetry(apply_a, n)
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+
+    r1 = b - apply_a(x)
+    eu0 = float(np.linalg.norm(r1))
+    y = apply_pinv(r1)
+    beta1_sq = float(r1 @ y)
+    if beta1_sq < 0:
+        raise ValueError("preconditioner failed the positive-definiteness check")
+    beta1 = np.sqrt(beta1_sq)
+    history = [beta1]
+    checks: list = []
+    if beta1 == 0.0 or eu0 == 0.0:
+        return x, krylov.MinresReport(0, "converged", np.array(history), checks, 0.0)
+
+    best_rel, best_x, since_best = np.inf, None, 0
+
+    def confirm(xc):
+        """Record a true-residual check; track the best confirmed iterate."""
+        nonlocal best_rel, best_x, since_best
+        rel = float(np.linalg.norm(b - apply_a(xc)) / eu0)
+        checks.append((itn, rel))
+        if rel < best_rel:
+            best_rel, best_x, since_best = rel, xc.copy(), 0
+        else:
+            since_best += 1
+        return rel
+
+    oldb, beta = 0.0, beta1
+    dbar = epsln = 0.0
+    phibar = beta1
+    cs, sn = -1.0, 0.0
+    w = np.zeros(n)
+    w2 = np.zeros(n)
+    r2 = r1
+    itn = 0
+    stop = None
+
+    while stop is None:
+        itn += 1
+        v = y / beta
+        y = apply_a(v)
+        if itn >= 2:
+            y = y - (beta / oldb) * r1
+        alfa = float(v @ y)
+        y = y - (alfa / beta) * r2
+        r1, r2 = r2, y
+        y = apply_pinv(r2)
+        oldb = beta
+        beta_sq = float(r2 @ y)
+        if beta_sq < 0:
+            raise ValueError("preconditioner failed the positive-definiteness check")
+        beta = np.sqrt(beta_sq)
+
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        gamma = max(np.hypot(gbar, beta), np.finfo(float).tiny)
+        cs = gbar / gamma
+        sn = beta / gamma
+        phi = cs * phibar
+        phibar = sn * phibar
+        w1, w2 = w2, w
+        w = (v - oldeps * w1 - delta * w2) / gamma
+        x = x + phi * w
+        history.append(phibar)
+
+        breakdown = beta <= krylov.BREAKDOWN_RTOL * beta1
+        if not (phibar <= config.rel_tol * beta1 or breakdown
+                or itn % krylov.TRUE_RESIDUAL_CHECK_EVERY == 0 or itn == config.max_iter):
+            continue
+        if confirm(x) <= config.rel_tol:
+            stop = "converged"
+        elif since_best >= STAGNATION_CHECKS:
+            stop, x = "stagnated", best_x
+        elif breakdown:
+            stop = "breakdown"
+        elif itn == config.max_iter:
+            stop = "iteration cap"
+
+    final_rel = best_rel if stop == "stagnated" else checks[-1][1]
+    return x, krylov.MinresReport(itn, stop, np.array(history), checks, final_rel)
+
+
+class _OneBuffer:
+    """An operator that hands back one read-only array on every call: minres
+    must neither write into it nor keep it past the next call."""
+
+    def __init__(self, op, n):
+        self.op, self.out = op, np.empty(n)
+
+    def __call__(self, v):
+        self.out.setflags(write=True)
+        self.out[:] = self.op(v)
+        self.out.setflags(write=False)
+        return self.out
+
+
+def _dense_instance():
+    rng = np.random.default_rng(40)
+    g = rng.standard_normal((60, 60))
+    d = np.abs(rng.standard_normal(60)) + 0.5
+    return (_apply(g + g.T), lambda r: r / d, rng.standard_normal(60),
+            rng.standard_normal(60), MinresConfig(rel_tol=1e-10))
+
+
+def _wave_instance(tol):
+    spec = ProblemSpec("wave", 2, 1, 1e-6)
+    system = assemble_system(spec)
+    precon = build_preconditioner(spec, system.spaces, system.blocks)
+    return (system.apply, precon.apply_inverse, system.rhs,
+            random_start(system.dim, 0), MinresConfig(rel_tol=tol))
+
+
+INSTANCES = {"dense": _dense_instance,
+             "wave": lambda: _wave_instance(1e-8),
+             "wave-stagnated": lambda: _wave_instance(1e-16)}
+
+
+@pytest.mark.parametrize("name", INSTANCES)
+def test_preallocated_recurrence_is_bitwise_the_allocating_one(name):
+    apply_a, apply_pinv, b, x0, cfg = INSTANCES[name]()
+    x, rep = minres(apply_a, apply_pinv, b, x0=x0, config=cfg)
+    x_ref, ref = _allocating_minres(apply_a, apply_pinv, b, x0=x0, config=cfg)
+    assert (rep.iterations, rep.stop) == (ref.iterations, ref.stop)
+    assert np.array_equal(rep.residual_history, ref.residual_history)
+    assert rep.true_residual_checks == ref.true_residual_checks
+    assert np.array_equal(x, x_ref)
+
+
+@pytest.mark.parametrize("name", INSTANCES)
+def test_operators_may_return_one_read_only_buffer(name):
+    # a write into a returned array raises; a returned array kept past the
+    # next call would change the iterates
+    apply_a, apply_pinv, b, x0, cfg = INSTANCES[name]()
+    x_ref, ref = minres(apply_a, apply_pinv, b, x0=x0, config=cfg)
+    x, rep = minres(_OneBuffer(apply_a, len(b)), _OneBuffer(apply_pinv, len(b)),
+                    b, x0=x0, config=cfg)
+    assert (rep.iterations, rep.stop) == (ref.iterations, ref.stop)
+    assert np.array_equal(rep.residual_history, ref.residual_history)
+    assert np.array_equal(x, x_ref)

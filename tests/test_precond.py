@@ -8,12 +8,14 @@ import pytest
 from scipy.sparse.linalg import splu
 
 from saddleprec.assembly import (
+    BLOCK_FACTORS,
     ProblemSpec,
     assemble_system,
     build_spaces,
     mass_form,
 )
 from saddleprec.precond import (
+    ControlEigenbasis,
     alpha_free_setup,
     build_preconditioner,
     build_Ptilde_Y,
@@ -365,3 +367,63 @@ def test_invalid_alpha_rejected():
     for bad in (0.0, -1.0):
         with pytest.raises(ValueError):
             dataclasses.replace(spec, alpha=bad)
+
+
+@pytest.mark.parametrize("lev", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3])
+def test_control_eigenbasis_diagonalizes_each_factor(p, lev):
+    spec = ProblemSpec("wave", p, lev, 1e-6)
+    sp_ = build_spaces(spec)
+    basis = ControlEigenbasis(sp_, assemble_system(spec, sp_).blocks)
+    lams = []
+    for name, q in zip(BLOCK_FACTORS["u"], basis.q):
+        mass = sp_.factor(name, name)
+        lam = np.diag(q.T @ mass @ q)
+        assert np.abs(q.T @ q - np.eye(len(q))).max() <= 1e-13
+        assert np.abs(q @ np.diag(lam) @ q.T - mass).max() <= 1e-13
+        lams.append(lam)
+    # the diagonal is lam_t x lam_x x lam_y in Kronecker order
+    want = np.kron(np.kron(lams[0], lams[1]), lams[2])
+    assert np.allclose(basis.mass.diagonal, want, rtol=1e-12, atol=0)
+
+
+def _dense_rotation(basis, sp_):
+    """D = blockdiag(I, Q', Q', I[, I]) as a function, Q = Q_t x Q_x x Q_y
+    formed densely by np.kron, independent of the mode products."""
+    q = np.kron(np.kron(basis.q[0], basis.q[1]), basis.q[2])
+
+    def rotate(v, back=False):
+        out = v.copy()
+        for name in ("u", "p_u"):
+            part = sp_.block_slice(name)
+            out[part] = (q if back else q.T) @ v[part]
+        return out
+    return rotate
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1e-6])
+@pytest.mark.parametrize("lev", [1, 2])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("kind", ["heat", "wave"])
+def test_rotated_operators_are_the_csr_ones_rotated(kind, p, lev, alpha):
+    # oracle: D A D' from the CSR B-spline matrix and a dense D; P likewise
+    spec = ProblemSpec(kind, p, lev, alpha)
+    sp_ = build_spaces(spec)
+    system = assemble_system(spec, sp_)
+    precon = build_preconditioner(spec, sp_, system.blocks)
+    basis = precon.basis
+    rot_system, rot_precon = basis.system(system), basis.preconditioner(precon)
+    d = _dense_rotation(basis, sp_)
+    rng = np.random.default_rng(41)
+    for _ in range(2):
+        v = rng.standard_normal(system.dim)
+        want = d(system.matrix @ d(v, back=True))
+        assert np.abs(rot_system.apply(v) - want).max() <= 1e-13 * np.abs(want).max()
+        x = rot_precon.apply_inverse(v)
+        resid = d(precon.materialize() @ d(x, back=True)) - v
+        assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(v)
+        assert np.allclose(basis.rotate(v), d(v), rtol=0, atol=1e-13 * np.abs(v).max())
+        assert np.allclose(basis.rotate(basis.rotate(v), back=True), v, rtol=0,
+                           atol=1e-13 * np.abs(v).max())
+    # the B-spline basis objects are untouched: the rotation copies
+    assert precon.table["u"].matrix is system.blocks["u", "u"]
