@@ -19,7 +19,7 @@ from .assembly import (
     build_spaces,
     dof_count,
 )
-from .blocksys import BlockTridiagonalSystem, BlockVector
+from .blocksys import BlockTridiagonalSystem
 from .krylov import MinresConfig, MinresReport, minres, random_start
 from .precond import BlockDiagPreconditioner, build_preconditioner, build_Ptilde_Y
 from .splines import SplineSpace, make_space
@@ -27,7 +27,6 @@ from .splines import SplineSpace, make_space
 __all__ = [
     "BlockDiagPreconditioner",
     "BlockTridiagonalSystem",
-    "BlockVector",
     "DiscreteSpaces",
     "DiscreteSystem",
     "MinresConfig",

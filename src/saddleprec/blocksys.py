@@ -88,33 +88,6 @@ class BlockTridiagonalSystem:
         return np.concatenate([[0], np.cumsum(self.block_dims)])
 
 
-@dataclass
-class BlockVector:
-    """A vector split into segments conforming to the block dimensions."""
-
-    segments: list
-
-    def __post_init__(self):
-        self.segments = [np.asarray(s, dtype=float).reshape(-1) for s in self.segments]
-
-    @property
-    def dims(self):
-        return [len(s) for s in self.segments]
-
-    def concat(self) -> np.ndarray:
-        return np.concatenate(self.segments)
-
-    @classmethod
-    def split(cls, vec: np.ndarray, dims) -> "BlockVector":
-        offs = np.concatenate([[0], np.cumsum(dims)])
-        return cls([vec[offs[i]:offs[i + 1]] for i in range(len(dims))])
-
-
-def tilde(x: BlockVector) -> BlockVector:
-    """Flip the sign of every even-indexed segment: segment i -> (-1)^i * segment i."""
-    return BlockVector([((-1) ** i) * s for i, s in enumerate(x.segments)])
-
-
 def assemble_full(sys: BlockTridiagonalSystem) -> np.ndarray:
     """The symmetric operator with (-1)^{i-1} A_i on the diagonal and B_i
     couplings: signed D plus B of `split_D_B`."""
@@ -144,7 +117,6 @@ class KernelCheck:
     max_angle: float
     indeterminate: bool
     dim_full: int
-    dim_intersection: int
 
 
 def _nullspace(mat: np.ndarray, rel_tol: float):
@@ -177,11 +149,11 @@ def kernel_equality_check(sys: BlockTridiagonalSystem,
     indeterminate = ind_a or ind_db
     da, db = ker_a.shape[1], ker_db.shape[1]
     if da != db:
-        return KernelCheck(False, np.pi / 2, indeterminate, da, db)
+        return KernelCheck(False, np.pi / 2, indeterminate, da)
     if da == 0:
-        return KernelCheck(True, 0.0, indeterminate, 0, 0)
+        return KernelCheck(True, 0.0, indeterminate, 0)
     angle = float(np.max(subspace_angles(ker_a, ker_db)))
-    return KernelCheck(angle <= 1e-8, angle, indeterminate, da, db)
+    return KernelCheck(angle <= 1e-8, angle, indeterminate, da)
 
 
 def gamma_from_c(c_lo: float, c_hi: float):
@@ -221,17 +193,12 @@ def measure_c(sys: BlockTridiagonalSystem, inner_blocks):
     return float(np.sqrt(max(ev[0], 0.0))), float(np.sqrt(ev[-1]))
 
 
-def gamma_pencil(sys: BlockTridiagonalSystem, inner_blocks):
-    """G = D + B P^{-1} B and the block-diagonal P it is measured against."""
+def measure_gamma(sys: BlockTridiagonalSystem, inner_blocks):
+    """Extreme generalized eigenvalues of D + B P^{-1} B versus P."""
     blocks = _check_inner_product_blocks(inner_blocks, sys.block_dims)
     P = block_diag(*blocks)
     D, B = split_D_B(sys)
-    return D + B @ np.linalg.solve(P, B), P
-
-
-def measure_gamma(sys: BlockTridiagonalSystem, inner_blocks):
-    """Extreme generalized eigenvalues of D + B P^{-1} B versus P."""
-    ev = eigh(*gamma_pencil(sys, inner_blocks), eigvals_only=True)
+    ev = eigh(D + B @ np.linalg.solve(P, B), P, eigvals_only=True)
     return float(ev[0]), float(ev[-1])
 
 

@@ -70,18 +70,6 @@ class KroneckerMatrix:
         return self
 
     @property
-    def row_dims(self) -> tuple[int, ...]:
-        return tuple(f.shape[0] for f in self.terms[0].factors)
-
-    @property
-    def col_dims(self) -> tuple[int, ...]:
-        return tuple(f.shape[1] for f in self.terms[0].factors)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return int(np.prod(self.row_dims)), int(np.prod(self.col_dims))
-
-    @property
     def T(self) -> "KroneckerMatrix":
         """The transposed sum; its factors are views of these."""
         km = KroneckerMatrix()

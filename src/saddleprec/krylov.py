@@ -86,12 +86,12 @@ def minres(apply_a, apply_pinv, b: np.ndarray, x0: np.ndarray | None = None,
     eu0 = float(np.linalg.norm(r1))
     y = apply_pinv(r1)
     beta1_sq = float(r1 @ y)
-    if beta1_sq < 0:
+    if eu0 > 0.0 and beta1_sq <= 0.0:
         raise ValueError("preconditioner failed the positive-definiteness check")
     beta1 = np.sqrt(beta1_sq)
     history = [beta1]
     checks: list = []
-    if beta1 == 0.0 or eu0 == 0.0:
+    if eu0 == 0.0:
         return x, MinresReport(0, "converged", np.array(history), checks, 0.0)
 
     best_rel, best_x, since_best = np.inf, None, 0

@@ -97,10 +97,9 @@ def state_grams(spec: ProblemSpec, spaces: DiscreteSpaces, blocks: dict) -> tupl
             trace_form(spec, spaces).materialize())
 
 
-def state_block(spec: ProblemSpec, spaces: DiscreteSpaces, blocks: dict,
-                alpha: float, grams: tuple | None = None) -> sp.csr_matrix:
-    """P_Y: observation + alpha * residual Gram + trace Grams (`grams`)."""
-    observation, residual, trace = grams or state_grams(spec, spaces, blocks)
+def state_block(grams: tuple, alpha: float) -> sp.csr_matrix:
+    """P_Y: observation + alpha * residual Gram + trace Grams (`state_grams`)."""
+    observation, residual, trace = grams
     return _symmetrize(observation + alpha * residual + trace)
 
 
@@ -241,7 +240,7 @@ class BlockDiagPreconditioner:
         self.alpha = a = spec.alpha
         grams, u_solver, fixed, self.basis = (
             setup or alpha_free_setup(spec, spaces, blocks))
-        p_y = state_block(spec, spaces, blocks, a, grams)
+        p_y = state_block(grams, a)
         del grams  # those of a setup built here are freed before P_Y's LU
         u_mass = blocks["u", "u"]
         self.table = {

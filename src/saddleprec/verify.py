@@ -279,9 +279,6 @@ class ReferenceGapReport:
     rel_gap: float
     scale: float
 
-    def as_dict(self):
-        return asdict(self)
-
 
 def sparse_vs_reference_gap(system: DiscreteSystem) -> ReferenceGapReport:
     """Max-abs gap between P's factorized state block and the reference

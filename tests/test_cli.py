@@ -208,9 +208,10 @@ def test_verify_fast_suites(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "## suite theorem22: [PASS]" in out
-    rc = main(["verify", "--suite", "appendix"])
-    assert rc == 0
-    assert "## suite appendix: [PASS]" in capsys.readouterr().out
+    for seed in ("0", "1", "3"):
+        rc = main(["verify", "--suite", "appendix", "--seed", seed])
+        assert rc == 0
+        assert "## suite appendix: [PASS]" in capsys.readouterr().out
 
 
 def test_verify_report_file(tmp_path, capsys):

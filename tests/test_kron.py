@@ -25,8 +25,8 @@ def test_materialize_matches_dense_kron():
     km.add(-0.5, a, b, c)
     dense = 1.5 * np.kron(np.kron(a, b), c)
     assert sp.issparse(km.materialize())
+    assert km.materialize().shape == dense.shape == (3 * 2 * 4, 4 * 5 * 2)
     assert np.allclose(km.materialize().toarray(), dense, atol=1e-14)
-    assert km.shape == (3 * 2 * 4, 4 * 5 * 2)
 
 
 def test_nonconforming_terms_rejected():
@@ -96,14 +96,14 @@ def test_apply_matches_materialize_and_dense_kron(shapes):
         factors = [rng.standard_normal(s) for s in shapes]
         km.add(weight, *factors)
         dense = dense + weight * _dense(factors)
-    x = rng.standard_normal(km.shape[1])
+    x = rng.standard_normal(dense.shape[1])
     scale = np.abs(dense).sum(axis=1).max() * np.abs(x).max()
-    assert km.apply(x).shape == (km.shape[0],)
+    assert km.apply(x).shape == (dense.shape[0],)
     assert np.max(np.abs(km.apply(x) - km.materialize() @ x)) <= 1e-14 * scale
     assert np.max(np.abs(km.apply(x) - dense @ x)) <= 1e-14 * scale
-    cols = rng.standard_normal((km.shape[1], 3))
+    cols = rng.standard_normal((dense.shape[1], 3))
     assert np.allclose(km.apply(cols), dense @ cols, rtol=0, atol=1e-14 * scale * 3)
-    z = rng.standard_normal(km.shape[0])
+    z = rng.standard_normal(dense.shape[0])
     assert np.allclose(km.T.apply(z), dense.T @ z, rtol=0,
                        atol=1e-14 * np.abs(dense).sum(axis=0).max() * np.abs(z).max())
 

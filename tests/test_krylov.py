@@ -195,6 +195,9 @@ def test_indefinite_preconditioner_rejected():
     b = rng.standard_normal(20)
     with pytest.raises(ValueError):
         minres(_apply(a), lambda r: -r, b)
+    # a preconditioner that maps the nonzero residual to zero is no SPD one
+    with pytest.raises(ValueError):
+        minres(_apply(np.diag([1.0, -2.0, 3.0])), np.zeros_like, np.ones(3))
 
 
 def test_config_validation():

@@ -22,6 +22,7 @@ from saddleprec.precond import (
     dual_grams,
     nested_dissection,
     state_block,
+    state_grams,
     trace_form,
 )
 from saddleprec.splines import eval_basis_many, gauss_rule
@@ -158,7 +159,7 @@ def test_state_block_is_the_factorized_block(kind, alpha):
     spec = ProblemSpec(kind, 2, 2, 1e-2)
     sp_ = build_spaces(spec)
     system = assemble_system(spec, sp_)
-    direct = state_block(spec, sp_, system.blocks, alpha)
+    direct = state_block(state_grams(spec, sp_, system.blocks), alpha)
     precon = build_preconditioner(dataclasses.replace(spec, alpha=alpha), sp_,
                                   system.blocks)
     held = precon.block_matrix("y")
@@ -181,8 +182,9 @@ def test_shared_setup_state_block_is_bitwise_the_unshared_one(kind, p):
         held = build_preconditioner(spec_a, sp_, system.blocks,
                                     setup).block_matrix("y")
         fresh_spaces = build_spaces(spec_a)
-        fresh = state_block(spec_a, fresh_spaces,
-                            assemble_system(spec_a, fresh_spaces).blocks, alpha)
+        fresh = state_block(state_grams(
+            spec_a, fresh_spaces, assemble_system(spec_a, fresh_spaces).blocks),
+            alpha)
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(held, attr), getattr(fresh, attr))
 
@@ -198,7 +200,7 @@ def test_ordered_lus_agree_with_default_ordered_splu(kind, p, lev):
     system = assemble_system(spec, sp_)
     precon = build_preconditioner(spec, sp_, system.blocks)
     # the held block keeps the original ordering, entry for entry
-    direct = state_block(spec, sp_, system.blocks, spec.alpha)
+    direct = state_block(state_grams(spec, sp_, system.blocks), spec.alpha)
     held = precon.block_matrix("y")
     assert held.shape == direct.shape and (held != direct).nnz == 0
     rng = np.random.default_rng(31)
@@ -231,7 +233,7 @@ def test_top_separator_splits_the_state_block(p):
     spec = ProblemSpec("wave", p, 2, 1e-6)
     sp_ = build_spaces(spec)
     system = assemble_system(spec, sp_)
-    p_y = state_block(spec, sp_, system.blocks, spec.alpha)
+    p_y = state_block(state_grams(spec, sp_, system.blocks), spec.alpha)
     shape = sp_.block_shape("y")
     perm = nested_dissection(shape, p)
     axis = int(np.argmax(shape))

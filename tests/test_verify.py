@@ -271,4 +271,3 @@ def test_reference_gap_report_fields(wave_system):
     rep = sparse_vs_reference_gap(wave_system)
     assert rep.scale > 0
     assert rep.abs_gap <= rep.rel_gap * rep.scale * (1 + 1e-12)
-    assert rep.as_dict()["rel_gap"] == rep.rel_gap
