@@ -42,9 +42,7 @@ class ProblemSpec:
     """Configuration of one optimal-control discretization.
 
     The PDE lives on the unit square over (0, final_time); observation is
-    restricted to the axis-aligned box omega. ``u_continuity`` overrides the
-    default degree-3 continuity drop of the control space (used only to
-    study what breaks when the residual space is too small).
+    restricted to the axis-aligned box omega.
     """
 
     kind: str
@@ -54,7 +52,6 @@ class ProblemSpec:
     final_time: float = 1.0
     omega: tuple = ((0.25, 0.75), (0.25, 0.75))
     seed: int = 0
-    u_continuity: int | None = None
 
     def __post_init__(self):
         if self.kind not in (HEAT, WAVE):
@@ -178,13 +175,12 @@ def build_spaces(spec: ProblemSpec) -> DiscreteSpaces:
     sparse preconditioner block equal to its dense reference.
     """
     p, lev, T = spec.degree, spec.level, spec.final_time
-    ku = p - 3 if spec.u_continuity is None else spec.u_continuity
     y_time = make_space(p, lev, p - 1, 0.0, T)
     y_x = make_space(p, lev, p - 1, 0.0, 1.0)
     y_y = make_space(p, lev, p - 1, 0.0, 1.0)
-    u_time = make_space(p, lev, ku, 0.0, T)
-    u_x = make_space(p, lev, ku, 0.0, 1.0)
-    u_y = make_space(p, lev, ku, 0.0, 1.0)
+    u_time = make_space(p, lev, p - 3, 0.0, T)
+    u_x = make_space(p, lev, p - 3, 0.0, 1.0)
+    u_y = make_space(p, lev, p - 3, 0.0, 1.0)
     return DiscreteSpaces(
         y_time, y_x, y_y, u_time, u_x, u_y,
         h10_restriction(y_x), h10_restriction(y_y),
@@ -204,7 +200,7 @@ def mass_form(spaces: DiscreteSpaces, block: str) -> KroneckerMatrix:
 
 
 def mass_solver(spaces: DiscreteSpaces, block: str) -> KroneckerSolver:
-    """Inverse of `mass_form(spaces, block)`, by its factor inverses."""
+    """Inverse of `mass_form(spaces, block)`, in its factor eigenbases."""
     return KroneckerSolver([spaces.factor(n, n) for n in BLOCK_FACTORS[block]])
 
 
@@ -249,6 +245,14 @@ def h10_gram_form(spaces: DiscreteSpaces, *lead) -> KroneckerMatrix:
     km.add(1.0, *lead, f(x, x, 1, 1), f(y, y))
     km.add(1.0, *lead, f(x, x), f(y, y, 1, 1))
     return km
+
+
+def h10_gram_solver(spaces: DiscreteSpaces) -> KroneckerSolver:
+    """Inverse of the r1 Gram `h10_gram_form(spaces)`, in the eigenbases of
+    its factor pencils (S_f, M_f)."""
+    names = BLOCK_FACTORS["p_r1"]
+    return KroneckerSolver([spaces.factor(n, n) for n in names],
+                           [spaces.factor(n, n, 1, 1) for n in names])
 
 
 def k_r1_form(spaces: DiscreteSpaces) -> KroneckerMatrix:

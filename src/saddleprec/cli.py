@@ -13,6 +13,7 @@ written to --output); and 2 on configuration errors
 import argparse
 import csv
 import dataclasses
+import math
 import sys
 import time
 from contextlib import contextmanager
@@ -47,10 +48,9 @@ CSV_COLUMNS = ("problem", "p", "level", "alpha", "dofs", "iterations",
 
 # bytes per stored nonzero: a float64 value and an index of up to 8 bytes
 BYTES_PER_NNZ = 16
-# SuperLU.nnz over matrix nnz of the nested-dissection LUs. Measured on the
-# state block at p=2: 1.4, 2.9, 7.4 and 17.4 at levels 2-5; at p=3: 1.2, 2.3
-# and 5.5 at levels 2-4; the r1 Gram stays below. It grows with the level;
-# this covers every measured case.
+# SuperLU.nnz over matrix nnz of the nested-dissection LU of P_Y. Measured
+# at p=2: 1.4, 2.9, 7.4 and 17.4 at levels 2-5; at p=3: 1.2, 2.3 and 5.5 at
+# levels 2-4. It grows with the level; this covers every measured case.
 LU_FILL = 25.0
 # length-dofs float64 vectors alive at once: the MINRES recurrence, the
 # true-residual checks, the block applies and the preconditioner solve
@@ -59,33 +59,32 @@ WORK_VECTORS = 20
 BASE_GB = 0.1
 
 
-def solve_nnz(spec: ProblemSpec) -> dict:
-    """Exact nonzero counts of the blocks a solve factorizes: P_Y and the r1 Gram.
+def solve_nnz(spec: ProblemSpec) -> int:
+    """Exact nonzero count of P_Y, the one block a solve materializes and
+    factorizes.
 
-    These are the only blocks a solve materializes. The nnz of a Kronecker
-    product is the product of its factors' nnz, and every state-space factor
-    has the support of the state mass, so P_Y has the 3-D and the r1 Gram
-    the 2-D mass pattern.
+    The nnz of a Kronecker product is the product of its factors' nnz, and
+    every state-space factor has the support of the state mass, so P_Y has
+    the 3-D mass pattern.
     """
     spaces = build_spaces(spec)
-    n_t, n_x, n_y = (int(np.count_nonzero(spaces.factor(name, name)))
+    return math.prod(int(np.count_nonzero(spaces.factor(name, name)))
                      for name in BLOCK_FACTORS["y"])
-    return {"P_Y": n_t * n_x * n_y, "r1_gram": n_x * n_y}
 
 
 def estimate_memory_gb(spec: ProblemSpec) -> float:
     """Peak memory of a solve from the exact nonzero counts of what it holds.
 
-    A solve holds each block of `solve_nnz` as a sparse matrix, a CSC copy
-    and its LU, and the work vectors. Assembling P_Y peaks earlier at about
-    six copies of it (measured), below its LU charge. Every other block is
-    applied or inverted from its univariate Kronecker factors, whose size is
-    negligible. A `table` cell also holds the three state Grams of its
-    `shared_setup` across alpha, about 3 P_Y; the LU charge covers them: at
-    wave p=2 level 4 the estimate is 0.34 GB, a table's measured peak RSS
-    163 MB.
+    A solve holds P_Y (`solve_nnz`) as a sparse matrix, a CSC copy and its
+    LU, and the work vectors. Assembling P_Y peaks earlier at about six
+    copies of it (measured), below its LU charge. Every other block is
+    applied or inverted from its univariate Kronecker factors and their
+    eigenvectors, whose size is negligible. A `table` cell also holds the
+    three state Grams of its `shared_setup` across alpha, about 3 P_Y; the
+    LU charge covers them: at wave p=2 level 4 the estimate is 0.34 GB, a
+    table's measured peak RSS 163 MB.
     """
-    held = (2 + LU_FILL) * sum(solve_nnz(spec).values())
+    held = (2 + LU_FILL) * solve_nnz(spec)
     bytes_total = BYTES_PER_NNZ * held + 8.0 * WORK_VECTORS * dof_count(spec)
     return BASE_GB + bytes_total / 1e9
 

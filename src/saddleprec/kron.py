@@ -5,10 +5,10 @@ w * (T x X x Y) with dense univariate factors. Every block of the optimality
 systems is held in this form. This module applies such sums by mode products
 (sum factorization: one small matrix product per factor, never forming the
 product), materializes them as sparse matrices only where a matrix is needed
-(a sparse LU, export, the dense verify instruments), and inverts a single SPD
-tensor-product operator as the Kronecker product of its factor inverses,
-applied by the same mode products. A Kronecker product of diagonal factors
-is held as its diagonal (`KroneckerDiagonal`) and applied elementwise.
+(a sparse LU, export, the dense verify instruments), and inverts an SPD
+Kronecker product, or Kronecker sum, in the eigenbases of its factors (fast
+diagonalization). A Kronecker product or sum of diagonal factors is held as
+its diagonal (`KroneckerDiagonal`) and applied elementwise.
 """
 
 from dataclasses import dataclass
@@ -16,7 +16,7 @@ from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import eigh
 
 
 def mode_products(factors, x: np.ndarray) -> np.ndarray:
@@ -108,45 +108,52 @@ class KroneckerMatrix:
 
 
 class KroneckerDiagonal:
-    """The diagonal matrix diag(d_1) x ... x diag(d_m), held as its diagonal.
+    """The diagonal matrix diag(d_1) x ... x diag(d_m), held as its diagonal,
+    or with op=np.add the Kronecker sum of the diagonal factors.
 
     It stands in for a KroneckerMatrix where a basis diagonalizes one: its
-    apply and its solve are one elementwise product or quotient.
+    apply and its solve are one elementwise product or quotient per row, for
+    a vector or for each of its extra trailing columns.
     """
 
-    def __init__(self, *diagonals):
-        self.diagonal = reduce(np.multiply.outer, diagonals).ravel()
+    def __init__(self, *diagonals, op=np.multiply):
+        self.diagonal = reduce(op.outer, diagonals).ravel()
+
+    def _rows(self, x: np.ndarray) -> np.ndarray:
+        return self.diagonal.reshape(self.diagonal.shape + (1,) * (np.ndim(x) - 1))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Product with the vector x."""
-        return self.diagonal * x
+        """Product with x (a vector, or columns of one)."""
+        return self._rows(x) * x
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        """Solve with the diagonal for the vector r."""
-        return r / self.diagonal
+        """Solve with the diagonal for r (a vector, or columns of one)."""
+        return r / self._rows(r)
 
 
 class KroneckerSolver:
-    """Inverse of a single SPD tensor-product operator A_1 x ... x A_m.
+    """Inverse of an SPD Kronecker product M_1 x ... x M_m of masses, or of
+    the Kronecker sum of M_1 x ... x S_f x ... x M_m over f, in the factors'
+    eigenbases (Lynch, Rice & Thomas, Numer. Math. 1964).
 
-    The inverse is the Kronecker product of the factor inverses. Each factor
-    inverse is computed once from the factor's Cholesky factor and
-    symmetrized; a solve is then one mode product per factor. The package
-    inverts univariate B-spline mass matrices this way: their condition
-    numbers are small and bounded in the mesh size, so the explicit inverses
-    lose nothing against triangular solves.
+    Each factor is diagonalized once by `scipy.linalg.eigh`: the product by
+    eigh(M_f), M_f = W_f diag(lam_f) W_f' with W_f orthonormal; the sum by
+    the pencil eigh(S_f, M_f), W_f' M_f W_f = I and W_f' S_f W_f =
+    diag(lam_f). With W = W_1 x ... x W_m the operator is W^-T diag(lam) W^-1,
+    lam the outer product (or sum) of the lam_f held as the
+    `KroneckerDiagonal` `values`, so a solve is mode products by the W_f',
+    an elementwise quotient and mode products by the W_f (`vectors`).
     """
 
-    def __init__(self, factors):
-        inverses = []
-        for f in factors:
-            f = np.asarray(f)
-            if f.ndim != 2 or f.shape[0] != f.shape[1]:
-                raise ValueError("factors must be square")
-            inv = cho_solve(cho_factor(f), np.eye(f.shape[0]))
-            inverses.append(0.5 * (inv + inv.T))
-        self._inverse = KroneckerMatrix().add(1.0, *inverses)
+    def __init__(self, masses, stiffnesses=None):
+        if stiffnesses is None:
+            pairs, op = [eigh(m) for m in masses], np.multiply
+        else:
+            pairs, op = [eigh(s, m) for s, m in zip(stiffnesses, masses)], np.add
+        lams, self.vectors = zip(*pairs)
+        self.values = KroneckerDiagonal(*lams, op=op)
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        """Solve (A_1 x ... x A_m) x = r; r may carry extra trailing columns."""
-        return self._inverse.apply(r)
+        """Solve with the operator; r may carry extra trailing columns."""
+        rotated = mode_products(tuple(w.T for w in self.vectors), r)
+        return mode_products(self.vectors, self.values.solve(rotated))

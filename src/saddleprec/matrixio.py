@@ -24,14 +24,6 @@ def write_matrix(path, mat, symmetric: bool = False) -> None:
         raise OSError(f"could not write matrix to {path}: {exc}") from exc
 
 
-def read_matrix(path) -> sp.csr_matrix:
-    path = Path(path)
-    try:
-        return sp.csr_matrix(sio.mmread(str(path)))
-    except OSError as exc:
-        raise OSError(f"could not read matrix from {path}: {exc}") from exc
-
-
 def export_system(system, precon, directory) -> dict:
     """Write the assembled system, each preconditioner block, and a manifest.
 

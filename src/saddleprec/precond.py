@@ -8,20 +8,21 @@ block realizes the weighted norm
     |y|^2 = (y, y)_{L2(q_T)} + alpha * |state residual|^2_{L2(Q_T)}
             + |grad y(0)|^2_{L2} [+ |d_t y(0)|^2_{L2} for the wave problem]
 
-and is factorized by a sparse LU, as is the r1 Gram (a 2-D stiffness, not a
-pure tensor product); these two are the only blocks a solve materializes.
-Both LUs run in the geometric nested-dissection order of the block's tensor
-grid (`nested_dissection`, after George, SINUM 1973) without pivoting: the
-blocks are SPD, and a state-space basis function couples only with those
-within p indices per axis, so a slab of p grid planes separates the grid.
-The mass blocks are inverted by Kronecker products of the univariate factor
-inverses, applied by mode products. P reads the observation and the control
-mass from the system table of `assembly.system_blocks` and builds the r1
-Gram and the r2 mass, which A does not contain. Only P_Y, its LU and the
-control scales depend on alpha; `alpha_free_setup` holds the rest, so that
-solves at several alphas can share it, and the `ControlEigenbasis` in which
-the solve runs: there the control mass of A and P is diagonal. The table
-itself stays in the B-spline basis. The dense reference is the
+and is the one block a solve materializes and factorizes, by a sparse LU in
+the geometric nested-dissection order of its tensor grid
+(`nested_dissection`, after George, SINUM 1973) without pivoting: the block
+is SPD, and a state-space basis function couples only with those within p
+indices per axis, so a slab of p grid planes separates the grid. Every
+other block is a Kronecker product of univariate masses, or the r1 Gram
+S_x x M_y + M_x x S_y, and is inverted in the eigenbases of its factors
+(`kron.KroneckerSolver`). P reads the observation and the control mass from
+the system table of `assembly.system_blocks` and builds the r1 Gram and the
+r2 mass, which A does not contain. Only P_Y, its LU and the control scales
+depend on alpha; `alpha_free_setup` holds P_Y's Grams and the
+`ControlEigenbasis`, so that solves at several alphas can share them. The
+solve runs in that basis: there the control mass of A and P is diagonal.
+The basis's control-mass solver also serves the B-spline table, whose
+matrices stay in the B-spline basis. The dense reference is the
 Schur complement observation + sum_m K_m' P_m^{-1} K_m over the multiplier
 blocks m of the same P, K_m the (m, y) entries of the system table; it
 equals the sparse state block whenever the residual inclusion holds.
@@ -33,7 +34,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh
 from scipy.sparse.linalg import splu
 
 from .assembly import (
@@ -42,11 +42,12 @@ from .assembly import (
     DiscreteSystem,
     ProblemSpec,
     h10_gram_form,
+    h10_gram_solver,
     mass_form,
     mass_solver,
     residual_terms,
 )
-from .kron import KroneckerDiagonal, KroneckerMatrix, mode_products
+from .kron import KroneckerMatrix, mode_products
 # univariate_matrix is imported here only so the benchmark probes can rebind it
 from .splines import endpoint_row, univariate_matrix  # noqa: F401
 
@@ -163,9 +164,10 @@ class DiagonalBlock(NamedTuple):
 class ControlEigenbasis:
     """The control mass's orthonormal eigenvectors Q = Q_t x Q_x x Q_y.
 
-    Each control factor is diagonalized exactly, M_f = Q_f diag(lam_f) Q_f'
-    (`scipy.linalg.eigh`), so M_U = Q diag(lam) Q' with lam = lam_t x lam_x x
-    lam_y, as in Lynch, Rice & Thomas (Numer. Math. 1964). The basis change
+    They are the factor eigenvectors of the control mass's `mass_solver`,
+    M_f = Q_f diag(lam_f) Q_f', so M_U = Q diag(lam) Q' with lam = lam_t x
+    lam_x x lam_y; that `solver` also serves the u and p_u blocks of the
+    B-spline P, so M_U is factored once per setup. The basis change
     D = blockdiag(I, Q', Q', I[, I]) is orthogonal: MINRES on D A D' with the
     preconditioner D P D', from D x0 and D b, computes D x_k with the same
     Euclidean and preconditioned residual norms. There the control mass of
@@ -178,9 +180,8 @@ class ControlEigenbasis:
 
     def __init__(self, spaces: DiscreteSpaces, blocks: dict):
         self.spaces = spaces
-        values, self.q = zip(*(eigh(spaces.factor(n, n))
-                               for n in BLOCK_FACTORS["u"]))
-        self.mass = KroneckerDiagonal(*values)
+        self.solver = mass_solver(spaces, "u")
+        self.q, self.mass = self.solver.vectors, self.solver.values
         self.k_u = KroneckerMatrix()
         for term in blocks["p_u", "y"].terms:
             self.k_u.add(term.weight, *(q.T @ f for q, f in zip(self.q, term.factors)))
@@ -212,44 +213,40 @@ class ControlEigenbasis:
 
 def alpha_free_setup(spec: ProblemSpec, spaces: DiscreteSpaces,
                      blocks: dict) -> tuple:
-    """The part of P that every alpha shares: the `state_grams`, the control
-    mass solver, the unscaled r1 Gram with its `OrderedLU` [and the r2 mass]
-    by block name, and the `ControlEigenbasis` the solve runs in."""
-    r1_gram = h10_gram_form(spaces).materialize()
-    fixed = {"p_r1": DiagonalBlock(1.0, r1_gram, OrderedLU(
-        r1_gram, spaces.block_shape("p_r1"), spec.degree))}
-    if spaces.has_r2:
-        fixed["p_r2"] = DiagonalBlock(1.0, mass_form(spaces, "p_r2"),
-                                      mass_solver(spaces, "p_r2"))
-    return (state_grams(spec, spaces, blocks), mass_solver(spaces, "u"), fixed,
-            ControlEigenbasis(spaces, blocks))
+    """The part of P that every alpha shares and that costs more than the
+    eigh of a few univariate factors: the `state_grams` and the
+    `ControlEigenbasis` the solve runs in."""
+    return state_grams(spec, spaces, blocks), ControlEigenbasis(spaces, blocks)
 
 
 class BlockDiagPreconditioner:
     """Factored diagonal blocks of the preconditioner at alpha = spec.alpha.
 
     `table` maps each block name to its `DiagonalBlock`: P_Y from
-    `state_block` and the r1 Gram with `OrderedLU`s, the mass blocks as
-    Kronecker sums with their `mass_solver`. All but P_Y, its LU and the
-    alpha scales come from `setup`, an `alpha_free_setup` built when None;
-    `basis` is its `ControlEigenbasis`.
+    `state_block` with its `OrderedLU`, the other blocks as Kronecker sums
+    with their `KroneckerSolver`s. P_Y's Grams and `basis`, the
+    `ControlEigenbasis` whose control-mass solver serves u and p_u, come
+    from `setup`, an `alpha_free_setup` built when None.
     """
 
     def __init__(self, spec, spaces, blocks, setup=None):
         self.spaces = spaces
         self.alpha = a = spec.alpha
-        grams, u_solver, fixed, self.basis = (
-            setup or alpha_free_setup(spec, spaces, blocks))
+        grams, self.basis = setup or alpha_free_setup(spec, spaces, blocks)
         p_y = state_block(grams, a)
         del grams  # those of a setup built here are freed before P_Y's LU
         u_mass = blocks["u", "u"]
         self.table = {
             "y": DiagonalBlock(1.0, p_y, OrderedLU(p_y, spaces.block_shape("y"),
                                                    spec.degree)),
-            "u": DiagonalBlock(a, u_mass, u_solver),
-            "p_u": DiagonalBlock(1.0 / a, u_mass, u_solver),
-            **fixed,
+            "u": DiagonalBlock(a, u_mass, self.basis.solver),
+            "p_u": DiagonalBlock(1.0 / a, u_mass, self.basis.solver),
+            "p_r1": DiagonalBlock(1.0, h10_gram_form(spaces),
+                                  h10_gram_solver(spaces)),
         }
+        if spaces.has_r2:
+            self.table["p_r2"] = DiagonalBlock(1.0, mass_form(spaces, "p_r2"),
+                                               mass_solver(spaces, "p_r2"))
 
     @property
     def dim(self) -> int:
@@ -274,7 +271,7 @@ class BlockDiagPreconditioner:
         return solver.solve(r) / scale
 
     def apply_inverse(self, r: np.ndarray) -> np.ndarray:
-        """Per-block solve; Kronecker blocks by mode products of factor inverses."""
+        """Per-block solve; Kronecker blocks in their factor eigenbases."""
         r = np.asarray(r, dtype=float)
         if r.shape != (self.dim,):
             raise ValueError(f"residual has shape {r.shape}, expected ({self.dim},)")

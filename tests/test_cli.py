@@ -5,8 +5,9 @@ import dataclasses
 import json
 
 import pytest
+import scipy.io as sio
 
-from saddleprec import blocksys, cli, matrixio, precond, verify
+from saddleprec import blocksys, cli, kron, precond, verify
 from saddleprec.cli import (
     BASE_GB,
     CSV_COLUMNS,
@@ -19,7 +20,12 @@ from saddleprec.cli import (
     solve_nnz,
     solve_once,
 )
-from saddleprec.assembly import ProblemSpec, assemble_system, build_spaces
+from saddleprec.assembly import (
+    BLOCK_FACTORS,
+    ProblemSpec,
+    assemble_system,
+    build_spaces,
+)
 from saddleprec.kron import KroneckerMatrix
 from saddleprec.precond import build_preconditioner
 
@@ -198,7 +204,7 @@ def test_setup_key_ignores_alpha_and_seed_only():
     assert cli.setup_key(dataclasses.replace(spec, alpha=1e-9, seed=4)) == key
     for field, value in (("final_time", 2.0),
                          ("omega", ((0.0, 0.5), (0.25, 0.75))),
-                         ("u_continuity", 1), ("kind", "heat"),
+                         ("kind", "heat"),
                          ("degree", 3), ("level", 2)):
         assert cli.setup_key(dataclasses.replace(spec, **{field: value})) != key
 
@@ -344,55 +350,59 @@ def test_memory_estimate_covers_held_blocks(kind, p, lev):
     spaces = build_spaces(spec)
     system = assemble_system(spec, spaces)
     precon = build_preconditioner(spec, spaces, system.blocks)
-    factorized = {"P_Y": precon.block_matrix("y"),
-                  "r1_gram": precon.block_matrix("p_r1")}
-    # the counts are exact, and the flat fill bounds both LUs; SuperLU.nnz
+    p_y, ordered = precon.block_matrix("y"), precon.table["y"].solver
+    # the count is exact, and the flat fill bounds the one LU; SuperLU.nnz
     # reads the fill without copying the factors out as lu.L and lu.U do
-    assert solve_nnz(spec) == {name: m.nnz for name, m in factorized.items()}
-    lus = {"P_Y": precon.table["y"].solver, "r1_gram": precon.table["p_r1"].solver}
-    for name, ordered in lus.items():
-        assert ordered.lu.nnz <= LU_FILL * factorized[name].nnz
-    # the bytes held: both factorized blocks, their LUs (a float64 value and
-    # an int32 row index per nonzero, and the column pointers of L and U) with
-    # the ordering and SuperLU's row and column permutations, the univariate
-    # factors of every block, of the mass inverses and of the control
-    # eigenbasis with its diagonal, and the work vectors; the interpreter
+    assert solve_nnz(spec) == p_y.nnz
+    assert ordered.lu.nnz <= LU_FILL * p_y.nnz
+    # the bytes held: P_Y, its LU (a float64 value and an int32 row index per
+    # nonzero, and the column pointers of L and U) with the ordering and
+    # SuperLU's row and column permutations, the univariate factors of every
+    # block and of the rotated K_U, the factor eigenvectors and the
+    # eigenvalue diagonal of every Kronecker solver (the control eigenbasis
+    # is the control-mass solver's), and the work vectors; the interpreter
     # base is left out
-    lu_bytes = sum(12 * o.lu.nnz + 8 * (o.lu.shape[0] + 1) + o.perm.nbytes
-                   + o.lu.perm_r.nbytes + o.lu.perm_c.nbytes
-                   for o in lus.values())
-    solvers = [precon.table[n].solver for n in spaces.block_names
-               if n not in ("y", "p_r1")]
+    lu_bytes = (12 * ordered.lu.nnz + 8 * (ordered.lu.shape[0] + 1)
+                + ordered.perm.nbytes + ordered.lu.perm_r.nbytes
+                + ordered.lu.perm_c.nbytes)
+    others = [n for n in spaces.block_names if n != "y"]
+    solvers = {id(s): s for s in (precon.table[n].solver for n in others)}
+    assert precon.basis.solver is precon.table["u"].solver
+    eigen_bytes = sum(sum(w.nbytes for w in s.vectors) + s.values.diagonal.nbytes
+                      for s in solvers.values())
     sums = list(system.blocks.values())
-    sums += [precon.table[n].matrix for n in spaces.block_names
-             if n not in ("y", "p_r1")]
-    sums += [s._inverse for s in solvers]
+    sums += [precon.table[n].matrix for n in others]
     sums += [precon.basis.k_u]
-    basis_bytes = (sum(q.nbytes for q in precon.basis.q)
-                   + precon.basis.mass.diagonal.nbytes)
-    total = (sum(_held_bytes(m) for m in factorized.values()) + lu_bytes
-             + _factor_bytes(sums) + basis_bytes
+    total = (_held_bytes(p_y) + lu_bytes + _factor_bytes(sums) + eigen_bytes
              + 8 * WORK_VECTORS * system.dim)
     assert (estimate_memory_gb(spec) - BASE_GB) * 1e9 >= total
 
 
 def test_solve_materializes_only_the_factorized_blocks(monkeypatch):
-    # the blocks a solve only applies stay Kronecker sums; it materializes
-    # the terms of P_Y (dim Y) and the r1 Gram (dim R1) for their LUs
-    shapes = []
-    materialize = KroneckerMatrix.materialize
+    # the blocks a solve only applies or inverts in factor eigenbases stay
+    # Kronecker sums; it materializes only the terms of P_Y (dim Y) for its
+    # one LU, and diagonalizes each control-mass factor once
+    shapes, eighs = [], []
+    materialize, eigh = KroneckerMatrix.materialize, kron.eigh
 
     def record(self):
         mat = materialize(self)
         shapes.append(mat.shape)
         return mat
 
+    def record_eigh(a, b=None):
+        eighs.append((a.shape, b is None))
+        return eigh(a, b)
+
     monkeypatch.setattr(KroneckerMatrix, "materialize", record)
+    monkeypatch.setattr(kron, "eigh", record_eigh)
     spec = ProblemSpec("wave", 2, 2, 1e-6)
     spaces = build_spaces(spec)
     assert solve_once(spec, 1e-8)["converged"]
-    n_y, n_r1 = spaces.block_dim("y"), spaces.block_dim("p_r1")
-    assert set(shapes) == {(n_y, n_y), (n_r1, n_r1)}
+    n_y = spaces.block_dim("y")
+    assert set(shapes) == {(n_y, n_y)}
+    control = [(spaces.factor(n, n).shape, True) for n in BLOCK_FACTORS["u"]]
+    assert sorted(e for e in eighs if e in control) == sorted(control)
 
 
 def test_export_round_trip(tmp_path, capsys):
@@ -410,9 +420,9 @@ def test_export_round_trip(tmp_path, capsys):
     spaces = build_spaces(spec)
     system = assemble_system(spec, spaces)
     precon = build_preconditioner(spec, spaces, system.blocks)
-    back = matrixio.read_matrix(out / "system.mtx")
+    back = sio.mmread(out / "system.mtx").tocsr()
     assert abs(system.matrix - back).max() == 0.0  # bit-exact round trip
     assert abs(back - back.T).max() == 0.0
     for name in spaces.block_names:
-        blk = matrixio.read_matrix(out / f"precond_{name}.mtx")
+        blk = sio.mmread(out / f"precond_{name}.mtx").tocsr()
         assert abs(precon.block_matrix(name) - blk).max() == 0.0

@@ -1,9 +1,11 @@
 """Kronecker sums: materialization and mode-product application against
-dense products, tensor solves against sparse direct solves."""
+dense products, tensor solves against per-factor Cholesky and sparse direct
+solves."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse.linalg import spsolve
 
 from saddleprec.assembly import ProblemSpec, build_spaces, mass_solver
@@ -111,25 +113,41 @@ def test_apply_matches_materialize_and_dense_kron(shapes):
 MASS_FACTORS = {"u": ("u_time", "u_x", "u_y"), "p_r2": ("r2_x", "r2_y")}
 
 
-@pytest.mark.parametrize("p", [2, 3, 4])
+def _cholesky_solve(factors, r):
+    """Solve with the Kronecker product of SPD factors one mode at a time,
+    each by `cho_solve` on the unfolding that leads with that mode."""
+    x = r.reshape(tuple(len(f) for f in factors) + r.shape[1:])
+    for k, f in enumerate(factors):
+        lead = np.moveaxis(x, k, 0)
+        x = np.moveaxis(cho_solve(cho_factor(f), lead.reshape(len(f), -1))
+                        .reshape(lead.shape), 0, k)
+    return x.reshape(r.shape)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
 @pytest.mark.parametrize("block", ["u", "p_r2"], ids=["u", "r2"])
 def test_solver_matches_spsolve_on_spline_masses(block, p):
-    # level 2: at p=4 level 1 the tensor mass has condition 2.3e6, and spsolve
+    # per-factor Cholesky solves at levels 1-3; spsolve at level 2 and p <= 4
+    # only: at p=4 level 1 the tensor mass has condition 2.3e6, and spsolve
     # itself is off by 2.6e-12 there, while per-factor Cholesky solves agree
     # with the inverse to 3e-16
-    spaces = build_spaces(ProblemSpec("wave", p, 2, 1e-3))
-    solver = mass_solver(spaces, block)
-    mass = KroneckerMatrix().add(
-        1.0, *(spaces.factor(n, n) for n in MASS_FACTORS[block])).materialize().tocsc()
-    rng = np.random.default_rng(5 + p)
-    r = rng.standard_normal(mass.shape[0])
-    ref = spsolve(mass, r)
-    assert np.linalg.norm(solver.solve(r) - ref) <= 1e-12 * np.linalg.norm(ref)
-    cols = rng.standard_normal((mass.shape[0], 4))
-    ref = spsolve(mass, cols)
-    got = solver.solve(cols)
-    assert got.shape == cols.shape
-    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+    for lev in (1, 2, 3):
+        spaces = build_spaces(ProblemSpec("wave", p, lev, 1e-3))
+        solver = mass_solver(spaces, block)
+        factors = [spaces.factor(n, n) for n in MASS_FACTORS[block]]
+        mass = KroneckerMatrix().add(1.0, *factors).materialize().tocsc()
+        rng = np.random.default_rng(5 + p)
+        r = rng.standard_normal(mass.shape[0])
+        cols = rng.standard_normal((mass.shape[0], 4))
+        oracles = [_cholesky_solve]
+        if lev == 2 and p <= 4:
+            oracles.append(lambda _, rhs: spsolve(mass, rhs))
+        for rhs in (r, cols):
+            got = solver.solve(rhs)
+            assert got.shape == rhs.shape
+            for oracle in oracles:
+                ref = oracle(factors, rhs)
+                assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_kronecker_diagonal_is_the_kron_of_its_diagonals():
@@ -137,6 +155,14 @@ def test_kronecker_diagonal_is_the_kron_of_its_diagonals():
     diags = [rng.uniform(0.5, 2.0, n) for n in (3, 4, 5)]
     dense = np.diag(np.kron(np.kron(diags[0], diags[1]), diags[2]))
     kd = KroneckerDiagonal(*diags)
-    x = rng.standard_normal(60)
-    assert np.allclose(kd.apply(x), dense @ x, rtol=1e-15, atol=0)
-    assert np.allclose(kd.solve(x), np.linalg.solve(dense, x), rtol=1e-14, atol=0)
+    # the square block of columns is the shape a column-wise quotient passes
+    for x in (rng.standard_normal(60), rng.standard_normal((60, 3)),
+              rng.standard_normal((60, 60))):
+        assert np.allclose(kd.apply(x), dense @ x, rtol=1e-15, atol=0)
+        assert np.allclose(kd.solve(x), np.linalg.solve(dense, x), rtol=1e-14, atol=0)
+    # with op=np.add, the Kronecker sum of the diagonal factors
+    d, i = [np.diag(x) for x in diags], [np.eye(len(x)) for x in diags]
+    dense = (np.kron(np.kron(d[0], i[1]), i[2]) + np.kron(np.kron(i[0], d[1]), i[2])
+             + np.kron(np.kron(i[0], i[1]), d[2]))
+    kd = KroneckerDiagonal(*diags, op=np.add)
+    assert np.allclose(np.diag(dense), kd.diagonal, rtol=1e-15, atol=0)

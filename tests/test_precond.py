@@ -25,7 +25,7 @@ from saddleprec.precond import (
     state_grams,
     trace_form,
 )
-from saddleprec.splines import eval_basis_many, gauss_rule
+from saddleprec.splines import eval_basis_many, gauss_rule, make_space
 from saddleprec.verify import residual_on_grid, sparse_vs_reference_gap
 
 
@@ -193,8 +193,9 @@ def test_shared_setup_state_block_is_bitwise_the_unshared_one(kind, p):
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("kind", ["heat", "wave"])
 def test_ordered_lus_agree_with_default_ordered_splu(kind, p, lev):
-    # the nested-dissection LUs against scipy's default-ordered, pivoted splu
-    # of the same unpermuted block, on one vector and on a block of columns
+    # P_Y's nested-dissection LU and the r1 Gram's eigenbasis solver against
+    # scipy's default-ordered, pivoted splu of the same materialized block,
+    # on one vector and on a block of columns
     spec = ProblemSpec(kind, p, lev, 1e-6)
     sp_ = build_spaces(spec)
     system = assemble_system(spec, sp_)
@@ -306,6 +307,25 @@ def test_apply_inverse_contracts(kind):
         assert np.allclose(got, cols, rtol=0, atol=1e-10 * np.abs(cols).max())
 
 
+@pytest.mark.parametrize("kind", ["heat", "wave"])
+def test_table_solvers_solve_columns_as_each_column(kind):
+    # every block solver of the B-spline P and of the rotated P takes a block
+    # of columns, also a square one, and solves each column as it solves it
+    # alone
+    spec = ProblemSpec(kind, 2, 1, 1e-4)
+    sp_ = build_spaces(spec)
+    precon = build_preconditioner(spec, sp_, assemble_system(spec, sp_).blocks)
+    rng = np.random.default_rng(29)
+    for pre in (precon, precon.basis.preconditioner(precon)):
+        for name in sp_.block_names:
+            n = sp_.block_dim(name)
+            for cols in (rng.standard_normal((n, 3)), rng.standard_normal((n, n))):
+                got = pre.solve_block(name, cols)
+                want = np.column_stack([pre.solve_block(name, c) for c in cols.T])
+                assert got.shape == cols.shape
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
 def test_kron_blocks_match_dense_solves():
     # tensor-product inverses against dense solves on materialized blocks
     spec = ProblemSpec("wave", 2, 2, 1e-4)
@@ -332,9 +352,11 @@ def test_reference_equality_and_counterexample():
         rep = sparse_vs_reference_gap(system)
         assert rep.rel_gap <= 1e-8
     # too-smooth control space: the residual leaves it, the reference drops
-    spec = ProblemSpec("wave", 2, 2, 1e-3, u_continuity=1)
-    system = assemble_system(spec)
-    rep = sparse_vs_reference_gap(system)
+    spec = ProblemSpec("wave", 2, 2, 1e-3)
+    smooth = dataclasses.replace(
+        build_spaces(spec), u_time=make_space(2, 2, 1, 0.0, spec.final_time),
+        u_x=make_space(2, 2, 1, 0.0, 1.0), u_y=make_space(2, 2, 1, 0.0, 1.0))
+    rep = sparse_vs_reference_gap(assemble_system(spec, smooth))
     assert rep.rel_gap > 1e-6
 
 
