@@ -11,8 +11,8 @@ blocks. Its apply, its sparse matrix, the dual Grams of the preconditioner
 reference and the verify instruments all read that table. A is applied
 block by block by mode products without being assembled; the sparse system
 matrix, symmetric by construction (transposed blocks are placed
-explicitly), is built only when read, as the reference for verification and
-export.
+explicitly), is built only when read, for export and as the dense
+reference of the tests.
 """
 
 import math
@@ -315,8 +315,8 @@ class DiscreteSystem:
 
     `blocks` is the table of `system_blocks`, its (u, u) entry scaled by
     `spec.alpha` here. `apply` multiplies by the system operator block by
-    block. `matrix` is its sparse form, built on first read as the reference
-    for verification and export.
+    block. `matrix` is its sparse form, built on first read for export and
+    as the dense reference of the tests.
     """
 
     spec: ProblemSpec
@@ -328,7 +328,8 @@ class DiscreteSystem:
     def dim(self) -> int:
         return int(self.spaces.offsets()[-1])
 
-    def _weight(self, row: str, col: str) -> float:
+    def weight(self, row: str, col: str) -> float:
+        """The scalar of table entry (row, col) in A: alpha on (u, u), else 1."""
         return self.spec.alpha if (row, col) == ("u", "u") else 1.0
 
     @cached_property
@@ -337,7 +338,7 @@ class DiscreteSystem:
         index = {name: i for i, name in enumerate(self.spaces.block_names)}
         grid = [[None] * len(index) for _ in index]
         for (r, c), k in self.blocks.items():
-            grid[index[r]][index[c]] = mat = self._weight(r, c) * k.materialize()
+            grid[index[r]][index[c]] = mat = self.weight(r, c) * k.materialize()
             if r != c:
                 grid[index[c]][index[r]] = mat.T
         return sp.bmat(grid, format="csr")
@@ -355,7 +356,7 @@ class DiscreteSystem:
             rows[row].setdefault(id(op), (op, []))[1].append((col, weight))
 
         for (r, c), k in self.blocks.items():
-            put(r, k, c, self._weight(r, c))
+            put(r, k, c, self.weight(r, c))
             if r != c:
                 put(c, k if self.blocks.get((r, r)) is k else k.T, r, 1.0)
         return [list(ops.values()) for ops in rows.values()]
@@ -442,8 +443,3 @@ def assemble_system(spec: ProblemSpec, spaces: DiscreteSpaces | None = None,
         rhs[spaces.block_slice("p_r2")] = mode_products(
             ranges, moments(spaces, "p_r2", data.y1))
     return DiscreteSystem(spec, spaces, blocks, rhs)
-
-
-def project_state_l2(spaces: DiscreteSpaces, f) -> np.ndarray:
-    """L2(Q_T) projection of f onto the state space (coefficients)."""
-    return mass_solver(spaces, "y").solve(moments(spaces, "y", f))

@@ -479,11 +479,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export(args) -> int:
-    if Path(args.export_dir).exists() and not Path(args.export_dir).is_dir():
-        raise ConfigError(f"--export-dir {args.export_dir} is not a directory")
     spec = ProblemSpec(args.problem, args.degree, args.level, args.alpha,
                        seed=args.seed)
     _check_budget(spec, args.max_memory_gb)
+    # before any work: a path that cannot be a directory is refused
+    Path(args.export_dir).mkdir(parents=True, exist_ok=True)
     manifest = matrixio.export_system(*build_solve(spec), args.export_dir)
     print(f"wrote {len(manifest['files'])} matrices to {args.export_dir}")
     return EXIT_OK

@@ -260,7 +260,7 @@ class BlockDiagPreconditioner:
         return mat if scale == 1.0 else (scale * mat).tocsr()
 
     def materialize(self) -> sp.csr_matrix:
-        """The full block-diagonal matrix (verification and export use)."""
+        """The full block-diagonal matrix, the dense reference of the tests."""
         return sp.block_diag([self.block_matrix(n)
                               for n in self.spaces.block_names],
                              format="csr")

@@ -7,31 +7,31 @@ preconditioned system. Everything here is a measurement; the pass/fail
 thresholds live with the checks of `cli.SUITES`.
 
 The Brezzi constants and the condition number are eigenvalues of dense
-pencils built from A and P, and their control blocks are deflated exactly.
-Over the control pair (u, p_u), A holds s x M_U and P holds
-diag(alpha, 1/alpha) x M_U, s a symmetric 2x2 scalar matrix, and the control
-rows reach the other unknowns only through K_U = A[p_u, y], of rank at most
-dim Y. For each w with K_U' w = 0, the pair (a w, b w) is therefore an
-eigenvector of (A, P) whenever (a, b) is an eigenvector of the 2x2 scalar
-pencil (s, diag(alpha, 1/alpha)). The P-orthogonal complement of these
-vectors is invariant and spanned by diag(I, Q, Q, I), Q an orthonormal basis
+pencils of A and P, and their control blocks are deflated exactly. Over the
+control pair (u, p_u), A holds s x M_U and P holds diag(alpha, 1/alpha) x M_U,
+s a symmetric 2x2 scalar matrix, and the control rows reach the other
+unknowns only through K_U = A[p_u, y], of rank at most dim Y. For each w with
+K_U' w = 0, the pair (a w, b w) is therefore an eigenvector of (A, P)
+whenever (a, b) is an eigenvector of the 2x2 scalar pencil
+(s, diag(alpha, 1/alpha)). The P-orthogonal complement of these vectors is
+invariant and spanned by v = diag(I, Q, Q, I[, I]), Q an orthonormal basis
 of a space containing range(M_U^-1 K_U); the Brezzi pencils split the same
 way. Each pencil is solved on that span (340 unknowns in place of 3604 at
 wave p=2 level 2), and the scalar pencil's eigenvalues are added with
 multiplicity dim U - rank Q: (1 +- sqrt 5) / 2 for P^-1 A, the values of
 Murphy, Golub and Wathen (SISC 2000), and 1 for both Brezzi pencils.
-`_control_deflation` checks that structure on the matrix it is given and
-refuses one without it.
+Neither A nor P is assembled: `_control_deflation` projects the tables they
+are made of onto that span and checks the structure on the table entries.
 """
 
 from dataclasses import asdict, dataclass, replace
 import math
 
 import numpy as np
-from scipy.linalg import block_diag, eigh, null_space
+from scipy.linalg import eigh, null_space
 from scipy.sparse.linalg import norm as sparse_norm
 
-from .assembly import DiscreteSystem, assemble_system, mass_solver
+from .assembly import DiscreteSystem, mass_solver
 from .splines import eval_basis_many, gauss_rule
 from .precond import BlockDiagPreconditioner, build_Ptilde_Y
 
@@ -44,43 +44,53 @@ CONTROL = ("u", "p_u")
 MULTIPLE_RTOL = 1e-12
 
 
-def _control_deflation(mat, precon: BlockDiagPreconditioner) -> tuple:
-    """The deflation of the control blocks of `mat` against P: (Q, s, d).
+def _control_deflation(system: DiscreteSystem,
+                       precon: BlockDiagPreconditioner) -> tuple:
+    """The deflated pencil (G, H) = (v'Av, v'Pv), s, d and rank Q.
 
-    Q is the orthonormal QR factor of M_U^-1 K_U: its range contains
-    range(M_U^-1 K_U) whatever the rank of K_U, so no rank is decided.
-    K_U = mat[p_u, y] and s, with mat[c, c'] = s[c, c'] M_U for c, c' in
-    CONTROL, are read from `mat`; M_U, its solver and d, the diagonal of P's
-    control scales, from the preconditioner table. Raises ValueError unless
-    each control block of `mat` is such a multiple to roundoff and the
-    control rows of `mat` reach the other blocks only through K_U.
+    Each entry of the system table, times its `DiscreteSystem.weight`, and
+    each block of P's table is materialized alone, applied to Q's columns or
+    densified where its column basis is the identity, and projected by Q' on
+    control rows; its transpose fills the mirrored block. Q is the
+    orthonormal QR factor of M_U^-1 K_U, so no rank is decided. s, with
+    A[c, c'] = s[c, c'] M_U for c, c' in CONTROL, is read from the control
+    entries, d from P's control scales; an absent entry is a zero block.
+    Raises ValueError unless each control entry is such a multiple to
+    roundoff and no entry but K_U couples the controls to another block.
     """
-    spaces = precon.spaces
     _, mass, solver = precon.table["u"]
     m_u = mass.materialize()
-    s = np.empty((2, 2))
-    for i, row in enumerate(CONTROL):
-        rows = mat[spaces.block_slice(row)]
-        for col in spaces.block_names:
-            blk = rows[:, spaces.block_slice(col)]
-            if col in CONTROL:
-                j = CONTROL.index(col)
-                s[i, j] = blk.multiply(m_u).sum() / m_u.multiply(m_u).sum()
-                if sparse_norm(blk - s[i, j] * m_u) > MULTIPLE_RTOL * sparse_norm(blk):
-                    raise ValueError(f"block ({row}, {col}) is not a multiple of "
-                                     f"the control mass: no exact deflation")
-            elif (row, col) != ("p_u", "y") and blk.count_nonzero():
-                raise ValueError(f"block ({row}, {col}) couples the controls "
-                                 f"outside K_U: no exact deflation")
-    k_u = mat[spaces.block_slice("p_u"), spaces.block_slice("y")].toarray()
-    q = np.linalg.qr(solver.solve(k_u))[0]
-    return q, s, np.diag([precon.table[n].scale for n in CONTROL])
-
-
-def _basis(spaces, names, q: np.ndarray) -> np.ndarray:
-    """Dense diag(Q on each control block, the identity elsewhere) over `names`."""
-    return block_diag(*(q if n in CONTROL else np.eye(spaces.block_dim(n))
-                        for n in names))
+    a = {key: system.weight(*key) * op.materialize()
+         for key, op in system.blocks.items()}
+    s = np.zeros((2, 2))
+    for (row, col), blk in a.items():
+        if row in CONTROL and col in CONTROL:
+            i, j = CONTROL.index(row), CONTROL.index(col)
+            s[i, j] = s[j, i] = blk.multiply(m_u).sum() / m_u.multiply(m_u).sum()
+            if sparse_norm(blk - s[i, j] * m_u) > MULTIPLE_RTOL * sparse_norm(blk):
+                raise ValueError(f"block ({row}, {col}) is not a multiple of "
+                                 f"the control mass: no exact deflation")
+        elif ((row in CONTROL) != (col in CONTROL) and (row, col) != ("p_u", "y")
+              and blk.count_nonzero()):
+            raise ValueError(f"block ({row}, {col}) couples the controls "
+                             f"outside K_U: no exact deflation")
+    spaces = system.spaces
+    q = (np.linalg.qr(solver.solve(a["p_u", "y"].toarray()))[0]
+         if ("p_u", "y") in a else np.zeros((spaces.block_dim("u"), 0)))
+    names = spaces.block_names
+    offs = np.cumsum([0] + [q.shape[1] if n in CONTROL else spaces.block_dim(n)
+                            for n in names])
+    part = dict(zip(names, map(slice, offs, offs[1:])))
+    g, h = np.zeros((2, offs[-1], offs[-1]))
+    for pencil, table in ((g, a.items()), (h, [((n, n), precon.block_matrix(n))
+                                                for n in names])):
+        for (row, col), blk in table:
+            blk = blk @ q if col in CONTROL else blk.toarray()
+            if row in CONTROL:
+                blk = q.T @ blk
+            pencil[part[col], part[row]] = blk.T
+            pencil[part[row], part[col]] = blk
+    return g, h, s, np.diag([precon.table[n].scale for n in CONTROL]), q.shape[1]
 
 
 @dataclass
@@ -105,71 +115,61 @@ class BrezziReport:
 def measure_brezzi(system: DiscreteSystem, alpha: float | None = None) -> BrezziReport:
     """Brezzi constants of the (state, control) x (multiplier) reordering.
 
-    Measured on the system matrix A and the block-diagonal preconditioner P
-    that the solver builds at alpha, split after the primal pair: the upper
-    left block of A is the form a, its lower left block is B, and the two
-    diagonal blocks of P are the metrics on the primal pair (state metric,
-    alpha control mass) and on the multipliers (control mass / alpha,
-    initial-condition Grams). c_B and k0 are the roots of the largest and
-    the smallest eigenvalue of the one pencil (B N_x^-1 B', N_m), the
-    smaller of the two that share the nonzero spectrum of B, with N_x^-1
-    applied by P's block solves.
+    Measured on the system A and the block-diagonal preconditioner P that
+    the solver builds at alpha, split after the primal pair x = (y, u): the
+    upper left block of A is the form a, its lower left block is B, and the
+    two diagonal blocks of P are the metrics on the primal pair (state
+    metric, alpha control mass) and on the multipliers m (control mass /
+    alpha, initial-condition Grams). c_B and k0 are the roots of the largest
+    and the smallest eigenvalue of the one pencil (B N_x^-1 B', N_m), the
+    smaller of the two that share the nonzero spectrum of B.
 
-    The control blocks are deflated as the module docstring says: c_A from
-    the pencil (a, N_x) on diag(I, Q) and the deflated eigenvalue 1; gamma0
-    from the kernel of B diag(I, Q), found through the R factor of that
-    product (ker B lies in the span of diag(I, Q) because B's (p_u, u)
-    block, s[1, 0] M_U, is invertible); c_B and k0 from (B N_x^-1 B', N_m)
-    on diag(Q, I) and the deflated eigenvalue 1. Systems beyond DENSE_CAP
-    unknowns are refused, and so is a system whose control blocks lack the
-    deflated structure.
+    All four come from the deflated pencil (G, H), split after x, and the
+    deflated eigenvalue 1: c_A from (G_xx, H_xx), gamma0 from that pencil on
+    ker G_mx, c_B and k0 from (G_mx H_xx^-1 G_xm, H_mm). This is exact: ker B
+    lies in the span of v_x = diag(I, Q), as B's (p_u, u) block s[1, 0] M_U
+    is invertible; ker(B v_x) = ker G_mx, as the p_u rows of B v_x lie in
+    M_U range(Q), where Q' is injective; N_x^-1 B' v_m lies in the span of
+    v_x, as the u rows of B' v_m are s[0, 1] M_U Q. Systems beyond DENSE_CAP
+    unknowns, or whose control blocks lack that structure, are refused.
     """
     spec = system.spec
     spec_a = replace(spec, alpha=spec.alpha if alpha is None else float(alpha))
     if system.dim > DENSE_CAP:
         raise ValueError(f"instance too large for dense Brezzi measurement "
                          f"({system.dim} > {DENSE_CAP})")
-    spaces, blocks = system.spaces, system.blocks
-    mat = assemble_system(spec_a, spaces, blocks=blocks).matrix
-    precon = BlockDiagPreconditioner(spec_a, spaces, blocks)
-    metric = precon.materialize()
-    q, s, d = _control_deflation(mat, precon)
+    spaces = system.spaces
+    g, h, s, d, rank = _control_deflation(
+        replace(system, spec=spec_a),
+        BlockDiagPreconditioner(spec_a, spaces, system.blocks))
     if not s[1, 0]:
         raise ValueError("B has no control block: ker B is not confined to "
                          "the deflated span")
-    n_deflated = spaces.block_dim("u") - q.shape[1]
-    names, k = spaces.block_names, spaces.block_dim("y") + spaces.block_dim("u")
-    v_x, v_m = _basis(spaces, names[:2], q), _basis(spaces, names[2:], q)
+    n_deflated = spaces.block_dim("u") - rank
+    dim_x = spaces.block_dim("y") + spaces.block_dim("u")
+    k = dim_x - n_deflated  # the columns of v_x
 
     # a and N_x are s[0, 0] M_U and d[0, 0] M_U on the deflated controls
-    a_x = v_x.T @ (mat[:k, :k] @ v_x)
-    n_x = v_x.T @ (metric[:k, :k] @ v_x)
+    a_x, n_x, b = g[:k, :k], h[:k, :k], g[k:, :k]
     ev = eigh(a_x, n_x, eigvals_only=True)
     c_a = float(max(abs(ev[0]), abs(ev[-1]),
                     abs(s[0, 0] / d[0, 0]) if n_deflated else 0.0))
 
     # the rank rule of null_space for B itself: eps * max(B.shape)
-    r = np.linalg.qr(mat[k:, :k] @ v_x, mode="r")
-    z = null_space(r, rcond=np.finfo(float).eps * max(mat.shape[0] - k, k))
-    if z.shape[1]:
-        ev = eigh(z.T @ a_x @ z, z.T @ n_x @ z, eigvals_only=True)
-        gamma0 = float(ev[0])
-    else:
-        gamma0 = np.nan
+    z = null_space(b, rcond=np.finfo(float).eps * max(system.dim - dim_x, dim_x))
+    gamma0 = (float(eigh(z.T @ a_x @ z, z.T @ n_x @ z, eigvals_only=True)[0])
+              if z.shape[1] else np.nan)
 
-    # B' on diag(Q, I), then N_x^-1 block by block; on the deflated
-    # multipliers B N_x^-1 B' is s[1, 0]^2 / d[0, 0] M_U and N_m is d[1, 1] M_U
-    bt_m = mat[:k, k:] @ v_m
-    parts = np.split(bt_m, [spaces.block_dim("y")])
-    w = np.vstack([precon.solve_block(n, part) for n, part in zip(names, parts)])
-    ev = eigh(bt_m.T @ w, v_m.T @ (metric[k:, k:] @ v_m), eigvals_only=True)
+    # on the deflated multipliers B N_x^-1 B' is s[1, 0]^2 / d[0, 0] M_U and
+    # N_m is d[1, 1] M_U
+    ev = eigh(b @ np.linalg.solve(n_x, b.T), h[k:, k:], eigvals_only=True)
     if n_deflated:
         ev = np.sort(np.append(ev, s[1, 0] ** 2 / (d[0, 0] * d[1, 1])))
     c_b = float(np.sqrt(max(ev[-1], 0.0)))
     k0 = float(np.sqrt(max(ev[0], 0.0)))
 
     return BrezziReport(spec_a.alpha, c_a, c_b, gamma0, k0, 1.0, math.sqrt(2.0),
-                        k, system.dim - k, z.shape[1])
+                        dim_x, system.dim - dim_x, z.shape[1])
 
 
 @dataclass
@@ -194,28 +194,24 @@ def condition_number_estimate(system: DiscreteSystem,
     rows cannot reach the non-H^1_0 part of their multiplier space), so
     eigenvalues below ZERO_MODE_RTOL times the largest magnitude are counted
     as null modes and excluded from kappa; MINRES never sees them when the
-    right-hand side is compatible. The control blocks are deflated as the
-    module docstring says: the pencil (A, P) is solved on
-    diag(I, Q, Q, I), and the eigenvalues of the 2x2 scalar pencil of the
-    control blocks, read from `system.matrix`, are added with multiplicity
-    dim U - rank Q. Systems beyond DENSE_CAP unknowns are refused, and so is
-    a matrix whose control blocks lack the deflated structure.
+    right-hand side is compatible. The deflated pencil (G, H) is solved and
+    the eigenvalues of the scalar pencil (s, d) are added with multiplicity
+    dim U - rank Q. Systems beyond DENSE_CAP unknowns, or whose control
+    blocks lack the deflated structure, are refused.
     """
     if system.dim > DENSE_CAP:
         raise ValueError(f"instance too large for the dense condition number "
                          f"({system.dim} > {DENSE_CAP})")
-    spaces, mat = system.spaces, system.matrix
-    q, s, d = _control_deflation(mat, precon)
-    v = _basis(spaces, spaces.block_names, q)
-    ev = eigh(v.T @ (mat @ v), v.T @ (precon.materialize() @ v),
-              eigvals_only=True)
+    g, h, s, d, rank = _control_deflation(system, precon)
+    ev = eigh(g, h, eigvals_only=True)
     deflated = eigh(s, d, eigvals_only=True)
     aev = np.abs(np.concatenate(
-        [ev, np.repeat(deflated, spaces.block_dim("u") - q.shape[1])]))
+        [ev, np.repeat(deflated, system.spaces.block_dim("u") - rank)]))
     hi = float(aev.max())
     nonzero = aev[aev > ZERO_MODE_RTOL * hi]
     lo = float(nonzero.min())
     return ConditionReport(hi / lo, hi, lo, int(aev.size - nonzero.size))
+
 
 
 def residual_on_grid(system: DiscreteSystem, y_coef: np.ndarray):

@@ -16,9 +16,9 @@ from saddleprec.assembly import (
     h10_gram_form,
     k_r2_form,
     mass_form,
+    mass_solver,
     moments,
     observation_form,
-    project_state_l2,
 )
 from saddleprec.kron import KroneckerMatrix
 from saddleprec.krylov import minres
@@ -421,7 +421,8 @@ def test_project_state_reproduces_member_function():
     coef = rng.standard_normal(sp_.block_shape("y"))
     f = tensor_eval(coef, [sp_.y_time, sp_.y_x, sp_.y_y],
                     [None, sp_.ix, sp_.iy])
-    got = project_state_l2(sp_, f)
+    # the L2 projection onto the state space: H^1_0-restricted y moments
+    got = mass_solver(sp_, "y").solve(moments(sp_, "y", f))
     assert np.allclose(got, coef.reshape(-1), atol=1e-12)
 
 

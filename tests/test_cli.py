@@ -302,11 +302,17 @@ def test_config_error_exit_code(capsys, monkeypatch, tmp_path):
     a_file = tmp_path / "a_file"
     a_file.write_text("kept")
     monkeypatch.setitem(cli.SUITES, "appendix", (lambda seed: (True, [], []),))
+
+    def no_build(*args):
+        raise AssertionError("an export directory error reached the build")
+
+    monkeypatch.setattr(cli, "build_solve", no_build)
     capsys.readouterr()
     for argv in (["run", "--level", "1", "--output", missing],
                  ["table", "--levels", "1", "--output", missing],
                  ["verify", "--output", missing],
                  ["export", "--level", "1", "--export-dir", str(a_file)],
+                 ["export", "--level", "1", "--export-dir", str(a_file / "sub")],
                  ["verify", "--suite", "appendix", "--output", str(tmp_path)]):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err

@@ -1,17 +1,21 @@
-"""Unused-import check over the package modules and the tests.
+"""Unused-name checks over the package modules and the tests.
 
-No linter ships with the toolchain, so this walks each module's syntax tree:
-every name an import binds must be read somewhere in the module. An import
-line marked `# noqa: F401` is exempt (the re-imports the benchmark probes
-rebind). The package `__init__` is exempt: its imports are the public API.
+No linter ships with the toolchain, so these walk the syntax trees. Every
+name an import binds must be read somewhere in the module; an import line
+marked `# noqa: F401` is exempt (the re-imports the benchmark probes
+rebind). Every public module-level function and class of the package must
+be read by another top-level definition of the package, by name or as an
+attribute. The package `__init__` is exempt from both: its imports are the
+public API, and a re-export there is no reader.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(p for p in (ROOT / "src" / "saddleprec").glob("*.py")
-                 if p.name != "__init__.py") + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted(p for p in (ROOT / "src" / "saddleprec").glob("*.py")
+                 if p.name != "__init__.py")
+MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(path: Path) -> list:
@@ -38,3 +42,26 @@ def unused_imports(path: Path) -> list:
 def test_no_unused_imports():
     found = {p.relative_to(ROOT).as_posix(): unused_imports(p) for p in MODULES}
     assert not {path: names for path, names in found.items() if names}
+
+
+def unread_definitions() -> list:
+    """(module, name) of each public module-level function or class of the
+    package that no other top-level statement of the package reads."""
+    defined, reads = {}, []
+    for path in PACKAGE:
+        for node in ast.parse(path.read_text()).body:
+            reads.append((node, {
+                n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))
+                and isinstance(n.ctx, ast.Load)}))
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                defined[path.stem, node.name] = node
+    return sorted(key for key, node in defined.items()
+                  if not any(key[1] in names
+                             for other, names in reads if other is not node))
+
+
+def test_every_public_definition_has_a_reader():
+    assert unread_definitions() == []

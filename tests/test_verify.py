@@ -7,13 +7,18 @@ import time
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy.linalg import eigh, null_space
 
-from saddleprec import cli, verify
+from saddleprec import assembly, cli, precond, verify
 from saddleprec.assembly import ProblemSpec, assemble_system, build_spaces, mass_form
+from saddleprec.kron import KroneckerMatrix
 from saddleprec.krylov import minres, random_start
-from saddleprec.precond import BlockDiagPreconditioner, build_preconditioner
+from saddleprec.precond import (
+    BlockDiagPreconditioner,
+    build_preconditioner,
+    state_residual_form,
+    trace_form,
+)
 from saddleprec.verify import (
     condition_number_estimate,
     measure_brezzi,
@@ -171,6 +176,31 @@ def test_instruments_refuse_controls_off_the_mass(wave_system):
         wave_system, blocks={**wave_system.blocks, ("u", "p_u"): zero})
     with pytest.raises(ValueError, match="no control block"):
         measure_brezzi(broken)
+    # a nonzero (p_r1, u) entry: the control rows reach r1 outside K_U
+    (n1, n2), (nt, nx, ny) = (spaces.block_shape("p_r1"),
+                              spaces.block_shape("u"))
+    coupling = KroneckerMatrix().add(1.0, np.ones((1, nt)), np.ones((n1, nx)),
+                                     np.ones((n2, ny)))
+    broken = dataclasses.replace(
+        wave_system, blocks={**wave_system.blocks, ("p_r1", "u"): coupling})
+    with pytest.raises(ValueError, match="couples the controls outside K_U"):
+        condition_number_estimate(broken, precon)
+    with pytest.raises(ValueError, match="couples the controls outside K_U"):
+        measure_brezzi(broken)
+
+
+def test_instruments_never_assemble_a_or_p(monkeypatch):
+    # both pencils are projected from the tables: a CSR A or a
+    # block-diagonal P built on the way must fail here
+    def refuse(*args, **kwargs):
+        raise AssertionError("an instrument assembled A or P")
+
+    monkeypatch.setattr(assembly.sp, "bmat", refuse)
+    monkeypatch.setattr(precond.sp, "block_diag", refuse)
+    system = assemble_system(ProblemSpec("wave", 2, 1, 1e-3))
+    precon = build_preconditioner(system.spec, system.spaces, system.blocks)
+    assert measure_brezzi(system).kernel_dim > 0
+    assert condition_number_estimate(system, precon).kappa >= 1.0
 
 
 def test_report_fields_are_plain_numbers(wave_system):
@@ -197,12 +227,34 @@ def test_every_verify_function_serves_a_check():
     assert unread == []
 
 
+def _preconditioner_as_table(system, precon, without=()):
+    # P's diagonal blocks as a system table: DiscreteSystem scales (u, u)
+    # by alpha itself, and P_Y is the sum of its three Kronecker Grams
+    spec, spaces = system.spec, system.spaces
+
+    def scaled(km, scale):
+        out = KroneckerMatrix()
+        for term in km.terms:
+            out.add(scale * term.weight, *term.factors)
+        return out
+
+    blocks = {(n, n): scaled(precon.table[n].matrix,
+                             1.0 if n == "u" else precon.table[n].scale)
+              for n in spaces.block_names if n != "y"}
+    blocks["y", "y"] = KroneckerMatrix()
+    for scale, form in ((1.0, system.blocks["y", "y"]),
+                        (spec.alpha, state_residual_form(spec, spaces)),
+                        (1.0, trace_form(spec, spaces))):
+        blocks["y", "y"].terms += scaled(form, scale).terms
+    return dataclasses.replace(system, blocks={
+        key: op for key, op in blocks.items() if key[0] not in without})
+
+
 def test_condition_number_identity_case(wave_system):
     # system replaced by the preconditioner itself: kappa is exactly one
     spec = wave_system.spec
     precon = build_preconditioner(spec, wave_system.spaces, wave_system.blocks)
-    fake = dataclasses.replace(wave_system)
-    fake.matrix = precon.materialize()
+    fake = _preconditioner_as_table(wave_system, precon)
     rep = condition_number_estimate(fake, precon)
     assert rep.kappa == pytest.approx(1.0, rel=1e-10)
     assert rep.n_zero_modes == 0
@@ -210,14 +262,10 @@ def test_condition_number_identity_case(wave_system):
 
 def test_condition_number_counts_deflated_null_modes(wave_system):
     # A = P without its (p_u, p_u) block: P^-1 A = diag(I, I, 0, I, I), and
-    # all but rank Q of the dim U null modes come from the deflated pencil
+    # with no K_U all dim U null modes come from the deflated pencil
     precon = build_preconditioner(wave_system.spec, wave_system.spaces,
                                   wave_system.blocks)
-    fake = dataclasses.replace(wave_system)
-    fake.matrix = sp.block_diag(
-        [sp.csr_matrix(precon.block_matrix(n).shape) if n == "p_u"
-         else precon.block_matrix(n) for n in wave_system.spaces.block_names],
-        format="csr")
+    fake = _preconditioner_as_table(wave_system, precon, without=("p_u",))
     rep = condition_number_estimate(fake, precon)
     assert rep.kappa == pytest.approx(1.0, rel=1e-10)
     assert rep.n_zero_modes == wave_system.spaces.block_dim("u")
