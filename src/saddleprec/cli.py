@@ -32,7 +32,7 @@ from .assembly import (
     system_blocks,
 )
 from .krylov import MinresConfig, minres, random_start
-from .precond import alpha_free_setup, build_preconditioner
+from .precond import alpha_free_setup, build_preconditioner, frontal_tree
 # univariate_matrix is imported here only so the benchmark probes can rebind it
 from .splines import univariate_matrix  # noqa: F401
 
@@ -48,10 +48,13 @@ CSV_COLUMNS = ("problem", "p", "level", "alpha", "dofs", "iterations",
 
 # bytes per stored nonzero: a float64 value and an index of up to 8 bytes
 BYTES_PER_NNZ = 16
-# SuperLU.nnz over matrix nnz of the nested-dissection LU of P_Y. Measured
-# at p=2: 1.4, 2.9, 7.4 and 17.4 at levels 2-5; at p=3: 1.2, 2.3 and 5.5 at
-# levels 2-4. It grows with the level; this covers every measured case.
-LU_FILL = 25.0
+# sparse copies of P_Y held through a solve: P_Y and its observation and
+# residual Grams, which a `table` cell keeps across alpha (each has at most
+# P_Y's pattern). The trace Gram, a few time planes, fits in the margin of
+# BYTES_PER_NNZ over CSR's 12 bytes per nonzero.
+HELD_COPIES = 3
+# further copies alive while `state_block` sums and symmetrizes P_Y
+BUILD_COPIES = 2
 # length-dofs float64 vectors alive at once: the MINRES recurrence, the
 # true-residual checks, the block applies and the preconditioner solve
 WORK_VECTORS = 20
@@ -73,20 +76,22 @@ def solve_nnz(spec: ProblemSpec) -> int:
 
 
 def estimate_memory_gb(spec: ProblemSpec) -> float:
-    """Peak memory of a solve from the exact nonzero counts of what it holds.
+    """Peak memory of a solve from the exact sizes of what it holds.
 
-    A solve holds P_Y (`solve_nnz`) as a sparse matrix, a CSC copy and its
-    LU, and the work vectors. Assembling P_Y peaks earlier at about six
-    copies of it (measured), below its LU charge. Every other block is
-    applied or inverted from its univariate Kronecker factors and their
-    eigenvectors, whose size is negligible. A `table` cell also holds the
-    three state Grams of its `shared_setup` across alpha, about 3 P_Y; the
-    LU charge covers them: at wave p=2 level 4 the estimate is 0.34 GB, a
-    table's measured peak RSS 163 MB.
+    Throughout, HELD_COPIES of P_Y (`solve_nnz`) and P_Y's multifrontal
+    Cholesky factor; on top of them, whichever is largest of the transients
+    of the three phases that follow each other: building P_Y (BUILD_COPIES),
+    factoring it (the peak of the pending update matrices) and MINRES (the
+    work vectors). The factor and the update peak are counted by P_Y's
+    `frontal_tree` from the state grid and the degree alone. Every other
+    block is applied or inverted from its univariate Kronecker factors and
+    their eigenvectors, whose size is negligible.
     """
-    held = (2 + LU_FILL) * solve_nnz(spec)
-    bytes_total = BYTES_PER_NNZ * held + 8.0 * WORK_VECTORS * dof_count(spec)
-    return BASE_GB + bytes_total / 1e9
+    tree = frontal_tree(build_spaces(spec).block_shape("y"), spec.degree)
+    copy_bytes = BYTES_PER_NNZ * solve_nnz(spec)
+    transient = max(BUILD_COPIES * copy_bytes, tree.stack_bytes,
+                    8.0 * WORK_VECTORS * dof_count(spec))
+    return BASE_GB + (HELD_COPIES * copy_bytes + tree.factor_bytes + transient) / 1e9
 
 
 class ConfigError(Exception):
@@ -113,7 +118,7 @@ def _check_budget(spec: ProblemSpec, max_memory_gb: float | None) -> None:
 
 def setup_key(spec: ProblemSpec) -> tuple:
     """Every field of spec but alpha and seed: what all of a solve's setup
-    except P_Y and its LU depends on."""
+    except P_Y and its factor depends on."""
     return dataclasses.astuple(dataclasses.replace(spec, alpha=1.0, seed=0))
 
 

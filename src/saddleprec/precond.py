@@ -8,17 +8,19 @@ block realizes the weighted norm
     |y|^2 = (y, y)_{L2(q_T)} + alpha * |state residual|^2_{L2(Q_T)}
             + |grad y(0)|^2_{L2} [+ |d_t y(0)|^2_{L2} for the wave problem]
 
-and is the one block a solve materializes and factorizes, by a sparse LU in
-the geometric nested-dissection order of its tensor grid
-(`nested_dissection`, after George, SINUM 1973) without pivoting: the block
-is SPD, and a state-space basis function couples only with those within p
-indices per axis, so a slab of p grid planes separates the grid. Every
+and is the one block a solve materializes and factorizes, by a multifrontal
+Cholesky (`MultifrontalCholesky`, after Duff & Reid, ACM TOMS 1983) over the
+geometric nested-dissection tree of its tensor grid (`nested_dissection`,
+after George, SINUM 1973): a state-space basis function couples only with
+those within p indices per axis, so a slab of p grid planes separates the
+grid, and the front of each tree node is dense and factored by LAPACK. Its
+symbolic phase (`FrontalTree`) depends on the grid and p alone. Every
 other block is a Kronecker product of univariate masses, or the r1 Gram
 S_x x M_y + M_x x S_y, and is inverted in the eigenbases of its factors
 (`kron.KroneckerSolver`). P reads the observation and the control mass from
 the system table of `assembly.system_blocks` and builds the r1 Gram and the
-r2 mass, which A does not contain. Only P_Y, its LU and the control scales
-depend on alpha; `alpha_free_setup` holds P_Y's Grams and the
+r2 mass, which A does not contain. Only P_Y, its factor and the control
+scales depend on alpha; `alpha_free_setup` holds P_Y's Grams and the
 `ControlEigenbasis`, so that solves at several alphas can share them. The
 solve runs in that basis: there the control mass of A and P is diagonal.
 The basis's control-mass solver also serves the B-spline table, whose
@@ -30,11 +32,12 @@ equals the sparse state block whenever the residual inclusion holds.
 
 import copy
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg import blas, lapack
 
 from .assembly import (
     BLOCK_FACTORS,
@@ -104,52 +107,202 @@ def state_block(grams: tuple, alpha: float) -> sp.csr_matrix:
     return _symmetrize(observation + alpha * residual + trace)
 
 
-# unknowns at which `nested_dissection` stops splitting
-ND_LEAF = 64
+# unknowns at which `nested_dissection` stops splitting. Of 64, 128, 256 and
+# 512, 256 factored and solved P_Y fastest at wave p=2 level 4 (one BLAS
+# thread); at level 3 and at wave p=3 level 4 they were within noise.
+ND_LEAF = 256
 
 
-def nested_dissection(shape: tuple, p: int) -> np.ndarray:
-    """Nested-dissection order of the C-ordered tensor grid `shape`.
+class TreeNode(NamedTuple):
+    """A node of the `nested_dissection` tree: its subtree holds positions
+    [start, stop) of the order, the node itself (a leaf block or a
+    separator) the last ones, [own, stop)."""
+
+    start: int
+    own: int
+    stop: int
+
+
+def nested_dissection(shape: tuple, p: int) -> tuple:
+    """Nested-dissection order of the C-ordered tensor grid `shape`, and
+    its tree as `TreeNode`s in postorder.
 
     The longest axis is split by a separator slab of p planes; the two
     halves are ordered first, recursively, and the separator last. Blocks of
-    at most ND_LEAF unknowns keep their natural order.
+    at most ND_LEAF unknowns keep their natural order and are the leaves.
     """
-    order = []
+    order, nodes = [], []
 
-    def visit(block):
+    def visit(block, start):
         n = max(block.shape)
         if block.size <= ND_LEAF or n <= p:
-            order.append(block.ravel())
+            if block.size:
+                order.append(block.ravel())
+                nodes.append(TreeNode(start, start, start + block.size))
             return
         axis = block.shape.index(n)
         left, sep, right = np.split(block, [(n - p) // 2, (n + p) // 2], axis=axis)
-        visit(left)
-        visit(right)
+        visit(left, start)
+        visit(right, start + left.size)
+        own = start + left.size + right.size
         order.append(sep.ravel())
+        nodes.append(TreeNode(start, own, own + sep.size))
 
-    visit(np.arange(math.prod(shape)).reshape(shape))
-    return np.concatenate(order)
+    visit(np.arange(math.prod(shape)).reshape(shape), 0)
+    return np.concatenate(order), nodes
 
 
-class OrderedLU:
-    """Unpivoted sparse LU of an SPD block in the `nested_dissection` order
-    of its tensor grid `shape`."""
+class Front(NamedTuple):
+    """The symbolic front of one tree node: its own positions [own, stop),
+    the sorted positions beyond its subtree that its columns of L reach
+    (`update`), and its children's extend-add maps as (front index,
+    `_extend_add_runs`) pairs."""
 
-    def __init__(self, mat: sp.spmatrix, shape: tuple, p: int):
-        self.perm = nested_dissection(shape, p)
-        try:
-            self.lu = splu(mat[self.perm][:, self.perm].tocsc(),
-                           permc_spec="NATURAL", diag_pivot_thresh=0,
-                           options=dict(SymmetricMode=True))
-        except RuntimeError as exc:  # pragma: no cover - signals an assembly bug
-            raise ValueError(f"block factorization failed: {exc}") from exc
+    start: int
+    own: int
+    stop: int
+    update: np.ndarray
+    children: tuple
+
+
+def _extend_add_runs(rows: np.ndarray, own: int, stop: int,
+                     update: np.ndarray) -> tuple:
+    """A child's update rows (sorted positions) as runs that land on
+    consecutive rows of the parent front: (start, stop) in the child's
+    update matrix, the first row in the parent's own block (rows[i] - own)
+    or update block (index into `update`), and whether it is the latter."""
+    n_own = int(np.searchsorted(rows, stop))
+    local = np.concatenate([rows[:n_own] - own,
+                            np.searchsorted(update, rows[n_own:])])
+    cut = np.flatnonzero((np.diff(local) != 1) | (np.arange(1, rows.size) == n_own))
+    bounds = [0, *(cut + 1).tolist(), rows.size]
+    return tuple((a, b, int(local[a]), a >= n_own)
+                 for a, b in zip(bounds, bounds[1:]))
+
+
+class FrontalTree:
+    """Symbolic multifrontal Cholesky (Duff & Reid, ACM TOMS 1983) of a
+    block with the full band of width p per axis on the C-ordered grid
+    `shape`, in its `nested_dissection` order.
+
+    A front's update set is the positions beyond its subtree that the band
+    reaches from its own box, joined with its children's update sets. The
+    tree, the front sizes and the extend-add maps depend on the grid and p
+    alone, so `factor_bytes` (the stored L) and `stack_bytes` (the peak of
+    the pending update matrices) are known before any value is.
+    """
+
+    def __init__(self, shape: tuple, p: int):
+        self.perm, nodes = nested_dissection(shape, p)
+        self.iperm = np.empty_like(self.perm)
+        self.iperm[self.perm] = np.arange(self.perm.size)
+        where = self.iperm.reshape(shape)
+        self.fronts, open_fronts = [], []
+        self.factor_bytes = self.stack_bytes = pending = 0
+        for node in nodes:
+            kids = []
+            while open_fronts and self.fronts[open_fronts[-1]].start >= node.start:
+                kids.append(open_fronts.pop())
+            coords = np.unravel_index(self.perm[node.own:node.stop], shape)
+            reach = where[tuple(slice(max(c.min() - p, 0), c.max() + p + 1)
+                                for c in coords)].ravel()
+            update = np.unique(np.concatenate(
+                [reach] + [self.fronts[c].update for c in kids]))
+            update = update[update >= node.stop]
+            k, u = node.stop - node.own, update.size
+            children = tuple((c, _extend_add_runs(self.fronts[c].update, node.own,
+                                                  node.stop, update))
+                             for c in kids)
+            self.fronts.append(Front(*node, update, children))
+            open_fronts.append(len(self.fronts) - 1)
+            self.factor_bytes += 8 * (k + u) * k
+            self.stack_bytes = max(self.stack_bytes, pending + 8 * u * u)
+            pending += 8 * (u * u - sum(self.fronts[c].update.size ** 2
+                                        for c in kids))
+
+
+def _scatter(mat: sp.csr_matrix, tree: FrontalTree, front: Front) -> tuple:
+    """The front's blocks F11, F21 and F22 (Fortran order) holding the lower
+    triangle of the permuted block's own columns, which are the rows
+    perm[own:stop] of the symmetric block."""
+    own, stop, upd = front.own, front.stop, front.update
+    k, u = stop - own, upd.size
+    blocks = tuple(np.zeros(s, order="F") for s in ((k, k), (u, k), (u, u)))
+    lo = mat.indptr[tree.perm[own:stop]]
+    count = mat.indptr[tree.perm[own:stop] + 1] - lo
+    col = np.repeat(np.arange(k), count)
+    entry = np.arange(col.size) + np.repeat(lo - np.cumsum(count) + count, count)
+    pos, val = tree.iperm[mat.indices[entry]], mat.data[entry]
+    inner = (pos >= own + col) & (pos < stop)
+    blocks[0][pos[inner] - own, col[inner]] = val[inner]
+    outer = pos >= stop
+    row = np.searchsorted(upd, pos[outer])
+    # a position past the last update row meets the appended -1
+    if not np.array_equal(np.append(upd, -1)[row], pos[outer]):
+        raise ValueError("block couples unknowns beyond its band")
+    blocks[1][row, col[outer]] = val[outer]
+    return blocks
+
+
+class MultifrontalCholesky:
+    """Cholesky factor L L' of an SPD block with the band of `tree`.
+
+    Front by front in postorder: the lower triangle of the permuted block's
+    own columns is scattered into the front, the children's update matrices
+    are added at their increasing index maps (lower triangles to lower
+    triangles, so nothing is symmetrized), and LAPACK factors the front:
+    L11 by dpotrf, L21 = F21 L11^-T by dtrsm, and the update F22 - L21 L21'
+    by dsyrk. Raises ValueError when a pivot is not positive or the block
+    couples beyond the band.
+    """
+
+    def __init__(self, mat: sp.csr_matrix, tree: FrontalTree):
+        self.tree = tree
+        self.factors, updates = [], {}
+        for i, front in enumerate(tree.fronts):
+            f11, f21, f22 = blocks = _scatter(mat, tree, front)
+            for child, runs in front.children:
+                update = updates.pop(child)
+                for j, (a, b, r, r_upd) in enumerate(runs):
+                    for c, d, q, q_upd in runs[:j + 1]:
+                        target = blocks[r_upd + q_upd]
+                        target[r:r + b - a, q:q + d - c] += update[a:b, c:d]
+            l11, info = lapack.dpotrf(f11, lower=1, clean=0, overwrite_a=1)
+            if info:
+                raise ValueError(f"block is not positive definite: pivot "
+                                 f"{info} of front {i} failed")
+            if front.update.size:
+                f21 = blas.dtrsm(1.0, l11, f21, side=1, lower=1, trans_a=1,
+                                 overwrite_b=1)
+                updates[i] = blas.dsyrk(-1.0, f21, beta=1.0, c=f22, lower=1,
+                                        overwrite_c=1)
+            self.factors.append((l11, f21))
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """Solve with the unpermuted block; r may carry extra columns."""
-        x = np.empty(r.shape)
-        x[self.perm] = self.lu.solve(r[self.perm])
+        perm, fronts = self.tree.perm, self.tree.fronts
+        y = np.asarray(r, dtype=float)[perm]
+        for front, (l11, l21) in zip(fronts, self.factors):
+            part = y[front.own:front.stop]
+            part[...] = lapack.dtrtrs(l11, part, lower=1)[0].reshape(part.shape)
+            if front.update.size:
+                y[front.update] -= l21 @ part
+        for front, (l11, l21) in zip(reversed(fronts), reversed(self.factors)):
+            part = y[front.own:front.stop]
+            if front.update.size:
+                part -= l21.T @ y[front.update]
+            part[...] = lapack.dtrtrs(l11, part, lower=1,
+                                      trans=1)[0].reshape(part.shape)
+        x = np.empty_like(y)
+        x[perm] = y
         return x
+
+
+@lru_cache(maxsize=4)
+def frontal_tree(shape: tuple, p: int) -> FrontalTree:
+    """The `FrontalTree` of a grid, built once for the memory gate and the
+    factors; every caller shares it and must not modify it."""
+    return FrontalTree(shape, p)
 
 
 class DiagonalBlock(NamedTuple):
@@ -158,7 +311,7 @@ class DiagonalBlock(NamedTuple):
 
     scale: float
     matrix: object  # sparse matrix or KroneckerMatrix, unscaled
-    solver: object  # OrderedLU or KroneckerSolver of the unscaled matrix
+    solver: object  # MultifrontalCholesky or KroneckerSolver, unscaled
 
 
 class ControlEigenbasis:
@@ -223,7 +376,7 @@ class BlockDiagPreconditioner:
     """Factored diagonal blocks of the preconditioner at alpha = spec.alpha.
 
     `table` maps each block name to its `DiagonalBlock`: P_Y from
-    `state_block` with its `OrderedLU`, the other blocks as Kronecker sums
+    `state_block` with its `MultifrontalCholesky`, the other blocks as Kronecker sums
     with their `KroneckerSolver`s. P_Y's Grams and `basis`, the
     `ControlEigenbasis` whose control-mass solver serves u and p_u, come
     from `setup`, an `alpha_free_setup` built when None.
@@ -234,11 +387,11 @@ class BlockDiagPreconditioner:
         self.alpha = a = spec.alpha
         grams, self.basis = setup or alpha_free_setup(spec, spaces, blocks)
         p_y = state_block(grams, a)
-        del grams  # those of a setup built here are freed before P_Y's LU
+        del grams  # those of a setup built here are freed before P_Y's factor
         u_mass = blocks["u", "u"]
         self.table = {
-            "y": DiagonalBlock(1.0, p_y, OrderedLU(p_y, spaces.block_shape("y"),
-                                                   spec.degree)),
+            "y": DiagonalBlock(1.0, p_y, MultifrontalCholesky(
+                p_y, frontal_tree(spaces.block_shape("y"), spec.degree))),
             "u": DiagonalBlock(a, u_mass, self.basis.solver),
             "p_u": DiagonalBlock(1.0 / a, u_mass, self.basis.solver),
             "p_r1": DiagonalBlock(1.0, h10_gram_form(spaces),
@@ -258,12 +411,6 @@ class BlockDiagPreconditioner:
         if isinstance(mat, KroneckerMatrix):
             mat = mat.materialize()
         return mat if scale == 1.0 else (scale * mat).tocsr()
-
-    def materialize(self) -> sp.csr_matrix:
-        """The full block-diagonal matrix, the dense reference of the tests."""
-        return sp.block_diag([self.block_matrix(n)
-                              for n in self.spaces.block_names],
-                             format="csr")
 
     def solve_block(self, name: str, r: np.ndarray) -> np.ndarray:
         """Solve with one scaled diagonal block; r may carry extra columns."""

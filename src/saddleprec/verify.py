@@ -29,9 +29,9 @@ import math
 
 import numpy as np
 from scipy.linalg import eigh, null_space
-from scipy.sparse.linalg import norm as sparse_norm
 
 from .assembly import DiscreteSystem, mass_solver
+from .kron import KroneckerMatrix
 from .splines import eval_basis_many, gauss_rule
 from .precond import BlockDiagPreconditioner, build_Ptilde_Y
 
@@ -49,25 +49,34 @@ def _control_deflation(system: DiscreteSystem,
     """The deflated pencil (G, H) = (v'Av, v'Pv), s, d and rank Q.
 
     Each entry of the system table, times its `DiscreteSystem.weight`, and
-    each block of P's table is materialized alone, applied to Q's columns or
+    each block of P's table, times its scale, is applied to Q's columns or
     densified where its column basis is the identity, and projected by Q' on
-    control rows; its transpose fills the mirrored block. Q is the
-    orthonormal QR factor of M_U^-1 K_U, so no rank is decided. s, with
-    A[c, c'] = s[c, c'] M_U for c, c' in CONTROL, is read from the control
-    entries, d from P's control scales; an absent entry is a zero block.
+    control rows; its transpose fills the mirrored block. Each operator is
+    materialized once: A's control entries and P's control blocks are all
+    one control mass. Q is the orthonormal QR factor of M_U^-1 K_U, so no
+    rank is decided. s, with A[c, c'] = s[c, c'] M_U for c, c' in CONTROL,
+    is read from the control entries, d from P's control scales; an absent
+    entry is a zero block.
     Raises ValueError unless each control entry is such a multiple to
     roundoff and no entry but K_U couples the controls to another block.
     """
+    held = {}
+
+    def matrix(op):
+        if id(op) not in held:
+            held[id(op)] = op.materialize() if isinstance(op, KroneckerMatrix) else op
+        return held[id(op)]
+
     _, mass, solver = precon.table["u"]
-    m_u = mass.materialize()
-    a = {key: system.weight(*key) * op.materialize()
-         for key, op in system.blocks.items()}
+    m_u = matrix(mass)
+    a = {key: system.weight(*key) * matrix(op) for key, op in system.blocks.items()}
     s = np.zeros((2, 2))
     for (row, col), blk in a.items():
         if row in CONTROL and col in CONTROL:
             i, j = CONTROL.index(row), CONTROL.index(col)
             s[i, j] = s[j, i] = blk.multiply(m_u).sum() / m_u.multiply(m_u).sum()
-            if sparse_norm(blk - s[i, j] * m_u) > MULTIPLE_RTOL * sparse_norm(blk):
+            defect = (blk - s[i, j] * m_u).data  # Frobenius norms: CSR values
+            if np.linalg.norm(defect) > MULTIPLE_RTOL * np.linalg.norm(blk.data):
                 raise ValueError(f"block ({row}, {col}) is not a multiple of "
                                  f"the control mass: no exact deflation")
         elif ((row in CONTROL) != (col in CONTROL) and (row, col) != ("p_u", "y")
@@ -82,8 +91,9 @@ def _control_deflation(system: DiscreteSystem,
                             for n in names])
     part = dict(zip(names, map(slice, offs, offs[1:])))
     g, h = np.zeros((2, offs[-1], offs[-1]))
-    for pencil, table in ((g, a.items()), (h, [((n, n), precon.block_matrix(n))
-                                                for n in names])):
+    p_blocks = [((n, n), precon.table[n].scale * matrix(precon.table[n].matrix))
+                for n in names]
+    for pencil, table in ((g, a.items()), (h, p_blocks)):
         for (row, col), blk in table:
             blk = blk @ q if col in CONTROL else blk.toarray()
             if row in CONTROL:

@@ -11,7 +11,6 @@ from saddleprec import blocksys, cli, kron, precond, verify
 from saddleprec.cli import (
     BASE_GB,
     CSV_COLUMNS,
-    LU_FILL,
     WORK_VECTORS,
     ConfigError,
     _check_budget,
@@ -356,21 +355,20 @@ def test_memory_estimate_covers_held_blocks(kind, p, lev):
     spaces = build_spaces(spec)
     system = assemble_system(spec, spaces)
     precon = build_preconditioner(spec, spaces, system.blocks)
-    p_y, ordered = precon.block_matrix("y"), precon.table["y"].solver
-    # the count is exact, and the flat fill bounds the one LU; SuperLU.nnz
-    # reads the fill without copying the factors out as lu.L and lu.U do
+    p_y, factor = precon.block_matrix("y"), precon.table["y"].solver
+    tree = factor.tree
+    # the count is exact, and the symbolic phase counts the factor's arrays
     assert solve_nnz(spec) == p_y.nnz
-    assert ordered.lu.nnz <= LU_FILL * p_y.nnz
-    # the bytes held: P_Y, its LU (a float64 value and an int32 row index per
-    # nonzero, and the column pointers of L and U) with the ordering and
-    # SuperLU's row and column permutations, the univariate factors of every
-    # block and of the rotated K_U, the factor eigenvectors and the
-    # eigenvalue diagonal of every Kronecker solver (the control eigenbasis
-    # is the control-mass solver's), and the work vectors; the interpreter
-    # base is left out
-    lu_bytes = (12 * ordered.lu.nnz + 8 * (ordered.lu.shape[0] + 1)
-                + ordered.perm.nbytes + ordered.lu.perm_r.nbytes
-                + ordered.lu.perm_c.nbytes)
+    l_bytes = sum(l11.nbytes + l21.nbytes for l11, l21 in factor.factors)
+    assert tree.factor_bytes == l_bytes
+    # the bytes held: P_Y, its multifrontal Cholesky (the L11 and L21 of every
+    # front, the ordering and its inverse, and the fronts' update index sets),
+    # the univariate factors of every block and of the rotated K_U, the
+    # factor eigenvectors and the eigenvalue diagonal of every Kronecker
+    # solver (the control eigenbasis is the control-mass solver's), and the
+    # work vectors; the interpreter base is left out
+    cholesky_bytes = (l_bytes + tree.perm.nbytes + tree.iperm.nbytes
+                      + sum(front.update.nbytes for front in tree.fronts))
     others = [n for n in spaces.block_names if n != "y"]
     solvers = {id(s): s for s in (precon.table[n].solver for n in others)}
     assert precon.basis.solver is precon.table["u"].solver
@@ -379,7 +377,7 @@ def test_memory_estimate_covers_held_blocks(kind, p, lev):
     sums = list(system.blocks.values())
     sums += [precon.table[n].matrix for n in others]
     sums += [precon.basis.k_u]
-    total = (_held_bytes(p_y) + lu_bytes + _factor_bytes(sums) + eigen_bytes
+    total = (_held_bytes(p_y) + cholesky_bytes + _factor_bytes(sums) + eigen_bytes
              + 8 * WORK_VECTORS * system.dim)
     assert (estimate_memory_gb(spec) - BASE_GB) * 1e9 >= total
 
@@ -387,7 +385,7 @@ def test_memory_estimate_covers_held_blocks(kind, p, lev):
 def test_solve_materializes_only_the_factorized_blocks(monkeypatch):
     # the blocks a solve only applies or inverts in factor eigenbases stay
     # Kronecker sums; it materializes only the terms of P_Y (dim Y) for its
-    # one LU, and diagonalizes each control-mass factor once
+    # one factor, and diagonalizes each control-mass factor once
     shapes, eighs = [], []
     materialize, eigh = KroneckerMatrix.materialize, kron.eigh
 

@@ -13,6 +13,7 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src").rglob("*.py"))
 PACKAGE = sorted(p for p in (ROOT / "src" / "saddleprec").glob("*.py")
                  if p.name != "__init__.py")
 MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
@@ -65,3 +66,38 @@ def unread_definitions() -> list:
 
 def test_every_public_definition_has_a_reader():
     assert unread_definitions() == []
+
+
+def sparse_linalg_reads(path: Path) -> list:
+    """(line, text) of each import of scipy.sparse.linalg in a module, and of
+    each `.linalg` read on a name bound to scipy.sparse."""
+    sparse_names, found = set(), []
+    tree = ast.parse(path.read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("scipy.sparse.linalg"):
+                    found.append((node.lineno, alias.name))
+                elif alias.name == "scipy.sparse":
+                    sparse_names.add(alias.asname or "scipy")
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.startswith("scipy.sparse.linalg"):
+                found.append((node.lineno, node.module))
+            for alias in node.names:
+                if node.module == "scipy.sparse" and alias.name == "linalg":
+                    found.append((node.lineno, "scipy.sparse.linalg"))
+                elif node.module == "scipy" and alias.name == "sparse":
+                    sparse_names.add(alias.asname or "sparse")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "linalg"
+                and ast.unparse(node.value) in sparse_names | {"scipy.sparse"}):
+            found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+def test_no_sparse_direct_solver_in_the_package():
+    # P_Y has one factor, the package's multifrontal Cholesky: no source file
+    # reaches scipy.sparse.linalg (splu, spsolve, ...), so a second sparse
+    # direct path cannot come back unnoticed
+    found = {p.relative_to(ROOT).as_posix(): sparse_linalg_reads(p) for p in SOURCES}
+    assert SOURCES and not {path: reads for path, reads in found.items() if reads}

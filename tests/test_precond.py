@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from saddleprec.assembly import (
@@ -14,12 +15,17 @@ from saddleprec.assembly import (
     build_spaces,
     mass_form,
 )
+from saddleprec import precond
 from saddleprec.precond import (
+    ND_LEAF,
     ControlEigenbasis,
+    FrontalTree,
+    MultifrontalCholesky,
     alpha_free_setup,
     build_preconditioner,
     build_Ptilde_Y,
     dual_grams,
+    frontal_tree,
     nested_dissection,
     state_block,
     state_grams,
@@ -27,6 +33,7 @@ from saddleprec.precond import (
 )
 from saddleprec.splines import eval_basis_many, gauss_rule, make_space
 from saddleprec.verify import residual_on_grid, sparse_vs_reference_gap
+from test_verify import dense_preconditioner
 
 
 def _eval_state(sp_, coef, tpts, xpts, ypts, dt=0, dx=0, dy=0):
@@ -89,7 +96,7 @@ def test_full_block_vector_form_is_sum_of_named_terms():
     precon = build_preconditioner(spec, sp_, system.blocks)
     rng = np.random.default_rng(30)
     vec = rng.standard_normal(precon.dim)
-    total = vec @ (precon.materialize() @ vec)
+    total = vec @ (dense_preconditioner(precon) @ vec)
 
     o = np.concatenate([[0], np.cumsum(sp_.block_dims)])
     yv, uv, pv, r1v, r2v = (vec[o[i]:o[i + 1]] for i in range(5))
@@ -189,30 +196,36 @@ def test_shared_setup_state_block_is_bitwise_the_unshared_one(kind, p):
             assert np.array_equal(getattr(held, attr), getattr(fresh, attr))
 
 
-@pytest.mark.parametrize("lev", [2, 3])
+@pytest.mark.parametrize("lev", [1, 2, 3])
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("kind", ["heat", "wave"])
 def test_ordered_lus_agree_with_default_ordered_splu(kind, p, lev):
-    # P_Y's nested-dissection LU and the r1 Gram's eigenbasis solver against
-    # scipy's default-ordered, pivoted splu of the same materialized block,
-    # on one vector and on a block of columns
-    spec = ProblemSpec(kind, p, lev, 1e-6)
+    # P_Y's multifrontal Cholesky, across alpha, and the r1 Gram's eigenbasis
+    # solver against scipy's default-ordered, pivoted splu of the same
+    # materialized block, on one vector and on a block of columns, which
+    # solves as its columns one by one
+    spec = ProblemSpec(kind, p, lev, 1.0)
     sp_ = build_spaces(spec)
     system = assemble_system(spec, sp_)
-    precon = build_preconditioner(spec, sp_, system.blocks)
-    # the held block keeps the original ordering, entry for entry
-    direct = state_block(state_grams(spec, sp_, system.blocks), spec.alpha)
-    held = precon.block_matrix("y")
-    assert held.shape == direct.shape and (held != direct).nnz == 0
+    setup = alpha_free_setup(spec, sp_, system.blocks)
     rng = np.random.default_rng(31)
-    for name in ("y", "p_r1"):
-        mat = precon.block_matrix(name)
-        oracle = splu(mat.tocsc())
-        for r in (rng.standard_normal(mat.shape[0]),
-                  rng.standard_normal((mat.shape[0], 4))):
-            got, want = precon.table[name].solver.solve(r), oracle.solve(r)
-            assert got.shape == r.shape
+    for alpha in (1.0, 1e-6, 1e-9):
+        spec_a = dataclasses.replace(spec, alpha=alpha)
+        precon = build_preconditioner(spec_a, sp_, system.blocks, setup)
+        # the held block keeps the original ordering, entry for entry
+        direct = state_block(state_grams(spec_a, sp_, system.blocks), alpha)
+        held = precon.block_matrix("y")
+        assert held.shape == direct.shape and (held != direct).nnz == 0
+        for name in ("y", "p_r1"):
+            mat, solver = precon.block_matrix(name), precon.table[name].solver
+            rhs = rng.standard_normal((mat.shape[0], 4))
+            got, want = solver.solve(rhs), splu(mat.tocsc()).solve(rhs)
+            assert got.shape == rhs.shape
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            for r, col in zip(rhs.T, got.T):
+                one = solver.solve(r)
+                assert one.shape == r.shape
+                assert np.linalg.norm(one - col) <= 1e-13 * np.linalg.norm(one)
 
 
 @pytest.mark.parametrize("shape, p", [
@@ -222,24 +235,52 @@ def test_ordered_lus_agree_with_default_ordered_splu(kind, p, lev):
     ((17, 9, 12), 2),
     ((16, 16), 2), ((33, 33), 3),               # r1 grids at levels 4 and 5
 ])
-def test_nested_dissection_is_a_permutation(shape, p):
-    perm = nested_dissection(shape, p)
-    assert np.array_equal(np.sort(perm), np.arange(math.prod(shape)))
+def test_nested_dissection_is_a_permutation(shape, p, monkeypatch):
+    # at the default leaf and at 64 unknowns, where every shape above 64
+    # unknowns splits
+    n = math.prod(shape)
+    for leaf in (64, ND_LEAF):
+        monkeypatch.setattr(precond, "ND_LEAF", leaf)
+        perm, nodes = nested_dissection(shape, p)
+        assert np.array_equal(np.sort(perm), np.arange(n))
+        # postorder: the own ranges tile the order, the root's subtree is all
+        # of it, and every subtree is its children's subtrees, then its own
+        assert [node.own for node in nodes[1:]] == [node.stop for node in nodes[:-1]]
+        assert (nodes[0].start, nodes[-1].start, nodes[-1].stop) == (0, 0, n)
+        for i, node in enumerate(nodes):
+            inside = [m for m in nodes[:i] if node.start <= m.start < node.own]
+            assert all(m.stop <= node.own for m in inside)
+            assert (sum(m.stop - m.own for m in inside)
+                    == node.own - node.start)
+            # a leaf block of natural order, or a slab of p planes
+            coords = np.unravel_index(perm[node.own:node.stop], shape)
+            extent = [int(c.max() - c.min() + 1) for c in coords]
+            assert math.prod(extent) == node.stop - node.own
+            if node.start == node.own:
+                assert (node.stop - node.own <= leaf or max(extent) <= p)
+                assert np.all(np.diff(perm[node.own:node.stop]) > 0)
+            else:
+                assert p in extent
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_top_separator_splits_the_state_block(p):
-    # a slab of p planes of the longest axis separates P_Y's two halves,
-    # which come first, and p - 1 planes would not
-    spec = ProblemSpec("wave", p, 2, 1e-6)
+    # a slab of p planes of the longest axis, the root of the tree, separates
+    # P_Y's two halves, which come first, and p - 1 planes would not; level 3
+    # is the first whose state grid exceeds a leaf
+    spec = ProblemSpec("wave", p, 3, 1e-6)
     sp_ = build_spaces(spec)
     system = assemble_system(spec, sp_)
     p_y = state_block(state_grams(spec, sp_, system.blocks), spec.alpha)
     shape = sp_.block_shape("y")
-    perm = nested_dissection(shape, p)
+    perm, nodes = nested_dissection(shape, p)
+    root, right_child = nodes[-1], nodes[-2]
     axis = int(np.argmax(shape))
     n, plane = shape[axis], p_y.shape[0] // shape[axis]
-    left, right, sep = np.split(perm, [(n - p) // 2 * plane, (n - p) * plane])
+    left, right, sep = (perm[:right_child.start], perm[right_child.start:root.own],
+                        perm[root.own:root.stop])
+    assert (len(left), len(sep)) == ((n - p) // 2 * plane, p * plane)
+    assert right_child.stop == root.own and root.stop == p_y.shape[0]
     coord = np.unravel_index(np.arange(p_y.shape[0]), shape)[axis]
     assert len(left) and len(right)
     assert coord[left].max() < coord[sep].min() == coord[sep].max() - p + 1
@@ -248,6 +289,55 @@ def test_top_separator_splits_the_state_block(p):
     last_left = left[coord[left] == coord[left].max()]
     last_sep = sep[coord[sep] == coord[sep].max()]
     assert p_y[last_left][:, last_sep].toarray().any()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("kind", ["heat", "wave"])
+def test_symbolic_fronts_are_the_numeric_ones(kind, p, monkeypatch):
+    # oracle: the dense Cholesky of the permuted block. Each front's update
+    # set is exactly the rows beyond its subtree that L's own columns reach
+    # (structural zeros stay exact zeros), and the factor's arrays have the
+    # symbolic sizes
+    monkeypatch.setattr(precond, "ND_LEAF", 64)
+    spec = ProblemSpec(kind, p, 3, 1e-6)
+    sp_ = build_spaces(spec)
+    p_y = state_block(state_grams(spec, sp_, assemble_system(spec, sp_).blocks),
+                      spec.alpha)
+    tree = FrontalTree(sp_.block_shape("y"), p)
+    assert len(tree.fronts) > 3
+    chol = np.linalg.cholesky(p_y[tree.perm][:, tree.perm].toarray())
+    factor = MultifrontalCholesky(p_y, tree)
+    atol = 1e-12 * np.abs(chol).max()
+    for front, (l11, l21) in zip(tree.fronts, factor.factors):
+        own = slice(front.own, front.stop)
+        k, u = front.stop - front.own, front.update.size
+        reach = np.flatnonzero(chol[front.stop:, own].any(axis=1))
+        assert np.array_equal(front.update, front.stop + reach)
+        assert (l11.shape, l21.shape) == ((k, k), (u, k))
+        assert np.allclose(np.tril(l11), chol[own, own], rtol=0, atol=atol)
+        assert np.allclose(l21, chol[front.update, own], rtol=0, atol=atol)
+    assert tree.factor_bytes == sum(l11.nbytes + l21.nbytes
+                                    for l11, l21 in factor.factors)
+
+
+def test_state_cholesky_refuses_what_it_cannot_factor():
+    spec = ProblemSpec("wave", 2, 3, 1e-6)
+    sp_ = build_spaces(spec)
+    p_y = state_block(state_grams(spec, sp_, assemble_system(spec, sp_).blocks),
+                      spec.alpha)
+    tree = frontal_tree(sp_.block_shape("y"), 2)
+    assert len(tree.fronts) > 1
+    top = np.linalg.eigvalsh(p_y.toarray())[-1]
+    indefinite = (p_y - 2 * top * sp.identity(p_y.shape[0])).tocsr()
+    with pytest.raises(ValueError, match="not positive definite"):
+        MultifrontalCholesky(indefinite, tree)
+    # the first and the last grid point lie on either side of the top
+    # separator: their coupling has no place in any front
+    n = p_y.shape[0]
+    wide = (p_y + sp.csr_matrix(([1e-3, 1e-3], ([0, n - 1], [n - 1, 0])),
+                                shape=(n, n))).tocsr()
+    with pytest.raises(ValueError, match="beyond its band"):
+        MultifrontalCholesky(wide, tree)
 
 
 def test_alpha_scaling_of_blocks():
@@ -287,7 +377,7 @@ def test_apply_inverse_contracts(kind):
     sp_ = build_spaces(spec)
     system = assemble_system(spec, sp_)
     precon = build_preconditioner(spec, sp_, system.blocks)
-    full = precon.materialize()
+    full = dense_preconditioner(precon)
     rng = np.random.default_rng(26)
     r = rng.standard_normal(precon.dim)
     x = precon.apply_inverse(r)
@@ -444,7 +534,7 @@ def test_rotated_operators_are_the_csr_ones_rotated(kind, p, lev, alpha):
         want = d(system.matrix @ d(v, back=True))
         assert np.abs(rot_system.apply(v) - want).max() <= 1e-13 * np.abs(want).max()
         x = rot_precon.apply_inverse(v)
-        resid = d(precon.materialize() @ d(x, back=True)) - v
+        resid = d(dense_preconditioner(precon) @ d(x, back=True)) - v
         assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(v)
         assert np.allclose(basis.rotate(v), d(v), rtol=0, atol=1e-13 * np.abs(v).max())
         assert np.allclose(basis.rotate(basis.rotate(v), back=True), v, rtol=0,

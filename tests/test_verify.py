@@ -7,6 +7,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import eigh, null_space
 
 from saddleprec import assembly, cli, precond, verify
@@ -73,12 +74,18 @@ def test_brezzi_rejects_bad_alpha_and_large_instances(wave_system,
         measure_brezzi(wave_l3_system)
 
 
+def dense_preconditioner(precon):
+    # the full block-diagonal CSR matrix of P, the tests' dense reference
+    return sp.block_diag([precon.block_matrix(n) for n in precon.spaces.block_names],
+                         format="csr")
+
+
 def _dense_blocks(system, alpha):
     # a, B, N_x and N_m of measure_brezzi as full dense arrays
     spec = dataclasses.replace(system.spec, alpha=alpha)
     mat = assemble_system(spec, system.spaces, blocks=system.blocks).matrix
-    metric = BlockDiagPreconditioner(spec, system.spaces,
-                                     system.blocks).materialize()
+    metric = dense_preconditioner(BlockDiagPreconditioner(spec, system.spaces,
+                                                          system.blocks))
     k = system.spaces.block_dim("y") + system.spaces.block_dim("u")
     return (mat[:k, :k].toarray(), mat[k:, :k].toarray(),
             metric[:k, :k].toarray(), metric[k:, k:].toarray())
@@ -116,7 +123,7 @@ def _dense_brezzi(system, alpha):
 
 def _dense_condition(system, precon):
     # the full dense pencil (A, P) of condition_number_estimate
-    ev = eigh(system.matrix.toarray(), precon.materialize().toarray(),
+    ev = eigh(system.matrix.toarray(), dense_preconditioner(precon).toarray(),
               eigvals_only=True)
     aev = np.abs(ev)
     hi = aev.max()
@@ -201,6 +208,25 @@ def test_instruments_never_assemble_a_or_p(monkeypatch):
     precon = build_preconditioner(system.spec, system.spaces, system.blocks)
     assert measure_brezzi(system).kernel_dim > 0
     assert condition_number_estimate(system, precon).kappa >= 1.0
+
+
+def test_instruments_materialize_each_operator_once(monkeypatch):
+    # A's (u, u) and (u, p_u) entries and P's u and p_u blocks are one
+    # control mass: one deflation materializes it, and every other operator,
+    # once
+    calls = {}
+    materialize = KroneckerMatrix.materialize
+
+    def count(self):
+        calls[id(self)] = calls.get(id(self), 0) + 1
+        return materialize(self)
+
+    system = assemble_system(ProblemSpec("wave", 2, 1, 1e-3))
+    precon = build_preconditioner(system.spec, system.spaces, system.blocks)
+    monkeypatch.setattr(KroneckerMatrix, "materialize", count)
+    condition_number_estimate(system, precon)
+    assert calls[id(precon.table["u"].matrix)] == 1
+    assert set(calls.values()) == {1}
 
 
 def test_report_fields_are_plain_numbers(wave_system):
