@@ -13,7 +13,6 @@ written to --output); and 2 on configuration errors
 import argparse
 import csv
 import dataclasses
-import math
 import sys
 import time
 from contextlib import contextmanager
@@ -24,7 +23,6 @@ import numpy as np
 
 from . import blocksys, matrixio, spectral, verify
 from .assembly import (
-    BLOCK_FACTORS,
     ProblemSpec,
     assemble_system,
     build_spaces,
@@ -46,52 +44,41 @@ CSV_COLUMNS = ("problem", "p", "level", "alpha", "dofs", "iterations",
                "converged", "stop", "final_relres", "runtime_ms")
 
 
-# bytes per stored nonzero: a float64 value and an index of up to 8 bytes
-BYTES_PER_NNZ = 16
-# sparse copies of P_Y held through a solve: P_Y and its observation and
-# residual Grams, which a `table` cell keeps across alpha (each has at most
-# P_Y's pattern). The trace Gram, a few time planes, fits in the margin of
-# BYTES_PER_NNZ over CSR's 12 bytes per nonzero.
-HELD_COPIES = 3
-# further copies alive while `state_block` sums and symmetrizes P_Y
-BUILD_COPIES = 2
 # length-dofs float64 vectors alive at once: the MINRES recurrence, the
 # true-residual checks, the block applies and the preconditioner solve
 WORK_VECTORS = 20
+# dense univariate arrays, each at most m x m for m the largest factor
+# dimension, that a solve holds: the Kronecker factors of every block and of
+# the rotated K_U, and the factor eigenvectors of every Kronecker solver
+# (12 to 28 of them for heat and wave, p=2-5, levels 0-4)
+UNIVARIATE_ARRAYS = 32
 # resident size of the interpreter with numpy and scipy loaded
 BASE_GB = 0.1
-
-
-def solve_nnz(spec: ProblemSpec) -> int:
-    """Exact nonzero count of P_Y, the one block a solve materializes and
-    factorizes.
-
-    The nnz of a Kronecker product is the product of its factors' nnz, and
-    every state-space factor has the support of the state mass, so P_Y has
-    the 3-D mass pattern.
-    """
-    spaces = build_spaces(spec)
-    return math.prod(int(np.count_nonzero(spaces.factor(name, name)))
-                     for name in BLOCK_FACTORS["y"])
 
 
 def estimate_memory_gb(spec: ProblemSpec) -> float:
     """Peak memory of a solve from the exact sizes of what it holds.
 
-    Throughout, HELD_COPIES of P_Y (`solve_nnz`) and P_Y's multifrontal
-    Cholesky factor; on top of them, whichever is largest of the transients
-    of the three phases that follow each other: building P_Y (BUILD_COPIES),
-    factoring it (the peak of the pending update matrices) and MINRES (the
-    work vectors). The factor and the update peak are counted by P_Y's
-    `frontal_tree` from the state grid and the degree alone. Every other
-    block is applied or inverted from its univariate Kronecker factors and
-    their eigenvectors, whose size is negligible.
+    Throughout: P_Y's three alpha-free Grams, 8 B per entry of its band
+    (`FrontalTree.band_nnz`); its values at alpha, a float64, and the tree's
+    scatter map, three int32, per band entry in the lower triangle; the
+    tree's index arrays and P_Y's multifrontal Cholesky factor; the
+    eigenvalue diagonals of the Kronecker solvers, at most one per unknown;
+    and the univariate arrays. On top of them, the larger of the transients
+    of the two phases that follow each other: factoring P_Y (the peak of the
+    pending update matrices) and MINRES (the work vectors). P_Y's sizes come
+    from its `frontal_tree`, from the state grid and the degree alone.
     """
-    tree = frontal_tree(build_spaces(spec).block_shape("y"), spec.degree)
-    copy_bytes = BYTES_PER_NNZ * solve_nnz(spec)
-    transient = max(BUILD_COPIES * copy_bytes, tree.stack_bytes,
-                    8.0 * WORK_VECTORS * dof_count(spec))
-    return BASE_GB + (HELD_COPIES * copy_bytes + tree.factor_bytes + transient) / 1e9
+    spaces = build_spaces(spec)
+    tree = frontal_tree(spaces.block_shape("y"), spec.degree)
+    lower = (tree.band_nnz + tree.perm.size) // 2
+    index = tree.perm.nbytes + tree.iperm.nbytes + sum(f.update.nbytes
+                                                        for f in tree.fronts)
+    m = max(max(spaces.block_shape(name)) for name in spaces.block_names)
+    held = (3 * 8 * tree.band_nnz + (8 + 3 * 4) * lower + index + tree.factor_bytes
+            + 8 * dof_count(spec) + 8 * UNIVARIATE_ARRAYS * m * m)
+    transient = max(tree.stack_bytes, 8 * WORK_VECTORS * dof_count(spec))
+    return BASE_GB + (held + transient) / 1e9
 
 
 class ConfigError(Exception):

@@ -5,9 +5,9 @@ w * (T x X x Y) with dense univariate factors. Every block of the optimality
 systems is held in this form. This module applies such sums by mode products
 (sum factorization: one small matrix product per factor, never forming the
 product), materializes them as sparse matrices only where a matrix is needed
-(the state-block Cholesky, export, the dense verify instruments), and
-inverts an SPD Kronecker product, or Kronecker sum, in the eigenbases of its
-factors (fast diagonalization). A Kronecker product or sum of diagonal
+(export, the dense verify instruments, the tests), and inverts an SPD
+Kronecker product, or Kronecker sum, in the eigenbases of its factors (fast
+diagonalization). A Kronecker product or sum of diagonal
 factors is held as its diagonal (`KroneckerDiagonal`) and applied
 elementwise.
 """

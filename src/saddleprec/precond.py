@@ -8,13 +8,21 @@ block realizes the weighted norm
     |y|^2 = (y, y)_{L2(q_T)} + alpha * |state residual|^2_{L2(Q_T)}
             + |grad y(0)|^2_{L2} [+ |d_t y(0)|^2_{L2} for the wave problem]
 
-and is the one block a solve materializes and factorizes, by a multifrontal
-Cholesky (`MultifrontalCholesky`, after Duff & Reid, ACM TOMS 1983) over the
+and is the one block a solve factorizes, by a multifrontal Cholesky
+(`MultifrontalCholesky`, after Duff & Reid, ACM TOMS 1983) over the
 geometric nested-dissection tree of its tensor grid (`nested_dissection`,
 after George, SINUM 1973): a state-space basis function couples only with
 those within p indices per axis, so a slab of p grid planes separates the
 grid, and the front of each tree node is dense and factored by LAPACK. Its
-symbolic phase (`FrontalTree`) depends on the grid and p alone. Every
+symbolic phase (`FrontalTree`) depends on the grid and p alone, and so does
+its scatter map: P_Y's pattern is the Kronecker product of the per-axis
+bands |i - j| <= p, and the map sends each band entry of the lower triangle
+of the tree's order to its place in one flat buffer of every front's F11
+and F21. P_Y's three alpha-free Grams (`state_grams`) are value arrays on
+that band, outer products of their univariate factors' band entries, so per
+alpha P_Y is a sum of three arrays, symmetrized and scattered into the
+fronts in one assignment (`state_block`); no sparse matrix is formed unless
+export, verify or a test reads one (`StateBlock.materialize`). Every
 other block is a Kronecker product of univariate masses, or the r1 Gram
 S_x x M_y + M_x x S_y, and is inverted in the eigenbases of its factors
 (`kron.KroneckerSolver`). P reads the observation and the control mass from
@@ -32,7 +40,7 @@ equals the sparse state block whenever the residual inclusion holds.
 
 import copy
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -62,7 +70,7 @@ def state_residual_form(spec: ProblemSpec, spaces: DiscreteSpaces) -> KroneckerM
     definition of the state operator: s_i s_j times the Kronecker product of
     the factors pairing derivative orders d_i and d_j in each direction.
     Mixed terms are exact transposes of each other only up to roundoff;
-    `_symmetrize` makes the materialized Gram exactly symmetric.
+    `state_block` makes P_Y exactly symmetric.
     """
     names = BLOCK_FACTORS["y"]
     terms = residual_terms(spec)
@@ -89,22 +97,44 @@ def trace_form(spec: ProblemSpec, spaces: DiscreteSpaces) -> KroneckerMatrix:
     return km
 
 
-def _symmetrize(mat: sp.spmatrix) -> sp.csr_matrix:
-    """Remove summation-order roundoff: exact bitwise symmetry."""
-    return (0.5 * (mat + mat.T)).tocsr()
+def _axis_band(n: int, p: int) -> tuple:
+    """Rows and columns of the band |i - j| <= p of an n x n matrix, row by
+    row, as int32 arrays."""
+    near = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= p
+    return tuple(idx.astype(np.int32) for idx in np.nonzero(near))
+
+
+def band_values(km: KroneckerMatrix, p: int) -> np.ndarray:
+    """A Kronecker sum of square factors on the Kronecker product of the
+    per-axis bands |i - j| <= p, in the order of `FrontalTree.band`.
+
+    Each term adds w ((F_1 x F_2) x F_3) of its factors' band entries: the
+    products, and the terms in their order, of `KroneckerMatrix.materialize`.
+    Raises ValueError when a factor has a nonzero beyond its band, which the
+    band would drop.
+    """
+    total = None
+    for term in km.terms:
+        prod = None
+        for f in term.factors:
+            vals = f[_axis_band(f.shape[0], p)]
+            if np.count_nonzero(vals) != np.count_nonzero(f):
+                raise ValueError("a Kronecker factor has a nonzero beyond its band")
+            prod = vals if prod is None else np.multiply.outer(prod, vals)
+        prod = prod.ravel()
+        prod *= term.weight
+        if total is None:
+            total = prod
+        else:
+            total += prod
+    return total
 
 
 def state_grams(spec: ProblemSpec, spaces: DiscreteSpaces, blocks: dict) -> tuple:
-    """P_Y's alpha-free terms materialized: observation, residual, trace."""
-    return (blocks["y", "y"].materialize(),
-            state_residual_form(spec, spaces).materialize(),
-            trace_form(spec, spaces).materialize())
-
-
-def state_block(grams: tuple, alpha: float) -> sp.csr_matrix:
-    """P_Y: observation + alpha * residual Gram + trace Grams (`state_grams`)."""
-    observation, residual, trace = grams
-    return _symmetrize(observation + alpha * residual + trace)
+    """P_Y's alpha-free terms on its band (`band_values`): observation,
+    residual, trace."""
+    return tuple(band_values(km, spec.degree) for km in (
+        blocks["y", "y"], state_residual_form(spec, spaces), trace_form(spec, spaces)))
 
 
 # unknowns at which `nested_dissection` stops splitting. Of 64, 128, 256 and
@@ -155,14 +185,16 @@ def nested_dissection(shape: tuple, p: int) -> tuple:
 class Front(NamedTuple):
     """The symbolic front of one tree node: its own positions [own, stop),
     the sorted positions beyond its subtree that its columns of L reach
-    (`update`), and its children's extend-add maps as (front index,
-    `_extend_add_runs`) pairs."""
+    (`update`), its children's extend-add maps as (front index,
+    `_extend_add_runs`) pairs, and where its F11 and F21 begin in the flat
+    buffer of `FrontalTree.front_map` (`offset`)."""
 
     start: int
     own: int
     stop: int
     update: np.ndarray
     children: tuple
+    offset: int
 
 
 def _extend_add_runs(rows: np.ndarray, own: int, stop: int,
@@ -188,11 +220,15 @@ class FrontalTree:
     A front's update set is the positions beyond its subtree that the band
     reaches from its own box, joined with its children's update sets. The
     tree, the front sizes and the extend-add maps depend on the grid and p
-    alone, so `factor_bytes` (the stored L) and `stack_bytes` (the peak of
-    the pending update matrices) are known before any value is.
+    alone, so `band_nnz` (the band's entries), `factor_bytes` (the stored L,
+    which is also the flat buffer of every front's F11 and F21) and
+    `stack_bytes` (the peak of the pending update matrices) are known before
+    any value is.
     """
 
     def __init__(self, shape: tuple, p: int):
+        self.shape, self.p = shape, p
+        self.band_nnz = math.prod(_axis_band(n, p)[0].size for n in shape)
         self.perm, nodes = nested_dissection(shape, p)
         self.iperm = np.empty_like(self.perm)
         self.iperm[self.perm] = np.arange(self.perm.size)
@@ -213,54 +249,84 @@ class FrontalTree:
             children = tuple((c, _extend_add_runs(self.fronts[c].update, node.own,
                                                   node.stop, update))
                              for c in kids)
-            self.fronts.append(Front(*node, update, children))
+            self.fronts.append(Front(*node, update, children, self.factor_bytes // 8))
             open_fronts.append(len(self.fronts) - 1)
             self.factor_bytes += 8 * (k + u) * k
             self.stack_bytes = max(self.stack_bytes, pending + 8 * u * u)
             pending += 8 * (u * u - sum(self.fronts[c].update.size ** 2
                                         for c in kids))
 
+    def band(self) -> tuple:
+        """Row, column and transpose's index of each band entry, in the
+        natural order: the Kronecker product of the per-axis bands."""
+        rows = cols = mirror = np.zeros(1, dtype=np.int32)
+        for n in self.shape:
+            i, j = _axis_band(n, self.p)
+            index = np.zeros((n, n), dtype=np.int32)
+            index[i, j] = np.arange(i.size)
+            rows = (rows[:, None] * n + i).ravel()
+            cols = (cols[:, None] * n + j).ravel()
+            mirror = (mirror[:, None] * i.size + index[j, i]).ravel()
+        return rows, cols, mirror
 
-def _scatter(mat: sp.csr_matrix, tree: FrontalTree, front: Front) -> tuple:
-    """The front's blocks F11, F21 and F22 (Fortran order) holding the lower
-    triangle of the permuted block's own columns, which are the rows
-    perm[own:stop] of the symmetric block."""
-    own, stop, upd = front.own, front.stop, front.update
-    k, u = stop - own, upd.size
-    blocks = tuple(np.zeros(s, order="F") for s in ((k, k), (u, k), (u, u)))
-    lo = mat.indptr[tree.perm[own:stop]]
-    count = mat.indptr[tree.perm[own:stop] + 1] - lo
-    col = np.repeat(np.arange(k), count)
-    entry = np.arange(col.size) + np.repeat(lo - np.cumsum(count) + count, count)
-    pos, val = tree.iperm[mat.indices[entry]], mat.data[entry]
-    inner = (pos >= own + col) & (pos < stop)
-    blocks[0][pos[inner] - own, col[inner]] = val[inner]
-    outer = pos >= stop
-    row = np.searchsorted(upd, pos[outer])
-    # a position past the last update row meets the appended -1
-    if not np.array_equal(np.append(upd, -1)[row], pos[outer]):
-        raise ValueError("block couples unknowns beyond its band")
-    blocks[1][row, col[outer]] = val[outer]
-    return blocks
+    @cached_property
+    def front_map(self) -> tuple:
+        """The alpha-free scatter map of the band into the fronts, as int32
+        arrays: for each band entry in the lower triangle of the order (row
+        position at or after column position), its index, its transpose's
+        index, and its place in the flat buffer that holds, front after
+        front from `Front.offset`, F11 (k x k) and then F21 (u x k), each in
+        Fortran order."""
+        if self.factor_bytes // 8 >= 2 ** 31:
+            raise ValueError("the factor has too many entries for int32 maps")
+        rows, cols, mirror = self.band()
+        iperm = self.iperm.astype(np.int32)
+        pos, col = iperm[rows], iperm[cols]
+        del rows, cols
+        lower = np.flatnonzero(pos >= col).astype(np.int32)
+        pos, col = pos[lower], col[lower]
+        # per column position: its F11 column's start less its front's own
+        # start, its F21 column's start less the update rows of the earlier
+        # fronts, its front's stop and its front's key for the update search
+        n = self.perm.size
+        base11, base21, stop, key = np.empty((4, n), dtype=np.int64)
+        first = 0
+        for i, front in enumerate(self.fronts):
+            k, u = front.stop - front.own, front.update.size
+            own = slice(front.own, front.stop)
+            base11[own] = front.offset + k * np.arange(k) - front.own
+            base21[own] = front.offset + k * k + u * np.arange(k) - first
+            stop[own], key[own] = front.stop, i * n
+            first += u
+        keys = np.concatenate([i * n + f.update for i, f in enumerate(self.fronts)])
+        slot = base11[col] + pos
+        outer = np.flatnonzero(pos >= stop[col])
+        col = col[outer]
+        slot[outer] = base21[col] + np.searchsorted(keys, key[col] + pos[outer])
+        return lower, mirror[lower], slot.astype(np.int32)
 
 
 class MultifrontalCholesky:
-    """Cholesky factor L L' of an SPD block with the band of `tree`.
+    """Cholesky factor L L' of an SPD block with the band of `tree`, from
+    the lower triangle of its permuted fronts in the flat `buffer` (see
+    `FrontalTree.front_map`), which it factors in place.
 
-    Front by front in postorder: the lower triangle of the permuted block's
-    own columns is scattered into the front, the children's update matrices
-    are added at their increasing index maps (lower triangles to lower
-    triangles, so nothing is symmetrized), and LAPACK factors the front:
-    L11 by dpotrf, L21 = F21 L11^-T by dtrsm, and the update F22 - L21 L21'
-    by dsyrk. Raises ValueError when a pivot is not positive or the block
-    couples beyond the band.
+    Front by front in postorder: the children's update matrices are added to
+    F11, F21 and a zeroed F22 at their increasing index maps (lower
+    triangles to lower triangles, so nothing is symmetrized), and LAPACK
+    factors the front: L11 by dpotrf, L21 = F21 L11^-T by dtrsm, and the
+    update F22 - L21 L21' by dsyrk. Raises ValueError when a pivot is not
+    positive.
     """
 
-    def __init__(self, mat: sp.csr_matrix, tree: FrontalTree):
+    def __init__(self, buffer: np.ndarray, tree: FrontalTree):
         self.tree = tree
         self.factors, updates = [], {}
         for i, front in enumerate(tree.fronts):
-            f11, f21, f22 = blocks = _scatter(mat, tree, front)
+            k, u, at = front.stop - front.own, front.update.size, front.offset
+            f11 = buffer[at:at + k * k].reshape((k, k), order="F")
+            f21 = buffer[at + k * k:at + (k + u) * k].reshape((u, k), order="F")
+            blocks = f11, f21, np.zeros((u, u), order="F")
             for child, runs in front.children:
                 update = updates.pop(child)
                 for j, (a, b, r, r_upd) in enumerate(runs):
@@ -271,10 +337,10 @@ class MultifrontalCholesky:
             if info:
                 raise ValueError(f"block is not positive definite: pivot "
                                  f"{info} of front {i} failed")
-            if front.update.size:
+            if u:
                 f21 = blas.dtrsm(1.0, l11, f21, side=1, lower=1, trans_a=1,
                                  overwrite_b=1)
-                updates[i] = blas.dsyrk(-1.0, f21, beta=1.0, c=f22, lower=1,
+                updates[i] = blas.dsyrk(-1.0, f21, beta=1.0, c=blocks[2], lower=1,
                                         overwrite_c=1)
             self.factors.append((l11, f21))
 
@@ -305,12 +371,55 @@ def frontal_tree(shape: tuple, p: int) -> FrontalTree:
     return FrontalTree(shape, p)
 
 
+class StateBlock(NamedTuple):
+    """P_Y on the band of its `FrontalTree`, held as `lower`: the value of
+    each band entry in the lower triangle of the tree's order, in the order
+    of `FrontalTree.front_map`. Only `materialize` builds a sparse matrix."""
+
+    lower: np.ndarray
+    tree: FrontalTree
+
+    def fronts(self) -> np.ndarray:
+        """The tree's flat buffer of every front's F11 and F21, holding the
+        lower triangle of the permuted block."""
+        buffer = np.zeros(self.tree.factor_bytes // 8)
+        buffer[self.tree.front_map[2]] = self.lower
+        return buffer
+
+    def materialize(self) -> sp.csr_matrix:
+        """The exact CSR matrix, for export, the verify instruments and the
+        tests; a zero entry is left out."""
+        lower, mirror, _ = self.tree.front_map
+        rows, cols, _ = self.tree.band()
+        values = np.empty(self.tree.band_nnz)
+        values[lower] = values[mirror] = self.lower
+        keep = values != 0
+        n = self.tree.perm.size
+        mat = sp.csr_matrix((values[keep], (rows[keep], cols[keep])), shape=(n, n))
+        mat.sort_indices()
+        return mat
+
+
+def state_block(grams: tuple, alpha: float, tree: FrontalTree) -> StateBlock:
+    """P_Y at alpha from its `state_grams`: v = (observation + alpha *
+    residual) + trace on the band, and the mean 0.5 (v_ij + v_ji) of each
+    entry and its transpose, bit for bit the CSR sum 0.5 (m + m') of the
+    materialized Grams."""
+    observation, residual, trace = grams
+    v = observation + alpha * residual + trace
+    lower, mirror, _ = tree.front_map
+    half = v[lower]
+    half += v[mirror]
+    half *= 0.5
+    return StateBlock(half, tree)
+
+
 class DiagonalBlock(NamedTuple):
     """One block of P: scale * matrix, inverted as solver.solve(r) / scale.
     In the `ControlEigenbasis` one `KroneckerDiagonal` is both."""
 
     scale: float
-    matrix: object  # sparse matrix or KroneckerMatrix, unscaled
+    matrix: object  # StateBlock or KroneckerMatrix, unscaled
     solver: object  # MultifrontalCholesky or KroneckerSolver, unscaled
 
 
@@ -375,9 +484,9 @@ def alpha_free_setup(spec: ProblemSpec, spaces: DiscreteSpaces,
 class BlockDiagPreconditioner:
     """Factored diagonal blocks of the preconditioner at alpha = spec.alpha.
 
-    `table` maps each block name to its `DiagonalBlock`: P_Y from
-    `state_block` with its `MultifrontalCholesky`, the other blocks as Kronecker sums
-    with their `KroneckerSolver`s. P_Y's Grams and `basis`, the
+    `table` maps each block name to its `DiagonalBlock`: P_Y as a
+    `StateBlock` with its `MultifrontalCholesky`, the other blocks as
+    Kronecker sums with their `KroneckerSolver`s. P_Y's Grams and `basis`, the
     `ControlEigenbasis` whose control-mass solver serves u and p_u, come
     from `setup`, an `alpha_free_setup` built when None.
     """
@@ -386,12 +495,11 @@ class BlockDiagPreconditioner:
         self.spaces = spaces
         self.alpha = a = spec.alpha
         grams, self.basis = setup or alpha_free_setup(spec, spaces, blocks)
-        p_y = state_block(grams, a)
+        p_y = state_block(grams, a, frontal_tree(spaces.block_shape("y"), spec.degree))
         del grams  # those of a setup built here are freed before P_Y's factor
         u_mass = blocks["u", "u"]
         self.table = {
-            "y": DiagonalBlock(1.0, p_y, MultifrontalCholesky(
-                p_y, frontal_tree(spaces.block_shape("y"), spec.degree))),
+            "y": DiagonalBlock(1.0, p_y, MultifrontalCholesky(p_y.fronts(), p_y.tree)),
             "u": DiagonalBlock(a, u_mass, self.basis.solver),
             "p_u": DiagonalBlock(1.0 / a, u_mass, self.basis.solver),
             "p_r1": DiagonalBlock(1.0, h10_gram_form(spaces),
@@ -408,8 +516,7 @@ class BlockDiagPreconditioner:
     def block_matrix(self, name: str) -> sp.csr_matrix:
         """The scaled sparse matrix of one diagonal block."""
         scale, mat, _ = self.table[name]
-        if isinstance(mat, KroneckerMatrix):
-            mat = mat.materialize()
+        mat = mat.materialize()
         return mat if scale == 1.0 else (scale * mat).tocsr()
 
     def solve_block(self, name: str, r: np.ndarray) -> np.ndarray:

@@ -31,7 +31,6 @@ import numpy as np
 from scipy.linalg import eigh, null_space
 
 from .assembly import DiscreteSystem, mass_solver
-from .kron import KroneckerMatrix
 from .splines import eval_basis_many, gauss_rule
 from .precond import BlockDiagPreconditioner, build_Ptilde_Y
 
@@ -51,12 +50,12 @@ def _control_deflation(system: DiscreteSystem,
     Each entry of the system table, times its `DiscreteSystem.weight`, and
     each block of P's table, times its scale, is applied to Q's columns or
     densified where its column basis is the identity, and projected by Q' on
-    control rows; its transpose fills the mirrored block. Each operator is
-    materialized once: A's control entries and P's control blocks are all
-    one control mass. Q is the orthonormal QR factor of M_U^-1 K_U, so no
-    rank is decided. s, with A[c, c'] = s[c, c'] M_U for c, c' in CONTROL,
-    is read from the control entries, d from P's control scales; an absent
-    entry is a zero block.
+    control rows; its transpose fills the mirrored block. Each operator, a
+    Kronecker sum or P_Y's `StateBlock`, is materialized once: A's control
+    entries and P's control blocks are all one control mass. Q is the
+    orthonormal QR factor of M_U^-1 K_U, so no rank is decided. s, with
+    A[c, c'] = s[c, c'] M_U for c, c' in CONTROL, is read from the control
+    entries, d from P's control scales; an absent entry is a zero block.
     Raises ValueError unless each control entry is such a multiple to
     roundoff and no entry but K_U couples the controls to another block.
     """
@@ -64,7 +63,7 @@ def _control_deflation(system: DiscreteSystem,
 
     def matrix(op):
         if id(op) not in held:
-            held[id(op)] = op.materialize() if isinstance(op, KroneckerMatrix) else op
+            held[id(op)] = op.materialize()
         return held[id(op)]
 
     _, mass, solver = precon.table["u"]

@@ -6,6 +6,7 @@ import json
 
 import pytest
 import scipy.io as sio
+import scipy.sparse as sp
 
 from saddleprec import blocksys, cli, kron, precond, verify
 from saddleprec.cli import (
@@ -16,7 +17,6 @@ from saddleprec.cli import (
     _check_budget,
     estimate_memory_gb,
     main,
-    solve_nnz,
     solve_once,
 )
 from saddleprec.assembly import (
@@ -337,10 +337,6 @@ def test_memory_gate_refuses_non_positive_cap(cap):
         _check_budget(ProblemSpec("wave", 3, 5, 1e-6), cap)
 
 
-def _held_bytes(mat):
-    return mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
-
-
 def _factor_bytes(sums):
     """Bytes of the distinct univariate factors behind Kronecker sums."""
     factors = {id(f): f for km in sums for t in km.terms for f in t.factors}
@@ -355,18 +351,23 @@ def test_memory_estimate_covers_held_blocks(kind, p, lev):
     spaces = build_spaces(spec)
     system = assemble_system(spec, spaces)
     precon = build_preconditioner(spec, spaces, system.blocks)
-    p_y, factor = precon.block_matrix("y"), precon.table["y"].solver
+    p_y, factor = precon.table["y"].matrix, precon.table["y"].solver
     tree = factor.tree
-    # the count is exact, and the symbolic phase counts the factor's arrays
-    assert solve_nnz(spec) == p_y.nnz
+    # the counts are exact: the band is P_Y's pattern, and the symbolic phase
+    # counts the factor's arrays
+    assert tree.band_nnz == precon.block_matrix("y").nnz
     l_bytes = sum(l11.nbytes + l21.nbytes for l11, l21 in factor.factors)
     assert tree.factor_bytes == l_bytes
-    # the bytes held: P_Y, its multifrontal Cholesky (the L11 and L21 of every
-    # front, the ordering and its inverse, and the fronts' update index sets),
-    # the univariate factors of every block and of the rotated K_U, the
-    # factor eigenvectors and the eigenvalue diagonal of every Kronecker
-    # solver (the control eigenbasis is the control-mass solver's), and the
-    # work vectors; the interpreter base is left out
+    # the bytes held: P_Y's three alpha-free Grams on the band (a `table`
+    # cell keeps them across alpha), its values at alpha and the tree's
+    # scatter map on the band's lower triangle, its multifrontal Cholesky
+    # (the L11 and L21 of every front, the ordering and its inverse, and the
+    # fronts' update index sets), the univariate factors of every block and
+    # of the rotated K_U, the factor eigenvectors and the eigenvalue diagonal
+    # of every Kronecker solver (the control eigenbasis is the control-mass
+    # solver's), and the work vectors; the interpreter base is left out
+    band_bytes = (3 * 8 * tree.band_nnz + p_y.lower.nbytes
+                  + sum(m.nbytes for m in tree.front_map))
     cholesky_bytes = (l_bytes + tree.perm.nbytes + tree.iperm.nbytes
                       + sum(front.update.nbytes for front in tree.fronts))
     others = [n for n in spaces.block_names if n != "y"]
@@ -377,34 +378,40 @@ def test_memory_estimate_covers_held_blocks(kind, p, lev):
     sums = list(system.blocks.values())
     sums += [precon.table[n].matrix for n in others]
     sums += [precon.basis.k_u]
-    total = (_held_bytes(p_y) + cholesky_bytes + _factor_bytes(sums) + eigen_bytes
+    total = (band_bytes + cholesky_bytes + _factor_bytes(sums) + eigen_bytes
              + 8 * WORK_VECTORS * system.dim)
     assert (estimate_memory_gb(spec) - BASE_GB) * 1e9 >= total
 
 
 def test_solve_materializes_only_the_factorized_blocks(monkeypatch):
     # the blocks a solve only applies or inverts in factor eigenbases stay
-    # Kronecker sums; it materializes only the terms of P_Y (dim Y) for its
-    # one factor, and diagonalizes each control-mass factor once
-    shapes, eighs = [], []
-    materialize, eigh = KroneckerMatrix.materialize, kron.eigh
+    # Kronecker sums, and P_Y, its one factorized block, is built from its
+    # factors' band entries: a solve materializes no Kronecker sum and forms
+    # no sparse Kronecker product, and diagonalizes each control-mass factor
+    # once
+    shapes, krons, eighs = [], [], []
+    materialize, sparse_kron, eigh = KroneckerMatrix.materialize, sp.kron, kron.eigh
 
     def record(self):
         mat = materialize(self)
         shapes.append(mat.shape)
         return mat
 
+    def record_kron(a, b, format=None):
+        krons.append((a.shape, b.shape))
+        return sparse_kron(a, b, format=format)
+
     def record_eigh(a, b=None):
         eighs.append((a.shape, b is None))
         return eigh(a, b)
 
     monkeypatch.setattr(KroneckerMatrix, "materialize", record)
+    monkeypatch.setattr(sp, "kron", record_kron)
     monkeypatch.setattr(kron, "eigh", record_eigh)
     spec = ProblemSpec("wave", 2, 2, 1e-6)
     spaces = build_spaces(spec)
     assert solve_once(spec, 1e-8)["converged"]
-    n_y = spaces.block_dim("y")
-    assert set(shapes) == {(n_y, n_y)}
+    assert shapes == [] and krons == []
     control = [(spaces.factor(n, n).shape, True) for n in BLOCK_FACTORS["u"]]
     assert sorted(e for e in eighs if e in control) == sorted(control)
 

@@ -5,7 +5,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from saddleprec.assembly import (
@@ -16,12 +15,14 @@ from saddleprec.assembly import (
     mass_form,
 )
 from saddleprec import precond
+from saddleprec.kron import KroneckerMatrix
 from saddleprec.precond import (
     ND_LEAF,
     ControlEigenbasis,
     FrontalTree,
     MultifrontalCholesky,
     alpha_free_setup,
+    band_values,
     build_preconditioner,
     build_Ptilde_Y,
     dual_grams,
@@ -29,6 +30,7 @@ from saddleprec.precond import (
     nested_dissection,
     state_block,
     state_grams,
+    state_residual_form,
     trace_form,
 )
 from saddleprec.splines import eval_basis_many, gauss_rule, make_space
@@ -159,27 +161,68 @@ def test_heat_state_block_has_no_velocity_trace(p):
     assert yv @ (p_y @ yv) == pytest.approx(oracle, rel=1e-12)
 
 
+def csr_state_block(spec, sp_, blocks, alpha):
+    """Oracle: P_Y from sparse matrices, each alpha-free term materialized
+    through scipy.sparse.kron, summed as CSR matrices and symmetrized as
+    0.5 (m + m')."""
+    observation, residual, trace = (km.materialize() for km in (
+        blocks["y", "y"], state_residual_form(spec, sp_), trace_form(spec, sp_)))
+    m = observation + alpha * residual + trace
+    return (0.5 * (m + m.T)).tocsr()
+
+
+@pytest.mark.parametrize("lev", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("kind", ["heat", "wave"])
+def test_band_build_is_bitwise_the_csr_formula(kind, p, lev):
+    # P_Y's CSR and every front's scattered F11 and F21 against the lower
+    # triangle of the oracle's permuted block, bit for bit
+    spec = ProblemSpec(kind, p, lev, 1.0)
+    sp_ = build_spaces(spec)
+    system = assemble_system(spec, sp_)
+    setup = alpha_free_setup(spec, sp_, system.blocks)
+    for alpha in (1.0, 1e-6, 1e-9):
+        precon = build_preconditioner(dataclasses.replace(spec, alpha=alpha), sp_,
+                                      system.blocks, setup)
+        oracle = csr_state_block(spec, sp_, system.blocks, alpha)
+        held = precon.block_matrix("y")
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(held, attr), getattr(oracle, attr))
+        block = precon.table["y"].matrix
+        tree, buffer = block.tree, block.fronts()
+        assert tree.band_nnz == oracle.nnz
+        for front in tree.fronts:
+            k, u, at = front.stop - front.own, front.update.size, front.offset
+            own = tree.perm[front.own:front.stop]
+            f11 = buffer[at:at + k * k].reshape((k, k), order="F")
+            f21 = buffer[at + k * k:at + (k + u) * k].reshape((u, k), order="F")
+            assert np.array_equal(f11, np.tril(oracle[own][:, own].toarray()))
+            assert np.array_equal(
+                f21, oracle[tree.perm[front.update]][:, own].toarray())
+
+
 @pytest.mark.parametrize("kind", ["heat", "wave"])
 @pytest.mark.parametrize("alpha", [1.0, 1e-3, 1e-6])
 def test_state_block_is_the_factorized_block(kind, alpha):
-    # one builder: the preconditioner factorizes exactly state_block at spec.alpha
+    # one builder: the preconditioner factorizes exactly the oracle's P_Y at
+    # spec.alpha
     spec = ProblemSpec(kind, 2, 2, 1e-2)
     sp_ = build_spaces(spec)
     system = assemble_system(spec, sp_)
-    direct = state_block(state_grams(spec, sp_, system.blocks), alpha)
+    direct = csr_state_block(spec, sp_, system.blocks, alpha)
     precon = build_preconditioner(dataclasses.replace(spec, alpha=alpha), sp_,
                                   system.blocks)
     held = precon.block_matrix("y")
     assert direct.shape == held.shape == (sp_.block_dim("y"), sp_.block_dim("y"))
     assert np.array_equal(direct.toarray(), held.toarray())
-    assert (direct != direct.T).nnz == 0
+    assert (held != held.T).nnz == 0
 
 
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("kind", ["heat", "wave"])
 def test_shared_setup_state_block_is_bitwise_the_unshared_one(kind, p):
     # one alpha-free setup serves every alpha; P_Y from it equals, bit for
-    # bit, state_block built from scratch with fresh spaces and A's table
+    # bit, the oracle's built from scratch with fresh spaces and A's table
     spec = ProblemSpec(kind, p, 2, 1.0)
     sp_ = build_spaces(spec)
     system = assemble_system(spec, sp_)
@@ -189,9 +232,8 @@ def test_shared_setup_state_block_is_bitwise_the_unshared_one(kind, p):
         held = build_preconditioner(spec_a, sp_, system.blocks,
                                     setup).block_matrix("y")
         fresh_spaces = build_spaces(spec_a)
-        fresh = state_block(state_grams(
-            spec_a, fresh_spaces, assemble_system(spec_a, fresh_spaces).blocks),
-            alpha)
+        fresh = csr_state_block(spec_a, fresh_spaces,
+                                assemble_system(spec_a, fresh_spaces).blocks, alpha)
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(held, attr), getattr(fresh, attr))
 
@@ -213,7 +255,7 @@ def test_ordered_lus_agree_with_default_ordered_splu(kind, p, lev):
         spec_a = dataclasses.replace(spec, alpha=alpha)
         precon = build_preconditioner(spec_a, sp_, system.blocks, setup)
         # the held block keeps the original ordering, entry for entry
-        direct = state_block(state_grams(spec_a, sp_, system.blocks), alpha)
+        direct = csr_state_block(spec_a, sp_, system.blocks, alpha)
         held = precon.block_matrix("y")
         assert held.shape == direct.shape and (held != direct).nnz == 0
         for name in ("y", "p_r1"):
@@ -271,7 +313,7 @@ def test_top_separator_splits_the_state_block(p):
     spec = ProblemSpec("wave", p, 3, 1e-6)
     sp_ = build_spaces(spec)
     system = assemble_system(spec, sp_)
-    p_y = state_block(state_grams(spec, sp_, system.blocks), spec.alpha)
+    p_y = build_preconditioner(spec, sp_, system.blocks).block_matrix("y")
     shape = sp_.block_shape("y")
     perm, nodes = nested_dissection(shape, p)
     root, right_child = nodes[-1], nodes[-2]
@@ -301,12 +343,12 @@ def test_symbolic_fronts_are_the_numeric_ones(kind, p, monkeypatch):
     monkeypatch.setattr(precond, "ND_LEAF", 64)
     spec = ProblemSpec(kind, p, 3, 1e-6)
     sp_ = build_spaces(spec)
-    p_y = state_block(state_grams(spec, sp_, assemble_system(spec, sp_).blocks),
-                      spec.alpha)
     tree = FrontalTree(sp_.block_shape("y"), p)
+    p_y = state_block(state_grams(spec, sp_, assemble_system(spec, sp_).blocks),
+                      spec.alpha, tree)
     assert len(tree.fronts) > 3
-    chol = np.linalg.cholesky(p_y[tree.perm][:, tree.perm].toarray())
-    factor = MultifrontalCholesky(p_y, tree)
+    chol = np.linalg.cholesky(p_y.materialize()[tree.perm][:, tree.perm].toarray())
+    factor = MultifrontalCholesky(p_y.fronts(), tree)
     atol = 1e-12 * np.abs(chol).max()
     for front, (l11, l21) in zip(tree.fronts, factor.factors):
         own = slice(front.own, front.stop)
@@ -323,21 +365,23 @@ def test_symbolic_fronts_are_the_numeric_ones(kind, p, monkeypatch):
 def test_state_cholesky_refuses_what_it_cannot_factor():
     spec = ProblemSpec("wave", 2, 3, 1e-6)
     sp_ = build_spaces(spec)
-    p_y = state_block(state_grams(spec, sp_, assemble_system(spec, sp_).blocks),
-                      spec.alpha)
+    grams = state_grams(spec, sp_, assemble_system(spec, sp_).blocks)
     tree = frontal_tree(sp_.block_shape("y"), 2)
     assert len(tree.fronts) > 1
-    top = np.linalg.eigvalsh(p_y.toarray())[-1]
-    indefinite = (p_y - 2 * top * sp.identity(p_y.shape[0])).tocsr()
+    # a negative weight on the residual Gram, which is positive semidefinite
+    # and not zero, leaves P_Y indefinite
+    indefinite = state_block(grams, -1.0, tree)
+    assert np.linalg.eigvalsh(indefinite.materialize().toarray())[0] < 0
     with pytest.raises(ValueError, match="not positive definite"):
-        MultifrontalCholesky(indefinite, tree)
-    # the first and the last grid point lie on either side of the top
-    # separator: their coupling has no place in any front
-    n = p_y.shape[0]
-    wide = (p_y + sp.csr_matrix(([1e-3, 1e-3], ([0, n - 1], [n - 1, 0])),
-                                shape=(n, n))).tocsr()
+        MultifrontalCholesky(indefinite.fronts(), tree)
+    # a factor coupling the first and the last grid point of an axis has a
+    # nonzero that P_Y's band has no place for
+    mass = sp_.factor(BLOCK_FACTORS["y"][1], BLOCK_FACTORS["y"][1])
+    wide = mass.copy()
+    wide[0, -1] = wide[-1, 0] = 1e-3
+    band_values(KroneckerMatrix().add(1.0, mass, mass), 2)
     with pytest.raises(ValueError, match="beyond its band"):
-        MultifrontalCholesky(wide, tree)
+        band_values(KroneckerMatrix().add(1.0, mass, mass).add(1.0, wide, mass), 2)
 
 
 def test_alpha_scaling_of_blocks():
