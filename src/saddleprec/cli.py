@@ -30,7 +30,12 @@ from .assembly import (
     system_blocks,
 )
 from .krylov import MinresConfig, minres, random_start
-from .precond import alpha_free_setup, build_preconditioner, frontal_tree
+from .precond import (
+    ControlCoordinates,
+    alpha_free_setup,
+    build_preconditioner,
+    frontal_tree,
+)
 # univariate_matrix is imported here only so the benchmark probes can rebind it
 from .splines import univariate_matrix  # noqa: F401
 
@@ -44,9 +49,16 @@ CSV_COLUMNS = ("problem", "p", "level", "alpha", "dofs", "iterations",
                "converged", "stop", "final_relres", "runtime_ms")
 
 
-# length-dofs float64 vectors alive at once: the MINRES recurrence, the
-# true-residual checks, the block applies and the preconditioner solve
-WORK_VECTORS = 20
+# length-dofs float64 vectors a solve holds at once besides the recurrence:
+# b, x0 and MINRES's copy of it, r0 and P^-1 r0 (until the coordinates
+# start), F's four control columns (about two), and an expansion, A applied
+# to it and the apply's temporaries (the start check, each confirmation).
+# Measured at most 9.5 (tracemalloc) at wave and heat p=2,3, levels 3-4.
+WORK_VECTORS = 12
+# arrays of the recurrence, each `ControlCoordinates.length` long: r1, r2,
+# v, w, w1, w2, scratch, x, the best iterate, the outputs of A and P^-1,
+# and the start's
+COORDINATE_VECTORS = 12
 # dense univariate arrays, each at most m x m for m the largest factor
 # dimension, that a solve holds: the Kronecker factors of every block and of
 # the rotated K_U, and the factor eigenvectors of every Kronecker solver
@@ -66,8 +78,9 @@ def estimate_memory_gb(spec: ProblemSpec) -> float:
     eigenvalue diagonals of the Kronecker solvers, at most one per unknown;
     and the univariate arrays. On top of them, the larger of the transients
     of the two phases that follow each other: factoring P_Y (the peak of the
-    pending update matrices) and MINRES (the work vectors). P_Y's sizes come
-    from its `frontal_tree`, from the state grid and the degree alone.
+    pending update matrices) and MINRES (the work vectors and the coordinate
+    vectors). P_Y's sizes come from its `frontal_tree`, from the state grid
+    and the degree alone.
     """
     spaces = build_spaces(spec)
     tree = frontal_tree(spaces.block_shape("y"), spec.degree)
@@ -77,7 +90,9 @@ def estimate_memory_gb(spec: ProblemSpec) -> float:
     m = max(max(spaces.block_shape(name)) for name in spaces.block_names)
     held = (3 * 8 * tree.band_nnz + (8 + 3 * 4) * lower + index + tree.factor_bytes
             + 8 * dof_count(spec) + 8 * UNIVARIATE_ARRAYS * m * m)
-    transient = max(tree.stack_bytes, 8 * WORK_VECTORS * dof_count(spec))
+    vectors = (WORK_VECTORS * dof_count(spec)
+               + COORDINATE_VECTORS * ControlCoordinates.length(spaces))
+    transient = max(tree.stack_bytes, 8 * vectors)
     return BASE_GB + (held + transient) / 1e9
 
 
@@ -147,14 +162,17 @@ def solve_once(spec: ProblemSpec, tol: float) -> dict:
 
     MINRES runs in P's `ControlEigenbasis`, from the seed's start vector
     rotated into it, so the residual norms are those of the B-spline basis.
+    Its recurrence runs in the `ControlCoordinates` of the rotated system.
     """
     t0 = time.perf_counter()
     system, precon = build_solve(spec)
     basis = precon.basis
     system, precon = basis.system(system), basis.preconditioner(precon)
     x0 = basis.rotate(random_start(system.dim, spec.seed))
+    config = MinresConfig(rel_tol=tol,
+                          coordinates=ControlCoordinates(system, precon))
     _, report = minres(system.apply, precon.apply_inverse, system.rhs, x0=x0,
-                       config=MinresConfig(rel_tol=tol))
+                       config=config)
     runtime_ms = 1e3 * (time.perf_counter() - t0)
     return {
         "problem": spec.kind,

@@ -130,11 +130,12 @@ def band_values(km: KroneckerMatrix, p: int) -> np.ndarray:
     return total
 
 
-def state_grams(spec: ProblemSpec, spaces: DiscreteSpaces, blocks: dict) -> tuple:
+def state_grams(spec: ProblemSpec, spaces: DiscreteSpaces, blocks: dict,
+                residual: KroneckerMatrix) -> tuple:
     """P_Y's alpha-free terms on its band (`band_values`): observation,
-    residual, trace."""
+    residual (its `state_residual_form`), trace."""
     return tuple(band_values(km, spec.degree) for km in (
-        blocks["y", "y"], state_residual_form(spec, spaces), trace_form(spec, spaces)))
+        blocks["y", "y"], residual, trace_form(spec, spaces)))
 
 
 # unknowns at which `nested_dissection` stops splitting. Of 64, 128, 256 and
@@ -435,13 +436,15 @@ class ControlEigenbasis:
     Euclidean and preconditioned residual norms. There the control mass of
     A's (u, u) and (u, p_u) entries and of P's u and p_u blocks is `mass`,
     one elementwise product, and K_U keeps its Kronecker terms with each
-    control factor F replaced by Q_f' F (`k_u`). Nothing depends on alpha.
-    The rotated system and preconditioner serve MINRES: they apply and solve
+    control factor F replaced by Q_f' F (`k_u`). `gram` is the state
+    residual's Gram (`state_residual_form`), which the residual inclusion
+    makes K_U' M_U^-1 K_U. Nothing depends on alpha. The rotated system and
+    preconditioner serve MINRES (`ControlCoordinates`): they apply and solve
     but do not materialize, which stays with the B-spline ones.
     """
 
-    def __init__(self, spaces: DiscreteSpaces, blocks: dict):
-        self.spaces = spaces
+    def __init__(self, spaces: DiscreteSpaces, blocks: dict, gram: KroneckerMatrix):
+        self.spaces, self.gram = spaces, gram
         self.solver = mass_solver(spaces, "u")
         self.q, self.mass = self.solver.vectors, self.solver.values
         self.k_u = KroneckerMatrix()
@@ -473,12 +476,142 @@ class ControlEigenbasis:
         return rotated
 
 
+class ControlCoordinates:
+    """MINRES coordinates (`krylov.Euclidean` names their methods) of the
+    rotated system and preconditioner of a `ControlEigenbasis`, in which a
+    vector's control blocks are fixed by state-sized vectors and 4 scalars.
+
+    With D = `basis.mass`, K_U = `basis.k_u` and F = [x0_u, x0_pu, D^-1 b_u,
+    D^-1 b_pu] (set by `start`), an iterate or a P^-1 output has u block
+    F c_u + D^-1 K_U a_u, and p_u block F c_pu + D^-1 K_U a_pu; a residual or
+    an A output has u block D F d_u + K_U b_u, and p_u likewise. y and the
+    multipliers after p_u stay explicit. A coordinate array holds five rows
+    of dim Y: y, a_u, a_pu (b_u, b_pu) and g_u = G a_u, g_pu = G a_pu (zero
+    in a residual), then c_u, c_pu (d_u, d_pu) and the multiplier tail.
+    G = K_U' M_U^-1 K_U is the state residual's Gram, `basis.gram`, by the
+    residual inclusion. P^-1 computes it afresh on each output.
+
+    A's control rows are then coefficient arithmetic (u: alpha a_u + a_pu,
+    alpha c_u + c_pu; p_u: a_u + y, c_u), its state row obs y + (K_U'F) c_pu
+    + g_pu + sum K_m' r_m; P^-1 solves P_Y and the multiplier blocks and
+    scales the control rows; and the control part of the pairing of iterate
+    (a, c, g) with residual (b, d) is c'(F'DF) d + c'(K_U'F)' b + a'(K_U'F) d
+    + g'b per block. Everything but `start` and the expansions works on
+    about 5 dim Y numbers, not dim Y + 2 dim U.
+    """
+
+    def __init__(self, system: DiscreteSystem, precon: "BlockDiagPreconditioner"):
+        spaces = system.spaces
+        self.basis, self.system, self.precon = precon.basis, system, precon
+        self.dim_y = spaces.block_dim("y")
+        self.full = [spaces.block_slice(n) for n in spaces.block_names]
+        # the multipliers after p_u, each with its place in the tail
+        lo = self.full[3].start
+        self.tail = [(n, slice(s.start - lo, s.stop - lo))
+                     for n, s in zip(spaces.block_names[3:], self.full[3:])]
+        self.f = self.kf = self.fdf = None
+
+    @staticmethod
+    def length(spaces: DiscreteSpaces) -> int:
+        """Entries of a coordinate array."""
+        return 5 * spaces.block_dim("y") + 8 + sum(
+            spaces.block_dim(n) for n in spaces.block_names[3:])
+
+    def _parts(self, z: np.ndarray) -> tuple:
+        """Views of coordinates: the (5, dim Y) rows, the (2, 4) scalars and
+        the multiplier tail."""
+        n = 5 * self.dim_y
+        return z[:n].reshape(5, self.dim_y), z[n:n + 8].reshape(2, 4), z[n + 8:]
+
+    def _coordinates(self, v: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+        """Coordinates with full v's y and tail, zero rows, and coefs."""
+        z = np.zeros(self.length(self.system.spaces))
+        rows, c, tail = self._parts(z)
+        rows[0], c[...], tail[...] = v[self.full[0]], coefs, v[self.full[3].start:]
+        return z
+
+    def start(self, b, x0, r0, y0) -> tuple:
+        """Bind F to b and x0; the coordinates of x0, of its residual and of
+        that residual's preconditioned form (r0 and y0 are not read)."""
+        mass, k_u = self.basis.mass, self.basis.k_u
+        u, p_u = self.full[1:3]
+        # F, F'K_U and F'DF, F's columns as rows
+        self.f = np.stack([x0[u], x0[p_u], mass.solve(b[u]), mass.solve(b[p_u])])
+        self.kf = np.stack([k_u.T.apply(col) for col in self.f])
+        self.fdf = self.f @ mass.apply(self.f.T)
+        eye = np.eye(4)
+        x = self._coordinates(x0, eye[:2])
+        r = self._coordinates(b, eye[2:]) - self.apply_a(x)
+        return x, r, self.apply_pinv(r)
+
+    def apply_a(self, z: np.ndarray) -> np.ndarray:
+        rows, c, tail = self._parts(z)
+        out = np.zeros_like(z)
+        o_rows, o_c, o_tail = self._parts(out)
+        y, a_u, a_pu, _, g_pu = rows
+        blocks, alpha = self.system.blocks, self.system.weight("u", "u")
+        state = blocks["y", "y"].apply(y) + c[1] @ self.kf + g_pu
+        for name, part in self.tail:
+            k_m = blocks[name, "y"]
+            state += k_m.T.apply(tail[part])
+            o_tail[part] = k_m.apply(y)
+        o_rows[0] = state
+        o_rows[1] = alpha * a_u + a_pu
+        o_rows[2] = a_u + y
+        o_c[0] = alpha * c[0] + c[1]
+        o_c[1] = c[0]
+        return out
+
+    def apply_pinv(self, r: np.ndarray) -> np.ndarray:
+        rows, d, tail = self._parts(r)
+        out = np.empty_like(r)
+        o_rows, o_c, o_tail = self._parts(out)
+        solve = self.precon.solve_block
+        scales = np.array([[self.precon.table[n].scale] for n in ("u", "p_u")])
+        o_rows[0] = solve("y", rows[0])
+        o_rows[1:3] = rows[1:3] / scales
+        # row by row: a Kronecker apply to two trailing columns is slower
+        for a, g in zip(o_rows[1:3], o_rows[3:5]):
+            g[...] = self.basis.gram.apply(a)
+        o_c[...] = d / scales
+        for name, part in self.tail:
+            o_tail[part] = solve(name, tail[part])
+        return out
+
+    def pair(self, z: np.ndarray, r: np.ndarray) -> float:
+        rows, c, tail = self._parts(z)
+        r_rows, d, r_tail = self._parts(r)
+        b = r_rows[1:3]
+        return float(rows[0] @ r_rows[0] + np.vdot(rows[3:5], b)
+                     + np.vdot(c, b @ self.kf.T + d @ self.fdf.T)
+                     + np.vdot(rows[1:3] @ self.kf.T, d) + tail @ r_tail)
+
+    def _expand(self, z: np.ndarray, residual: bool) -> np.ndarray:
+        rows, c, tail = self._parts(z)
+        mass = self.basis.mass
+        v = np.empty(self.full[-1].stop)
+        v[self.full[0]] = rows[0]
+        for a, coefs, part in zip(rows[1:3], c, self.full[1:3]):
+            span, image = coefs @ self.f, self.basis.k_u.apply(a)
+            v[part] = mass.apply(span) + image if residual else span + mass.solve(image)
+        v[self.full[3].start:] = tail
+        return v
+
+    def expand(self, z: np.ndarray) -> np.ndarray:
+        return self._expand(z, residual=False)
+
+    def expand_residual(self, r: np.ndarray) -> np.ndarray:
+        return self._expand(r, residual=True)
+
+
 def alpha_free_setup(spec: ProblemSpec, spaces: DiscreteSpaces,
                      blocks: dict) -> tuple:
     """The part of P that every alpha shares and that costs more than the
     eigh of a few univariate factors: the `state_grams` and the
-    `ControlEigenbasis` the solve runs in."""
-    return state_grams(spec, spaces, blocks), ControlEigenbasis(spaces, blocks)
+    `ControlEigenbasis` the solve runs in, which share the residual Gram."""
+    residual = state_residual_form(spec, spaces)
+    return (state_grams(spec, spaces, blocks, residual),
+            ControlEigenbasis(spaces, blocks, residual))
 
 
 class BlockDiagPreconditioner:

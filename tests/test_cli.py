@@ -383,6 +383,32 @@ def test_memory_estimate_covers_held_blocks(kind, p, lev):
     assert (estimate_memory_gb(spec) - BASE_GB) * 1e9 >= total
 
 
+def test_solve_calls_the_full_operators_only_to_start_and_confirm(monkeypatch):
+    # the recurrence runs in the control coordinates: the full-size A serves
+    # the symmetry probe (three pairs of applies), the start residual and
+    # each confirmation, and the full-size P^-1 the start alone
+    calls, reports = {"A": 0, "P": 0}, []
+    minres = cli.minres
+
+    def counted(apply_a, apply_pinv, b, x0=None, config=None):
+        def a_op(v):
+            calls["A"] += 1
+            return apply_a(v)
+
+        def pinv_op(r):
+            calls["P"] += 1
+            return apply_pinv(r)
+
+        x, report = minres(a_op, pinv_op, b, x0=x0, config=config)
+        reports.append(report)
+        return x, report
+
+    monkeypatch.setattr(cli, "minres", counted)
+    assert solve_once(ProblemSpec("wave", 2, 2, 1e-6), 1e-8)["iterations"] == 56
+    (report,) = reports
+    assert calls == {"A": 6 + 1 + len(report.true_residual_checks), "P": 1}
+
+
 def test_solve_materializes_only_the_factorized_blocks(monkeypatch):
     # the blocks a solve only applies or inverts in factor eigenbases stay
     # Kronecker sums, and P_Y, its one factorized block, is built from its

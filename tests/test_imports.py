@@ -6,7 +6,8 @@ marked `# noqa: F401` is exempt (the re-imports the benchmark probes
 rebind). Every public module-level function and class of the package must
 be read by another top-level definition of the package, by name or as an
 attribute. The package `__init__` is exempt from both: its imports are the
-public API, and a re-export there is no reader.
+public API, and a re-export there is no reader. The MINRES recurrence imports
+nothing of the package.
 """
 
 import ast
@@ -101,3 +102,25 @@ def test_no_sparse_direct_solver_in_the_package():
     # direct path cannot come back unnoticed
     found = {p.relative_to(ROOT).as_posix(): sparse_linalg_reads(p) for p in SOURCES}
     assert SOURCES and not {path: reads for path, reads in found.items() if reads}
+
+
+def package_imports(path: Path) -> list:
+    """(line, module) of each import of the package in a module: relative,
+    or by the name saddleprec."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "saddleprec"):
+            found.append((node.lineno, "." * node.level + (node.module or "")))
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name.split(".")[0] == "saddleprec"]
+    return found
+
+
+def test_krylov_imports_nothing_of_the_package():
+    # MINRES is problem-agnostic: the coordinates it runs in come from its
+    # caller, so the recurrence cannot grow a path for one problem
+    assert package_imports(ROOT / "src" / "saddleprec" / "krylov.py") == []
+    # the check does see a module's package imports
+    assert package_imports(ROOT / "src" / "saddleprec" / "precond.py")
