@@ -49,16 +49,12 @@ CSV_COLUMNS = ("problem", "p", "level", "alpha", "dofs", "iterations",
                "converged", "stop", "final_relres", "runtime_ms")
 
 
-# length-dofs float64 vectors a solve holds at once besides the recurrence:
-# b, x0 and MINRES's copy of it, r0 and P^-1 r0 (until the coordinates
-# start), F's four control columns (about two), and an expansion, A applied
-# to it and the apply's temporaries (the start check, each confirmation).
-# Measured at most 9.5 (tracemalloc) at wave and heat p=2,3, levels 3-4.
-WORK_VECTORS = 12
-# arrays of the recurrence, each `ControlCoordinates.length` long: r1, r2,
-# v, w, w1, w2, scratch, x, the best iterate, the outputs of A and P^-1,
-# and the start's
-COORDINATE_VECTORS = 12
+# length-dofs float64 vectors a solve holds at once. The recurrence runs in
+# control coordinates, about a tenth of a vector each, and holds at most 10.5
+# (tracemalloc, wave and heat p=2,3, levels 3-4); a solve that restarts runs
+# its second recurrence in full vectors beside b, x0, the restart's base and
+# F's control columns, at most 17.9.
+WORK_VECTORS = 20
 # dense univariate arrays, each at most m x m for m the largest factor
 # dimension, that a solve holds: the Kronecker factors of every block and of
 # the rotated K_U, and the factor eigenvectors of every Kronecker solver
@@ -78,9 +74,8 @@ def estimate_memory_gb(spec: ProblemSpec) -> float:
     eigenvalue diagonals of the Kronecker solvers, at most one per unknown;
     and the univariate arrays. On top of them, the larger of the transients
     of the two phases that follow each other: factoring P_Y (the peak of the
-    pending update matrices) and MINRES (the work vectors and the coordinate
-    vectors). P_Y's sizes come from its `frontal_tree`, from the state grid
-    and the degree alone.
+    pending update matrices) and MINRES (the work vectors). P_Y's sizes come
+    from its `frontal_tree`, from the state grid and the degree alone.
     """
     spaces = build_spaces(spec)
     tree = frontal_tree(spaces.block_shape("y"), spec.degree)
@@ -90,9 +85,7 @@ def estimate_memory_gb(spec: ProblemSpec) -> float:
     m = max(max(spaces.block_shape(name)) for name in spaces.block_names)
     held = (3 * 8 * tree.band_nnz + (8 + 3 * 4) * lower + index + tree.factor_bytes
             + 8 * dof_count(spec) + 8 * UNIVARIATE_ARRAYS * m * m)
-    vectors = (WORK_VECTORS * dof_count(spec)
-               + COORDINATE_VECTORS * ControlCoordinates.length(spaces))
-    transient = max(tree.stack_bytes, 8 * vectors)
+    transient = max(tree.stack_bytes, 8 * WORK_VECTORS * dof_count(spec))
     return BASE_GB + (held + transient) / 1e9
 
 

@@ -7,8 +7,19 @@ monitored norm reaches the requested reduction, every TRUE_RESIDUAL_CHECK_EVERY
 iterations, at a Lanczos breakdown and at the iteration cap. One rule decides
 each confirmation: at or below tol the solve stops "converged", a breakdown
 held to the same tol. Otherwise it stops, in this order, "stagnated" once
-STAGNATION_CHECKS confirmations in a row fail to improve on the best one (the
-best confirmed iterate is returned), "breakdown", or "iteration cap".
+STAGNATION_CHECKS confirmations in a row fail to improve on the best one,
+"breakdown", or "iteration cap", and returns the best confirmed iterate.
+The first time they fail, the recurrence restarts instead, once per solve,
+for the correction of the best iterate: from zero, driven by that iterate's
+full residual, in `Euclidean` coordinates (coordinates bound to a small
+residual would hold it in coefficients that cancel). Confirmations then run
+at every iteration again only once its monitored norm has fallen by the
+factor the best confirmed residual still lacks, tol over it, and the count
+of failed ones starts afresh. A recurrence that has drifted from the true
+residual gets its accuracy back that way, and one whose Euclidean residual
+lags its monitored norm gets the iterations it needs. A solve that would
+have stopped at the restart loses nothing: its iterates up to there are the
+same and the best is kept.
 
 Preconditioned MINRES reads nothing of a vector but what A and P^-1 make of
 it and the pairing of a residual with a preconditioned residual (Paige &
@@ -19,7 +30,7 @@ The default, `Euclidean`, makes every vector its own coordinates. Coordinates
 of a smaller space give the same iterates in exact arithmetic with fewer
 bytes moved. Whatever the coordinates, `minres` is handed and returns
 full-size vectors and callables. The symmetry probe, the start residual and
-every confirmation use those callables, and the start is held to them
+every confirmation use those callables, and each start is held to them
 (COORDINATE_RTOL).
 """
 
@@ -124,9 +135,10 @@ def minres(apply_a, apply_pinv, b: np.ndarray, x0: np.ndarray | None = None,
     apply_a and apply_pinv are callables for the (symmetric) operator and the
     SPD preconditioner inverse. The recurrence runs in config.coordinates
     (`Euclidean` when None), started from the full r0 = b - A x0 and
-    P^-1 r0; it raises ValueError when the coordinates' start disagrees with
-    them beyond COORDINATE_RTOL. Returns (x, MinresReport), x full-size;
-    every way the solve ends is reported in MinresReport.stop, not raised.
+    P^-1 r0, and restarted likewise for the correction of the best iterate;
+    it raises ValueError when the coordinates' start disagrees with them
+    beyond COORDINATE_RTOL. Returns (x, MinresReport), x full-size; every
+    way the solve ends is reported in MinresReport.stop, not raised.
     """
     if config is None:
         config = MinresConfig()
@@ -138,34 +150,49 @@ def minres(apply_a, apply_pinv, b: np.ndarray, x0: np.ndarray | None = None,
 
     r0 = b - apply_a(x)
     eu0 = float(np.linalg.norm(r0))
-    y0 = apply_pinv(r0)
-    beta1_sq = float(r0 @ y0)
-    if eu0 > 0.0 and beta1_sq <= 0.0:
-        raise ValueError("preconditioner failed the positive-definiteness check")
     if eu0 == 0.0:
         return x, MinresReport(0, "converged", np.zeros(1), [], 0.0)
 
-    x, r1, y = coords.start(b, x, r0, y0)
-    gap = float(np.linalg.norm(coords.expand_residual(r1) - r0)) / eu0
-    beta1_sq, full_sq = coords.pair(y, r1), beta1_sq
-    gap_sq = abs(beta1_sq - full_sq) / full_sq
-    if not (gap <= COORDINATE_RTOL and gap_sq <= COORDINATE_RTOL):
-        raise ValueError(f"the coordinates' start is off the full one: residual "
-                         f"by {gap:.2e}, preconditioned norm squared by "
-                         f"{gap_sq:.2e} (relative)")
-    del r0, y0  # coordinates that are not the vectors free them here
+    def begin(rhs, x, r0):
+        """Coordinates of the start x of A x = rhs, of its residual r0
+        (rhs - A x, full) and of P^-1 r0, held to the full ones; and r0's
+        P-norm."""
+        y0 = apply_pinv(r0)
+        full_sq = float(r0 @ y0)
+        if full_sq <= 0.0:
+            raise ValueError("preconditioner failed the positive-definiteness check")
+        xc, r1, y = coords.start(rhs, x, r0, y0)
+        scale = float(np.linalg.norm(r0))
+        gap = float(np.linalg.norm(coords.expand_residual(r1) - r0)) / scale
+        beta_sq = coords.pair(y, r1)
+        gap_sq = abs(beta_sq - full_sq) / full_sq
+        if not (gap <= COORDINATE_RTOL and gap_sq <= COORDINATE_RTOL):
+            raise ValueError(f"the coordinates' start is off the full one: "
+                             f"residual by {gap:.2e}, preconditioned norm "
+                             f"squared by {gap_sq:.2e} (relative)")
+        return xc, r1, y, np.sqrt(beta_sq)
+
+    x, r1, y, beta1 = begin(b, x, r0)
+    del r0  # coordinates that are not the vectors free it here
     apply_a_c, apply_pinv_c, pair = coords.apply_a, coords.apply_pinv, coords.pair
-    beta1 = np.sqrt(beta1_sq)
     history = [beta1]
     checks: list = []
     n = r1.shape[0]
 
-    best_rel, best_x, since_best = np.inf, None, 0
+    # after the restart the coordinates stand for a correction of `base`
+    base = None
+
+    def full(xc):
+        """The iterate that coordinates xc stand for."""
+        v = coords.expand(xc)
+        return v if base is None else base + v
+
+    best_rel, best_x, since_best, restarted = np.inf, None, 0, False
 
     def confirm(xc):
         """Record a true-residual check; track the best confirmed iterate."""
         nonlocal best_rel, best_x, since_best
-        rel = float(np.linalg.norm(b - apply_a(coords.expand(xc))) / eu0)
+        rel = float(np.linalg.norm(b - apply_a(full(xc))) / eu0)
         checks.append((itn, rel))
         if rel < best_rel:
             best_rel, best_x, since_best = rel, xc.copy(), 0
@@ -173,15 +200,15 @@ def minres(apply_a, apply_pinv, b: np.ndarray, x0: np.ndarray | None = None,
             since_best += 1
         return rel
 
-    oldb, beta = 0.0, beta1
-    dbar = epsln = 0.0
-    phibar = beta1
-    cs, sn = -1.0, 0.0
     # the recurrence writes only into these; the arrays apply_a and
     # apply_pinv return are read, never written, and not kept past the next
     # call, so an operator may hand back one buffer every time
     r2, r1 = r1, np.empty(n)
     v, w, w1, w2, scratch = (np.zeros(n) for _ in range(5))
+    oldb, beta, phibar = 0.0, beta1, beta1
+    target = config.rel_tol * beta1  # monitored norm that starts confirmations
+    dbar = epsln = 0.0
+    cs, sn = -1.0, 0.0
     itn = 0
     stop = None
 
@@ -189,7 +216,7 @@ def minres(apply_a, apply_pinv, b: np.ndarray, x0: np.ndarray | None = None,
         itn += 1
         np.divide(y, beta, out=v)
         y = apply_a_c(v)
-        if itn >= 2:
+        if oldb > 0.0:
             np.multiply(r1, beta / oldb, out=r1)
             y = np.subtract(y, r1, out=r1)
         alfa = pair(v, y)
@@ -224,18 +251,38 @@ def minres(apply_a, apply_pinv, b: np.ndarray, x0: np.ndarray | None = None,
         history.append(phibar)
 
         breakdown = beta <= BREAKDOWN_RTOL * beta1
-        if not (phibar <= config.rel_tol * beta1 or breakdown
+        if not (phibar <= target or breakdown
                 or itn % TRUE_RESIDUAL_CHECK_EVERY == 0 or itn == config.max_iter):
             continue
         if confirm(x) <= config.rel_tol:
             stop = "converged"
-        elif since_best >= STAGNATION_CHECKS:
-            stop, x = "stagnated", best_x
+        elif since_best >= STAGNATION_CHECKS and restarted:
+            stop = "stagnated"
         elif breakdown:
             stop = "breakdown"
         elif itn == config.max_iter:
             stop = "iteration cap"
+        elif since_best >= STAGNATION_CHECKS:
+            # restart once, in full vectors: the recurrence solves for the
+            # best iterate's correction, from zero and its full residual
+            # (its monitored norm must fall by what the best residual lacks
+            # before the confirmations run at every iteration again)
+            restarted, since_best = True, 0
+            base = full(best_x)
+            del x, best_x, r1, r2, y, v, w, w1, w2, scratch  # freed first
+            coords = Euclidean(apply_a, apply_pinv)
+            apply_a_c, apply_pinv_c, pair = coords.apply_a, coords.apply_pinv, coords.pair
+            r = b - apply_a(base)
+            x, r2, y, beta = begin(r, np.zeros(r.shape[0]), r)
+            del r
+            best_x = x.copy()
+            r1, v, w, w1, w2, scratch = (np.zeros(x.shape[0]) for _ in range(6))
+            oldb, phibar = 0.0, beta
+            target = beta * config.rel_tol / best_rel
+            dbar = epsln = 0.0
+            cs, sn = -1.0, 0.0
 
-    final_rel = best_rel if stop == "stagnated" else checks[-1][1]
-    return coords.expand(x), MinresReport(itn, stop, np.array(history), checks,
-                                          final_rel)
+    if stop != "converged":
+        x = best_x
+    return full(x), MinresReport(itn, stop, np.array(history), checks,
+                                 checks[-1][1] if stop == "converged" else best_rel)

@@ -505,10 +505,14 @@ class ControlCoordinates:
         self.basis, self.system, self.precon = precon.basis, system, precon
         self.dim_y = spaces.block_dim("y")
         self.full = [spaces.block_slice(n) for n in spaces.block_names]
-        # the multipliers after p_u, each with its place in the tail
+        # the multipliers after p_u, each with its place in the tail and its
+        # K_m and K_m'
         lo = self.full[3].start
-        self.tail = [(n, slice(s.start - lo, s.stop - lo))
+        self.tail = [(n, slice(s.start - lo, s.stop - lo), system.blocks[n, "y"],
+                      system.blocks[n, "y"].T)
                      for n, s in zip(spaces.block_names[3:], self.full[3:])]
+        self.alpha = system.weight("u", "u")
+        self.scales = np.array([[precon.table[n].scale] for n in ("u", "p_u")])
         self.f = self.kf = self.fdf = None
 
     @staticmethod
@@ -549,11 +553,10 @@ class ControlCoordinates:
         out = np.zeros_like(z)
         o_rows, o_c, o_tail = self._parts(out)
         y, a_u, a_pu, _, g_pu = rows
-        blocks, alpha = self.system.blocks, self.system.weight("u", "u")
-        state = blocks["y", "y"].apply(y) + c[1] @ self.kf + g_pu
-        for name, part in self.tail:
-            k_m = blocks[name, "y"]
-            state += k_m.T.apply(tail[part])
+        alpha = self.alpha
+        state = self.system.blocks["y", "y"].apply(y) + c[1] @ self.kf + g_pu
+        for _, part, k_m, k_m_t in self.tail:
+            state += k_m_t.apply(tail[part])
             o_tail[part] = k_m.apply(y)
         o_rows[0] = state
         o_rows[1] = alpha * a_u + a_pu
@@ -566,15 +569,14 @@ class ControlCoordinates:
         rows, d, tail = self._parts(r)
         out = np.empty_like(r)
         o_rows, o_c, o_tail = self._parts(out)
-        solve = self.precon.solve_block
-        scales = np.array([[self.precon.table[n].scale] for n in ("u", "p_u")])
+        solve, scales = self.precon.solve_block, self.scales
         o_rows[0] = solve("y", rows[0])
         o_rows[1:3] = rows[1:3] / scales
         # row by row: a Kronecker apply to two trailing columns is slower
         for a, g in zip(o_rows[1:3], o_rows[3:5]):
             g[...] = self.basis.gram.apply(a)
         o_c[...] = d / scales
-        for name, part in self.tail:
+        for name, part, _, _ in self.tail:
             o_tail[part] = solve(name, tail[part])
         return out
 

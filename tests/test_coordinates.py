@@ -95,3 +95,30 @@ def test_coordinates_of_another_alpha_are_refused():
     config = MinresConfig(coordinates=ControlCoordinates(other, other_precon))
     with pytest.raises(ValueError, match="coordinates' start"):
         minres(system.apply, precon.apply_inverse, system.rhs, x0=x0, config=config)
+
+
+def test_the_restart_converges_the_cells_that_stagnated():
+    # the four legal cells that stopped "stagnated" before MINRES restarted
+    # from its best iterate: two drifted recurrences (alpha=1e-12) and two
+    # Euclidean residuals that lag the monitored norm (alpha=1e3, T=10)
+    specs = (ProblemSpec("wave", 2, 2, 1e-12), ProblemSpec("heat", 3, 1, 1e-12),
+             ProblemSpec("wave", 5, 2, 1e3),
+             ProblemSpec("wave", 2, 3, 1.0, final_time=10.0))
+    for spec in specs:
+        row = cli.solve_once(spec, 1e-8)
+        assert row["converged"] and row["final_relres"] <= 1e-8
+
+
+def test_a_restarted_solve_returns_the_iterate_it_reports():
+    # tol 1e-300 stagnates after the restart, which goes on in full vectors
+    # for a correction of the best iterate: the returned x is still the best
+    # confirmed iterate
+    system, precon, x0 = _rotated(ProblemSpec("heat", 2, 1, 1e-6))
+    config = MinresConfig(rel_tol=1e-300,
+                          coordinates=ControlCoordinates(system, precon))
+    x, rep = minres(system.apply, precon.apply_inverse, system.rhs, x0=x0,
+                    config=config)
+    assert rep.stop == "stagnated"
+    relres = (np.linalg.norm(system.rhs - system.apply(x))
+              / np.linalg.norm(system.rhs - system.apply(x0)))
+    assert relres == pytest.approx(rep.final_true_relres, rel=1e-12, abs=0.0)
