@@ -12,14 +12,13 @@ STAGNATION_CHECKS confirmations in a row fail to improve on the best one,
 The first time they fail, the recurrence restarts instead, once per solve,
 for the correction of the best iterate: from zero, driven by that iterate's
 full residual, in `Euclidean` coordinates (coordinates bound to a small
-residual would hold it in coefficients that cancel). Confirmations then run
-at every iteration again only once its monitored norm has fallen by the
-factor the best confirmed residual still lacks, tol over it, and the count
-of failed ones starts afresh. A recurrence that has drifted from the true
-residual gets its accuracy back that way, and one whose Euclidean residual
-lags its monitored norm gets the iterations it needs. A solve that would
-have stopped at the restart loses nothing: its iterates up to there are the
-same and the best is kept.
+residual would hold it in coefficients that cancel). As in a fresh solve,
+confirmations run at every iteration again only once its monitored norm
+has fallen by tol, and the count of failed ones starts afresh. A recurrence
+that has drifted from the true residual gets its accuracy back that way,
+and one whose Euclidean residual lags its monitored norm gets the
+iterations it needs. A solve that would have stopped at the restart loses
+nothing: its iterates up to there are the same and the best is kept.
 
 Preconditioned MINRES reads nothing of a vector but what A and P^-1 make of
 it and the pairing of a residual with a preconditioned residual (Paige &
@@ -265,7 +264,7 @@ def minres(apply_a, apply_pinv, b: np.ndarray, x0: np.ndarray | None = None,
         elif since_best >= STAGNATION_CHECKS:
             # restart once, in full vectors: the recurrence solves for the
             # best iterate's correction, from zero and its full residual
-            # (its monitored norm must fall by what the best residual lacks
+            # (its monitored norm must fall by tol, as in a fresh solve,
             # before the confirmations run at every iteration again)
             restarted, since_best = True, 0
             base = full(best_x)
@@ -278,7 +277,7 @@ def minres(apply_a, apply_pinv, b: np.ndarray, x0: np.ndarray | None = None,
             best_x = x.copy()
             r1, v, w, w1, w2, scratch = (np.zeros(x.shape[0]) for _ in range(6))
             oldb, phibar = 0.0, beta
-            target = beta * config.rel_tol / best_rel
+            target = beta * config.rel_tol
             dbar = epsln = 0.0
             cs, sn = -1.0, 0.0
 
