@@ -20,19 +20,23 @@ import scipy.sparse as sp
 from scipy.linalg import eigh
 
 
-def mode_products(factors, x: np.ndarray) -> np.ndarray:
+def mode_products(factors, x: np.ndarray, stacked: bool = False) -> np.ndarray:
     """(F_1 x ... x F_m) x by one matrix product per factor.
 
     x has the product of the factor column dimensions as its length, and may
-    carry extra trailing columns. The leading mode is one GEMM on the
-    unfolding, middle modes are batched products, and a mode with nothing
+    carry extra trailing columns; or, stacked, x holds such vectors as its
+    rows and each row gets the product. The leading mode is one GEMM on the
+    unfolding (one per row of a stack), middle modes are batched products, and a mode with nothing
     behind it is one GEMM against the transposed factor; every intermediate
-    stays C-contiguous, so no axis is ever moved.
+    stays C-contiguous, so no axis is ever moved. A stack's rows ride as the
+    leading batch of every mode, so the whole stack costs one call per
+    factor.
     """
     x = np.asarray(x)
-    extra = x.shape[1:]
-    rest = x.size
-    rows = 1
+    lead = x.shape[0] if stacked else 1
+    extra = () if stacked else x.shape[1:]
+    rest = x.size // lead
+    rows = lead
     y = x
     for f in factors:
         m, n = f.shape
@@ -44,7 +48,7 @@ def mode_products(factors, x: np.ndarray) -> np.ndarray:
         else:
             y = np.matmul(f, y.reshape(rows, n, rest))
         rows *= m
-    return y.reshape((rows,) + extra)
+    return y.reshape((lead, rows // lead) if stacked else (rows,) + extra)
 
 
 @dataclass
@@ -78,13 +82,14 @@ class KroneckerMatrix:
             km.add(term.weight, *(f.T for f in term.factors))
         return km
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Product with x (a vector, or columns of one), term by term."""
+    def apply(self, x: np.ndarray, stacked: bool = False) -> np.ndarray:
+        """Product with x (a vector, or columns of one; stacked, with each
+        row of x), term by term."""
         if not self.terms:
             raise ValueError("empty Kronecker sum")
         total = None
         for term in self.terms:
-            y = mode_products(term.factors, x)
+            y = mode_products(term.factors, x, stacked)
             if term.weight != 1.0:
                 y *= term.weight
             if total is None:

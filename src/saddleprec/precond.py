@@ -572,9 +572,7 @@ class ControlCoordinates:
         solve, scales = self.precon.solve_block, self.scales
         o_rows[0] = solve("y", rows[0])
         o_rows[1:3] = rows[1:3] / scales
-        # row by row: a Kronecker apply to two trailing columns is slower
-        for a, g in zip(o_rows[1:3], o_rows[3:5]):
-            g[...] = self.basis.gram.apply(a)
+        o_rows[3:5] = self.basis.gram.apply(o_rows[1:3], stacked=True)
         o_c[...] = d / scales
         for name, part, _, _ in self.tail:
             o_tail[part] = solve(name, tail[part])

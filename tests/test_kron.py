@@ -1,5 +1,5 @@
-"""Kronecker sums: materialization and mode-product application against
-dense products, tensor solves against per-factor Cholesky and sparse direct
+"""Kronecker sums: materialization and mode-product application (of a
+vector, its columns or stacked rows) against dense products, tensor solves against per-factor Cholesky and sparse direct
 solves."""
 
 import numpy as np
@@ -108,6 +108,10 @@ def test_apply_matches_materialize_and_dense_kron(shapes):
     z = rng.standard_normal(dense.shape[0])
     assert np.allclose(km.T.apply(z), dense.T @ z, rtol=0,
                        atol=1e-14 * np.abs(dense).sum(axis=0).max() * np.abs(z).max())
+    rows = rng.standard_normal((3, dense.shape[1]))
+    stacked = km.apply(rows, stacked=True)
+    assert stacked.shape == (3, dense.shape[0])
+    assert np.allclose(stacked, rows @ dense.T, rtol=0, atol=1e-14 * scale * 3)
 
 
 MASS_FACTORS = {"u": ("u_time", "u_x", "u_y"), "p_r2": ("r2_x", "r2_y")}
