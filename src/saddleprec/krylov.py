@@ -112,19 +112,26 @@ class Euclidean:
 
 
 def _probe_symmetry(apply_a, dim):
+    """Raise ValueError unless <A v, w> = <v, A w>, to SYMMETRY_PROBE_RTOL,
+    for each of the three pairs of three random vectors, one apply each."""
     rng = np.random.default_rng(0x5EED)
-    for _ in range(3):
-        v = rng.standard_normal(dim)
-        w = rng.standard_normal(dim)
+    vs = [rng.uniform(-1.0, 1.0, dim) for _ in range(3)]
+    norms = [np.linalg.norm(v) for v in vs]
+    a_norms, dots = [], {}  # dots[i, j] = <A v_i, v_j>
+    for i, v in enumerate(vs):
         # each product is read before the next apply, which may reuse its array
         av = apply_a(v)
-        avw, av_norm = av @ w, np.linalg.norm(av)
-        aw = apply_a(w)
-        gap = abs(avw - v @ aw)
-        scale = av_norm * np.linalg.norm(w) + np.linalg.norm(aw) * np.linalg.norm(v)
-        if gap > SYMMETRY_PROBE_RTOL * max(scale, 1e-300):
-            raise ValueError("operator failed the symmetry probe "
-                             f"(|<Av,w> - <v,Aw>| = {gap:g})")
+        a_norms.append(np.linalg.norm(av))
+        for j, w in enumerate(vs):
+            if j != i:
+                dots[i, j] = av @ w
+        del av
+        for j in range(i):
+            gap = abs(dots[i, j] - dots[j, i])
+            scale = a_norms[i] * norms[j] + a_norms[j] * norms[i]
+            if gap > SYMMETRY_PROBE_RTOL * max(scale, 1e-300):
+                raise ValueError("operator failed the symmetry probe "
+                                 f"(|<Av,w> - <v,Aw>| = {gap:g})")
 
 
 def minres(apply_a, apply_pinv, b: np.ndarray, x0: np.ndarray | None = None,

@@ -21,18 +21,22 @@ wave p=2 level 2), and the scalar pencil's eigenvalues are added with
 multiplicity dim U - rank Q: (1 +- sqrt 5) / 2 for P^-1 A, the values of
 Murphy, Golub and Wathen (SISC 2000), and 1 for both Brezzi pencils.
 Neither A nor P is assembled: `_control_deflation` projects the tables they
-are made of onto that span and checks the structure on the table entries.
+are made of onto that span in P's control eigenbasis, where M_U is
+diagonal, so Q' M_U Q is formed once for all control blocks and every other
+block is densified by its Kronecker apply. Only the control entries are
+materialized, to check the structure on them.
 """
 
 from dataclasses import asdict, dataclass, replace
 import math
 
 import numpy as np
-from scipy.linalg import eigh, null_space
+from scipy.linalg import eigh, null_space, qr
 
 from .assembly import DiscreteSystem, mass_solver
+from .kron import mode_products
 from .splines import eval_basis_many, gauss_rule
-from .precond import BlockDiagPreconditioner, build_Ptilde_Y
+from .precond import BlockDiagPreconditioner, StateBlock, build_Ptilde_Y
 
 # unknowns beyond which the dense instruments refuse a system
 DENSE_CAP = 6000
@@ -43,21 +47,39 @@ CONTROL = ("u", "p_u")
 MULTIPLE_RTOL = 1e-12
 
 
+def _dense(op) -> np.ndarray:
+    """The dense matrix of a Kronecker sum, by its apply on the identity, or
+    of P_Y, from the band values of its `StateBlock`."""
+    if isinstance(op, StateBlock):
+        lower, mirror, _ = op.tree.front_map
+        rows, cols, _ = op.tree.band()
+        values = np.empty(op.tree.band_nnz)
+        values[lower] = values[mirror] = op.lower
+        out = np.zeros((op.tree.perm.size,) * 2)
+        out[rows, cols] = values
+        return out
+    return op.apply(np.eye(math.prod(f.shape[1] for f in op.terms[0].factors)))
+
+
 def _control_deflation(system: DiscreteSystem,
                        precon: BlockDiagPreconditioner) -> tuple:
     """The deflated pencil (G, H) = (v'Av, v'Pv), s, d and rank Q.
 
-    Each entry of the system table, times its `DiscreteSystem.weight`, and
-    each block of P's table, times its scale, is applied to Q's columns or
-    densified where its column basis is the identity, and projected by Q' on
-    control rows; its transpose fills the mirrored block. Each operator, a
-    Kronecker sum or P_Y's `StateBlock`, is materialized once: A's control
-    entries and P's control blocks are all one control mass. Q is the
-    orthonormal QR factor of M_U^-1 K_U, so no rank is decided. s, with
+    The projection runs in P's `ControlEigenbasis` Q_c, where the control
+    mass is diag(lam). With K~ = Q_c' K_U, the system's K_U with its rows
+    rotated, and Q~ the orthonormal QR factor of diag(lam)^-1 K~, Q = Q_c Q~
+    is that of M_U^-1 K_U, so no rank is decided. Every control block of A
+    and P is then a multiple of Q' M_U Q = Q~' diag(lam) Q~, formed once,
+    and the (p_u, y) block is Q~' K~. Every other block, an entry of the
+    system table times its `DiscreteSystem.weight` or a block of P's table
+    times its scale, is densified by its Kronecker apply on the identity,
+    P_Y from its band; its transpose fills the mirrored block. s, with
     A[c, c'] = s[c, c'] M_U for c, c' in CONTROL, is read from the control
     entries, d from P's control scales; an absent entry is a zero block.
-    Raises ValueError unless each control entry is such a multiple to
-    roundoff and no entry but K_U couples the controls to another block.
+    Only the entries that touch a control, K_U aside, are materialized, each
+    once, to check the structure: ValueError unless each control entry is
+    such a multiple to roundoff and no entry but K_U couples the controls to
+    another block.
     """
     held = {}
 
@@ -66,12 +88,11 @@ def _control_deflation(system: DiscreteSystem,
             held[id(op)] = op.materialize()
         return held[id(op)]
 
-    _, mass, solver = precon.table["u"]
-    m_u = matrix(mass)
-    a = {key: system.weight(*key) * matrix(op) for key, op in system.blocks.items()}
+    m_u = matrix(precon.table["u"].matrix)
     s = np.zeros((2, 2))
-    for (row, col), blk in a.items():
+    for (row, col), op in system.blocks.items():
         if row in CONTROL and col in CONTROL:
+            blk = system.weight(row, col) * matrix(op)
             i, j = CONTROL.index(row), CONTROL.index(col)
             s[i, j] = s[j, i] = blk.multiply(m_u).sum() / m_u.multiply(m_u).sum()
             defect = (blk - s[i, j] * m_u).data  # Frobenius norms: CSR values
@@ -79,26 +100,38 @@ def _control_deflation(system: DiscreteSystem,
                 raise ValueError(f"block ({row}, {col}) is not a multiple of "
                                  f"the control mass: no exact deflation")
         elif ((row in CONTROL) != (col in CONTROL) and (row, col) != ("p_u", "y")
-              and blk.count_nonzero()):
+              and matrix(op).count_nonzero()):
             raise ValueError(f"block ({row}, {col}) couples the controls "
                              f"outside K_U: no exact deflation")
-    spaces = system.spaces
-    q = (np.linalg.qr(solver.solve(a["p_u", "y"].toarray()))[0]
-         if ("p_u", "y") in a else np.zeros((spaces.block_dim("u"), 0)))
+    spaces, basis = system.spaces, precon.basis
+    lam = basis.mass.diagonal
+    if ("p_u", "y") in system.blocks:
+        k_u = mode_products(tuple(w.T for w in basis.q),
+                            _dense(system.blocks["p_u", "y"]))
+        q = qr(k_u / lam[:, None], mode="economic")[0]
+    else:
+        q = np.zeros((lam.size, 0))
+    mass = q.T @ (lam[:, None] * q)
     names = spaces.block_names
     offs = np.cumsum([0] + [q.shape[1] if n in CONTROL else spaces.block_dim(n)
                             for n in names])
     part = dict(zip(names, map(slice, offs, offs[1:])))
     g, h = np.zeros((2, offs[-1], offs[-1]))
-    p_blocks = [((n, n), precon.table[n].scale * matrix(precon.table[n].matrix))
-                for n in names]
-    for pencil, table in ((g, a.items()), (h, p_blocks)):
-        for (row, col), blk in table:
-            blk = blk @ q if col in CONTROL else blk.toarray()
-            if row in CONTROL:
-                blk = q.T @ blk
-            pencil[part[col], part[row]] = blk.T
-            pencil[part[row], part[col]] = blk
+
+    def put(pencil, row, col, blk):
+        pencil[part[col], part[row]] = blk.T
+        pencil[part[row], part[col]] = blk
+
+    for (row, col), op in system.blocks.items():
+        if row in CONTROL and col in CONTROL:
+            put(g, row, col, s[CONTROL.index(row), CONTROL.index(col)] * mass)
+        elif (row, col) == ("p_u", "y"):
+            put(g, row, col, q.T @ k_u)
+        elif row not in CONTROL and col not in CONTROL:  # else zero, checked
+            put(g, row, col, system.weight(row, col) * _dense(op))
+    for n in names:
+        scale, op, _ = precon.table[n]
+        put(h, n, n, scale * (mass if n in CONTROL else _dense(op)))
     return g, h, s, np.diag([precon.table[n].scale for n in CONTROL]), q.shape[1]
 
 

@@ -388,7 +388,7 @@ def test_memory_estimate_covers_held_blocks(kind, p, lev):
 
 def test_solve_calls_the_full_operators_only_to_start_and_confirm(monkeypatch):
     # the recurrence runs in the control coordinates: the full-size A serves
-    # the symmetry probe (three pairs of applies), the start residual and
+    # the symmetry probe (three applies), the start residual and
     # each confirmation, and the full-size P^-1 the start alone
     calls, reports = {"A": 0, "P": 0}, []
     minres = cli.minres
@@ -409,7 +409,7 @@ def test_solve_calls_the_full_operators_only_to_start_and_confirm(monkeypatch):
     monkeypatch.setattr(cli, "minres", counted)
     assert solve_once(ProblemSpec("wave", 2, 2, 1e-6), 1e-8)["iterations"] == 56
     (report,) = reports
-    assert calls == {"A": 6 + 1 + len(report.true_residual_checks), "P": 1}
+    assert calls == {"A": 3 + 1 + len(report.true_residual_checks), "P": 1}
 
 
 def test_solve_materializes_only_the_factorized_blocks(monkeypatch):

@@ -217,6 +217,28 @@ def test_nonsymmetric_operator_rejected():
         minres(_apply(a), _ident, b)
 
 
+def test_symmetry_probe_applies_once_per_vector_and_sees_a_rank_two_skew():
+    # three applies serve all three pairs; a skew part e (e_i e_j' - e_j e_i')
+    # of relative size 1e-6, far above SYMMETRY_PROBE_RTOL, still raises
+    n = 200
+    g = np.random.default_rng(40).standard_normal((n, n))
+    sym = (g + g.T) / np.linalg.norm(g + g.T, 2)
+    calls = []
+
+    def counted(mat):
+        def apply_a(v):
+            calls.append(1)
+            return mat @ v
+        return apply_a
+
+    krylov._probe_symmetry(counted(sym), n)
+    assert len(calls) == 3
+    skew = np.zeros((n, n))
+    skew[3, 17], skew[17, 3] = 1e-6, -1e-6
+    with pytest.raises(ValueError, match="symmetry probe"):
+        krylov._probe_symmetry(counted(sym + skew), n)
+
+
 def test_indefinite_preconditioner_rejected():
     rng = np.random.default_rng(39)
     g = rng.standard_normal((20, 20))

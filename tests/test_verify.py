@@ -154,6 +154,25 @@ def test_deflated_instruments_match_dense_pencils(kind, p):
         assert rep["n_zero_modes"] == ref["n_zero_modes"]
 
 
+@pytest.mark.parametrize("kind", ["heat", "wave"])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("alpha", [1.0, 1e-6])
+def test_deflation_holds_the_whole_spectrum(kind, p, alpha):
+    # eig(G, H) and the scalar pencil's eigenvalues, dim U - rank times each,
+    # are every eigenvalue of the dense (A, P), not only the extremes
+    spec = ProblemSpec(kind, p, 1, alpha)
+    system = assemble_system(spec)
+    precon = build_preconditioner(spec, system.spaces, system.blocks)
+    g, h, s, d, rank = verify._control_deflation(system, precon)
+    ev = np.sort(np.concatenate([
+        eigh(g, h, eigvals_only=True),
+        np.repeat(eigh(s, d, eigvals_only=True),
+                  system.spaces.block_dim("u") - rank)]))
+    ref = eigh(system.matrix.toarray(), dense_preconditioner(precon).toarray(),
+               eigvals_only=True)
+    np.testing.assert_allclose(ev, ref, rtol=0, atol=1e-10 * np.abs(ref).max())
+
+
 def test_condition_number_wave_l2_reference():
     # the full dense pencil gave this value; the benchmark checks it too
     spec = ProblemSpec("wave", 2, 2, 1e-6)
@@ -211,22 +230,28 @@ def test_instruments_never_assemble_a_or_p(monkeypatch):
 
 
 def test_instruments_materialize_each_operator_once(monkeypatch):
-    # A's (u, u) and (u, p_u) entries and P's u and p_u blocks are one
-    # control mass: one deflation materializes it, and every other operator,
-    # once
+    # a deflation materializes only the control entries it checks: A's
+    # (u, u) and (u, p_u) entries are one control mass, materialized once,
+    # and no other operator, P_Y included, is
     calls = {}
-    materialize = KroneckerMatrix.materialize
 
-    def count(self):
-        calls[id(self)] = calls.get(id(self), 0) + 1
-        return materialize(self)
+    def counting(cls):
+        materialize = cls.materialize
+
+        def count(self):
+            calls[id(self)] = calls.get(id(self), 0) + 1
+            return materialize(self)
+        monkeypatch.setattr(cls, "materialize", count)
 
     system = assemble_system(ProblemSpec("wave", 2, 1, 1e-3))
     precon = build_preconditioner(system.spec, system.spaces, system.blocks)
-    monkeypatch.setattr(KroneckerMatrix, "materialize", count)
+    counting(KroneckerMatrix)
+    counting(precond.StateBlock)
     condition_number_estimate(system, precon)
-    assert calls[id(precon.table["u"].matrix)] == 1
-    assert set(calls.values()) == {1}
+    assert calls == {id(precon.table["u"].matrix): 1}
+    calls.clear()
+    measure_brezzi(system)
+    assert calls == {id(system.blocks["u", "u"]): 1}
 
 
 def test_report_fields_are_plain_numbers(wave_system):
