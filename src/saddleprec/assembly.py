@@ -383,21 +383,22 @@ def moments(spaces: DiscreteSpaces, block: str, f, derivs=None,
 
     One Gauss rule per factor of `BLOCK_FACTORS[block]`, clipped to the
     per-direction interval of ``subs``; ``derivs`` differentiates the basis
-    per direction. The basis is restricted as `FACTOR_SPACES` says.
+    per direction. The basis is restricted as `FACTOR_SPACES` says. The
+    weighted grid values are contracted with the transposed basis tables by
+    `mode_products`.
     """
     n = len(BLOCK_FACTORS[block])
-    rules, args = [], []
-    for k, (name, d, sub) in enumerate(zip(
-            BLOCK_FACTORS[block], derivs or (0,) * n, subs or (None,) * n)):
+    rules, tables = [], []
+    for name, d, sub in zip(BLOCK_FACTORS[block], derivs or (0,) * n,
+                            subs or (None,) * n):
         space, restr = FACTOR_SPACES[name]
         space = getattr(spaces, space)
         rules.append(gauss_rule(space, sub=sub))
         e = eval_basis_many(space, rules[-1].flat_points, d)
-        args += [e if restr is None else e[:, getattr(spaces, restr)], [k, n + k]]
+        tables.append((e if restr is None else e[:, getattr(spaces, restr)]).T)
     vals = np.asarray(f(*np.ix_(*(r.flat_points for r in rules))), dtype=float)
     w = math.prod(np.ix_(*(r.flat_weights for r in rules)))
-    m = np.einsum(vals * w, list(range(n)), *args, list(range(n, 2 * n)))
-    return m.reshape(-1)
+    return mode_products(tables, (vals * w).ravel())
 
 
 def assemble_system(spec: ProblemSpec, spaces: DiscreteSpaces | None = None,

@@ -130,12 +130,12 @@ def band_values(km: KroneckerMatrix, p: int) -> np.ndarray:
     return total
 
 
-def state_grams(spec: ProblemSpec, spaces: DiscreteSpaces, blocks: dict,
-                residual: KroneckerMatrix) -> tuple:
+def state_grams(spec: ProblemSpec, spaces: DiscreteSpaces, blocks: dict) -> tuple:
     """P_Y's alpha-free terms on its band (`band_values`): observation,
-    residual (its `state_residual_form`), trace."""
+    residual (`state_residual_form`), trace."""
     return tuple(band_values(km, spec.degree) for km in (
-        blocks["y", "y"], residual, trace_form(spec, spaces)))
+        blocks["y", "y"], state_residual_form(spec, spaces),
+        trace_form(spec, spaces)))
 
 
 # unknowns at which `nested_dissection` stops splitting. Of 64, 128, 256 and
@@ -436,15 +436,14 @@ class ControlEigenbasis:
     Euclidean and preconditioned residual norms. There the control mass of
     A's (u, u) and (u, p_u) entries and of P's u and p_u blocks is `mass`,
     one elementwise product, and K_U keeps its Kronecker terms with each
-    control factor F replaced by Q_f' F (`k_u`). `gram` is the state
-    residual's Gram (`state_residual_form`), which the residual inclusion
-    makes K_U' M_U^-1 K_U. Nothing depends on alpha. The rotated system and
-    preconditioner serve MINRES (`ControlCoordinates`): they apply and solve
-    but do not materialize, which stays with the B-spline ones.
+    control factor F replaced by Q_f' F (`k_u`). Nothing depends on alpha.
+    The rotated system and preconditioner serve MINRES
+    (`ControlCoordinates`): they apply and solve but do not materialize,
+    which stays with the B-spline ones.
     """
 
-    def __init__(self, spaces: DiscreteSpaces, blocks: dict, gram: KroneckerMatrix):
-        self.spaces, self.gram = spaces, gram
+    def __init__(self, spaces: DiscreteSpaces, blocks: dict):
+        self.spaces = spaces
         self.solver = mass_solver(spaces, "u")
         self.q, self.mass = self.solver.vectors, self.solver.values
         self.k_u = KroneckerMatrix()
@@ -488,8 +487,9 @@ class ControlCoordinates:
     multipliers after p_u stay explicit. A coordinate array holds five rows
     of dim Y: y, a_u, a_pu (b_u, b_pu) and g_u = G a_u, g_pu = G a_pu (zero
     in a residual), then c_u, c_pu (d_u, d_pu) and the multiplier tail.
-    G = K_U' M_U^-1 K_U is the state residual's Gram, `basis.gram`, by the
-    residual inclusion. P^-1 computes it afresh on each output.
+    G = K_U' M_U^-1 K_U is the state residual's Gram (`state_residual_form`,
+    built here), by the residual inclusion. P^-1 computes it afresh on each
+    output.
 
     A's control rows are then coefficient arithmetic (u: alpha a_u + a_pu,
     alpha c_u + c_pu; p_u: a_u + y, c_u), its state row obs y + (K_U'F) c_pu
@@ -503,6 +503,7 @@ class ControlCoordinates:
     def __init__(self, system: DiscreteSystem, precon: "BlockDiagPreconditioner"):
         spaces = system.spaces
         self.basis, self.system, self.precon = precon.basis, system, precon
+        self.gram = state_residual_form(system.spec, spaces)
         self.dim_y = spaces.block_dim("y")
         self.full = [spaces.block_slice(n) for n in spaces.block_names]
         # the multipliers after p_u, each with its place in the tail and its
@@ -572,7 +573,7 @@ class ControlCoordinates:
         solve, scales = self.precon.solve_block, self.scales
         o_rows[0] = solve("y", rows[0])
         o_rows[1:3] = rows[1:3] / scales
-        o_rows[3:5] = self.basis.gram.apply(o_rows[1:3], stacked=True)
+        o_rows[3:5] = self.gram.apply(o_rows[1:3], stacked=True)
         o_c[...] = d / scales
         for name, part, _, _ in self.tail:
             o_tail[part] = solve(name, tail[part])
@@ -608,10 +609,8 @@ def alpha_free_setup(spec: ProblemSpec, spaces: DiscreteSpaces,
                      blocks: dict) -> tuple:
     """The part of P that every alpha shares and that costs more than the
     eigh of a few univariate factors: the `state_grams` and the
-    `ControlEigenbasis` the solve runs in, which share the residual Gram."""
-    residual = state_residual_form(spec, spaces)
-    return (state_grams(spec, spaces, blocks, residual),
-            ControlEigenbasis(spaces, blocks, residual))
+    `ControlEigenbasis` the solve runs in."""
+    return state_grams(spec, spaces, blocks), ControlEigenbasis(spaces, blocks)
 
 
 class BlockDiagPreconditioner:

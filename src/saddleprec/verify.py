@@ -23,8 +23,9 @@ Murphy, Golub and Wathen (SISC 2000), and 1 for both Brezzi pencils.
 Neither A nor P is assembled: `_control_deflation` projects the tables they
 are made of onto that span in P's control eigenbasis, where M_U is
 diagonal, so Q' M_U Q is formed once for all control blocks and every other
-block is densified by its Kronecker apply. Only the control entries are
-materialized, to check the structure on them.
+block is densified by its Kronecker apply, P_Y from its CSR matrix. Only
+the control entries are materialized otherwise, to check the structure on
+them.
 """
 
 from dataclasses import asdict, dataclass, replace
@@ -49,15 +50,9 @@ MULTIPLE_RTOL = 1e-12
 
 def _dense(op) -> np.ndarray:
     """The dense matrix of a Kronecker sum, by its apply on the identity, or
-    of P_Y, from the band values of its `StateBlock`."""
+    of P_Y, from its `StateBlock`'s CSR matrix."""
     if isinstance(op, StateBlock):
-        lower, mirror, _ = op.tree.front_map
-        rows, cols, _ = op.tree.band()
-        values = np.empty(op.tree.band_nnz)
-        values[lower] = values[mirror] = op.lower
-        out = np.zeros((op.tree.perm.size,) * 2)
-        out[rows, cols] = values
-        return out
+        return op.materialize().toarray()
     return op.apply(np.eye(math.prod(f.shape[1] for f in op.terms[0].factors)))
 
 
@@ -73,11 +68,11 @@ def _control_deflation(system: DiscreteSystem,
     and the (p_u, y) block is Q~' K~. Every other block, an entry of the
     system table times its `DiscreteSystem.weight` or a block of P's table
     times its scale, is densified by its Kronecker apply on the identity,
-    P_Y from its band; its transpose fills the mirrored block. s, with
+    P_Y from its CSR matrix; its transpose fills the mirrored block. s, with
     A[c, c'] = s[c, c'] M_U for c, c' in CONTROL, is read from the control
     entries, d from P's control scales; an absent entry is a zero block.
-    Only the entries that touch a control, K_U aside, are materialized, each
-    once, to check the structure: ValueError unless each control entry is
+    Besides P_Y, only the entries that touch a control, K_U aside, are
+    materialized, each once, to check the structure: ValueError unless each control entry is
     such a multiple to roundoff and no entry but K_U couples the controls to
     another block.
     """
@@ -259,8 +254,11 @@ def condition_number_estimate(system: DiscreteSystem,
 def residual_on_grid(system: DiscreteSystem, y_coef: np.ndarray):
     """State residual ((d_tt|d_t) - Lap) y_h sampled on the control-space Gauss grid.
 
-    Returns (values, weights) as 3-D tensors; the grid integrates products of
-    two residual/control functions exactly.
+    y_coef may carry extra trailing columns, one state each. Returns (values,
+    weights): the values as a 3-D tensor over the grid, with the columns
+    trailing, and the weights as a 3-D tensor; the grid integrates products
+    of two residual/control functions exactly. Each term of the strong form
+    is one `mode_products` call on the basis tables.
     """
     spec, spaces = system.spec, system.spaces
     rules = [gauss_rule(s) for s in (spaces.u_time, spaces.u_x, spaces.u_y)]
@@ -272,43 +270,39 @@ def residual_on_grid(system: DiscreteSystem, y_coef: np.ndarray):
         e = eval_basis_many(space, x, d)
         return e[:, restrict] if restrict is not None else e
 
-    y3 = y_coef.reshape(spaces.block_shape("y"))
     et = [ev(spaces.y_time, pts[0], d, None) for d in (0, dt)]
     ex = [ev(spaces.y_x, pts[1], d, spaces.ix) for d in (0, 2)]
     ey = [ev(spaces.y_y, pts[2], d, spaces.iy) for d in (0, 2)]
-    vals = np.einsum("abc,ta,xb,yc->txy", y3, et[1], ex[0], ey[0])
-    vals -= np.einsum("abc,ta,xb,yc->txy", y3, et[0], ex[1], ey[0])
-    vals -= np.einsum("abc,ta,xb,yc->txy", y3, et[0], ex[0], ey[1])
+    vals = mode_products((et[1], ex[0], ey[0]), y_coef)
+    vals -= mode_products((et[0], ex[1], ey[0]), y_coef)
+    vals -= mode_products((et[0], ex[0], ey[1]), y_coef)
     w3 = wts[0][:, None, None] * wts[1][None, :, None] * wts[2][None, None, :]
-    return vals, w3
+    return vals.reshape(w3.shape + np.shape(y_coef)[1:]), w3
 
 
 def inclusion_residuals(system: DiscreteSystem, n_samples: int = 20,
                         seed: int = 0) -> np.ndarray:
     """Relative L2 defect of projecting the state residual into the control space.
 
-    The residual of a random state function is sampled on the exact Gauss
-    grid, its control-space least-squares projection is evaluated on the same
-    grid, and the defect is integrated pointwise. When the inclusion holds the
-    defect is zero up to projection-solve roundoff.
+    The residuals of random state functions are sampled on the exact Gauss
+    grid, their control-space least-squares projections are evaluated on the
+    same grid, and each defect is integrated pointwise. All samples ride as
+    columns of one evaluation. When the inclusion holds the defect is zero up
+    to projection-solve roundoff.
     """
-    spec, spaces, blocks = system.spec, system.spaces, system.blocks
-    solver = mass_solver(spaces, "p_u")
+    spaces, blocks = system.spaces, system.blocks
     rules = [gauss_rule(s) for s in (spaces.u_time, spaces.u_x, spaces.u_y)]
     eu = [eval_basis_many(s, r.flat_points, 0)
           for s, r in zip((spaces.u_time, spaces.u_x, spaces.u_y), rules)]
     rng = np.random.default_rng(seed)
-    out = np.empty(n_samples)
-    for i in range(n_samples):
-        yv = rng.standard_normal(spaces.block_dim("y"))
-        vals, w3 = residual_on_grid(system, yv)
-        coef = solver.solve(blocks["p_u", "y"].apply(yv)).reshape(
-            spaces.block_shape("p_u"))
-        proj = np.einsum("abc,ta,xb,yc->txy", coef, eu[0], eu[1], eu[2])
-        norm_sq = float(np.sum(w3 * vals**2))
-        defect_sq = float(np.sum(w3 * (vals - proj) ** 2))
-        out[i] = np.sqrt(defect_sq / norm_sq) if norm_sq > 0 else 0.0
-    return out
+    yv = rng.standard_normal((n_samples, spaces.block_dim("y"))).T
+    vals, w3 = residual_on_grid(system, yv)
+    coef = mass_solver(spaces, "p_u").solve(blocks["p_u", "y"].apply(yv))
+    proj = mode_products(eu, coef).reshape(vals.shape)
+    norm_sq = np.tensordot(w3, vals**2, 3)
+    defect_sq = np.tensordot(w3, (vals - proj) ** 2, 3)
+    return np.sqrt(np.divide(defect_sq, norm_sq, out=np.zeros(n_samples),
+                             where=norm_sq > 0))
 
 
 @dataclass

@@ -414,16 +414,27 @@ def test_heat_system_structure():
         k_r2_form(spec, system.spaces)
 
 
-def test_project_state_reproduces_member_function():
-    spec = ProblemSpec("wave", 2, 2, 1e-3)
+@pytest.mark.parametrize("lev", [2, 3])
+@pytest.mark.parametrize("block", ["y", "p_u"])
+def test_project_state_reproduces_member_function(block, lev):
+    spec = ProblemSpec("wave", 2, lev, 1e-3)
     sp_ = build_spaces(spec)
     rng = np.random.default_rng(8)
-    coef = rng.standard_normal(sp_.block_shape("y"))
-    f = tensor_eval(coef, [sp_.y_time, sp_.y_x, sp_.y_y],
-                    [None, sp_.ix, sp_.iy])
-    # the L2 projection onto the state space: H^1_0-restricted y moments
-    got = mass_solver(sp_, "y").solve(moments(sp_, "y", f))
+    coef = rng.standard_normal(sp_.block_shape(block))
+    if block == "y":
+        f = tensor_eval(coef, [sp_.y_time, sp_.y_x, sp_.y_y],
+                        [None, sp_.ix, sp_.iy])
+    else:
+        f = tensor_eval(coef, [sp_.u_time, sp_.u_x, sp_.u_y], [None] * 3)
+    # the L2 projection onto the block's space: for y, H^1_0-restricted
+    # moments
+    got = mass_solver(sp_, block).solve(moments(sp_, block, f))
     assert np.allclose(got, coef.reshape(-1), atol=1e-12)
+    if block == "y":
+        # moments clipped to the observation cylinder: the observation Gram
+        clipped = moments(sp_, "y", f, subs=(None,) + tuple(spec.omega))
+        want = observation_form(spec, sp_).apply(coef.reshape(-1))
+        assert np.allclose(clipped, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
 
 def test_univariate_projection_of_linear_on_hats():

@@ -183,13 +183,13 @@ def test_setup_shared_within_one_table_only(monkeypatch, capsys):
     # the alpha-free setup is built once per (p, level) of one table, and
     # nothing of it survives the command
     built = []
-    orig = precond.state_residual_form
+    orig = precond.state_grams
 
-    def counted(spec, spaces):
+    def counted(spec, spaces, blocks):
         built.append((spec.degree, spec.level))
-        return orig(spec, spaces)
+        return orig(spec, spaces, blocks)
 
-    monkeypatch.setattr(precond, "state_residual_form", counted)
+    monkeypatch.setattr(precond, "state_grams", counted)
     argv = ["table", "--levels", "1", "2", "--alphas", "1", "1e-3", "1e-6"]
     assert main(argv) == 0
     assert built == [(2, 1), (2, 2)]

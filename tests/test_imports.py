@@ -104,6 +104,30 @@ def test_no_sparse_direct_solver_in_the_package():
     assert SOURCES and not {path: reads for path, reads in found.items() if reads}
 
 
+def einsum_reads(path: Path) -> list:
+    """(line, text) of each read of `einsum` in a module: as an attribute,
+    as a name, or by import."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if ((isinstance(node, ast.Attribute) and node.attr == "einsum")
+                or (isinstance(node, ast.Name) and node.id == "einsum")):
+            found.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name.split(".")[-1] == "einsum"]
+    return found
+
+
+def test_no_einsum_in_the_package():
+    # every Kronecker contraction of the package is sum factorization by
+    # kron.mode_products, so no hand-written contraction of the same product
+    # comes back unnoticed; the tests keep theirs as independent oracles
+    found = {p.relative_to(ROOT).as_posix(): einsum_reads(p) for p in SOURCES}
+    assert SOURCES and not {path: reads for path, reads in found.items() if reads}
+    # the check does see a read
+    assert einsum_reads(ROOT / "tests" / "test_assembly.py")
+
+
 def package_imports(path: Path) -> list:
     """(line, module) of each import of the package in a module: relative,
     or by the name saddleprec."""

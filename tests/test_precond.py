@@ -344,8 +344,7 @@ def test_symbolic_fronts_are_the_numeric_ones(kind, p, monkeypatch):
     spec = ProblemSpec(kind, p, 3, 1e-6)
     sp_ = build_spaces(spec)
     tree = FrontalTree(sp_.block_shape("y"), p)
-    p_y = state_block(state_grams(spec, sp_, assemble_system(spec, sp_).blocks,
-                                  state_residual_form(spec, sp_)),
+    p_y = state_block(state_grams(spec, sp_, assemble_system(spec, sp_).blocks),
                       spec.alpha, tree)
     assert len(tree.fronts) > 3
     chol = np.linalg.cholesky(p_y.materialize()[tree.perm][:, tree.perm].toarray())
@@ -366,8 +365,7 @@ def test_symbolic_fronts_are_the_numeric_ones(kind, p, monkeypatch):
 def test_state_cholesky_refuses_what_it_cannot_factor():
     spec = ProblemSpec("wave", 2, 3, 1e-6)
     sp_ = build_spaces(spec)
-    grams = state_grams(spec, sp_, assemble_system(spec, sp_).blocks,
-                        state_residual_form(spec, sp_))
+    grams = state_grams(spec, sp_, assemble_system(spec, sp_).blocks)
     tree = frontal_tree(sp_.block_shape("y"), 2)
     assert len(tree.fronts) > 1
     # a negative weight on the residual Gram, which is positive semidefinite
@@ -534,8 +532,7 @@ def test_invalid_alpha_rejected():
 def test_control_eigenbasis_diagonalizes_each_factor(p, lev):
     spec = ProblemSpec("wave", p, lev, 1e-6)
     sp_ = build_spaces(spec)
-    basis = ControlEigenbasis(sp_, assemble_system(spec, sp_).blocks,
-                              state_residual_form(spec, sp_))
+    basis = ControlEigenbasis(sp_, assemble_system(spec, sp_).blocks)
     lams = []
     for name, q in zip(BLOCK_FACTORS["u"], basis.q):
         mass = sp_.factor(name, name)

@@ -230,16 +230,18 @@ def test_instruments_never_assemble_a_or_p(monkeypatch):
 
 
 def test_instruments_materialize_each_operator_once(monkeypatch):
-    # a deflation materializes only the control entries it checks: A's
-    # (u, u) and (u, p_u) entries are one control mass, materialized once,
-    # and no other operator, P_Y included, is
+    # a deflation materializes only the control entries it checks and P_Y,
+    # which it densifies from its CSR matrix: A's (u, u) and (u, p_u) entries
+    # are one control mass, materialized once, P_Y is materialized once, and
+    # no other operator is
     calls = {}
 
     def counting(cls):
         materialize = cls.materialize
 
         def count(self):
-            calls[id(self)] = calls.get(id(self), 0) + 1
+            key = cls.__name__, id(self)
+            calls[key] = calls.get(key, 0) + 1
             return materialize(self)
         monkeypatch.setattr(cls, "materialize", count)
 
@@ -248,10 +250,13 @@ def test_instruments_materialize_each_operator_once(monkeypatch):
     counting(KroneckerMatrix)
     counting(precond.StateBlock)
     condition_number_estimate(system, precon)
-    assert calls == {id(precon.table["u"].matrix): 1}
+    assert calls == {("KroneckerMatrix", id(precon.table["u"].matrix)): 1,
+                     ("StateBlock", id(precon.table["y"].matrix)): 1}
     calls.clear()
     measure_brezzi(system)
-    assert calls == {id(system.blocks["u", "u"]): 1}
+    p_y = [key for key in calls if key[0] == "StateBlock"]
+    assert len(p_y) == 1 and calls == {
+        ("KroneckerMatrix", id(system.blocks["u", "u"])): 1, p_y[0]: 1}
 
 
 def test_report_fields_are_plain_numbers(wave_system):
