@@ -33,8 +33,9 @@ from .krylov import MinresConfig, minres, random_start
 from .precond import (
     ControlCoordinates,
     alpha_free_setup,
+    band_size,
+    bandwidth,
     build_preconditioner,
-    frontal_tree,
 )
 # univariate_matrix is imported here only so the benchmark probes can rebind it
 from .splines import univariate_matrix  # noqa: F401
@@ -67,26 +68,24 @@ BASE_GB = 0.1
 def estimate_memory_gb(spec: ProblemSpec) -> float:
     """Peak memory of a solve from the exact sizes of what it holds.
 
-    Throughout: P_Y's three alpha-free Grams, 8 B per entry of its band
-    (`FrontalTree.band_nnz`); its values at alpha, a float64, and the tree's
-    scatter map, three int32, per band entry in the lower triangle; the
-    tree's index arrays and P_Y's multifrontal Cholesky factor; the
-    eigenvalue diagonals of the Kronecker solvers, at most one per unknown;
-    and the univariate arrays. On top of them, the larger of the transients
-    of the two phases that follow each other: factoring P_Y (the peak of the
-    pending update matrices) and MINRES (the work vectors). P_Y's sizes come
-    from its `frontal_tree`, from the state grid and the degree alone.
+    P_Y's three alpha-free Grams, 8 B per entry of its band (`band_size`);
+    its values at alpha, a float64, and the three int32 arrays of
+    `band_map` per band entry in the lower triangle; its banded Cholesky
+    factor, 8 B per entry of the (bandwidth + 1) x n lower band storage;
+    the eigenvalue diagonals of the Kronecker solvers, at most one per
+    unknown; the univariate arrays; and MINRES's work vectors. All of them
+    follow from the grids and the degree alone.
     """
     spaces = build_spaces(spec)
-    tree = frontal_tree(spaces.block_shape("y"), spec.degree)
-    lower = (tree.band_nnz + tree.perm.size) // 2
-    index = tree.perm.nbytes + tree.iperm.nbytes + sum(f.update.nbytes
-                                                        for f in tree.fronts)
+    shape, p = spaces.block_shape("y"), spec.degree
+    n = spaces.block_dim("y")
+    band_nnz = band_size(shape, p)
+    lower = (band_nnz + n) // 2
+    dofs = sum(spaces.block_dims)
     m = max(max(spaces.block_shape(name)) for name in spaces.block_names)
-    held = (3 * 8 * tree.band_nnz + (8 + 3 * 4) * lower + index + tree.factor_bytes
-            + 8 * dof_count(spec) + 8 * UNIVARIATE_ARRAYS * m * m)
-    transient = max(tree.stack_bytes, 8 * WORK_VECTORS * dof_count(spec))
-    return BASE_GB + (held + transient) / 1e9
+    held = (3 * 8 * band_nnz + (8 + 3 * 4) * lower + 8 * n * (bandwidth(shape, p) + 1)
+            + 8 * dofs + 8 * UNIVARIATE_ARRAYS * m * m + 8 * WORK_VECTORS * dofs)
+    return BASE_GB + held / 1e9
 
 
 class ConfigError(Exception):

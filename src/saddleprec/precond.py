@@ -8,44 +8,41 @@ block realizes the weighted norm
     |y|^2 = (y, y)_{L2(q_T)} + alpha * |state residual|^2_{L2(Q_T)}
             + |grad y(0)|^2_{L2} [+ |d_t y(0)|^2_{L2} for the wave problem]
 
-and is the one block a solve factorizes, by a multifrontal Cholesky
-(`MultifrontalCholesky`, after Duff & Reid, ACM TOMS 1983) over the
-geometric nested-dissection tree of its tensor grid (`nested_dissection`,
-after George, SINUM 1973): a state-space basis function couples only with
-those within p indices per axis, so a slab of p grid planes separates the
-grid, and the front of each tree node is dense and factored by LAPACK. Its
-symbolic phase (`FrontalTree`) depends on the grid and p alone, and so does
-its scatter map: P_Y's pattern is the Kronecker product of the per-axis
-bands |i - j| <= p, and the map sends each band entry of the lower triangle
-of the tree's order to its place in one flat buffer of every front's F11
-and F21. P_Y's three alpha-free Grams (`state_grams`) are value arrays on
-that band, outer products of their univariate factors' band entries, so per
-alpha P_Y is a sum of three arrays, symmetrized and scattered into the
-fronts in one assignment (`state_block`); no sparse matrix is formed unless
-export, verify or a test reads one (`StateBlock.materialize`). Every
-other block is a Kronecker product of univariate masses, or the r1 Gram
-S_x x M_y + M_x x S_y, and is inverted in the eigenbases of its factors
-(`kron.KroneckerSolver`). P reads the observation and the control mass from
-the system table of `assembly.system_blocks` and builds the r1 Gram and the
-r2 mass, which A does not contain. Only P_Y, its factor and the control
-scales depend on alpha; `alpha_free_setup` holds P_Y's Grams and the
-`ControlEigenbasis`, so that solves at several alphas can share them. The
-solve runs in that basis: there the control mass of A and P is diagonal.
-The basis's control-mass solver also serves the B-spline table, whose
-matrices stay in the B-spline basis. The dense reference is the
-Schur complement observation + sum_m K_m' P_m^{-1} K_m over the multiplier
-blocks m of the same P, K_m the (m, y) entries of the system table; it
-equals the sparse state block whenever the residual inclusion holds.
+and is the one block a solve factorizes, by LAPACK's banded Cholesky
+(`BandCholesky`: dpbtrf, dpbtrs). A state-space basis function couples only
+with those within p indices per axis, so P_Y's pattern is the Kronecker
+product of the per-axis bands |i - j| <= p (`band`), and in the natural
+order of its C-ordered tensor grid P_Y is a band matrix of half-bandwidth
+p (n_x n_y + n_y + 1) (`bandwidth`). P_Y's three alpha-free Grams
+(`state_grams`) are value arrays on that band, outer products of their
+univariate factors' band entries, so per alpha P_Y is a sum of three
+arrays, symmetrized into its lower triangle (`state_block`) and scattered
+into LAPACK's lower band storage by one alpha-free map (`band_map`); no
+sparse matrix is formed unless export, verify or a test reads one
+(`StateBlock.materialize`). Every other block is a Kronecker product of
+univariate masses, or the r1 Gram S_x x M_y + M_x x S_y, and is inverted
+in the eigenbases of its factors (`kron.KroneckerSolver`). P reads the
+observation and the control mass from the system table of
+`assembly.system_blocks` and builds the r1 Gram and the r2 mass, which A
+does not contain. Only P_Y, its factor and the control scales depend on
+alpha; `alpha_free_setup` holds P_Y's Grams and the `ControlEigenbasis`, so
+that solves at several alphas can share them. The solve runs in that basis:
+there the control mass of A and P is diagonal. The basis's control-mass
+solver also serves the B-spline table, whose matrices stay in the B-spline
+basis. The dense reference is the Schur complement observation + sum_m K_m'
+P_m^{-1} K_m over the multiplier blocks m of the same P, K_m the (m, y)
+entries of the system table; it equals the sparse state block whenever the
+residual inclusion holds.
 """
 
 import copy
 import math
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import blas, lapack
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .assembly import (
     BLOCK_FACTORS,
@@ -104,9 +101,24 @@ def _axis_band(n: int, p: int) -> tuple:
     return tuple(idx.astype(np.int32) for idx in np.nonzero(near))
 
 
+def band(shape: tuple, p: int) -> tuple:
+    """Row, column and transpose's index of each entry of the Kronecker
+    product of the per-axis bands |i - j| <= p on the C-ordered grid
+    `shape`, in the natural order, as int32 arrays."""
+    rows = cols = mirror = np.zeros(1, dtype=np.int32)
+    for n in shape:
+        i, j = _axis_band(n, p)
+        index = np.zeros((n, n), dtype=np.int32)
+        index[i, j] = np.arange(i.size)
+        rows = (rows[:, None] * n + i).ravel()
+        cols = (cols[:, None] * n + j).ravel()
+        mirror = (mirror[:, None] * i.size + index[j, i]).ravel()
+    return rows, cols, mirror
+
+
 def band_values(km: KroneckerMatrix, p: int) -> np.ndarray:
     """A Kronecker sum of square factors on the Kronecker product of the
-    per-axis bands |i - j| <= p, in the order of `FrontalTree.band`.
+    per-axis bands |i - j| <= p, in the order of `band`.
 
     Each term adds w ((F_1 x F_2) x F_3) of its factors' band entries: the
     products, and the terms in their order, of `KroneckerMatrix.materialize`.
@@ -138,281 +150,94 @@ def state_grams(spec: ProblemSpec, spaces: DiscreteSpaces, blocks: dict) -> tupl
         trace_form(spec, spaces)))
 
 
-# unknowns at which `nested_dissection` stops splitting. Of 64, 128, 256 and
-# 512, 256 factored and solved P_Y fastest at wave p=2 level 4 (one BLAS
-# thread); at level 3 and at wave p=3 level 4 they were within noise.
-ND_LEAF = 256
+def band_size(shape: tuple, p: int) -> int:
+    """Entries of the band of `band`, P_Y's nonzeros."""
+    return math.prod(_axis_band(n, p)[0].size for n in shape)
 
 
-class TreeNode(NamedTuple):
-    """A node of the `nested_dissection` tree: its subtree holds positions
-    [start, stop) of the order, the node itself (a leaf block or a
-    separator) the last ones, [own, stop)."""
-
-    start: int
-    own: int
-    stop: int
-
-
-def nested_dissection(shape: tuple, p: int) -> tuple:
-    """Nested-dissection order of the C-ordered tensor grid `shape`, and
-    its tree as `TreeNode`s in postorder.
-
-    The longest axis is split by a separator slab of p planes; the two
-    halves are ordered first, recursively, and the separator last. Blocks of
-    at most ND_LEAF unknowns keep their natural order and are the leaves.
-    """
-    order, nodes = [], []
-
-    def visit(block, start):
-        n = max(block.shape)
-        if block.size <= ND_LEAF or n <= p:
-            if block.size:
-                order.append(block.ravel())
-                nodes.append(TreeNode(start, start, start + block.size))
-            return
-        axis = block.shape.index(n)
-        left, sep, right = np.split(block, [(n - p) // 2, (n + p) // 2], axis=axis)
-        visit(left, start)
-        visit(right, start + left.size)
-        own = start + left.size + right.size
-        order.append(sep.ravel())
-        nodes.append(TreeNode(start, own, own + sep.size))
-
-    visit(np.arange(math.prod(shape)).reshape(shape), 0)
-    return np.concatenate(order), nodes
-
-
-class Front(NamedTuple):
-    """The symbolic front of one tree node: its own positions [own, stop),
-    the sorted positions beyond its subtree that its columns of L reach
-    (`update`), its children's extend-add maps as (front index,
-    `_extend_add_runs`) pairs, and where its F11 and F21 begin in the flat
-    buffer of `FrontalTree.front_map` (`offset`)."""
-
-    start: int
-    own: int
-    stop: int
-    update: np.ndarray
-    children: tuple
-    offset: int
-
-
-def _extend_add_runs(rows: np.ndarray, own: int, stop: int,
-                     update: np.ndarray) -> tuple:
-    """A child's update rows (sorted positions) as runs that land on
-    consecutive rows of the parent front: (start, stop) in the child's
-    update matrix, the first row in the parent's own block (rows[i] - own)
-    or update block (index into `update`), and whether it is the latter."""
-    n_own = int(np.searchsorted(rows, stop))
-    local = np.concatenate([rows[:n_own] - own,
-                            np.searchsorted(update, rows[n_own:])])
-    cut = np.flatnonzero((np.diff(local) != 1) | (np.arange(1, rows.size) == n_own))
-    bounds = [0, *(cut + 1).tolist(), rows.size]
-    return tuple((a, b, int(local[a]), a >= n_own)
-                 for a, b in zip(bounds, bounds[1:]))
-
-
-class FrontalTree:
-    """Symbolic multifrontal Cholesky (Duff & Reid, ACM TOMS 1983) of a
-    block with the full band of width p per axis on the C-ordered grid
-    `shape`, in its `nested_dissection` order.
-
-    A front's update set is the positions beyond its subtree that the band
-    reaches from its own box, joined with its children's update sets. The
-    tree, the front sizes and the extend-add maps depend on the grid and p
-    alone, so `band_nnz` (the band's entries), `factor_bytes` (the stored L,
-    which is also the flat buffer of every front's F11 and F21) and
-    `stack_bytes` (the peak of the pending update matrices) are known before
-    any value is.
-    """
-
-    def __init__(self, shape: tuple, p: int):
-        self.shape, self.p = shape, p
-        self.band_nnz = math.prod(_axis_band(n, p)[0].size for n in shape)
-        self.perm, nodes = nested_dissection(shape, p)
-        self.iperm = np.empty_like(self.perm)
-        self.iperm[self.perm] = np.arange(self.perm.size)
-        where = self.iperm.reshape(shape)
-        self.fronts, open_fronts = [], []
-        self.factor_bytes = self.stack_bytes = pending = 0
-        for node in nodes:
-            kids = []
-            while open_fronts and self.fronts[open_fronts[-1]].start >= node.start:
-                kids.append(open_fronts.pop())
-            coords = np.unravel_index(self.perm[node.own:node.stop], shape)
-            reach = where[tuple(slice(max(c.min() - p, 0), c.max() + p + 1)
-                                for c in coords)].ravel()
-            update = np.unique(np.concatenate(
-                [reach] + [self.fronts[c].update for c in kids]))
-            update = update[update >= node.stop]
-            k, u = node.stop - node.own, update.size
-            children = tuple((c, _extend_add_runs(self.fronts[c].update, node.own,
-                                                  node.stop, update))
-                             for c in kids)
-            self.fronts.append(Front(*node, update, children, self.factor_bytes // 8))
-            open_fronts.append(len(self.fronts) - 1)
-            self.factor_bytes += 8 * (k + u) * k
-            self.stack_bytes = max(self.stack_bytes, pending + 8 * u * u)
-            pending += 8 * (u * u - sum(self.fronts[c].update.size ** 2
-                                        for c in kids))
-
-    def band(self) -> tuple:
-        """Row, column and transpose's index of each band entry, in the
-        natural order: the Kronecker product of the per-axis bands."""
-        rows = cols = mirror = np.zeros(1, dtype=np.int32)
-        for n in self.shape:
-            i, j = _axis_band(n, self.p)
-            index = np.zeros((n, n), dtype=np.int32)
-            index[i, j] = np.arange(i.size)
-            rows = (rows[:, None] * n + i).ravel()
-            cols = (cols[:, None] * n + j).ravel()
-            mirror = (mirror[:, None] * i.size + index[j, i]).ravel()
-        return rows, cols, mirror
-
-    @cached_property
-    def front_map(self) -> tuple:
-        """The alpha-free scatter map of the band into the fronts, as int32
-        arrays: for each band entry in the lower triangle of the order (row
-        position at or after column position), its index, its transpose's
-        index, and its place in the flat buffer that holds, front after
-        front from `Front.offset`, F11 (k x k) and then F21 (u x k), each in
-        Fortran order."""
-        if self.factor_bytes // 8 >= 2 ** 31:
-            raise ValueError("the factor has too many entries for int32 maps")
-        rows, cols, mirror = self.band()
-        iperm = self.iperm.astype(np.int32)
-        pos, col = iperm[rows], iperm[cols]
-        del rows, cols
-        lower = np.flatnonzero(pos >= col).astype(np.int32)
-        pos, col = pos[lower], col[lower]
-        # per column position: its F11 column's start less its front's own
-        # start, its F21 column's start less the update rows of the earlier
-        # fronts, its front's stop and its front's key for the update search
-        n = self.perm.size
-        base11, base21, stop, key = np.empty((4, n), dtype=np.int64)
-        first = 0
-        for i, front in enumerate(self.fronts):
-            k, u = front.stop - front.own, front.update.size
-            own = slice(front.own, front.stop)
-            base11[own] = front.offset + k * np.arange(k) - front.own
-            base21[own] = front.offset + k * k + u * np.arange(k) - first
-            stop[own], key[own] = front.stop, i * n
-            first += u
-        keys = np.concatenate([i * n + f.update for i, f in enumerate(self.fronts)])
-        slot = base11[col] + pos
-        outer = np.flatnonzero(pos >= stop[col])
-        col = col[outer]
-        slot[outer] = base21[col] + np.searchsorted(keys, key[col] + pos[outer])
-        return lower, mirror[lower], slot.astype(np.int32)
-
-
-class MultifrontalCholesky:
-    """Cholesky factor L L' of an SPD block with the band of `tree`, from
-    the lower triangle of its permuted fronts in the flat `buffer` (see
-    `FrontalTree.front_map`), which it factors in place.
-
-    Front by front in postorder: the children's update matrices are added to
-    F11, F21 and a zeroed F22 at their increasing index maps (lower
-    triangles to lower triangles, so nothing is symmetrized), and LAPACK
-    factors the front: L11 by dpotrf, L21 = F21 L11^-T by dtrsm, and the
-    update F22 - L21 L21' by dsyrk. Raises ValueError when a pivot is not
-    positive.
-    """
-
-    def __init__(self, buffer: np.ndarray, tree: FrontalTree):
-        self.tree = tree
-        self.factors, updates = [], {}
-        for i, front in enumerate(tree.fronts):
-            k, u, at = front.stop - front.own, front.update.size, front.offset
-            f11 = buffer[at:at + k * k].reshape((k, k), order="F")
-            f21 = buffer[at + k * k:at + (k + u) * k].reshape((u, k), order="F")
-            blocks = f11, f21, np.zeros((u, u), order="F")
-            for child, runs in front.children:
-                update = updates.pop(child)
-                for j, (a, b, r, r_upd) in enumerate(runs):
-                    for c, d, q, q_upd in runs[:j + 1]:
-                        target = blocks[r_upd + q_upd]
-                        target[r:r + b - a, q:q + d - c] += update[a:b, c:d]
-            l11, info = lapack.dpotrf(f11, lower=1, clean=0, overwrite_a=1)
-            if info:
-                raise ValueError(f"block is not positive definite: pivot "
-                                 f"{info} of front {i} failed")
-            if u:
-                f21 = blas.dtrsm(1.0, l11, f21, side=1, lower=1, trans_a=1,
-                                 overwrite_b=1)
-                updates[i] = blas.dsyrk(-1.0, f21, beta=1.0, c=blocks[2], lower=1,
-                                        overwrite_c=1)
-            self.factors.append((l11, f21))
-
-    def solve(self, r: np.ndarray) -> np.ndarray:
-        """Solve with the unpermuted block; r may carry extra columns."""
-        perm, fronts = self.tree.perm, self.tree.fronts
-        y = np.asarray(r, dtype=float)[perm]
-        for front, (l11, l21) in zip(fronts, self.factors):
-            part = y[front.own:front.stop]
-            part[...] = lapack.dtrtrs(l11, part, lower=1)[0].reshape(part.shape)
-            if front.update.size:
-                y[front.update] -= l21 @ part
-        for front, (l11, l21) in zip(reversed(fronts), reversed(self.factors)):
-            part = y[front.own:front.stop]
-            if front.update.size:
-                part -= l21.T @ y[front.update]
-            part[...] = lapack.dtrtrs(l11, part, lower=1,
-                                      trans=1)[0].reshape(part.shape)
-        x = np.empty_like(y)
-        x[perm] = y
-        return x
+def bandwidth(shape: tuple, p: int) -> int:
+    """Half-bandwidth of the band of `band` in the natural order: p planes
+    of each axis, p (n_x n_y + n_y + 1) on a 3-D grid."""
+    return p * sum(math.prod(shape[k + 1:]) for k in range(len(shape)))
 
 
 @lru_cache(maxsize=4)
-def frontal_tree(shape: tuple, p: int) -> FrontalTree:
-    """The `FrontalTree` of a grid, built once for the memory gate and the
-    factors; every caller shares it and must not modify it."""
-    return FrontalTree(shape, p)
+def band_map(shape: tuple, p: int) -> tuple:
+    """The alpha-free scatter map of the band into LAPACK's lower band
+    storage of the reversed order, ab[i - j, j] = a_(n-1-i, n-1-j), as int32
+    arrays: for each band entry in the lower triangle (row at or after
+    column), its index, its transpose's index, and its place in the
+    C-ordered (n, bandwidth + 1) array whose transpose is ab. Built once per
+    grid and degree; every caller shares it and must not modify it."""
+    n, width = math.prod(shape), bandwidth(shape, p)
+    if n * (width + 1) >= 2 ** 31:
+        raise ValueError("the band has too many entries for int32 maps")
+    rows, cols, mirror = band(shape, p)
+    lower = np.flatnonzero(rows >= cols).astype(np.int32)
+    rows, cols = rows[lower], cols[lower]
+    return lower, mirror[lower], (n - 1 - rows) * (width + 1) + (rows - cols)
 
 
 class StateBlock(NamedTuple):
-    """P_Y on the band of its `FrontalTree`, held as `lower`: the value of
-    each band entry in the lower triangle of the tree's order, in the order
-    of `FrontalTree.front_map`. Only `materialize` builds a sparse matrix."""
+    """P_Y on the band of the C-ordered grid `shape` with degree `p`, held
+    as `lower`: the value of each band entry in the lower triangle, in the
+    order of `band_map`. Only `materialize` builds a sparse matrix."""
 
     lower: np.ndarray
-    tree: FrontalTree
+    shape: tuple
+    p: int
 
-    def fronts(self) -> np.ndarray:
-        """The tree's flat buffer of every front's F11 and F21, holding the
-        lower triangle of the permuted block."""
-        buffer = np.zeros(self.tree.factor_bytes // 8)
-        buffer[self.tree.front_map[2]] = self.lower
-        return buffer
+    def band_storage(self) -> np.ndarray:
+        """LAPACK's lower band storage ab (bandwidth + 1, n) of the reversed
+        order (`band_map`), Fortran ordered, so that `cholesky_banded`
+        factors it in place."""
+        n, width = math.prod(self.shape), bandwidth(self.shape, self.p)
+        ab = np.zeros((n, width + 1))
+        ab.reshape(-1)[band_map(self.shape, self.p)[2]] = self.lower
+        return ab.T
 
     def materialize(self) -> sp.csr_matrix:
         """The exact CSR matrix, for export, the verify instruments and the
         tests; a zero entry is left out."""
-        lower, mirror, _ = self.tree.front_map
-        rows, cols, _ = self.tree.band()
-        values = np.empty(self.tree.band_nnz)
+        lower, mirror, _ = band_map(self.shape, self.p)
+        rows, cols, _ = band(self.shape, self.p)
+        values = np.empty(rows.size)
         values[lower] = values[mirror] = self.lower
         keep = values != 0
-        n = self.tree.perm.size
+        n = math.prod(self.shape)
         mat = sp.csr_matrix((values[keep], (rows[keep], cols[keep])), shape=(n, n))
         mat.sort_indices()
         return mat
 
 
-def state_block(grams: tuple, alpha: float, tree: FrontalTree) -> StateBlock:
+def state_block(grams: tuple, alpha: float, shape: tuple, p: int) -> StateBlock:
     """P_Y at alpha from its `state_grams`: v = (observation + alpha *
     residual) + trace on the band, and the mean 0.5 (v_ij + v_ji) of each
     entry and its transpose, bit for bit the CSR sum 0.5 (m + m') of the
     materialized Grams."""
     observation, residual, trace = grams
     v = observation + alpha * residual + trace
-    lower, mirror, _ = tree.front_map
+    lower, mirror, _ = band_map(shape, p)
     half = v[lower]
     half += v[mirror]
     half *= 0.5
-    return StateBlock(half, tree)
+    return StateBlock(half, shape, p)
+
+
+class BandCholesky:
+    """LAPACK's banded Cholesky factor L L' of a `StateBlock` (dpbtrf, in
+    place on its `band_storage`), in the reversed order, which eliminates
+    the last time slab first and the initial traces last: at alpha <= 1e-6
+    its solves are the more accurate (README). A pivot that is not positive
+    raises LinAlgError, a ValueError."""
+
+    def __init__(self, block: StateBlock):
+        self.factor = cholesky_banded(block.band_storage(), lower=True,
+                                      overwrite_ab=True, check_finite=False)
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """Solve with the block (dpbtrs); r may carry extra columns."""
+        return cho_solve_banded((self.factor, True), r[::-1], check_finite=False)[::-1]
 
 
 class DiagonalBlock(NamedTuple):
@@ -421,7 +246,7 @@ class DiagonalBlock(NamedTuple):
 
     scale: float
     matrix: object  # StateBlock or KroneckerMatrix, unscaled
-    solver: object  # MultifrontalCholesky or KroneckerSolver, unscaled
+    solver: object  # BandCholesky or KroneckerSolver, unscaled
 
 
 class ControlEigenbasis:
@@ -617,7 +442,7 @@ class BlockDiagPreconditioner:
     """Factored diagonal blocks of the preconditioner at alpha = spec.alpha.
 
     `table` maps each block name to its `DiagonalBlock`: P_Y as a
-    `StateBlock` with its `MultifrontalCholesky`, the other blocks as
+    `StateBlock` with its `BandCholesky`, the other blocks as
     Kronecker sums with their `KroneckerSolver`s. P_Y's Grams and `basis`, the
     `ControlEigenbasis` whose control-mass solver serves u and p_u, come
     from `setup`, an `alpha_free_setup` built when None.
@@ -627,11 +452,11 @@ class BlockDiagPreconditioner:
         self.spaces = spaces
         self.alpha = a = spec.alpha
         grams, self.basis = setup or alpha_free_setup(spec, spaces, blocks)
-        p_y = state_block(grams, a, frontal_tree(spaces.block_shape("y"), spec.degree))
+        p_y = state_block(grams, a, spaces.block_shape("y"), spec.degree)
         del grams  # those of a setup built here are freed before P_Y's factor
         u_mass = blocks["u", "u"]
         self.table = {
-            "y": DiagonalBlock(1.0, p_y, MultifrontalCholesky(p_y.fronts(), p_y.tree)),
+            "y": DiagonalBlock(1.0, p_y, BandCholesky(p_y)),
             "u": DiagonalBlock(a, u_mass, self.basis.solver),
             "p_u": DiagonalBlock(1.0 / a, u_mass, self.basis.solver),
             "p_r1": DiagonalBlock(1.0, h10_gram_form(spaces),

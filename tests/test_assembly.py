@@ -42,7 +42,7 @@ def tensor_eval(coef3, spaces3, restrictions):
             if restr is not None:
                 e = e[:, restr]
             axes.append(e)
-        return np.einsum("abc,ta,xb,yc->txy", coef3, *axes)
+        return np.einsum("abc,ta,xb,yc->txy", coef3, *axes, optimize=True)
 
     return f
 

@@ -26,7 +26,7 @@ from saddleprec.assembly import (
     build_spaces,
 )
 from saddleprec.kron import KroneckerMatrix
-from saddleprec.precond import build_preconditioner
+from saddleprec.precond import band_map, band_size, bandwidth, build_preconditioner
 
 
 def test_run_single_row(capsys):
@@ -355,24 +355,23 @@ def test_memory_estimate_covers_held_blocks(kind, p, lev):
     system = assemble_system(spec, spaces)
     precon = build_preconditioner(spec, spaces, system.blocks)
     p_y, factor = precon.table["y"].matrix, precon.table["y"].solver
-    tree = factor.tree
-    # the counts are exact: the band is P_Y's pattern, and the symbolic phase
-    # counts the factor's arrays
-    assert tree.band_nnz == precon.block_matrix("y").nnz
-    l_bytes = sum(l11.nbytes + l21.nbytes for l11, l21 in factor.factors)
-    assert tree.factor_bytes == l_bytes
+    # the counts are exact: the band is P_Y's pattern, and the band factor is
+    # 8 B per entry of its (bandwidth + 1) x n lower band storage
+    lower, mirror, slot = band_map(p_y.shape, p)
+    n_band = band_size(p_y.shape, p)
+    assert n_band == precon.block_matrix("y").nnz
+    width = bandwidth(p_y.shape, p)
+    assert factor.factor.nbytes == 8 * spaces.block_dim("y") * (width + 1)
     # the bytes held: P_Y's three alpha-free Grams on the band (a `table`
-    # cell keeps them across alpha), its values at alpha and the tree's
-    # scatter map on the band's lower triangle, its multifrontal Cholesky
-    # (the L11 and L21 of every front, the ordering and its inverse, and the
-    # fronts' update index sets), the univariate factors of every block and
-    # of the rotated K_U, the factor eigenvectors and the eigenvalue diagonal
-    # of every Kronecker solver (the control eigenbasis is the control-mass
-    # solver's), and the work vectors; the interpreter base is left out
-    band_bytes = (3 * 8 * tree.band_nnz + p_y.lower.nbytes
-                  + sum(m.nbytes for m in tree.front_map))
-    cholesky_bytes = (l_bytes + tree.perm.nbytes + tree.iperm.nbytes
-                      + sum(front.update.nbytes for front in tree.fronts))
+    # cell keeps them across alpha), its values at alpha and the scatter map
+    # on the band's lower triangle, its banded Cholesky factor, the
+    # univariate factors of every block and of the rotated K_U, the factor
+    # eigenvectors and the eigenvalue diagonal of every Kronecker solver (the
+    # control eigenbasis is the control-mass solver's), and the work vectors;
+    # the interpreter base is left out
+    band_bytes = (3 * 8 * n_band + p_y.lower.nbytes
+                  + lower.nbytes + mirror.nbytes + slot.nbytes)
+    cholesky_bytes = factor.factor.nbytes
     others = [n for n in spaces.block_names if n != "y"]
     solvers = {id(s): s for s in (precon.table[n].solver for n in others)}
     assert precon.basis.solver is precon.table["u"].solver

@@ -97,24 +97,24 @@ def sparse_linalg_reads(path: Path) -> list:
 
 
 def test_no_sparse_direct_solver_in_the_package():
-    # P_Y has one factor, the package's multifrontal Cholesky: no source file
-    # reaches scipy.sparse.linalg (splu, spsolve, ...), so a second sparse
-    # direct path cannot come back unnoticed
+    # P_Y's one factor is LAPACK's banded Cholesky: no source file reaches
+    # scipy.sparse.linalg (splu, spsolve, ...), so a sparse direct path
+    # cannot come back beside it unnoticed
     found = {p.relative_to(ROOT).as_posix(): sparse_linalg_reads(p) for p in SOURCES}
     assert SOURCES and not {path: reads for path, reads in found.items() if reads}
 
 
-def einsum_reads(path: Path) -> list:
-    """(line, text) of each read of `einsum` in a module: as an attribute,
-    as a name, or by import."""
+def name_reads(path: Path, names: set) -> list:
+    """(line, text) of each read of one of `names` in a module: as an
+    attribute, as a name, or by import."""
     found = []
     for node in ast.walk(ast.parse(path.read_text())):
-        if ((isinstance(node, ast.Attribute) and node.attr == "einsum")
-                or (isinstance(node, ast.Name) and node.id == "einsum")):
+        if ((isinstance(node, ast.Attribute) and node.attr in names)
+                or (isinstance(node, ast.Name) and node.id in names)):
             found.append((node.lineno, ast.unparse(node)))
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             found += [(node.lineno, alias.name) for alias in node.names
-                      if alias.name.split(".")[-1] == "einsum"]
+                      if alias.name.split(".")[-1] in names]
     return found
 
 
@@ -122,10 +122,30 @@ def test_no_einsum_in_the_package():
     # every Kronecker contraction of the package is sum factorization by
     # kron.mode_products, so no hand-written contraction of the same product
     # comes back unnoticed; the tests keep theirs as independent oracles
-    found = {p.relative_to(ROOT).as_posix(): einsum_reads(p) for p in SOURCES}
+    found = {p.relative_to(ROOT).as_posix(): name_reads(p, {"einsum"})
+             for p in SOURCES}
     assert SOURCES and not {path: reads for path, reads in found.items() if reads}
     # the check does see a read
-    assert einsum_reads(ROOT / "tests" / "test_assembly.py")
+    assert name_reads(ROOT / "tests" / "test_assembly.py", {"einsum"})
+
+
+FRONT_KERNELS = {"dpotrf", "dsyrk", "dtrsm"}
+
+
+def test_no_frontal_factor_kernels_in_the_package(tmp_path):
+    # P_Y's one factor is LAPACK's banded Cholesky: no source file reads the
+    # dense kernels of a frontal factor, so a hand-rolled one cannot come
+    # back beside it unnoticed
+    found = {p.relative_to(ROOT).as_posix(): name_reads(p, FRONT_KERNELS)
+             for p in SOURCES}
+    assert SOURCES and not {path: reads for path, reads in found.items() if reads}
+    # the check does see each kind of read
+    module = tmp_path / "frontal.py"
+    module.write_text("from scipy.linalg.blas import dsyrk\n"
+                      "from scipy.linalg import lapack\n"
+                      "lapack.dpotrf(a)\n"
+                      "dtrsm(a)\n")
+    assert sorted(line for line, _ in name_reads(module, FRONT_KERNELS)) == [1, 3, 4]
 
 
 def package_imports(path: Path) -> list:

@@ -1,7 +1,6 @@
 """Preconditioner blocks: quadratic forms, inverses, dense reference."""
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -14,20 +13,18 @@ from saddleprec.assembly import (
     build_spaces,
     mass_form,
 )
-from saddleprec import precond
 from saddleprec.kron import KroneckerMatrix
 from saddleprec.precond import (
-    ND_LEAF,
+    BandCholesky,
     ControlEigenbasis,
-    FrontalTree,
-    MultifrontalCholesky,
     alpha_free_setup,
+    band,
+    band_size,
     band_values,
+    bandwidth,
     build_preconditioner,
     build_Ptilde_Y,
     dual_grams,
-    frontal_tree,
-    nested_dissection,
     state_block,
     state_grams,
     state_residual_form,
@@ -175,12 +172,15 @@ def csr_state_block(spec, sp_, blocks, alpha):
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("kind", ["heat", "wave"])
 def test_band_build_is_bitwise_the_csr_formula(kind, p, lev):
-    # P_Y's CSR and every front's scattered F11 and F21 against the lower
-    # triangle of the oracle's permuted block, bit for bit
+    # P_Y's CSR and its LAPACK lower band storage against the oracle, bit for
+    # bit: ab[d, j] is the reversed oracle's entry (j + d, j), and zero beyond
+    # the matrix
     spec = ProblemSpec(kind, p, lev, 1.0)
     sp_ = build_spaces(spec)
     system = assemble_system(spec, sp_)
     setup = alpha_free_setup(spec, sp_, system.blocks)
+    shape = sp_.block_shape("y")
+    width = bandwidth(shape, p)
     for alpha in (1.0, 1e-6, 1e-9):
         precon = build_preconditioner(dataclasses.replace(spec, alpha=alpha), sp_,
                                       system.blocks, setup)
@@ -188,17 +188,15 @@ def test_band_build_is_bitwise_the_csr_formula(kind, p, lev):
         held = precon.block_matrix("y")
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(held, attr), getattr(oracle, attr))
-        block = precon.table["y"].matrix
-        tree, buffer = block.tree, block.fronts()
-        assert tree.band_nnz == oracle.nnz
-        for front in tree.fronts:
-            k, u, at = front.stop - front.own, front.update.size, front.offset
-            own = tree.perm[front.own:front.stop]
-            f11 = buffer[at:at + k * k].reshape((k, k), order="F")
-            f21 = buffer[at + k * k:at + (k + u) * k].reshape((u, k), order="F")
-            assert np.array_equal(f11, np.tril(oracle[own][:, own].toarray()))
-            assert np.array_equal(
-                f21, oracle[tree.perm[front.update]][:, own].toarray())
+        assert band(shape, p)[0].size == band_size(shape, p) == oracle.nnz
+        dense = oracle.toarray()[::-1, ::-1]
+        n = dense.shape[0]
+        assert 0 < width < n and not np.tril(dense, -width - 1).any()
+        want = np.zeros((width + 1, n))
+        for d in range(width + 1):
+            want[d, :n - d] = np.diagonal(dense, -d)
+        ab = precon.table["y"].matrix.band_storage()
+        assert ab.flags.f_contiguous and np.array_equal(ab, want)
 
 
 @pytest.mark.parametrize("kind", ["heat", "wave"])
@@ -242,7 +240,7 @@ def test_shared_setup_state_block_is_bitwise_the_unshared_one(kind, p):
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("kind", ["heat", "wave"])
 def test_ordered_lus_agree_with_default_ordered_splu(kind, p, lev):
-    # P_Y's multifrontal Cholesky, across alpha, and the r1 Gram's eigenbasis
+    # P_Y's banded Cholesky, across alpha, and the r1 Gram's eigenbasis
     # solver against scipy's default-ordered, pivoted splu of the same
     # materialized block, on one vector and on a block of columns, which
     # solves as its columns one by one
@@ -270,110 +268,40 @@ def test_ordered_lus_agree_with_default_ordered_splu(kind, p, lev):
                 assert np.linalg.norm(one - col) <= 1e-13 * np.linalg.norm(one)
 
 
-@pytest.mark.parametrize("shape, p", [
-    ((7,), 2), ((3, 4, 5), 3),                  # smaller than a leaf
-    ((1, 40, 40), 2), ((30, 1, 7), 3), ((1, 1, 200), 2),  # an axis of width 1
-    ((18, 16, 16), 2), ((19, 17, 17), 3),       # state grids at level 4
-    ((17, 9, 12), 2),
-    ((16, 16), 2), ((33, 33), 3),               # r1 grids at levels 4 and 5
-])
-def test_nested_dissection_is_a_permutation(shape, p, monkeypatch):
-    # at the default leaf and at 64 unknowns, where every shape above 64
-    # unknowns splits
-    n = math.prod(shape)
-    for leaf in (64, ND_LEAF):
-        monkeypatch.setattr(precond, "ND_LEAF", leaf)
-        perm, nodes = nested_dissection(shape, p)
-        assert np.array_equal(np.sort(perm), np.arange(n))
-        # postorder: the own ranges tile the order, the root's subtree is all
-        # of it, and every subtree is its children's subtrees, then its own
-        assert [node.own for node in nodes[1:]] == [node.stop for node in nodes[:-1]]
-        assert (nodes[0].start, nodes[-1].start, nodes[-1].stop) == (0, 0, n)
-        for i, node in enumerate(nodes):
-            inside = [m for m in nodes[:i] if node.start <= m.start < node.own]
-            assert all(m.stop <= node.own for m in inside)
-            assert (sum(m.stop - m.own for m in inside)
-                    == node.own - node.start)
-            # a leaf block of natural order, or a slab of p planes
-            coords = np.unravel_index(perm[node.own:node.stop], shape)
-            extent = [int(c.max() - c.min() + 1) for c in coords]
-            assert math.prod(extent) == node.stop - node.own
-            if node.start == node.own:
-                assert (node.stop - node.own <= leaf or max(extent) <= p)
-                assert np.all(np.diff(perm[node.own:node.stop]) > 0)
-            else:
-                assert p in extent
-
-
-@pytest.mark.parametrize("p", [2, 3])
-def test_top_separator_splits_the_state_block(p):
-    # a slab of p planes of the longest axis, the root of the tree, separates
-    # P_Y's two halves, which come first, and p - 1 planes would not; level 3
-    # is the first whose state grid exceeds a leaf
-    spec = ProblemSpec("wave", p, 3, 1e-6)
-    sp_ = build_spaces(spec)
-    system = assemble_system(spec, sp_)
-    p_y = build_preconditioner(spec, sp_, system.blocks).block_matrix("y")
-    shape = sp_.block_shape("y")
-    perm, nodes = nested_dissection(shape, p)
-    root, right_child = nodes[-1], nodes[-2]
-    axis = int(np.argmax(shape))
-    n, plane = shape[axis], p_y.shape[0] // shape[axis]
-    left, right, sep = (perm[:right_child.start], perm[right_child.start:root.own],
-                        perm[root.own:root.stop])
-    assert (len(left), len(sep)) == ((n - p) // 2 * plane, p * plane)
-    assert right_child.stop == root.own and root.stop == p_y.shape[0]
-    coord = np.unravel_index(np.arange(p_y.shape[0]), shape)[axis]
-    assert len(left) and len(right)
-    assert coord[left].max() < coord[sep].min() == coord[sep].max() - p + 1
-    assert coord[sep].max() < coord[right].min()
-    assert not p_y[left][:, right].toarray().any()
-    last_left = left[coord[left] == coord[left].max()]
-    last_sep = sep[coord[sep] == coord[sep].max()]
-    assert p_y[last_left][:, last_sep].toarray().any()
-
-
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("kind", ["heat", "wave"])
-def test_symbolic_fronts_are_the_numeric_ones(kind, p, monkeypatch):
-    # oracle: the dense Cholesky of the permuted block. Each front's update
-    # set is exactly the rows beyond its subtree that L's own columns reach
-    # (structural zeros stay exact zeros), and the factor's arrays have the
-    # symbolic sizes
-    monkeypatch.setattr(precond, "ND_LEAF", 64)
+def test_symbolic_fronts_are_the_numeric_ones(kind, p):
+    # oracle: the dense Cholesky of the reversed block. Its fill stays inside
+    # the band of `bandwidth`, which it reaches, and the band factor holds it
+    # there
     spec = ProblemSpec(kind, p, 3, 1e-6)
     sp_ = build_spaces(spec)
-    tree = FrontalTree(sp_.block_shape("y"), p)
+    shape = sp_.block_shape("y")
     p_y = state_block(state_grams(spec, sp_, assemble_system(spec, sp_).blocks),
-                      spec.alpha, tree)
-    assert len(tree.fronts) > 3
-    chol = np.linalg.cholesky(p_y.materialize()[tree.perm][:, tree.perm].toarray())
-    factor = MultifrontalCholesky(p_y.fronts(), tree)
+                      spec.alpha, shape, p)
+    chol = np.linalg.cholesky(p_y.materialize().toarray()[::-1, ::-1])
+    n, width = chol.shape[0], bandwidth(shape, p)
+    assert not np.tril(chol, -width - 1).any()
+    assert np.diagonal(chol, -width).any()
+    factor = BandCholesky(p_y).factor
+    assert factor.shape == (width + 1, n)
+    want = np.zeros_like(factor)
+    for d in range(width + 1):
+        want[d, :n - d] = np.diagonal(chol, -d)
     atol = 1e-12 * np.abs(chol).max()
-    for front, (l11, l21) in zip(tree.fronts, factor.factors):
-        own = slice(front.own, front.stop)
-        k, u = front.stop - front.own, front.update.size
-        reach = np.flatnonzero(chol[front.stop:, own].any(axis=1))
-        assert np.array_equal(front.update, front.stop + reach)
-        assert (l11.shape, l21.shape) == ((k, k), (u, k))
-        assert np.allclose(np.tril(l11), chol[own, own], rtol=0, atol=atol)
-        assert np.allclose(l21, chol[front.update, own], rtol=0, atol=atol)
-    assert tree.factor_bytes == sum(l11.nbytes + l21.nbytes
-                                    for l11, l21 in factor.factors)
+    assert np.allclose(factor, want, rtol=0, atol=atol)
 
 
 def test_state_cholesky_refuses_what_it_cannot_factor():
     spec = ProblemSpec("wave", 2, 3, 1e-6)
     sp_ = build_spaces(spec)
     grams = state_grams(spec, sp_, assemble_system(spec, sp_).blocks)
-    tree = frontal_tree(sp_.block_shape("y"), 2)
-    assert len(tree.fronts) > 1
     # a negative weight on the residual Gram, which is positive semidefinite
     # and not zero, leaves P_Y indefinite
-    indefinite = state_block(grams, -1.0, tree)
+    indefinite = state_block(grams, -1.0, sp_.block_shape("y"), 2)
     assert np.linalg.eigvalsh(indefinite.materialize().toarray())[0] < 0
     with pytest.raises(ValueError, match="not positive definite"):
-        MultifrontalCholesky(indefinite.fronts(), tree)
+        BandCholesky(indefinite)
     # a factor coupling the first and the last grid point of an axis has a
     # nonzero that P_Y's band has no place for
     mass = sp_.factor(BLOCK_FACTORS["y"][1], BLOCK_FACTORS["y"][1])
