@@ -9,7 +9,8 @@ operator A is one table, `system_blocks`: (row, column) -> sum of Kronecker
 products of univariate matrices, one entry per symmetric pair of nonzero
 blocks. Its apply, its sparse matrix, the dual Grams of the preconditioner
 reference and the verify instruments all read that table. A is applied
-block by block by mode products without being assembled; the sparse system
+block by block, each Kronecker sum by its three-product plan
+(`kron.KroneckerPlan`), without being assembled; the sparse system
 matrix, symmetric by construction (transposed blocks are placed
 explicitly), is built only when read, for export and as the dense
 reference of the tests.
@@ -362,7 +363,7 @@ class DiscreteSystem:
         return [list(ops.values()) for ops in rows.values()]
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """A v by block rows, every operator by mode products."""
+        """A v by block rows, every operator by its Kronecker plan."""
         o = self.spaces.offsets()
         parts = {name: v[lo:hi] for name, lo, hi in zip(self.spaces.block_names,
                                                         o, o[1:])}

@@ -58,9 +58,11 @@ CSV_COLUMNS = ("problem", "p", "level", "alpha", "dofs", "iterations",
 WORK_VECTORS = 20
 # dense univariate arrays, each at most m x m for m the largest factor
 # dimension, that a solve holds: the Kronecker factors of every block and of
-# the rotated K_U, and the factor eigenvectors of every Kronecker solver
-# (12 to 28 of them for heat and wave, p=2-5, levels 0-4)
-UNIVARIATE_ARRAYS = 32
+# the rotated K_U, the factor eigenvectors of every Kronecker solver, and the
+# stacked factors of the Kronecker plan of every operator the solve applies
+# (24 to 69 of them for heat and wave, p=2-5, levels 0-5; the plans' block
+# matrices weigh most at level 0)
+UNIVARIATE_ARRAYS = 70
 # resident size of the interpreter with numpy and scipy loaded
 BASE_GB = 0.1
 

@@ -42,7 +42,8 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cholesky_banded
+from scipy.linalg.lapack import dpbtrs
 
 from .assembly import (
     BLOCK_FACTORS,
@@ -236,8 +237,16 @@ class BandCholesky:
                                       overwrite_ab=True, check_finite=False)
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        """Solve with the block (dpbtrs); r may carry extra columns."""
-        return cho_solve_banded((self.factor, True), r[::-1], check_finite=False)[::-1]
+        """Solve with the block (dpbtrs, called directly); r may carry extra
+        columns. Raises ValueError for an r of the wrong length or a nonzero
+        LAPACK info."""
+        if r.shape[0] != self.factor.shape[1]:
+            raise ValueError(f"right-hand side has {r.shape[0]} rows, expected "
+                             f"{self.factor.shape[1]}")
+        x, info = dpbtrs(self.factor, r[::-1], lower=1)
+        if info:
+            raise ValueError(f"dpbtrs returned info = {info}")
+        return x[::-1]
 
 
 class DiagonalBlock(NamedTuple):
@@ -272,8 +281,13 @@ class ControlEigenbasis:
         self.solver = mass_solver(spaces, "u")
         self.q, self.mass = self.solver.vectors, self.solver.values
         self.k_u = KroneckerMatrix()
+        rotated = {}  # each shared factor is rotated once, so K_U's terms share it
         for term in blocks["p_u", "y"].terms:
-            self.k_u.add(term.weight, *(q.T @ f for q, f in zip(self.q, term.factors)))
+            for mode, (q, f) in enumerate(zip(self.q, term.factors)):
+                if (mode, id(f)) not in rotated:
+                    rotated[mode, id(f)] = q.T @ f
+            self.k_u.add(term.weight, *(rotated[mode, id(f)]
+                                        for mode, f in enumerate(term.factors)))
 
     def rotate(self, v: np.ndarray, back: bool = False) -> np.ndarray:
         """D v, or D' v when back: the control blocks change basis."""
@@ -367,7 +381,7 @@ class ControlCoordinates:
         u, p_u = self.full[1:3]
         # F, F'K_U and F'DF, F's columns as rows
         self.f = np.stack([x0[u], x0[p_u], mass.solve(b[u]), mass.solve(b[p_u])])
-        self.kf = np.stack([k_u.T.apply(col) for col in self.f])
+        self.kf = k_u.T.apply(self.f, stacked=True)
         self.fdf = self.f @ mass.apply(self.f.T)
         eye = np.eye(4)
         x = self._coordinates(x0, eye[:2])

@@ -368,15 +368,15 @@ def test_system_matrix_built_on_first_read_only():
     assert system.matrix is m
 
 
-@pytest.mark.parametrize("kind,mode_products", [("wave", 15), ("heat", 13)])
-def test_apply_fuses_shared_operators_and_plans_once(monkeypatch, kind,
-                                                     mode_products):
-    # one mode product per Kronecker term of each distinct operator in a
-    # block row: the control mass acts once on alpha u + p_u (one more call
-    # per apply if it acted on u and p_u apart)
+@pytest.mark.parametrize("kind,applies", [("wave", 9), ("heat", 7)])
+def test_apply_fuses_shared_operators_and_plans_once(monkeypatch, kind, applies):
+    # one operator apply per distinct operator of each block row: the control
+    # mass acts once on alpha u + p_u (one more apply if it acted on u and p_u
+    # apart); the first apply builds one Kronecker plan per operator, and the
+    # control mass, one symmetric object in the u and p_u rows, shares one
     system = assemble_system(ProblemSpec(kind, 2, 1, 1e-3))
     v = np.random.default_rng(11).standard_normal(system.dim)
-    calls = {"mode_products": 0, "add": 0}
+    calls = {"apply": 0, "plan": 0, "add": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -384,15 +384,17 @@ def test_apply_fuses_shared_operators_and_plans_once(monkeypatch, kind,
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(kron, "mode_products",
-                        counted("mode_products", kron.mode_products))
+    monkeypatch.setattr(KroneckerMatrix, "apply",
+                        counted("apply", KroneckerMatrix.apply))
+    monkeypatch.setattr(kron, "KroneckerPlan", counted("plan", kron.KroneckerPlan))
     first = system.apply(v)
-    assert calls["mode_products"] == mode_products
-    # the plan, transposes included, is built once per system
+    assert calls == {"apply": applies, "plan": applies - 1, "add": 0}
+    # the block-row plan, transposes included, is built once per system: a
+    # second apply adds no term and builds no Kronecker plan
     monkeypatch.setattr(KroneckerMatrix, "add",
                         counted("add", KroneckerMatrix.add))
     assert np.array_equal(system.apply(v), first)
-    assert calls["add"] == 0
+    assert calls == {"apply": 2 * applies, "plan": applies - 1, "add": 0}
 
 
 def test_homogeneous_system_zero_rhs_and_instant_convergence():

@@ -25,8 +25,14 @@ from saddleprec.assembly import (
     assemble_system,
     build_spaces,
 )
-from saddleprec.kron import KroneckerMatrix
-from saddleprec.precond import band_map, band_size, bandwidth, build_preconditioner
+from saddleprec.kron import KroneckerMatrix, KroneckerPlan
+from saddleprec.precond import (
+    ControlCoordinates,
+    band_map,
+    band_size,
+    bandwidth,
+    build_preconditioner,
+)
 
 
 def test_run_single_row(capsys):
@@ -367,8 +373,9 @@ def test_memory_estimate_covers_held_blocks(kind, p, lev):
     # on the band's lower triangle, its banded Cholesky factor, the
     # univariate factors of every block and of the rotated K_U, the factor
     # eigenvectors and the eigenvalue diagonal of every Kronecker solver (the
-    # control eigenbasis is the control-mass solver's), and the work vectors;
-    # the interpreter base is left out
+    # control eigenbasis is the control-mass solver's), the Kronecker plans of
+    # every operator a solve applies, and the work vectors; the interpreter
+    # base is left out
     band_bytes = (3 * 8 * n_band + p_y.lower.nbytes
                   + lower.nbytes + mirror.nbytes + slot.nbytes)
     cholesky_bytes = factor.factor.nbytes
@@ -380,8 +387,21 @@ def test_memory_estimate_covers_held_blocks(kind, p, lev):
     sums = list(system.blocks.values())
     sums += [precon.table[n].matrix for n in others]
     sums += [precon.basis.k_u]
+    # the solve applies the rotated system's block rows (their transposes
+    # included), the residual Gram and the multipliers' K_m and K_m' of its
+    # coordinates, and K_U' at the start; each holds its plan's stacked
+    # factors
+    rotated = precon.basis.system(system)
+    coords = ControlCoordinates(rotated, precon.basis.preconditioner(precon))
+    applied = [op for row in rotated._plan for op, _ in row]
+    applied += [coords.gram, precon.basis.k_u.T]
+    applied += [k for *_, k_m, k_m_t in coords.tail for k in (k_m, k_m_t)]
+    distinct = {id(op): op for op in applied if isinstance(op, KroneckerMatrix)}
+    plans = [KroneckerPlan(op.terms) for op in distinct.values()]
+    plan_bytes = sum(pl.first.nbytes + pl.middle.nbytes + pl.last.nbytes
+                     for pl in plans)
     total = (band_bytes + cholesky_bytes + _factor_bytes(sums) + eigen_bytes
-             + 8 * WORK_VECTORS * system.dim)
+             + plan_bytes + 8 * WORK_VECTORS * system.dim)
     assert (estimate_memory_gb(spec) - BASE_GB) * 1e9 >= total
 
 

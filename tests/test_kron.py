@@ -1,5 +1,6 @@
-"""Kronecker sums: materialization and mode-product application (of a
-vector, its columns or stacked rows) against dense products, tensor solves against per-factor Cholesky and sparse direct
+"""Kronecker sums: materialization and planned application (of a vector,
+its columns or stacked rows) against dense products and term-by-term mode
+products, tensor solves against per-factor Cholesky and sparse direct
 solves."""
 
 import numpy as np
@@ -8,8 +9,15 @@ import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse.linalg import spsolve
 
-from saddleprec.assembly import ProblemSpec, build_spaces, mass_solver
-from saddleprec.kron import KroneckerDiagonal, KroneckerMatrix, KroneckerSolver
+from saddleprec import kron
+from saddleprec.assembly import ProblemSpec, build_spaces, mass_solver, system_blocks
+from saddleprec.kron import (
+    KroneckerDiagonal,
+    KroneckerMatrix,
+    KroneckerSolver,
+    mode_products,
+)
+from saddleprec.precond import ControlEigenbasis, state_residual_form, trace_form
 
 
 def _rand_spd(rng, n):
@@ -112,6 +120,78 @@ def test_apply_matches_materialize_and_dense_kron(shapes):
     stacked = km.apply(rows, stacked=True)
     assert stacked.shape == (3, dense.shape[0])
     assert np.allclose(stacked, rows @ dense.T, rtol=0, atol=1e-14 * scale * 3)
+
+
+def _per_term(km, x, stacked=False):
+    """The sum term by term, one chain of mode products per term: the
+    plan's oracle."""
+    return sum(t.weight * mode_products(t.factors, x, stacked) for t in km.terms)
+
+
+def _shared_sums(kind, p, lev):
+    """Sums whose terms share first or last factors: the residual Gram, the
+    rotated K_U (its shared factors rotated once) and its transpose (shared
+    transposed views), the initial-trace Gram and K_R1."""
+    spec = ProblemSpec(kind, p, lev, 1e-3)
+    spaces = build_spaces(spec)
+    blocks = system_blocks(spec, spaces)
+    k_u = ControlEigenbasis(spaces, blocks).k_u
+    return {"G": state_residual_form(spec, spaces), "K_U": k_u, "K_U'": k_u.T,
+            "trace": trace_form(spec, spaces), "K_R1": blocks["p_r1", "y"]}
+
+
+@pytest.mark.parametrize("lev", [1, 2])
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("kind", ["heat", "wave"])
+def test_plan_matches_per_term_mode_products_and_dense_kron(kind, p, lev):
+    # the plan stacks the distinct first and last factors and folds weights
+    # and middle factors into one block matrix, in either mode order; on
+    # vectors, trailing columns and stacked rows it agrees with the
+    # term-by-term sum and the dense product to the tolerance of
+    # test_apply_matches_materialize_and_dense_kron
+    rng = np.random.default_rng(7)
+    orders = set()
+    for name, km in _shared_sums(kind, p, lev).items():
+        firsts = kron._distinct([t.factors[0] for t in km.terms])[0]
+        lasts = kron._distinct([t.factors[-1] for t in km.terms])[0]
+        assert min(len(firsts), len(lasts)) < len(km.terms), name
+        dense = sum(t.weight * _dense(t.factors) for t in km.terms)
+        rowsum = np.abs(dense).sum(axis=1).max()
+        x = rng.standard_normal(dense.shape[1])
+        cols = rng.standard_normal((dense.shape[1], 3))
+        rows = rng.standard_normal((2, dense.shape[1]))
+        for got, ref, oracle, arg in (
+                (km.apply(x), dense @ x, _per_term(km, x), x),
+                (km.apply(cols), dense @ cols, _per_term(km, cols), cols),
+                (km.apply(rows, stacked=True), rows @ dense.T,
+                 _per_term(km, rows, stacked=True), rows)):
+            assert got.shape == ref.shape == oracle.shape, name
+            tol = 1e-14 * rowsum * np.abs(arg).max()
+            assert np.max(np.abs(got - ref)) <= tol, name
+            assert np.max(np.abs(got - oracle)) <= tol, name
+        orders.add(km._plan.first_mode)
+    # K_U runs from the first mode and K_U' from the last, so both orders ran
+    assert orders == {True, False}
+
+
+def test_add_after_apply_drops_the_plan():
+    rng = np.random.default_rng(8)
+    a, b, c = (rng.standard_normal((3, 3)) for _ in range(3))
+    km = KroneckerMatrix().add(1.0, a, b, c)
+    x = rng.standard_normal(27)
+    before = km.apply(x)
+    km.add(-2.0, a, c, b)
+    dense = _dense((a, b, c)) - 2.0 * _dense((a, c, b))
+    tol = 1e-14 * np.abs(dense).sum(axis=1).max() * np.abs(x).max()
+    assert np.max(np.abs(km.apply(x) - dense @ x)) <= tol
+    assert not np.allclose(km.apply(x), before)
+
+
+def test_plan_refuses_more_than_three_factors():
+    km = KroneckerMatrix().add(1.0, *[np.eye(2)] * 4)
+    assert km.materialize().shape == (16, 16)
+    with pytest.raises(ValueError, match="one to three factors"):
+        km.apply(np.ones(16))
 
 
 MASS_FACTORS = {"u": ("u_time", "u_x", "u_y"), "p_r2": ("r2_x", "r2_y")}

@@ -192,14 +192,24 @@ def test_stagnation_stops_with_best_confirmed_iterate():
 
 
 def test_a_failed_stop_returns_the_best_confirmed_iterate():
-    # the solve above restarts at iteration 58; capped one iteration later,
-    # its last check (5.6e-13, the restarted recurrence's first) is worse
-    # than the best before the restart (2.8e-13), and the best is returned
+    # the solve above restarts on the STAGNATION_CHECKS-th check that fails
+    # to improve on the first floor (an iteration that roundoff moves, so it
+    # is read from the uncapped solve); capped one iteration later, its last
+    # check (the restarted recurrence's first) is worse than the best before
+    # the restart, and the best is returned
     spec = ProblemSpec("heat", 2, 1, 1e-6)
     system = assemble_system(spec)
     precon = build_preconditioner(spec, system.spaces, system.blocks)
     x0 = random_start(system.dim, 0)
-    cfg = MinresConfig(rel_tol=1e-30, max_iter=59)
+    _, full = minres(system.apply, precon.apply_inverse, system.rhs, x0=x0,
+                     config=MinresConfig(rel_tol=1e-30))
+    floor, failed = np.inf, 0
+    for restart, rel in full.true_residual_checks:
+        floor, failed = (rel, 0) if rel < floor else (floor, failed + 1)
+        if failed == STAGNATION_CHECKS:
+            break
+    assert failed == STAGNATION_CHECKS
+    cfg = MinresConfig(rel_tol=1e-30, max_iter=restart + 1)
     x, rep = minres(system.apply, precon.apply_inverse, system.rhs, x0=x0,
                     config=cfg)
     _assert_verdict(rep, "iteration cap", cfg.rel_tol)

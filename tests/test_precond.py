@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve_banded
 from scipy.sparse.linalg import splu
 
 from saddleprec.assembly import (
@@ -310,6 +311,24 @@ def test_state_cholesky_refuses_what_it_cannot_factor():
     band_values(KroneckerMatrix().add(1.0, mass, mass), 2)
     with pytest.raises(ValueError, match="beyond its band"):
         band_values(KroneckerMatrix().add(1.0, mass, mass).add(1.0, wide, mass), 2)
+
+
+def test_band_solve_is_cho_solve_banded_bit_for_bit():
+    # the solve calls LAPACK's dpbtrs directly: the same bits as scipy's
+    # wrapper, for a vector and for columns, and a right-hand side of the
+    # wrong length is refused, where dpbtrs alone would solve its first rows
+    spec = ProblemSpec("wave", 2, 2, 1e-6)
+    sp_ = build_spaces(spec)
+    p_y = state_block(state_grams(spec, sp_, assemble_system(spec, sp_).blocks),
+                      spec.alpha, sp_.block_shape("y"), 2)
+    chol = BandCholesky(p_y)
+    rng = np.random.default_rng(26)
+    n = sp_.block_dim("y")
+    for r in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+        want = cho_solve_banded((chol.factor, True), r[::-1])[::-1]
+        assert np.array_equal(chol.solve(r), want)
+    with pytest.raises(ValueError, match="expected"):
+        chol.solve(np.ones(n + 1))
 
 
 def test_alpha_scaling_of_blocks():
