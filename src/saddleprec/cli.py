@@ -60,7 +60,7 @@ WORK_VECTORS = 20
 # dimension, that a solve holds: the Kronecker factors of every block and of
 # the rotated K_U, the factor eigenvectors of every Kronecker solver, and the
 # stacked factors of the Kronecker plan of every operator the solve applies
-# (24 to 69 of them for heat and wave, p=2-5, levels 0-5; the plans' block
+# (21 to 59 of them for heat and wave, p=2-5, levels 0-3; the plans' block
 # matrices weigh most at level 0)
 UNIVARIATE_ARRAYS = 70
 # resident size of the interpreter with numpy and scipy loaded
@@ -70,22 +70,21 @@ BASE_GB = 0.1
 def estimate_memory_gb(spec: ProblemSpec) -> float:
     """Peak memory of a solve from the exact sizes of what it holds.
 
-    P_Y's three alpha-free Grams, 8 B per entry of its band (`band_size`);
-    its values at alpha, a float64, and the three int32 arrays of
-    `band_map` per band entry in the lower triangle; its banded Cholesky
-    factor, 8 B per entry of the (bandwidth + 1) x n lower band storage;
-    the eigenvalue diagonals of the Kronecker solvers, at most one per
-    unknown; the univariate arrays; and MINRES's work vectors. All of them
-    follow from the grids and the degree alone.
+    P_Y's three alpha-free Grams and its values at alpha, a float64 each,
+    and the two int32 arrays of `band_map`, per entry in the lower triangle
+    of its band (`band_size`); its banded Cholesky factor, 8 B per entry of
+    the (bandwidth + 1) x n lower band storage; the eigenvalue diagonals of
+    the Kronecker solvers, at most one per unknown; the univariate arrays;
+    and MINRES's work vectors. All of them follow from the grids and the
+    degree alone.
     """
     spaces = build_spaces(spec)
     shape, p = spaces.block_shape("y"), spec.degree
     n = spaces.block_dim("y")
-    band_nnz = band_size(shape, p)
-    lower = (band_nnz + n) // 2
+    lower = (band_size(shape, p) + n) // 2
     dofs = sum(spaces.block_dims)
     m = max(max(spaces.block_shape(name)) for name in spaces.block_names)
-    held = (3 * 8 * band_nnz + (8 + 3 * 4) * lower + 8 * n * (bandwidth(shape, p) + 1)
+    held = ((4 * 8 + 2 * 4) * lower + 8 * n * (bandwidth(shape, p) + 1)
             + 8 * dofs + 8 * UNIVARIATE_ARRAYS * m * m + 8 * WORK_VECTORS * dofs)
     return BASE_GB + held / 1e9
 

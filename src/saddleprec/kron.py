@@ -148,12 +148,12 @@ class KroneckerMatrix:
     """A sum of weighted Kronecker products with conforming factor shapes.
 
     The first apply builds a `KroneckerPlan`, which holds copies of the
-    factors; `add` drops it, so do not modify a factor in place after an
-    apply."""
+    factors, and the first `T` the transposed sum; `add` drops both, so do
+    not modify a factor in place after an apply."""
 
     def __init__(self):
         self.terms: list[KroneckerTerm] = []
-        self._plan = None
+        self._plan = self._transpose = None
 
     def add(self, weight: float, *factors) -> "KroneckerMatrix":
         factors = tuple(np.asarray(f) for f in factors)
@@ -164,16 +164,21 @@ class KroneckerMatrix:
             ):
                 raise ValueError("term factor shapes do not conform")
         self.terms.append(KroneckerTerm(float(weight), factors))
-        self._plan = None
+        if self._transpose is not None:
+            self._transpose._transpose = None
+        self._plan = self._transpose = None
         return self
 
     @property
     def T(self) -> "KroneckerMatrix":
-        """The transposed sum; its factors are views of these."""
-        km = KroneckerMatrix()
-        for term in self.terms:
-            km.add(term.weight, *(f.T for f in term.factors))
-        return km
+        """The transposed sum, built once, so that every caller shares it
+        and its plan; its factors are views of these, and its T is this."""
+        if self._transpose is None:
+            km = KroneckerMatrix()
+            for term in self.terms:
+                km.add(term.weight, *(f.T for f in term.factors))
+            km._transpose, self._transpose = self, km
+        return self._transpose
 
     def apply(self, x: np.ndarray, stacked: bool = False) -> np.ndarray:
         """Product with x (a vector, or columns of one; stacked, with each

@@ -9,12 +9,13 @@ each confirmation: at or below tol the solve stops "converged", a breakdown
 held to the same tol. Otherwise it stops, in this order, "stagnated" once
 STAGNATION_CHECKS confirmations in a row fail to improve on the best one,
 "breakdown", or "iteration cap", and returns the best confirmed iterate.
-The first time they fail, the recurrence restarts instead, once per solve,
-for the correction of the best iterate: from zero, driven by that iterate's
-full residual, in `Euclidean` coordinates (coordinates bound to a small
-residual would hold it in coefficients that cancel). As in a fresh solve,
-confirmations run at every iteration again only once its monitored norm
-has fallen by tol, and the count of failed ones starts afresh. A recurrence
+The first time they fail, the recurrence restarts instead, once per solve
+(`MinresReport.restarted`), for the correction of the best iterate: from
+zero, driven by that iterate's full residual, in `Euclidean` coordinates
+(coordinates bound to a small residual would hold it in coefficients that
+cancel). As in a fresh solve, confirmations run at every iteration again
+only once its monitored norm has fallen by tol, and the count of failed
+ones starts afresh. A recurrence
 that has drifted from the true residual gets its accuracy back that way,
 and one whose Euclidean residual lags its monitored norm gets the
 iterations it needs. A solve that would have stopped at the restart loses
@@ -69,6 +70,7 @@ class MinresReport:
     residual_history: np.ndarray
     true_residual_checks: list = field(default_factory=list)
     final_true_relres: float = 0.0
+    restarted: bool = False  # the recurrence restarted from the best iterate
 
     @property
     def converged(self) -> bool:
@@ -291,4 +293,5 @@ def minres(apply_a, apply_pinv, b: np.ndarray, x0: np.ndarray | None = None,
     if stop != "converged":
         x = best_x
     return full(x), MinresReport(itn, stop, np.array(history), checks,
-                                 checks[-1][1] if stop == "converged" else best_rel)
+                                 checks[-1][1] if stop == "converged" else best_rel,
+                                 restarted)

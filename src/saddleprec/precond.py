@@ -13,12 +13,13 @@ and is the one block a solve factorizes, by LAPACK's banded Cholesky
 with those within p indices per axis, so P_Y's pattern is the Kronecker
 product of the per-axis bands |i - j| <= p (`band`), and in the natural
 order of its C-ordered tensor grid P_Y is a band matrix of half-bandwidth
-p (n_x n_y + n_y + 1) (`bandwidth`). P_Y's three alpha-free Grams
-(`state_grams`) are value arrays on that band, outer products of their
-univariate factors' band entries, so per alpha P_Y is a sum of three
-arrays, symmetrized into its lower triangle (`state_block`) and scattered
-into LAPACK's lower band storage by one alpha-free map (`band_map`); no
-sparse matrix is formed unless export, verify or a test reads one
+p (n_x n_y + n_y + 1) (`bandwidth`). P_Y is defined by its lower
+triangle, the one LAPACK reads, and mirrored: its three alpha-free Grams
+(`state_grams`) are value arrays on the lower triangle of that band, from
+outer products of their univariate factors' band entries, so per alpha
+P_Y is a weighted sum of three arrays (`state_block`), scattered into
+LAPACK's lower band storage by one alpha-free map (`band_map`); no sparse
+matrix is formed unless export, verify or a test reads one
 (`StateBlock.materialize`). Every other block is a Kronecker product of
 univariate masses, or the r1 Gram S_x x M_y + M_x x S_y, and is inverted
 in the eigenbases of its factors (`kron.KroneckerSolver`). P reads the
@@ -68,7 +69,8 @@ def state_residual_form(spec: ProblemSpec, spaces: DiscreteSpaces) -> KroneckerM
     definition of the state operator: s_i s_j times the Kronecker product of
     the factors pairing derivative orders d_i and d_j in each direction.
     Mixed terms are exact transposes of each other only up to roundoff;
-    `state_block` makes P_Y exactly symmetric.
+    P_Y takes the lower triangle (`state_block`) and so is exactly
+    symmetric.
     """
     names = BLOCK_FACTORS["y"]
     terms = residual_terms(spec)
@@ -103,18 +105,15 @@ def _axis_band(n: int, p: int) -> tuple:
 
 
 def band(shape: tuple, p: int) -> tuple:
-    """Row, column and transpose's index of each entry of the Kronecker
-    product of the per-axis bands |i - j| <= p on the C-ordered grid
-    `shape`, in the natural order, as int32 arrays."""
-    rows = cols = mirror = np.zeros(1, dtype=np.int32)
+    """Row and column of each entry of the Kronecker product of the per-axis
+    bands |i - j| <= p on the C-ordered grid `shape`, in the natural order,
+    as int32 arrays."""
+    rows = cols = np.zeros(1, dtype=np.int32)
     for n in shape:
         i, j = _axis_band(n, p)
-        index = np.zeros((n, n), dtype=np.int32)
-        index[i, j] = np.arange(i.size)
         rows = (rows[:, None] * n + i).ravel()
         cols = (cols[:, None] * n + j).ravel()
-        mirror = (mirror[:, None] * i.size + index[j, i]).ravel()
-    return rows, cols, mirror
+    return rows, cols
 
 
 def band_values(km: KroneckerMatrix, p: int) -> np.ndarray:
@@ -144,9 +143,11 @@ def band_values(km: KroneckerMatrix, p: int) -> np.ndarray:
 
 
 def state_grams(spec: ProblemSpec, spaces: DiscreteSpaces, blocks: dict) -> tuple:
-    """P_Y's alpha-free terms on its band (`band_values`): observation,
-    residual (`state_residual_form`), trace."""
-    return tuple(band_values(km, spec.degree) for km in (
+    """P_Y's alpha-free terms on the lower triangle of its band
+    (`band_values` at the entries of `band_map`): observation, residual
+    (`state_residual_form`), trace."""
+    lower = band_map(spaces.block_shape("y"), spec.degree)[0]
+    return tuple(band_values(km, spec.degree)[lower] for km in (
         blocks["y", "y"], state_residual_form(spec, spaces),
         trace_form(spec, spaces)))
 
@@ -167,22 +168,23 @@ def band_map(shape: tuple, p: int) -> tuple:
     """The alpha-free scatter map of the band into LAPACK's lower band
     storage of the reversed order, ab[i - j, j] = a_(n-1-i, n-1-j), as int32
     arrays: for each band entry in the lower triangle (row at or after
-    column), its index, its transpose's index, and its place in the
-    C-ordered (n, bandwidth + 1) array whose transpose is ab. Built once per
-    grid and degree; every caller shares it and must not modify it."""
+    column), its index and its place in the C-ordered (n, bandwidth + 1)
+    array whose transpose is ab. Built once per grid and degree; every
+    caller shares it and must not modify it."""
     n, width = math.prod(shape), bandwidth(shape, p)
     if n * (width + 1) >= 2 ** 31:
         raise ValueError("the band has too many entries for int32 maps")
-    rows, cols, mirror = band(shape, p)
+    rows, cols = band(shape, p)
     lower = np.flatnonzero(rows >= cols).astype(np.int32)
     rows, cols = rows[lower], cols[lower]
-    return lower, mirror[lower], (n - 1 - rows) * (width + 1) + (rows - cols)
+    return lower, (n - 1 - rows) * (width + 1) + (rows - cols)
 
 
 class StateBlock(NamedTuple):
     """P_Y on the band of the C-ordered grid `shape` with degree `p`, held
     as `lower`: the value of each band entry in the lower triangle, in the
-    order of `band_map`. Only `materialize` builds a sparse matrix."""
+    order of `band_map`; the upper triangle mirrors it. Only `materialize`
+    builds a sparse matrix."""
 
     lower: np.ndarray
     shape: tuple
@@ -194,35 +196,26 @@ class StateBlock(NamedTuple):
         factors it in place."""
         n, width = math.prod(self.shape), bandwidth(self.shape, self.p)
         ab = np.zeros((n, width + 1))
-        ab.reshape(-1)[band_map(self.shape, self.p)[2]] = self.lower
+        ab.reshape(-1)[band_map(self.shape, self.p)[1]] = self.lower
         return ab.T
 
     def materialize(self) -> sp.csr_matrix:
-        """The exact CSR matrix, for export, the verify instruments and the
-        tests; a zero entry is left out."""
-        lower, mirror, _ = band_map(self.shape, self.p)
-        rows, cols, _ = band(self.shape, self.p)
-        values = np.empty(rows.size)
-        values[lower] = values[mirror] = self.lower
-        keep = values != 0
+        """The exact CSR matrix L + tril(L, -1)', L the lower triangle, for
+        export, the verify instruments and the tests; a zero entry is left
+        out."""
+        lower = band_map(self.shape, self.p)[0]
+        rows, cols = (idx[lower] for idx in band(self.shape, self.p))
         n = math.prod(self.shape)
-        mat = sp.csr_matrix((values[keep], (rows[keep], cols[keep])), shape=(n, n))
-        mat.sort_indices()
-        return mat
+        low = sp.csr_matrix((self.lower, (rows, cols)), shape=(n, n))
+        return (low + sp.tril(low, -1).T).tocsr()
 
 
 def state_block(grams: tuple, alpha: float, shape: tuple, p: int) -> StateBlock:
-    """P_Y at alpha from its `state_grams`: v = (observation + alpha *
-    residual) + trace on the band, and the mean 0.5 (v_ij + v_ji) of each
-    entry and its transpose, bit for bit the CSR sum 0.5 (m + m') of the
-    materialized Grams."""
+    """P_Y at alpha from its `state_grams`: (observation + alpha * residual)
+    + trace on the lower triangle of the band, bit for bit the lower
+    triangle of that CSR sum of the materialized Grams."""
     observation, residual, trace = grams
-    v = observation + alpha * residual + trace
-    lower, mirror, _ = band_map(shape, p)
-    half = v[lower]
-    half += v[mirror]
-    half *= 0.5
-    return StateBlock(half, shape, p)
+    return StateBlock(observation + alpha * residual + trace, shape, p)
 
 
 class BandCholesky:

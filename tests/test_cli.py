@@ -28,6 +28,7 @@ from saddleprec.assembly import (
 from saddleprec.kron import KroneckerMatrix, KroneckerPlan
 from saddleprec.precond import (
     ControlCoordinates,
+    alpha_free_setup,
     band_map,
     band_size,
     bandwidth,
@@ -359,25 +360,25 @@ def test_memory_estimate_covers_held_blocks(kind, p, lev):
     spec = ProblemSpec(kind, p, lev, 1e-6)
     spaces = build_spaces(spec)
     system = assemble_system(spec, spaces)
-    precon = build_preconditioner(spec, spaces, system.blocks)
+    setup = alpha_free_setup(spec, spaces, system.blocks)
+    precon = build_preconditioner(spec, spaces, system.blocks, setup)
     p_y, factor = precon.table["y"].matrix, precon.table["y"].solver
-    # the counts are exact: the band is P_Y's pattern, and the band factor is
-    # 8 B per entry of its (bandwidth + 1) x n lower band storage
-    lower, mirror, slot = band_map(p_y.shape, p)
-    n_band = band_size(p_y.shape, p)
-    assert n_band == precon.block_matrix("y").nnz
+    # the counts are exact: the band is P_Y's pattern, held on its lower
+    # triangle, and the band factor is 8 B per entry of its (bandwidth + 1)
+    # x n lower band storage
+    maps = band_map(p_y.shape, p)
+    assert band_size(p_y.shape, p) == precon.block_matrix("y").nnz
     width = bandwidth(p_y.shape, p)
     assert factor.factor.nbytes == 8 * spaces.block_dim("y") * (width + 1)
-    # the bytes held: P_Y's three alpha-free Grams on the band (a `table`
-    # cell keeps them across alpha), its values at alpha and the scatter map
-    # on the band's lower triangle, its banded Cholesky factor, the
-    # univariate factors of every block and of the rotated K_U, the factor
-    # eigenvectors and the eigenvalue diagonal of every Kronecker solver (the
-    # control eigenbasis is the control-mass solver's), the Kronecker plans of
-    # every operator a solve applies, and the work vectors; the interpreter
-    # base is left out
-    band_bytes = (3 * 8 * n_band + p_y.lower.nbytes
-                  + lower.nbytes + mirror.nbytes + slot.nbytes)
+    # the bytes held: P_Y's three alpha-free Grams (a `table` cell keeps
+    # them across alpha), its values at alpha and the scatter maps, all on
+    # the band's lower triangle, its banded Cholesky factor, the univariate
+    # factors of every block and of the rotated K_U, the factor eigenvectors
+    # and the eigenvalue diagonal of every Kronecker solver (the control
+    # eigenbasis is the control-mass solver's), the Kronecker plans of every
+    # operator a solve applies, and the work vectors; the interpreter base is
+    # left out
+    band_bytes = sum(a.nbytes for a in (*setup[0], p_y.lower, *maps))
     cholesky_bytes = factor.factor.nbytes
     others = [n for n in spaces.block_names if n != "y"]
     solvers = {id(s): s for s in (precon.table[n].solver for n in others)}
@@ -388,15 +389,16 @@ def test_memory_estimate_covers_held_blocks(kind, p, lev):
     sums += [precon.table[n].matrix for n in others]
     sums += [precon.basis.k_u]
     # the solve applies the rotated system's block rows (their transposes
-    # included), the residual Gram and the multipliers' K_m and K_m' of its
-    # coordinates, and K_U' at the start; each holds its plan's stacked
+    # included: the coordinates' K_m' and the start's K_U' are among them)
+    # and the coordinates' residual Gram; each holds its plan's stacked
     # factors
     rotated = precon.basis.system(system)
     coords = ControlCoordinates(rotated, precon.basis.preconditioner(precon))
-    applied = [op for row in rotated._plan for op, _ in row]
-    applied += [coords.gram, precon.basis.k_u.T]
-    applied += [k for *_, k_m, k_m_t in coords.tail for k in (k_m, k_m_t)]
+    applied = [op for row in rotated._plan for op, _ in row] + [coords.gram]
     distinct = {id(op): op for op in applied if isinstance(op, KroneckerMatrix)}
+    shared = [precon.basis.k_u.T] + [k for *_, k_m, k_m_t in coords.tail
+                                     for k in (k_m, k_m_t)]
+    assert all(id(op) in distinct for op in shared)
     plans = [KroneckerPlan(op.terms) for op in distinct.values()]
     plan_bytes = sum(pl.first.nbytes + pl.middle.nbytes + pl.last.nbytes
                      for pl in plans)
@@ -429,6 +431,31 @@ def test_solve_calls_the_full_operators_only_to_start_and_confirm(monkeypatch):
     assert solve_once(ProblemSpec("wave", 2, 2, 1e-6), 1e-8)["iterations"] == 56
     (report,) = reports
     assert calls == {"A": 3 + 1 + len(report.true_residual_checks), "P": 1}
+
+
+@pytest.mark.parametrize("kind", ["heat", "wave"])
+def test_one_solve_shares_each_transpose_and_its_plan(kind, monkeypatch):
+    # the start's K_U' is the state row's, and the coordinates' K_m' are the
+    # state row's: a solve applies the observation, K_U, K_U', the residual
+    # Gram and each multiplier's K_m and K_m', one object each, and builds
+    # one Kronecker plan for each
+    applied, plans = {}, []
+    apply, plan_init = KroneckerMatrix.apply, KroneckerPlan.__init__
+
+    def record_apply(self, x, stacked=False):
+        applied[id(self)] = self
+        return apply(self, x, stacked)
+
+    def record_plan(self, terms):
+        plans.append(terms)
+        plan_init(self, terms)
+
+    monkeypatch.setattr(KroneckerMatrix, "apply", record_apply)
+    monkeypatch.setattr(KroneckerPlan, "__init__", record_plan)
+    spec = ProblemSpec(kind, 2, 1, 1e-6)
+    assert solve_once(spec, 1e-8)["converged"]
+    multipliers = len(build_spaces(spec).block_names) - 3
+    assert len(applied) == len(plans) == 4 + 2 * multipliers
 
 
 def test_solve_materializes_only_the_factorized_blocks(monkeypatch):

@@ -97,16 +97,40 @@ def test_coordinates_of_another_alpha_are_refused():
         minres(system.apply, precon.apply_inverse, system.rhs, x0=x0, config=config)
 
 
-def test_the_restart_converges_the_cells_that_stagnated():
+def _solve_reports(specs, monkeypatch):
+    """The row of `cli.solve_once` and its MinresReport, per spec."""
+    reports, solve = [], cli.minres
+
+    def kept(*args, **kwargs):
+        x, report = solve(*args, **kwargs)
+        reports.append(report)
+        return x, report
+
+    monkeypatch.setattr(cli, "minres", kept)
+    rows = [cli.solve_once(spec, 1e-8) for spec in specs]
+    return list(zip(rows, reports))
+
+
+def test_the_restart_converges_the_cells_that_stagnated(monkeypatch):
     # the four legal cells that stopped "stagnated" before MINRES restarted
     # from its best iterate: two drifted recurrences (alpha=1e-12) and two
     # Euclidean residuals that lag the monitored norm (alpha=1e3, T=10)
     specs = (ProblemSpec("wave", 2, 2, 1e-12), ProblemSpec("heat", 3, 1, 1e-12),
              ProblemSpec("wave", 5, 2, 1e3),
              ProblemSpec("wave", 2, 3, 1.0, final_time=10.0))
-    for spec in specs:
-        row = cli.solve_once(spec, 1e-8)
+    for row, report in _solve_reports(specs, monkeypatch):
         assert row["converged"] and row["final_relres"] <= 1e-8
+        assert report.restarted
+
+
+def test_the_pinned_cells_converge_without_a_restart(monkeypatch):
+    specs = [ProblemSpec("wave", 2, lev, alpha)
+             for lev in (2, 3) for alpha in (1e-3, 1e-6, 1e-9)]
+    with cli.shared_setup():
+        solved = _solve_reports(specs, monkeypatch)
+    assert [row["iterations"] for row, _ in solved] == [41, 56, 21, 43, 55, 35]
+    for _, report in solved:
+        assert report.converged and not report.restarted
 
 
 def test_a_restarted_solve_returns_the_iterate_it_reports():
@@ -118,7 +142,7 @@ def test_a_restarted_solve_returns_the_iterate_it_reports():
                           coordinates=ControlCoordinates(system, precon))
     x, rep = minres(system.apply, precon.apply_inverse, system.rhs, x0=x0,
                     config=config)
-    assert rep.stop == "stagnated"
+    assert rep.stop == "stagnated" and rep.restarted
     relres = (np.linalg.norm(system.rhs - system.apply(x))
               / np.linalg.norm(system.rhs - system.apply(x0)))
     assert relres == pytest.approx(rep.final_true_relres, rel=1e-12, abs=0.0)

@@ -187,6 +187,25 @@ def test_add_after_apply_drops_the_plan():
     assert not np.allclose(km.apply(x), before)
 
 
+def test_transpose_is_built_once_and_add_drops_it():
+    # every caller of T shares one transposed sum, whose T is the sum; an
+    # add to either side drops the pair, and the next T has the new term
+    rng = np.random.default_rng(9)
+    a, b, c = (rng.standard_normal((3, 4)) for _ in range(3))
+    km = KroneckerMatrix().add(1.0, a, b, c)
+    km_t = km.T
+    assert km.T is km_t and km_t.T is km
+    x = rng.standard_normal(27)
+    km.add(-2.0, b, c, a)
+    assert km.T is not km_t and km.T.T is km and km_t.T is not km
+    dense = _dense((a, b, c)) - 2.0 * _dense((b, c, a))
+    tol = 1e-14 * np.abs(dense).sum(axis=0).max() * np.abs(x).max()
+    assert np.max(np.abs(km.T.apply(x) - dense.T @ x)) <= tol
+    km_t = km.T
+    km_t.add(1.0, a.T, b.T, c.T)
+    assert km.T is not km_t and km.T.T is km and len(km.T.terms) == 2
+
+
 def test_plan_refuses_more_than_three_factors():
     km = KroneckerMatrix().add(1.0, *[np.eye(2)] * 4)
     assert km.materialize().shape == (16, 16)

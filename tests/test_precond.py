@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import cho_solve_banded
 from scipy.sparse.linalg import splu
 
@@ -20,6 +21,7 @@ from saddleprec.precond import (
     ControlEigenbasis,
     alpha_free_setup,
     band,
+    band_map,
     band_size,
     band_values,
     bandwidth,
@@ -159,14 +161,67 @@ def test_heat_state_block_has_no_velocity_trace(p):
     assert yv @ (p_y @ yv) == pytest.approx(oracle, rel=1e-12)
 
 
-def csr_state_block(spec, sp_, blocks, alpha):
-    """Oracle: P_Y from sparse matrices, each alpha-free term materialized
-    through scipy.sparse.kron, summed as CSR matrices and symmetrized as
-    0.5 (m + m')."""
+def _csr_sum(spec, sp_, blocks, alpha):
+    """The CSR sum m = observation + alpha * residual + trace, each
+    alpha-free term materialized through scipy.sparse.kron."""
     observation, residual, trace = (km.materialize() for km in (
         blocks["y", "y"], state_residual_form(spec, sp_), trace_form(spec, sp_)))
-    m = observation + alpha * residual + trace
-    return (0.5 * (m + m.T)).tocsr()
+    return observation + alpha * residual + trace
+
+
+def csr_state_block(spec, sp_, blocks, alpha):
+    """Oracle: P_Y from sparse matrices, the lower triangle of the CSR sum m
+    mirrored, tril(m) + tril(m, -1)'."""
+    m = _csr_sum(spec, sp_, blocks, alpha)
+    return (sp.tril(m) + sp.tril(m, -1).T).tocsr()
+
+
+def _abs_form(km):
+    """The Kronecker sum of the absolute values of km's terms."""
+    out = KroneckerMatrix()
+    for term in km.terms:
+        out.add(abs(term.weight), *(np.abs(f) for f in term.factors))
+    return out
+
+
+@pytest.mark.parametrize("lev", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("kind", ["heat", "wave"])
+def test_state_block_is_the_symmetric_mean_up_to_roundoff(kind, p, lev):
+    # against the definition of before, the symmetric mean 0.5 (m + m') of
+    # the CSR sum: entrywise within 4 eps of the sum of the absolute values
+    # of every Kronecker term of the three Grams
+    spec = ProblemSpec(kind, p, lev, 1.0)
+    sp_ = build_spaces(spec)
+    system = assemble_system(spec, sp_)
+    setup = alpha_free_setup(spec, sp_, system.blocks)
+    observation, residual, trace = (_abs_form(km).materialize() for km in (
+        system.blocks["y", "y"], state_residual_form(spec, sp_),
+        trace_form(spec, sp_)))
+    for alpha in (1.0, 1e-6, 1e-9):
+        held = build_preconditioner(dataclasses.replace(spec, alpha=alpha), sp_,
+                                    system.blocks, setup).block_matrix("y")
+        m = _csr_sum(spec, sp_, system.blocks, alpha)
+        bound = 4 * np.finfo(float).eps * (observation + alpha * residual + trace)
+        excess = abs(held - 0.5 * (m + m.T)) - bound
+        assert excess.max() <= 0.0
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("kind", ["heat", "wave"])
+def test_grams_hold_only_the_lower_triangle_of_the_band(kind, p):
+    # no array of the band's length survives setup: each alpha-free Gram and
+    # P_Y hold one value per band entry on or below the diagonal
+    spec = ProblemSpec(kind, p, 2, 1e-6)
+    sp_ = build_spaces(spec)
+    system = assemble_system(spec, sp_)
+    grams, _ = setup = alpha_free_setup(spec, sp_, system.blocks)
+    shape, n = sp_.block_shape("y"), sp_.block_dim("y")
+    lower = (band_size(shape, p) + n) // 2
+    assert [g.size for g in grams] == [lower] * 3
+    p_y = build_preconditioner(spec, sp_, system.blocks, setup).table["y"].matrix
+    assert p_y.lower.size == lower
+    assert [a.size for a in band_map(shape, p)] == [lower] * 2
 
 
 @pytest.mark.parametrize("lev", [1, 2, 3])
@@ -271,7 +326,7 @@ def test_ordered_lus_agree_with_default_ordered_splu(kind, p, lev):
 
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("kind", ["heat", "wave"])
-def test_symbolic_fronts_are_the_numeric_ones(kind, p):
+def test_band_factor_is_the_dense_cholesky_within_the_band(kind, p):
     # oracle: the dense Cholesky of the reversed block. Its fill stays inside
     # the band of `bandwidth`, which it reaches, and the band factor holds it
     # there
