@@ -13,6 +13,7 @@ written to --output); and 2 on configuration errors
 import argparse
 import csv
 import dataclasses
+import math
 import sys
 import time
 from contextlib import contextmanager
@@ -282,6 +283,10 @@ DENSE_TOL = 1e-8  # dense eigensolves of one quantity along two paths
 PHI_BAND = (0.29, 0.30)  # the quarter-circle minimum of Theorem 2.2
 MIN_DECIDED = 90  # kernel instances out of 100 that get a rank decision
 KAPPA_SPREAD = 10.0  # largest over smallest kappa(P^-1 A) across alpha
+# kappa(P^-1 A) at small alpha: exact Schur-complement preconditioning of a
+# block-tridiagonal system of three blocks has the eigenvalues 2cos(k pi/7),
+# k = 1, 3, 5 (Sogn & Zulehner, IMA J. Numer. Anal. 2019)
+KAPPA_CLOSED_FORM = math.cos(math.pi / 7) / math.cos(3 * math.pi / 7)
 
 
 def check_appendix(seed: int):
@@ -426,19 +431,31 @@ def check_lemma51(seed: int):
 
 
 def check_conditioning(seed: int):
-    """Alpha-robustness: kappa(P^-1 A) varies by at most KAPPA_SPREAD over alpha."""
-    kappas = {}
+    """Alpha-robustness: kappa(P^-1 A) varies by at most KAPPA_SPREAD over
+    alpha at level 2, and stays at most KAPPA_CLOSED_FORM at levels 2 and 3."""
+    alphas, kappas = (1e-3, 1e-6, 1e-9), {}
     with shared_setup():
-        for alpha in (1e-3, 1e-6, 1e-9):
-            system, precon = build_solve(ProblemSpec("wave", 2, 2, alpha, seed=seed))
-            kappas[alpha] = verify.condition_number_estimate(system, precon).kappa
-    spread = max(kappas.values()) / min(kappas.values())
-    lines = [f"wave p=2 level=2 alpha={a:g}: kappa={k:.6f}"
-             for a, k in kappas.items()]
+        for level in (2, 3):
+            for alpha in alphas:
+                system, precon = build_solve(
+                    ProblemSpec("wave", 2, level, alpha, seed=seed))
+                kappas[level, alpha] = verify.condition_number_estimate(
+                    system, precon).kappa
+    spread = max(kappas[2, a] for a in alphas) / min(kappas[2, a] for a in alphas)
+    excess = max(kappas.values()) / KAPPA_CLOSED_FORM - 1.0
+    lines = [f"wave p=2 level=2 alpha={a:g}: kappa={kappas[2, a]:.6f}"
+             for a in alphas]
     lines.append(f"spread {spread:.3f} (at most {KAPPA_SPREAD:g})")
-    metrics = [(f"alpha={a:g}:kappa", k) for a, k in kappas.items()]
+    lines.extend(f"wave p=2 level=3 alpha={a:g}: kappa={kappas[3, a]:.10f}"
+                 for a in alphas)
+    lines.append(f"levels 2-3: largest kappa over cos(pi/7)/cos(3pi/7) = "
+                 f"{KAPPA_CLOSED_FORM:.10f}, minus 1: {excess:.2e} "
+                 f"(at most {DENSE_TOL:g})")
+    metrics = [(f"alpha={a:g}:kappa", kappas[2, a]) for a in alphas]
     metrics.append(("kappa_spread", spread))
-    return spread <= KAPPA_SPREAD, lines, metrics
+    metrics.extend((f"level=3:alpha={a:g}:kappa", kappas[3, a]) for a in alphas)
+    metrics.append(("kappa_over_closed_form_minus_1", excess))
+    return spread <= KAPPA_SPREAD and excess <= DENSE_TOL, lines, metrics
 
 
 # suite name -> its checks; each check(seed) returns (ok, lines, metrics)

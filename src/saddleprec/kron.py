@@ -237,7 +237,7 @@ class KroneckerSolver:
     eigh(M_f), M_f = W_f diag(lam_f) W_f' with W_f orthonormal; the sum by
     the pencil eigh(S_f, M_f), W_f' M_f W_f = I and W_f' S_f W_f =
     diag(lam_f). With W = W_1 x ... x W_m the operator is W^-T diag(lam) W^-1,
-    lam the outer product (or sum) of the lam_f held as the
+    lam the outer product (or sum) of the lam_f (`factor_values`) held as the
     `KroneckerDiagonal` `values`, so a solve is mode products by the W_f',
     an elementwise quotient and mode products by the W_f (`vectors`).
     """
@@ -247,8 +247,8 @@ class KroneckerSolver:
             pairs, op = [eigh(m) for m in masses], np.multiply
         else:
             pairs, op = [eigh(s, m) for s, m in zip(stiffnesses, masses)], np.add
-        lams, self.vectors = zip(*pairs)
-        self.values = KroneckerDiagonal(*lams, op=op)
+        self.factor_values, self.vectors = zip(*pairs)
+        self.values = KroneckerDiagonal(*self.factor_values, op=op)
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """Solve with the operator; r may carry extra trailing columns."""

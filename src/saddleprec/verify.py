@@ -10,42 +10,56 @@ The Brezzi constants and the condition number are eigenvalues of dense
 pencils of A and P, and their control blocks are deflated exactly. Over the
 control pair (u, p_u), A holds s x M_U and P holds diag(alpha, 1/alpha) x M_U,
 s a symmetric 2x2 scalar matrix, and the control rows reach the other
-unknowns only through K_U = A[p_u, y], of rank at most dim Y. For each w with
-K_U' w = 0, the pair (a w, b w) is therefore an eigenvector of (A, P)
-whenever (a, b) is an eigenvector of the 2x2 scalar pencil
-(s, diag(alpha, 1/alpha)). The P-orthogonal complement of these vectors is
-invariant and spanned by v = diag(I, Q, Q, I[, I]), Q an orthonormal basis
-of a space containing range(M_U^-1 K_U); the Brezzi pencils split the same
-way. Each pencil is solved on that span (340 unknowns in place of 3604 at
-wave p=2 level 2), and the scalar pencil's eigenvalues are added with
-multiplicity dim U - rank Q: (1 +- sqrt 5) / 2 for P^-1 A, the values of
-Murphy, Golub and Wathen (SISC 2000), and 1 for both Brezzi pencils.
-Neither A nor P is assembled: `_control_deflation` projects the tables they
-are made of onto that span in P's control eigenbasis, where M_U is
-diagonal, so Q' M_U Q is formed once for all control blocks and every other
-block is densified by its Kronecker apply, P_Y from its CSR matrix. Only
-the control entries are materialized otherwise, to check the structure on
-them.
+unknowns only through K_U = A[p_u, y]. For each w with K_U' w = 0, the pair
+(a w, b w) is therefore an eigenvector of (A, P) whenever (a, b) is an
+eigenvector of the 2x2 scalar pencil (s, diag(alpha, 1/alpha)). The
+P-orthogonal complement of these vectors is invariant and spanned by
+v = diag(I, V, V, I[, I]), V = M_U^-1 K_U R^-1, where G = K_U' M_U^-1 K_U =
+R'R is the state-sized Gram of K_U and R its Cholesky factor. In this basis
+V' M_U V = I and V' K_U = R, so every control block of A and P is a scalar
+times the identity and the (p_u, y) block is R; the Brezzi pencils split
+the same way. Each pencil is solved on that span (340 unknowns in place of
+3604 at wave p=2 level 2, 2,084 in place of 28,452 at level 3), and the
+scalar pencil's eigenvalues are added with multiplicity dim U - dim Y:
+(1 +- sqrt 5) / 2 for P^-1 A, the values of Murphy, Golub and Wathen (SISC
+2000), and 1 for both Brezzi pencils. Neither A nor P is assembled, and K_U
+is neither applied nor densified: `_control_deflation` builds G as a
+Kronecker sum from K_U's factors and the control mass's factor eigenpairs,
+densifies it on the state space and factors it; every other block is
+densified by its Kronecker apply, P_Y from its CSR matrix. Only the control
+entries are materialized otherwise, to check the structure on them.
+DENSE_CAP bounds the unknowns of the deflated pencil.
 """
 
 from dataclasses import asdict, dataclass, replace
 import math
 
 import numpy as np
-from scipy.linalg import eigh, null_space, qr
+from scipy.linalg import cholesky, eigh, null_space
 
 from .assembly import DiscreteSystem, mass_solver
-from .kron import mode_products
+from .kron import KroneckerMatrix, mode_products
 from .splines import eval_basis_many, gauss_rule
 from .precond import BlockDiagPreconditioner, StateBlock, build_Ptilde_Y
 
-# unknowns beyond which the dense instruments refuse a system
+# unknowns of the deflated pencil beyond which the dense instruments refuse a
+# system
 DENSE_CAP = 6000
 
 CONTROL = ("u", "p_u")
 # relative Frobenius defect up to which a control block of A counts as a
 # multiple of the control mass: the blocks are scaled copies of one matrix
 MULTIPLE_RTOL = 1e-12
+
+
+def _refuse_beyond_cap(system: DiscreteSystem, instrument: str):
+    """ValueError if the deflated pencil, dim - 2 dim U + 2 dim Y unknowns,
+    exceeds DENSE_CAP."""
+    spaces = system.spaces
+    n = system.dim - 2 * (spaces.block_dim("u") - spaces.block_dim("y"))
+    if n > DENSE_CAP:
+        raise ValueError(f"instance too large for the dense {instrument} "
+                         f"({n} deflated unknowns > {DENSE_CAP})")
 
 
 def _dense(op) -> np.ndarray:
@@ -56,25 +70,57 @@ def _dense(op) -> np.ndarray:
     return op.apply(np.eye(math.prod(f.shape[1] for f in op.terms[0].factors)))
 
 
+def _state_gram(k_u: KroneckerMatrix, solver) -> KroneckerMatrix:
+    """G = K_U' M_U^-1 K_U as a Kronecker sum.
+
+    With K_U = sum_k w_k K_k1 x K_k2 x K_k3 and the control mass's factor
+    eigenpairs M_f = Q_f diag(lam_f) Q_f' (`solver`, a `KroneckerSolver`),
+    G = sum_{k,l} w_k w_l (x)_f W_kf' W_lf, W_kf = diag(lam_f)^-1/2 Q_f'
+    K_kf: one term per pair of K_U's terms. Each W and each product is
+    formed once, so the terms share their factors as K_U's terms do."""
+    scaled, products, gram = {}, {}, KroneckerMatrix()
+    for term in k_u.terms:
+        for mode, f in enumerate(term.factors):
+            if (mode, id(f)) not in scaled:
+                scaled[mode, id(f)] = ((solver.vectors[mode].T @ f)
+                                       / np.sqrt(solver.factor_values[mode])[:, None])
+
+    def product(mode, f, g):
+        key = mode, id(f), id(g)
+        if key not in products:
+            products[key] = scaled[mode, id(f)].T @ scaled[mode, id(g)]
+        return products[key]
+
+    for a in k_u.terms:
+        for b in k_u.terms:
+            gram.add(a.weight * b.weight,
+                     *(product(mode, f, g) for mode, (f, g)
+                       in enumerate(zip(a.factors, b.factors))))
+    return gram
+
+
 def _control_deflation(system: DiscreteSystem,
                        precon: BlockDiagPreconditioner) -> tuple:
-    """The deflated pencil (G, H) = (v'Av, v'Pv), s, d and rank Q.
+    """The deflated pencil (G, H) = (v'Av, v'Pv), s, d and rank V.
 
-    The projection runs in P's `ControlEigenbasis` Q_c, where the control
-    mass is diag(lam). With K~ = Q_c' K_U, the system's K_U with its rows
-    rotated, and Q~ the orthonormal QR factor of diag(lam)^-1 K~, Q = Q_c Q~
-    is that of M_U^-1 K_U, so no rank is decided. Every control block of A
-    and P is then a multiple of Q' M_U Q = Q~' diag(lam) Q~, formed once,
-    and the (p_u, y) block is Q~' K~. Every other block, an entry of the
-    system table times its `DiscreteSystem.weight` or a block of P's table
-    times its scale, is densified by its Kronecker apply on the identity,
-    P_Y from its CSR matrix; its transpose fills the mirrored block. s, with
+    The control basis is V = M_U^-1 K_U R^-1, with R the upper Cholesky
+    factor of the state-sized Gram K_U' M_U^-1 K_U = R'R, which
+    `_state_gram` builds from the system's (p_u, y) entry and the factor
+    eigenpairs of P's `ControlEigenbasis`, and which is densified on the
+    state space. V spans range(M_U^-1 K_U), so no rank is decided:
+    ValueError unless the Gram is positive definite (K_U of full column
+    rank, rank V = dim Y). V' M_U V = I, so every control block of A and P
+    is a scalar times the identity, and the (p_u, y) block is V' K_U = R.
+    Every other block, an entry of the system table times its
+    `DiscreteSystem.weight` or a block of P's table times its scale, is
+    densified by its Kronecker apply on the identity, P_Y from its CSR
+    matrix; its transpose fills the mirrored block. s, with
     A[c, c'] = s[c, c'] M_U for c, c' in CONTROL, is read from the control
     entries, d from P's control scales; an absent entry is a zero block.
     Besides P_Y, only the entries that touch a control, K_U aside, are
-    materialized, each once, to check the structure: ValueError unless each control entry is
-    such a multiple to roundoff and no entry but K_U couples the controls to
-    another block.
+    materialized, each once, to check the structure: ValueError unless each
+    control entry is such a multiple to roundoff and no entry but K_U
+    couples the controls to another block.
     """
     held = {}
 
@@ -98,17 +144,19 @@ def _control_deflation(system: DiscreteSystem,
               and matrix(op).count_nonzero()):
             raise ValueError(f"block ({row}, {col}) couples the controls "
                              f"outside K_U: no exact deflation")
-    spaces, basis = system.spaces, precon.basis
-    lam = basis.mass.diagonal
+    spaces = system.spaces
     if ("p_u", "y") in system.blocks:
-        k_u = mode_products(tuple(w.T for w in basis.q),
-                            _dense(system.blocks["p_u", "y"]))
-        q = qr(k_u / lam[:, None], mode="economic")[0]
+        gram = _state_gram(system.blocks["p_u", "y"], precon.basis.solver)
+        try:
+            r = cholesky(_dense(gram), check_finite=False)
+        except np.linalg.LinAlgError:
+            raise ValueError("K_U' M_U^-1 K_U is not positive definite: "
+                             "no exact deflation") from None
     else:
-        q = np.zeros((lam.size, 0))
-    mass = q.T @ (lam[:, None] * q)
+        r = np.zeros((0, spaces.block_dim("y")))
+    eye = np.eye(r.shape[0])
     names = spaces.block_names
-    offs = np.cumsum([0] + [q.shape[1] if n in CONTROL else spaces.block_dim(n)
+    offs = np.cumsum([0] + [r.shape[0] if n in CONTROL else spaces.block_dim(n)
                             for n in names])
     part = dict(zip(names, map(slice, offs, offs[1:])))
     g, h = np.zeros((2, offs[-1], offs[-1]))
@@ -119,15 +167,15 @@ def _control_deflation(system: DiscreteSystem,
 
     for (row, col), op in system.blocks.items():
         if row in CONTROL and col in CONTROL:
-            put(g, row, col, s[CONTROL.index(row), CONTROL.index(col)] * mass)
+            put(g, row, col, s[CONTROL.index(row), CONTROL.index(col)] * eye)
         elif (row, col) == ("p_u", "y"):
-            put(g, row, col, q.T @ k_u)
+            put(g, row, col, r)
         elif row not in CONTROL and col not in CONTROL:  # else zero, checked
             put(g, row, col, system.weight(row, col) * _dense(op))
     for n in names:
         scale, op, _ = precon.table[n]
-        put(h, n, n, scale * (mass if n in CONTROL else _dense(op)))
-    return g, h, s, np.diag([precon.table[n].scale for n in CONTROL]), q.shape[1]
+        put(h, n, n, scale * (eye if n in CONTROL else _dense(op)))
+    return g, h, s, np.diag([precon.table[n].scale for n in CONTROL]), r.shape[0]
 
 
 @dataclass
@@ -164,17 +212,16 @@ def measure_brezzi(system: DiscreteSystem, alpha: float | None = None) -> Brezzi
     All four come from the deflated pencil (G, H), split after x, and the
     deflated eigenvalue 1: c_A from (G_xx, H_xx), gamma0 from that pencil on
     ker G_mx, c_B and k0 from (G_mx H_xx^-1 G_xm, H_mm). This is exact: ker B
-    lies in the span of v_x = diag(I, Q), as B's (p_u, u) block s[1, 0] M_U
+    lies in the span of v_x = diag(I, V), as B's (p_u, u) block s[1, 0] M_U
     is invertible; ker(B v_x) = ker G_mx, as the p_u rows of B v_x lie in
-    M_U range(Q), where Q' is injective; N_x^-1 B' v_m lies in the span of
-    v_x, as the u rows of B' v_m are s[0, 1] M_U Q. Systems beyond DENSE_CAP
-    unknowns, or whose control blocks lack that structure, are refused.
+    M_U range(V), where V' is injective; N_x^-1 B' v_m lies in the span of
+    v_x, as the u rows of B' v_m are s[0, 1] M_U V. Systems whose deflated
+    pencil exceeds DENSE_CAP unknowns, or whose control blocks lack that
+    structure, are refused.
     """
     spec = system.spec
     spec_a = replace(spec, alpha=spec.alpha if alpha is None else float(alpha))
-    if system.dim > DENSE_CAP:
-        raise ValueError(f"instance too large for dense Brezzi measurement "
-                         f"({system.dim} > {DENSE_CAP})")
+    _refuse_beyond_cap(system, "Brezzi measurement")
     spaces = system.spaces
     g, h, s, d, rank = _control_deflation(
         replace(system, spec=spec_a),
@@ -233,12 +280,11 @@ def condition_number_estimate(system: DiscreteSystem,
     as null modes and excluded from kappa; MINRES never sees them when the
     right-hand side is compatible. The deflated pencil (G, H) is solved and
     the eigenvalues of the scalar pencil (s, d) are added with multiplicity
-    dim U - rank Q. Systems beyond DENSE_CAP unknowns, or whose control
-    blocks lack the deflated structure, are refused.
+    dim U - rank V. Systems whose deflated pencil exceeds DENSE_CAP
+    unknowns, or whose control blocks lack the deflated structure, are
+    refused.
     """
-    if system.dim > DENSE_CAP:
-        raise ValueError(f"instance too large for the dense condition number "
-                         f"({system.dim} > {DENSE_CAP})")
+    _refuse_beyond_cap(system, "condition number")
     g, h, s, d, rank = _control_deflation(system, precon)
     ev = eigh(g, h, eigvals_only=True)
     deflated = eigh(s, d, eigvals_only=True)

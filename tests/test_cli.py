@@ -154,6 +154,21 @@ def test_verify_conditioning_suite_reports_spread(capsys, monkeypatch):
     assert "spread 15.000 (at most 10)" in out
 
 
+def test_verify_conditioning_suite_checks_the_closed_form(capsys, monkeypatch):
+    # a kappa above cos(pi/7)/cos(3pi/7) by more than DENSE_TOL fails the
+    # suite, though its spread over alpha is 1
+    kappa = cli.KAPPA_CLOSED_FORM * (1 + 1e-6)
+    monkeypatch.setattr(verify, "condition_number_estimate",
+                        lambda system, precon: verify.ConditionReport(
+                            kappa, kappa, 1.0, 0))
+    rc = main(["verify", "--suite", "conditioning"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "spread 1.000 (at most 10)" in out
+    assert "wave p=2 level=3 alpha=1e-09: kappa=4.0489213884" in out
+    assert "= 4.0489173395, minus 1: 1.00e-06 (at most 1e-08)" in out
+
+
 def test_table_long_form_output(tmp_path, capsys):
     path = tmp_path / "cells.csv"
     rc = main(["table", "--levels", "1", "--alphas", "1e-3", "1e-6",

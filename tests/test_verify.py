@@ -7,12 +7,13 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
-from scipy.linalg import eigh, null_space
+from scipy.linalg import eigh, null_space, qr
 
 from saddleprec import assembly, cli, precond, verify
 from saddleprec.assembly import ProblemSpec, assemble_system, build_spaces, mass_form
-from saddleprec.kron import KroneckerMatrix
+from saddleprec.kron import KroneckerMatrix, mode_products
 from saddleprec.krylov import minres, random_start
 from saddleprec.precond import (
     BlockDiagPreconditioner,
@@ -40,9 +41,10 @@ def heat_system():
 
 
 @pytest.fixture(scope="module")
-def wave_l3_system():
-    # 28,452 unknowns: beyond the dense caps of the verify instruments
-    spec = ProblemSpec("wave", 2, 3, 1e-3)
+def wave_l4_system():
+    # 226,372 unknowns, about 14,400 deflated: beyond the dense cap of the
+    # verify instruments
+    spec = ProblemSpec("wave", 2, 4, 1e-3)
     return assemble_system(spec)
 
 
@@ -67,11 +69,11 @@ def test_brezzi_heat_has_positive_infsup(heat_system):
 
 
 def test_brezzi_rejects_bad_alpha_and_large_instances(wave_system,
-                                                     wave_l3_system):
+                                                     wave_l4_system):
     with pytest.raises(ValueError):
         measure_brezzi(wave_system, alpha=0.0)
-    with pytest.raises(ValueError):
-        measure_brezzi(wave_l3_system)
+    with pytest.raises(ValueError, match="too large"):
+        measure_brezzi(wave_l4_system)
 
 
 def dense_preconditioner(precon):
@@ -154,12 +156,14 @@ def test_deflated_instruments_match_dense_pencils(kind, p):
         assert rep["n_zero_modes"] == ref["n_zero_modes"]
 
 
-@pytest.mark.parametrize("kind", ["heat", "wave"])
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p, kind", [(2, "heat"), (3, "heat"), (2, "wave"),
+                                     (3, "wave"), (5, "wave")])
 @pytest.mark.parametrize("alpha", [1.0, 1e-6])
 def test_deflation_holds_the_whole_spectrum(kind, p, alpha):
     # eig(G, H) and the scalar pencil's eigenvalues, dim U - rank times each,
-    # are every eigenvalue of the dense (A, P), not only the extremes
+    # are every eigenvalue of the dense (A, P), not only the extremes; at
+    # p=5 the Gram K_U' M_U^-1 K_U that the control basis factors has a
+    # condition number near 1e6 (wave)
     spec = ProblemSpec(kind, p, 1, alpha)
     system = assemble_system(spec)
     precon = build_preconditioner(spec, system.spaces, system.blocks)
@@ -180,6 +184,74 @@ def test_condition_number_wave_l2_reference():
     precon = build_preconditioner(spec, system.spaces, system.blocks)
     assert condition_number_estimate(system, precon).kappa == pytest.approx(
         3.935855891093608, rel=1e-10)
+
+
+def _qr_deflation(system, precon):
+    # the deflation the Gram basis replaced, kept as its oracle: K~ = Q_c' K_U
+    # densified, Q~ the orthonormal QR factor of diag(lam)^-1 K~, every
+    # control block a multiple of Q~' diag(lam) Q~ and the (p_u, y) block
+    # Q~' K~; the structure checks stay with the instrument
+    spaces, basis, control = system.spaces, precon.basis, verify.CONTROL
+    lam = basis.mass.diagonal
+    m_u = precon.table["u"].matrix.materialize()
+    s = np.zeros((2, 2))
+    for (row, col), op in system.blocks.items():
+        if row in control and col in control:
+            blk = system.weight(row, col) * op.materialize()
+            i, j = control.index(row), control.index(col)
+            s[i, j] = s[j, i] = blk.multiply(m_u).sum() / m_u.multiply(m_u).sum()
+    k_u = mode_products(tuple(w.T for w in basis.q),
+                        system.blocks["p_u", "y"].materialize().toarray())
+    q = qr(k_u / lam[:, None], mode="economic")[0]
+    mass = q.T @ (lam[:, None] * q)
+    names = spaces.block_names
+    offs = np.cumsum([0] + [q.shape[1] if n in control else spaces.block_dim(n)
+                            for n in names])
+    part = dict(zip(names, map(slice, offs, offs[1:])))
+    g, h = np.zeros((2, offs[-1], offs[-1]))
+
+    def put(pencil, row, col, blk):
+        pencil[part[col], part[row]] = blk.T
+        pencil[part[row], part[col]] = blk
+
+    for (row, col), op in system.blocks.items():
+        if row in control and col in control:
+            put(g, row, col, s[control.index(row), control.index(col)] * mass)
+        elif (row, col) == ("p_u", "y"):
+            put(g, row, col, q.T @ k_u)
+        elif row not in control and col not in control:
+            put(g, row, col, system.weight(row, col) * op.materialize().toarray())
+    for n in names:
+        scale, op, _ = precon.table[n]
+        put(h, n, n, scale * (mass if n in control else op.materialize().toarray()))
+    return g, h, s, np.diag([precon.table[n].scale for n in control]), q.shape[1]
+
+
+def test_gram_basis_matches_the_qr_deflation_on_an_ill_conditioned_gram(
+        monkeypatch):
+    # wave p=5 level 2: K_U' M_U^-1 K_U has a condition number above 1e8, and
+    # kappa and the Brezzi constants of its Cholesky basis agree with those
+    # of the QR basis of range(M_U^-1 K_U). The Gram does not depend on
+    # alpha; at alpha=1 kappa is largest (272), so its smallest eigenvalue
+    # is the most sensitive to the basis
+    spec = ProblemSpec("wave", 5, 2, 1.0)
+    system = assemble_system(spec)
+    gram = verify._state_gram(system.blocks["p_u", "y"],
+                              assembly.mass_solver(system.spaces, "u"))
+    assert np.linalg.cond(verify._dense(gram)) > 1e8
+    precon = build_preconditioner(spec, system.spaces, system.blocks)
+    reports = []
+    for deflation in (verify._control_deflation, _qr_deflation):
+        monkeypatch.setattr(verify, "_control_deflation", deflation)
+        reports.append({**condition_number_estimate(system, precon).as_dict(),
+                        **measure_brezzi(system).as_dict()})
+    rep, ref = reports
+    assert ref["kappa"] > 100.0
+    for key in ("kappa", "lam_abs_max", "lam_abs_min", "c_a", "c_b", "gamma0",
+                "k0"):
+        assert rep[key] == pytest.approx(ref[key], rel=1e-10), key
+    for key in ("n_zero_modes", "kernel_dim"):
+        assert rep[key] == ref[key], key
 
 
 def test_instruments_refuse_controls_off_the_mass(wave_system):
@@ -227,6 +299,42 @@ def test_instruments_never_assemble_a_or_p(monkeypatch):
     precon = build_preconditioner(system.spec, system.spaces, system.blocks)
     assert measure_brezzi(system).kernel_dim > 0
     assert condition_number_estimate(system, precon).kappa >= 1.0
+
+
+def test_instruments_never_apply_or_densify_k_u_nor_call_a_qr(monkeypatch):
+    # the control basis reads only K_U's Kronecker factors: an apply or a
+    # materialize of the (p_u, y) entry, rotated or not, or a QR on the way
+    # must fail here
+    def refuse(*args, **kwargs):
+        raise AssertionError("an instrument applied or densified K_U, or "
+                             "called a QR")
+
+    system = assemble_system(ProblemSpec("wave", 2, 1, 1e-3))
+    precon = build_preconditioner(system.spec, system.spaces, system.blocks)
+    for k_u in (system.blocks["p_u", "y"], precon.basis.k_u):
+        monkeypatch.setattr(k_u, "apply", refuse)
+        monkeypatch.setattr(k_u, "materialize", refuse)
+    monkeypatch.setattr(scipy.linalg, "qr", refuse)
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    monkeypatch.setattr(verify, "qr", refuse, raising=False)
+    assert measure_brezzi(system).kernel_dim > 0
+    assert condition_number_estimate(system, precon).kappa >= 1.0
+
+
+def test_instruments_refuse_a_k_u_without_full_column_rank(wave_system):
+    # K_U = 0: its Gram K_U' M_U^-1 K_U is singular, so the control basis
+    # has no Cholesky factor and neither instrument may run
+    zero = KroneckerMatrix()
+    for term in wave_system.blocks["p_u", "y"].terms:
+        zero.add(0.0, *term.factors)
+    broken = dataclasses.replace(
+        wave_system, blocks={**wave_system.blocks, ("p_u", "y"): zero})
+    precon = build_preconditioner(wave_system.spec, wave_system.spaces,
+                                  wave_system.blocks)
+    with pytest.raises(ValueError, match="not positive definite"):
+        condition_number_estimate(broken, precon)
+    with pytest.raises(ValueError, match="not positive definite"):
+        measure_brezzi(broken)
 
 
 def test_instruments_materialize_each_operator_once(monkeypatch):
@@ -336,8 +444,8 @@ def test_condition_number_wave_null_modes(wave_system):
     assert rep.kappa < 10.0
 
 
-def test_condition_number_refuses_beyond_dense_cap(wave_l3_system):
-    system = wave_l3_system
+def test_condition_number_refuses_beyond_dense_cap(wave_l4_system):
+    system = wave_l4_system
     precon = build_preconditioner(system.spec, system.spaces, system.blocks)
     t0 = time.perf_counter()
     with pytest.raises(ValueError, match="too large"):
