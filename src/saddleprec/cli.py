@@ -72,8 +72,9 @@ def estimate_memory_gb(spec: ProblemSpec) -> float:
     """Peak memory of a solve from the exact sizes of what it holds.
 
     P_Y's three alpha-free Grams and its values at alpha, a float64 each,
-    and the two int32 arrays of `band_map`, per entry in the lower triangle
-    of its band (`band_size`); its banded Cholesky factor, 8 B per entry of
+    and the int32 band-storage slots their setup holds beside them
+    (`state_grams`), per entry in the lower triangle of its band
+    (`band_size`); its banded Cholesky factor, 8 B per entry of
     the (bandwidth + 1) x n lower band storage; the eigenvalue diagonals of
     the Kronecker solvers, at most one per unknown; the univariate arrays;
     and MINRES's work vectors. All of them follow from the grids and the
@@ -85,7 +86,7 @@ def estimate_memory_gb(spec: ProblemSpec) -> float:
     lower = (band_size(shape, p) + n) // 2
     dofs = sum(spaces.block_dims)
     m = max(max(spaces.block_shape(name)) for name in spaces.block_names)
-    held = ((4 * 8 + 2 * 4) * lower + 8 * n * (bandwidth(shape, p) + 1)
+    held = ((4 * 8 + 4) * lower + 8 * n * (bandwidth(shape, p) + 1)
             + 8 * dofs + 8 * UNIVARIATE_ARRAYS * m * m + 8 * WORK_VECTORS * dofs)
     return BASE_GB + held / 1e9
 

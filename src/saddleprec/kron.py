@@ -22,24 +22,17 @@ import scipy.sparse as sp
 from scipy.linalg import eigh
 
 
-def mode_products(factors, x: np.ndarray, stacked: bool = False) -> np.ndarray:
+def mode_products(factors, x: np.ndarray) -> np.ndarray:
     """(F_1 x ... x F_m) x by one matrix product per factor.
 
     x has the product of the factor column dimensions as its length, and may
-    carry extra trailing columns; or, stacked, x holds such vectors as its
-    rows and each row gets the product. The leading mode is one GEMM on the
-    unfolding (one per row of a stack), middle modes are batched products, and a mode with nothing
+    carry extra trailing columns. The leading mode is one GEMM on the
+    unfolding, middle modes are batched products, and a mode with nothing
     behind it is one GEMM against the transposed factor; every intermediate
-    stays C-contiguous, so no axis is ever moved. A stack's rows ride as the
-    leading batch of every mode, so the whole stack costs one call per
-    factor.
+    stays C-contiguous, so no axis is ever moved.
     """
     x = np.asarray(x)
-    lead = x.shape[0] if stacked else 1
-    extra = () if stacked else x.shape[1:]
-    rest = x.size // lead
-    rows = lead
-    y = x
+    rest, rows, y = x.size, 1, x
     for f in factors:
         m, n = f.shape
         rest //= n
@@ -50,7 +43,7 @@ def mode_products(factors, x: np.ndarray, stacked: bool = False) -> np.ndarray:
         else:
             y = np.matmul(f, y.reshape(rows, n, rest))
         rows *= m
-    return y.reshape((lead, rows // lead) if stacked else (rows,) + extra)
+    return y.reshape((rows,) + x.shape[1:])
 
 
 @dataclass

@@ -8,7 +8,9 @@ iterations, at a Lanczos breakdown and at the iteration cap. One rule decides
 each confirmation: at or below tol the solve stops "converged", a breakdown
 held to the same tol. Otherwise it stops, in this order, "stagnated" once
 STAGNATION_CHECKS confirmations in a row fail to improve on the best one,
-"breakdown", or "iteration cap", and returns the best confirmed iterate.
+"breakdown" (also at a confirmation that is not finite, from which the
+recurrence cannot recover), or "iteration cap", and returns the best
+confirmed iterate, or the start when no confirmation was finite.
 The first time they fail, the recurrence restarts instead, once per solve
 (`MinresReport.restarted`), for the correction of the best iterate: from
 zero, driven by that iterate's full residual, in `Euclidean` coordinates
@@ -262,11 +264,12 @@ def minres(apply_a, apply_pinv, b: np.ndarray, x0: np.ndarray | None = None,
         if not (phibar <= target or breakdown
                 or itn % TRUE_RESIDUAL_CHECK_EVERY == 0 or itn == config.max_iter):
             continue
-        if confirm(x) <= config.rel_tol:
+        rel = confirm(x)
+        if rel <= config.rel_tol:
             stop = "converged"
         elif since_best >= STAGNATION_CHECKS and restarted:
             stop = "stagnated"
-        elif breakdown:
+        elif breakdown or not np.isfinite(rel):
             stop = "breakdown"
         elif itn == config.max_iter:
             stop = "iteration cap"
@@ -290,8 +293,11 @@ def minres(apply_a, apply_pinv, b: np.ndarray, x0: np.ndarray | None = None,
             dbar = epsln = 0.0
             cs, sn = -1.0, 0.0
 
-    if stop != "converged":
-        x = best_x
-    return full(x), MinresReport(itn, stop, np.array(history), checks,
-                                 checks[-1][1] if stop == "converged" else best_rel,
-                                 restarted)
+    if stop == "converged":
+        x, relres = full(x), checks[-1][1]
+    elif best_x is not None:
+        x, relres = full(best_x), best_rel
+    else:  # no confirmation was finite: the start, whose residual is r0
+        x = np.zeros(b.shape[0]) if x0 is None else np.array(x0, dtype=float)
+        relres = 1.0
+    return x, MinresReport(itn, stop, np.array(history), checks, relres, restarted)

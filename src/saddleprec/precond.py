@@ -11,24 +11,25 @@ block realizes the weighted norm
 and is the one block a solve factorizes, by LAPACK's banded Cholesky
 (`BandCholesky`: dpbtrf, dpbtrs). A state-space basis function couples only
 with those within p indices per axis, so P_Y's pattern is the Kronecker
-product of the per-axis bands |i - j| <= p (`band`), and in the natural
-order of its C-ordered tensor grid P_Y is a band matrix of half-bandwidth
-p (n_x n_y + n_y + 1) (`bandwidth`). P_Y is defined by its lower
-triangle, the one LAPACK reads, and mirrored: its three alpha-free Grams
-(`state_grams`) are value arrays on the lower triangle of that band, from
-outer products of their univariate factors' band entries, so per alpha
+product of the per-axis bands |i - j| <= p (`band_size`), and in the
+natural order of its C-ordered tensor grid P_Y is a band matrix of
+half-bandwidth p (n_x n_y + n_y + 1) (`bandwidth`). P_Y is defined by its
+lower triangle, the one LAPACK reads, and mirrored: its three alpha-free
+Grams (`state_grams`) are value arrays on the lower triangle of that band,
+from outer products of their univariate factors' band entries, so per alpha
 P_Y is a weighted sum of three arrays (`state_block`), scattered into
-LAPACK's lower band storage by one alpha-free map (`band_map`); no sparse
-matrix is formed unless export, verify or a test reads one
-(`StateBlock.materialize`). Every other block is a Kronecker product of
-univariate masses, or the r1 Gram S_x x M_y + M_x x S_y, and is inverted
-in the eigenbases of its factors (`kron.KroneckerSolver`). P reads the
-observation and the control mass from the system table of
-`assembly.system_blocks` and builds the r1 Gram and the r2 mass, which A
-does not contain. Only P_Y, its factor and the control scales depend on
-alpha; `alpha_free_setup` holds P_Y's Grams and the `ControlEigenbasis`, so
-that solves at several alphas can share them. The solve runs in that basis:
-there the control mass of A and P is diagonal. The basis's control-mass
+LAPACK's lower band storage through one int32 array of slots that the
+setup holds beside the Grams; no sparse matrix is formed unless export,
+verify or a test reads one (`StateBlock.materialize`). Every other block is
+a Kronecker product of univariate masses, or the r1 Gram S_x x M_y + M_x x
+S_y, and is inverted in the eigenbases of its factors
+(`kron.KroneckerSolver`). P reads the observation and the control mass from
+the system table of `assembly.system_blocks` and builds the r1 Gram and the
+r2 mass, which A does not contain. Only P_Y, its factor and the control
+scales depend on alpha; `alpha_free_setup` holds P_Y's Grams and slots and
+the `ControlEigenbasis`, so that solves at several alphas can share them,
+and nothing of them outlives it. The solve runs in that basis: there the
+control mass of A and P is diagonal. The basis's control-mass
 solver also serves the B-spline table, whose matrices stay in the B-spline
 basis. The dense reference is the Schur complement observation + sum_m K_m'
 P_m^{-1} K_m over the multiplier blocks m of the same P, K_m the (m, y)
@@ -38,7 +39,6 @@ residual inclusion holds.
 
 import copy
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -104,21 +104,10 @@ def _axis_band(n: int, p: int) -> tuple:
     return tuple(idx.astype(np.int32) for idx in np.nonzero(near))
 
 
-def band(shape: tuple, p: int) -> tuple:
-    """Row and column of each entry of the Kronecker product of the per-axis
-    bands |i - j| <= p on the C-ordered grid `shape`, in the natural order,
-    as int32 arrays."""
-    rows = cols = np.zeros(1, dtype=np.int32)
-    for n in shape:
-        i, j = _axis_band(n, p)
-        rows = (rows[:, None] * n + i).ravel()
-        cols = (cols[:, None] * n + j).ravel()
-    return rows, cols
-
-
 def band_values(km: KroneckerMatrix, p: int) -> np.ndarray:
     """A Kronecker sum of square factors on the Kronecker product of the
-    per-axis bands |i - j| <= p, in the order of `band`.
+    per-axis bands |i - j| <= p, in its natural order: the entries of each
+    axis's band row by row, the last axis fastest.
 
     Each term adds w ((F_1 x F_2) x F_3) of its factors' band entries: the
     products, and the terms in their order, of `KroneckerMatrix.materialize`.
@@ -143,69 +132,71 @@ def band_values(km: KroneckerMatrix, p: int) -> np.ndarray:
 
 
 def state_grams(spec: ProblemSpec, spaces: DiscreteSpaces, blocks: dict) -> tuple:
-    """P_Y's alpha-free terms on the lower triangle of its band
-    (`band_values` at the entries of `band_map`): observation, residual
-    (`state_residual_form`), trace."""
-    lower = band_map(spaces.block_shape("y"), spec.degree)[0]
-    return tuple(band_values(km, spec.degree)[lower] for km in (
+    """P_Y's alpha-free data on the lower triangle (row at or after column)
+    of its band, in the order of `band_values`: the observation, residual
+    (`state_residual_form`) and trace Grams, and each entry's int32 slot in
+    LAPACK's lower band storage of the reversed order, ab[i - j, j] =
+    a_(n-1-i, n-1-j): (n - 1 - row) (bandwidth + 1) + row - col, its place
+    in the C-ordered (n, bandwidth + 1) array whose transpose is ab. Row -
+    col and the slot are sums of per-axis terms, built by outer sums."""
+    shape, p = spaces.block_shape("y"), spec.degree
+    n, width = math.prod(shape), bandwidth(shape, p)
+    if n * (width + 1) >= 2 ** 31:
+        raise ValueError("the band has too many entries for int32 slots")
+    diff = np.zeros((), dtype=np.int32)
+    slot = np.full((), (n - 1) * (width + 1), dtype=np.int32)
+    for k, n_k in enumerate(shape):
+        stride = math.prod(shape[k + 1:])
+        i, j = _axis_band(n_k, p)
+        diff = np.add.outer(diff, (i - j) * stride)
+        slot = np.add.outer(slot, (i - j - (width + 1) * i) * stride)
+    lower = diff.ravel() >= 0
+    slots = slot.ravel()[lower]
+    del diff, slot  # freed before the Grams' full-band values
+    return (*(band_values(km, p)[lower] for km in (
         blocks["y", "y"], state_residual_form(spec, spaces),
-        trace_form(spec, spaces)))
+        trace_form(spec, spaces))), slots)
 
 
 def band_size(shape: tuple, p: int) -> int:
-    """Entries of the band of `band`, P_Y's nonzeros."""
+    """Entries of the Kronecker product of the per-axis bands |i - j| <= p
+    on the C-ordered grid `shape`, P_Y's nonzeros."""
     return math.prod(_axis_band(n, p)[0].size for n in shape)
 
 
 def bandwidth(shape: tuple, p: int) -> int:
-    """Half-bandwidth of the band of `band` in the natural order: p planes
-    of each axis, p (n_x n_y + n_y + 1) on a 3-D grid."""
+    """Half-bandwidth of that band in the natural order: p planes of each
+    axis, p (n_x n_y + n_y + 1) on a 3-D grid."""
     return p * sum(math.prod(shape[k + 1:]) for k in range(len(shape)))
-
-
-@lru_cache(maxsize=4)
-def band_map(shape: tuple, p: int) -> tuple:
-    """The alpha-free scatter map of the band into LAPACK's lower band
-    storage of the reversed order, ab[i - j, j] = a_(n-1-i, n-1-j), as int32
-    arrays: for each band entry in the lower triangle (row at or after
-    column), its index and its place in the C-ordered (n, bandwidth + 1)
-    array whose transpose is ab. Built once per grid and degree; every
-    caller shares it and must not modify it."""
-    n, width = math.prod(shape), bandwidth(shape, p)
-    if n * (width + 1) >= 2 ** 31:
-        raise ValueError("the band has too many entries for int32 maps")
-    rows, cols = band(shape, p)
-    lower = np.flatnonzero(rows >= cols).astype(np.int32)
-    rows, cols = rows[lower], cols[lower]
-    return lower, (n - 1 - rows) * (width + 1) + (rows - cols)
 
 
 class StateBlock(NamedTuple):
     """P_Y on the band of the C-ordered grid `shape` with degree `p`, held
-    as `lower`: the value of each band entry in the lower triangle, in the
-    order of `band_map`; the upper triangle mirrors it. Only `materialize`
-    builds a sparse matrix."""
+    as `lower`, the value of each band entry in the lower triangle, and
+    `slots`, its place in LAPACK's lower band storage (`state_grams`); the
+    upper triangle mirrors it. Only `materialize` builds a sparse matrix."""
 
     lower: np.ndarray
+    slots: np.ndarray
     shape: tuple
     p: int
 
     def band_storage(self) -> np.ndarray:
         """LAPACK's lower band storage ab (bandwidth + 1, n) of the reversed
-        order (`band_map`), Fortran ordered, so that `cholesky_banded`
-        factors it in place."""
+        order, Fortran ordered, so that `cholesky_banded` factors it in
+        place."""
         n, width = math.prod(self.shape), bandwidth(self.shape, self.p)
         ab = np.zeros((n, width + 1))
-        ab.reshape(-1)[band_map(self.shape, self.p)[1]] = self.lower
+        ab.reshape(-1)[self.slots] = self.lower
         return ab.T
 
     def materialize(self) -> sp.csr_matrix:
         """The exact CSR matrix L + tril(L, -1)', L the lower triangle, for
         export, the verify instruments and the tests; a zero entry is left
-        out."""
-        lower = band_map(self.shape, self.p)[0]
-        rows, cols = (idx[lower] for idx in band(self.shape, self.p))
-        n = math.prod(self.shape)
+        out. Each slot gives its entry's row and row - col."""
+        n, width = math.prod(self.shape), bandwidth(self.shape, self.p)
+        rows = n - 1 - self.slots // (width + 1)
+        cols = rows - self.slots % (width + 1)
         low = sp.csr_matrix((self.lower, (rows, cols)), shape=(n, n))
         return (low + sp.tril(low, -1).T).tocsr()
 
@@ -214,8 +205,8 @@ def state_block(grams: tuple, alpha: float, shape: tuple, p: int) -> StateBlock:
     """P_Y at alpha from its `state_grams`: (observation + alpha * residual)
     + trace on the lower triangle of the band, bit for bit the lower
     triangle of that CSR sum of the materialized Grams."""
-    observation, residual, trace = grams
-    return StateBlock(observation + alpha * residual + trace, shape, p)
+    observation, residual, trace, slots = grams
+    return StateBlock(observation + alpha * residual + trace, slots, shape, p)
 
 
 class BandCholesky:
@@ -440,8 +431,8 @@ class ControlCoordinates:
 def alpha_free_setup(spec: ProblemSpec, spaces: DiscreteSpaces,
                      blocks: dict) -> tuple:
     """The part of P that every alpha shares and that costs more than the
-    eigh of a few univariate factors: the `state_grams` and the
-    `ControlEigenbasis` the solve runs in."""
+    eigh of a few univariate factors: the `state_grams` (with P_Y's slots)
+    and the `ControlEigenbasis` the solve runs in."""
     return state_grams(spec, spaces, blocks), ControlEigenbasis(spaces, blocks)
 
 
@@ -450,9 +441,9 @@ class BlockDiagPreconditioner:
 
     `table` maps each block name to its `DiagonalBlock`: P_Y as a
     `StateBlock` with its `BandCholesky`, the other blocks as
-    Kronecker sums with their `KroneckerSolver`s. P_Y's Grams and `basis`, the
-    `ControlEigenbasis` whose control-mass solver serves u and p_u, come
-    from `setup`, an `alpha_free_setup` built when None.
+    Kronecker sums with their `KroneckerSolver`s. P_Y's Grams and slots and
+    `basis`, the `ControlEigenbasis` whose control-mass solver serves u and
+    p_u, come from `setup`, an `alpha_free_setup` built when None.
     """
 
     def __init__(self, spec, spaces, blocks, setup=None):

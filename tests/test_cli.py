@@ -2,7 +2,9 @@
 
 import csv
 import dataclasses
+import gc
 import json
+import weakref
 
 import pytest
 import scipy.io as sio
@@ -29,7 +31,6 @@ from saddleprec.kron import KroneckerMatrix, KroneckerPlan
 from saddleprec.precond import (
     ControlCoordinates,
     alpha_free_setup,
-    band_map,
     band_size,
     bandwidth,
     build_preconditioner,
@@ -48,6 +49,15 @@ def test_run_single_row(capsys):
     assert int(row[5]) > 0  # iterations
     assert row[6] == "True"
     assert row[CSV_COLUMNS.index("stop")] == "converged"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_reports_a_solve_without_a_finite_residual(capsys):
+    # alpha = 1e300 overflows the residual norms: a breakdown row and exit 1
+    assert main(["run", "--level", "1", "--alpha", "1e300"]) == 1
+    row = dict(zip(CSV_COLUMNS, capsys.readouterr().out.splitlines()[1].split(",")))
+    assert row["stop"] == "breakdown" and row["converged"] == "False"
+    assert float(row["final_relres"]) == 1.0
 
 
 def test_run_writes_csv(tmp_path, capsys):
@@ -222,6 +232,25 @@ def test_setup_shared_within_one_table_only(monkeypatch, capsys):
     assert len(built) == 5
 
 
+def test_band_slots_live_with_their_setup_only():
+    # P_Y's band-storage slots belong to the setup of one key: its cells
+    # share them across alpha, and once the cells move to another key nothing
+    # in the process keeps them
+    spec = ProblemSpec("wave", 2, 1, 1.0)
+    with cli.shared_setup():
+        _, precon = cli.build_solve(spec)
+        slots = precon.table["y"].matrix.slots
+        _, precon = cli.build_solve(dataclasses.replace(spec, alpha=1e-6))
+        assert precon.table["y"].matrix.slots is slots
+        held = weakref.ref(slots)
+        del precon, slots
+        gc.collect()
+        assert held() is not None
+        cli.build_solve(dataclasses.replace(spec, level=2))
+        gc.collect()
+        assert held() is None
+
+
 def test_setup_key_ignores_alpha_and_seed_only():
     spec = ProblemSpec("wave", 2, 1, 1e-3, seed=1)
     key = cli.setup_key(spec)
@@ -381,19 +410,21 @@ def test_memory_estimate_covers_held_blocks(kind, p, lev):
     # the counts are exact: the band is P_Y's pattern, held on its lower
     # triangle, and the band factor is 8 B per entry of its (bandwidth + 1)
     # x n lower band storage
-    maps = band_map(p_y.shape, p)
+    assert p_y.slots is setup[0][-1]
     assert band_size(p_y.shape, p) == precon.block_matrix("y").nnz
     width = bandwidth(p_y.shape, p)
     assert factor.factor.nbytes == 8 * spaces.block_dim("y") * (width + 1)
     # the bytes held: P_Y's three alpha-free Grams (a `table` cell keeps
-    # them across alpha), its values at alpha and the scatter maps, all on
-    # the band's lower triangle, its banded Cholesky factor, the univariate
-    # factors of every block and of the rotated K_U, the factor eigenvectors
-    # and the eigenvalue diagonal of every Kronecker solver (the control
-    # eigenbasis is the control-mass solver's), the Kronecker plans of every
-    # operator a solve applies, and the work vectors; the interpreter base is
-    # left out
-    band_bytes = sum(a.nbytes for a in (*setup[0], p_y.lower, *maps))
+    # them across alpha) and their band-storage slots, which P_Y shares, and
+    # its values at alpha, all on the band's lower triangle, its banded
+    # Cholesky factor, the univariate factors of every block and of the
+    # rotated K_U, the factor eigenvectors and the eigenvalue diagonal of
+    # every Kronecker solver (the control eigenbasis is the control-mass
+    # solver's), the Kronecker plans of every operator a solve applies, and
+    # the work vectors; the interpreter base is left out
+    band_bytes = sum(a.nbytes for a in (*setup[0], p_y.lower))
+    lower = (band_size(p_y.shape, p) + spaces.block_dim("y")) // 2
+    assert band_bytes == (4 * 8 + 4) * lower
     cholesky_bytes = factor.factor.nbytes
     others = [n for n in spaces.block_names if n != "y"]
     solvers = {id(s): s for s in (precon.table[n].solver for n in others)}

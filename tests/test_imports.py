@@ -168,3 +168,44 @@ def test_krylov_imports_nothing_of_the_package():
     assert package_imports(ROOT / "src" / "saddleprec" / "krylov.py") == []
     # the check does see a module's package imports
     assert package_imports(ROOT / "src" / "saddleprec" / "precond.py")
+
+
+MEMO_CACHES = {"lru_cache", "cache"}
+
+
+def memo_caches(path: Path) -> list:
+    """(line, text) of each reach for functools' process-wide memo caches in
+    a module: an import of lru_cache or cache from functools, or a read of
+    either as an attribute of a name bound to functools."""
+    functools_names, found = set(), []
+    tree = ast.parse(path.read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            functools_names |= {alias.asname or alias.name for alias in node.names
+                                if alias.name == "functools"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [(node.lineno, f"functools.{alias.name}")
+                      for alias in node.names if alias.name in MEMO_CACHES]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in MEMO_CACHES
+                and isinstance(node.value, ast.Name)
+                and node.value.id in functools_names):
+            found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+def test_no_process_wide_caches_in_the_package(tmp_path):
+    # what a solve holds belongs to its setup, where the memory gate counts
+    # it and a finished setup frees it: no module keeps arrays in a
+    # functools cache across setups; a per-object cached_property stays
+    found = {p.relative_to(ROOT).as_posix(): memo_caches(p) for p in SOURCES}
+    assert SOURCES and not {path: reads for path, reads in found.items() if reads}
+    # the check does see each kind of reach, and lets cached_property pass
+    module = tmp_path / "cached.py"
+    module.write_text("import functools as ft\n"
+                      "from functools import cached_property, lru_cache\n"
+                      "from functools import cache as memo\n"
+                      "@ft.lru_cache(maxsize=4)\n"
+                      "def f(n): return n\n"
+                      "g = ft.cache(f)\n")
+    assert sorted(line for line, _ in memo_caches(module)) == [2, 3, 4, 6]

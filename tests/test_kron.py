@@ -123,9 +123,11 @@ def test_apply_matches_materialize_and_dense_kron(shapes):
 
 
 def _per_term(km, x, stacked=False):
-    """The sum term by term, one chain of mode products per term: the
-    plan's oracle."""
-    return sum(t.weight * mode_products(t.factors, x, stacked) for t in km.terms)
+    """The sum term by term, one chain of mode products per term (per row
+    of a stack): the plan's oracle."""
+    if stacked:
+        return np.stack([_per_term(km, row) for row in x])
+    return sum(t.weight * mode_products(t.factors, x) for t in km.terms)
 
 
 def _shared_sums(kind, p, lev):

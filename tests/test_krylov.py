@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from saddleprec import krylov
+from saddleprec import cli, krylov
 from saddleprec.assembly import ProblemSpec, assemble_system
 from saddleprec.krylov import STAGNATION_CHECKS, MinresConfig, minres, random_start
-from saddleprec.precond import build_preconditioner
+from saddleprec.precond import ControlCoordinates, build_preconditioner
 
 
 def _apply(mat):
@@ -155,6 +155,26 @@ def test_breakdown_held_to_tol():
     assert rep.iterations == 2
     assert not rep.converged and rep.final_true_relres > cfg.rel_tol
     _assert_verdict(rep, "breakdown", cfg.rel_tol)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_no_finite_confirmation_stops_with_the_start():
+    # at alpha = 1e300 the start residual's norm overflows and the first
+    # confirmation is NaN, which no iterate can improve on: the solve stops
+    # "breakdown" and returns its start, whose residual is r0, at relres 1
+    spec = ProblemSpec("wave", 2, 1, 1e300)
+    system, precon = cli.build_solve(spec)
+    basis = precon.basis
+    system, precon = basis.system(system), basis.preconditioner(precon)
+    x0 = basis.rotate(random_start(system.dim, spec.seed))
+    config = MinresConfig(coordinates=ControlCoordinates(system, precon))
+    x, rep = minres(system.apply, precon.apply_inverse, system.rhs, x0=x0,
+                    config=config)
+    assert rep.stop == "breakdown" and not rep.converged
+    assert rep.true_residual_checks and not any(
+        np.isfinite(rel) for _, rel in rep.true_residual_checks)
+    assert rep.final_true_relres == 1.0
+    assert np.array_equal(x, x0)
 
 
 def test_stagnation_stops_with_best_confirmed_iterate():

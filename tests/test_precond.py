@@ -20,8 +20,6 @@ from saddleprec.precond import (
     BandCholesky,
     ControlEigenbasis,
     alpha_free_setup,
-    band,
-    band_map,
     band_size,
     band_values,
     bandwidth,
@@ -211,17 +209,19 @@ def test_state_block_is_the_symmetric_mean_up_to_roundoff(kind, p, lev):
 @pytest.mark.parametrize("kind", ["heat", "wave"])
 def test_grams_hold_only_the_lower_triangle_of_the_band(kind, p):
     # no array of the band's length survives setup: each alpha-free Gram and
-    # P_Y hold one value per band entry on or below the diagonal
+    # P_Y hold one value per band entry on or below the diagonal, and P_Y
+    # shares its setup's one int32 array of band-storage slots
     spec = ProblemSpec(kind, p, 2, 1e-6)
     sp_ = build_spaces(spec)
     system = assemble_system(spec, sp_)
     grams, _ = setup = alpha_free_setup(spec, sp_, system.blocks)
     shape, n = sp_.block_shape("y"), sp_.block_dim("y")
     lower = (band_size(shape, p) + n) // 2
-    assert [g.size for g in grams] == [lower] * 3
+    assert [g.size for g in grams] == [lower] * 4
+    assert [g.dtype for g in grams] == [np.float64] * 3 + [np.int32]
     p_y = build_preconditioner(spec, sp_, system.blocks, setup).table["y"].matrix
     assert p_y.lower.size == lower
-    assert [a.size for a in band_map(shape, p)] == [lower] * 2
+    assert p_y.slots is grams[-1]
 
 
 @pytest.mark.parametrize("lev", [1, 2, 3])
@@ -244,7 +244,7 @@ def test_band_build_is_bitwise_the_csr_formula(kind, p, lev):
         held = precon.block_matrix("y")
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(held, attr), getattr(oracle, attr))
-        assert band(shape, p)[0].size == band_size(shape, p) == oracle.nnz
+        assert band_size(shape, p) == oracle.nnz
         dense = oracle.toarray()[::-1, ::-1]
         n = dense.shape[0]
         assert 0 < width < n and not np.tril(dense, -width - 1).any()
