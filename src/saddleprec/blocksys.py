@@ -138,7 +138,7 @@ def kernel_equality_check(sys: BlockTridiagonalSystem,
                           tol: float = 1e-10) -> KernelCheck:
     """Compare ker(full operator) with ker(D) intersected with ker(B).
 
-    The intersection is the kernel of the stacked matrix [D; B]. Subspaces are
+    The intersection is the kernel of the matrix [D; B]. Subspaces are
     declared equal when their dimensions agree and the largest principal angle
     is at most 1e-8.
     """

@@ -12,7 +12,6 @@ written to --output); and 2 on configuration errors
 
 import argparse
 import csv
-import dataclasses
 import math
 import sys
 import time
@@ -33,7 +32,7 @@ from .assembly import (
 from .krylov import MinresConfig, minres, random_start
 from .precond import (
     ControlCoordinates,
-    alpha_free_setup,
+    Setup,
     band_size,
     bandwidth,
     build_preconditioner,
@@ -60,46 +59,76 @@ WORK_VECTORS = 20
 # dense univariate arrays, each at most m x m for m the largest factor
 # dimension, that a solve holds: the Kronecker factors of every block and of
 # the rotated K_U, the factor eigenvectors of every Kronecker solver, and the
-# stacked factors of the Kronecker plan of every operator the solve applies
+# joined factors of the Kronecker plan of every operator the solve applies
 # (21 to 59 of them for heat and wave, p=2-5, levels 0-3; the plans' block
 # matrices weigh most at level 0)
 UNIVARIATE_ARRAYS = 70
 # resident size of the interpreter with numpy and scipy loaded
 BASE_GB = 0.1
+# bytes that `export` holds per nonzero of A beyond the system and P it
+# builds: A and P's blocks as CSR and COO matrices while they are written
+# (ru_maxrss of export over that of the build alone: 39.8-42.2 B at wave
+# alpha = 1e-6, (p, level) = (2, 3), (3, 3) and (2, 4))
+EXPORT_NNZ_BYTES = 44
+
+
+# [the `Setup` of the last grid solved] while `shared_setup` is open in this
+# context, None otherwise
+_setups = ContextVar("setups", default=None)
 
 
 def estimate_memory_gb(spec: ProblemSpec) -> float:
     """Peak memory of a solve from the exact sizes of what it holds.
 
-    P_Y's three alpha-free Grams and its values at alpha, a float64 each,
-    and the int32 band-storage slots their setup holds beside them
-    (`state_grams`), per entry in the lower triangle of its band
-    (`band_size`); its banded Cholesky factor, 8 B per entry of
-    the (bandwidth + 1) x n lower band storage; the eigenvalue diagonals of
-    the Kronecker solvers, at most one per unknown; the univariate arrays;
-    and MINRES's work vectors. All of them follow from the grids and the
-    degree alone.
+    P_Y's values at alpha, a float64, and the int32 band-storage slots of its
+    setup (`state_grams`), per entry in the lower triangle of its band
+    (`band_size`), and P_Y's three alpha-free Grams beside them, a float64
+    each, while `shared_setup` is open: a shared setup holds them through
+    every factor, and a P built on a setup of its own frees them before its
+    factor; its banded Cholesky factor, 8 B per entry of the
+    (bandwidth + 1) x n lower band storage; the eigenvalue diagonals of the
+    Kronecker solvers, at most one per unknown; the univariate arrays; and
+    MINRES's work vectors. All of them follow from the grids and the degree
+    alone.
     """
     spaces = build_spaces(spec)
     shape, p = spaces.block_shape("y"), spec.degree
     n = spaces.block_dim("y")
     lower = (band_size(shape, p) + n) // 2
+    grams = 0 if _setups.get() is None else 3
     dofs = sum(spaces.block_dims)
     m = max(max(spaces.block_shape(name)) for name in spaces.block_names)
-    held = ((4 * 8 + 4) * lower + 8 * n * (bandwidth(shape, p) + 1)
+    held = ((8 * (1 + grams) + 4) * lower + 8 * n * (bandwidth(shape, p) + 1)
             + 8 * dofs + 8 * UNIVARIATE_ARRAYS * m * m + 8 * WORK_VECTORS * dofs)
     return BASE_GB + held / 1e9
+
+
+def system_nnz(spec: ProblemSpec) -> int:
+    """Nonzeros of A, exact but for cancellation: per entry of A's table, the
+    product over the modes of its factors' joint nonzeros, doubled off the
+    diagonal."""
+    total = 0
+    for (row, col), km in system_blocks(spec, build_spaces(spec)).items():
+        modes = zip(*(term.factors for term in km.terms))
+        total += (1 if row == col else 2) * math.prod(
+            np.count_nonzero(sum(np.abs(f) for f in fs)) for fs in modes)
+    return total
 
 
 class ConfigError(Exception):
     pass
 
 
-def _check_budget(spec: ProblemSpec, max_memory_gb: float | None) -> None:
+def _check_budget(spec: ProblemSpec, max_memory_gb: float | None,
+                  export: bool = False) -> None:
+    """Refuse a spec whose estimate exceeds the cap; with export, the
+    matrices written count too, EXPORT_NNZ_BYTES per nonzero of A."""
     cap = DEFAULT_MEMORY_GB if max_memory_gb is None else max_memory_gb
     if not cap > 0:  # also refuses NaN
         raise ConfigError(f"--max-memory-gb must be positive, got {cap}")
     estimate = estimate_memory_gb(spec)
+    if export:
+        estimate += EXPORT_NNZ_BYTES * system_nnz(spec) / 1e9
     if spec.level > DESK_LEVEL_MAX and max_memory_gb is None:
         raise ConfigError(
             f"level {spec.level} is beyond desk scale (estimated "
@@ -113,21 +142,10 @@ def _check_budget(spec: ProblemSpec, max_memory_gb: float | None) -> None:
               f"(cap {cap:.2f} GB)")
 
 
-def setup_key(spec: ProblemSpec) -> tuple:
-    """Every field of spec but alpha and seed: what all of a solve's setup
-    except P_Y and its factor depends on."""
-    return dataclasses.astuple(dataclasses.replace(spec, alpha=1.0, seed=0))
-
-
-# {setup_key: (spaces, A's table, P's alpha-free setup)} of the last key
-# solved while `shared_setup` is open in this context, None otherwise
-_setups = ContextVar("setups", default=None)
-
-
 @contextmanager
 def shared_setup():
-    """Within, the solves of one setup_key share its setup, built once."""
-    token = _setups.set({})
+    """Within, the solves of one grid share its `Setup`, built once."""
+    token = _setups.set([])
     try:
         yield
     finally:
@@ -135,19 +153,18 @@ def shared_setup():
 
 
 def build_solve(spec: ProblemSpec) -> tuple:
-    """The system and the preconditioner of spec, from the setup that an
-    open `shared_setup` holds for it."""
-    setups = _setups.get()
-    if setups is None:
+    """The system and the preconditioner of spec, from the `Setup` that an
+    open `shared_setup` holds for its grid."""
+    held = _setups.get()
+    if held is None:
         spaces, blocks, setup = build_spaces(spec), None, None
     else:
-        key = setup_key(spec)
-        if key not in setups:
-            setups.clear()  # cells come grouped by key: hold one setup
+        if not (held and held[0].serves(spec)):
+            held.clear()  # cells come grouped by grid: hold one setup
             spaces = build_spaces(spec)
-            blocks = system_blocks(spec, spaces)
-            setups[key] = spaces, blocks, alpha_free_setup(spec, spaces, blocks)
-        spaces, blocks, setup = setups[key]
+            held.append(Setup(spec, spaces, system_blocks(spec, spaces)))
+        setup = held[0]
+        spaces, blocks = setup.spaces, setup.blocks
     system = assemble_system(spec, spaces, blocks=blocks)
     return system, build_preconditioner(spec, spaces, system.blocks, setup)
 
@@ -155,7 +172,7 @@ def build_solve(spec: ProblemSpec) -> tuple:
 def solve_once(spec: ProblemSpec, tol: float) -> dict:
     """Assemble, precondition, and solve one homogeneous-data instance.
 
-    MINRES runs in P's `ControlEigenbasis`, from the seed's start vector
+    MINRES runs in P's control eigenbasis (`Setup`), from the seed's start vector
     rotated into it, so the residual norms are those of the B-spline basis.
     Its recurrence runs in the `ControlCoordinates` of the rotated system.
     """
@@ -237,15 +254,15 @@ def cmd_run(args) -> int:
 
 def cmd_table(args) -> int:
     # the tolerance and every cell's spec are validated up front; the memory
-    # estimate does not depend on alpha: checked once per (degree, level)
+    # estimate of a shared setup does not depend on alpha: checked once per
+    # (degree, level)
     MinresConfig(rel_tol=args.tol)
     specs = [ProblemSpec(args.problem, p, lev, a, seed=args.seed)
              for p in args.degrees for lev in args.levels for a in args.alphas]
-    for spec in specs[::len(args.alphas)]:
-        _check_budget(spec, args.max_memory_gb)
-
     all_rows = []
     with shared_setup():
+        for spec in specs[::len(args.alphas)]:
+            _check_budget(spec, args.max_memory_gb)
         for spec in specs:
             try:
                 row = solve_once(spec, args.tol)
@@ -502,7 +519,7 @@ def cmd_verify(args) -> int:
 def cmd_export(args) -> int:
     spec = ProblemSpec(args.problem, args.degree, args.level, args.alpha,
                        seed=args.seed)
-    _check_budget(spec, args.max_memory_gb)
+    _check_budget(spec, args.max_memory_gb, export=True)
     # before any work: a path that cannot be a directory is refused
     Path(args.export_dir).mkdir(parents=True, exist_ok=True)
     manifest = matrixio.export_system(*build_solve(spec), args.export_dir)

@@ -4,7 +4,7 @@ Space-time operators on tensor-product spline spaces are sums of terms
 w * (T x X x Y) with dense univariate factors. Every block of the optimality
 systems is held in this form. This module applies such a sum by one plan of
 three matrix products, whatever its number of terms (`KroneckerPlan`, sum
-factorization with the terms' shared factors stacked), applies a plain
+factorization with the terms' shared factors side by side), applies a plain
 product by mode products (one small matrix product per factor, never forming
 the product), materializes sums as sparse matrices only where a matrix is
 needed (export, the dense verify instruments, the tests), and inverts an SPD
@@ -76,13 +76,13 @@ class KroneckerPlan:
     (`_distinct`), all weights and middle factors fold into one block matrix,
     M[(a, i), (j, c)] = sum of w_k B_k[i, j] over the terms with A_k = A_a
     and C_k = C_c. From the last mode: x's unfolding with n_y columns times
-    the C stacked side by side (one GEMM), each (n_x nc, m_y) slab of that by
-    M (one batched product), and [A_1 ... A_na] times the (n_t na, m_x m_y)
-    unfolding (one GEMM). From the first mode, the mirror image: the A
-    stacked, M with its block indices swapped, then [C_1 ... C_nc]. The plan
-    runs the order with fewer multiply-adds, the first mode on a tie. Stacked rows
-    ride as the batch of every product; trailing columns are transposed into
-    stacked rows and back.
+    the C side by side (one GEMM), each (n_x nc, m_y) slab of that by M (one
+    batched product), and [A_1 ... A_na] times the (n_t na, m_x m_y)
+    unfolding (one GEMM). From the first mode, the mirror image: the A one
+    above the other, M with its block indices swapped, then [C_1 ... C_nc].
+    The plan runs the order with fewer multiply-adds, the first mode on a
+    tie. Trailing columns are transposed into rows, which ride as the batch
+    of every product, and back.
     """
 
     def __init__(self, terms):
@@ -96,8 +96,8 @@ class KroneckerPlan:
         middle = np.zeros((na, m_x, n_x, nc))
         for t, (_, b, _), a, c in zip(terms, factors, a_of, c_of):
             middle[a, :, :, c] += t.weight * b
-        # multiply-adds per row of each order: stacked GEMM, block product,
-        # stacked GEMM
+        # multiply-adds per row of each order: GEMM on the joined factors,
+        # block product, GEMM on the joined factors
         from_first = (m_t * na * n_t * n_x * n_y + m_t * m_x * nc * na * n_x * n_y
                       + m_t * m_x * m_y * nc * n_y)
         from_last = (n_t * n_x * nc * m_y * n_y + n_t * na * m_x * n_x * nc * m_y
@@ -116,14 +116,12 @@ class KroneckerPlan:
         # 2-4, one thread)
         self.middle, self.last = np.asfortranarray(middle), np.asfortranarray(last)
 
-    def apply(self, x: np.ndarray, stacked: bool = False) -> np.ndarray:
-        """Product with x (a vector, or columns of one; stacked, with each
-        row of x)."""
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Product with x (a vector, or columns of one)."""
         x = np.asarray(x)
         (m_t, n_t), (m_x, n_x), (m_y, n_y) = self.shapes
-        columns = not stacked and x.ndim > 1
-        rows = x.reshape(n_t * n_x * n_y, -1).T if columns else x
-        lead = rows.shape[0] if stacked or columns else 1
+        rows = x.reshape(n_t * n_x * n_y, -1).T
+        lead = rows.shape[0]
         if self.first_mode:
             y = np.matmul(self.first, rows.reshape(lead, n_t, -1))
             y = np.matmul(self.middle, y.reshape(lead * m_t, -1, n_y))
@@ -132,9 +130,7 @@ class KroneckerPlan:
             y = rows.reshape(-1, n_y) @ self.last.T
             y = np.matmul(self.middle, y.reshape(lead * n_t, -1, m_y))
             y = np.matmul(self.first, y.reshape(lead, -1, m_x * m_y))
-        if columns:
-            return y.reshape(lead, -1).T.reshape((-1,) + x.shape[1:])
-        return y.reshape((lead, -1) if stacked else -1)
+        return y.reshape(lead, -1).T.reshape((-1,) + x.shape[1:])
 
 
 class KroneckerMatrix:
@@ -173,14 +169,14 @@ class KroneckerMatrix:
             km._transpose, self._transpose = self, km
         return self._transpose
 
-    def apply(self, x: np.ndarray, stacked: bool = False) -> np.ndarray:
-        """Product with x (a vector, or columns of one; stacked, with each
-        row of x), by the `KroneckerPlan` built on the first apply."""
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Product with x (a vector, or columns of one), by the
+        `KroneckerPlan` built on the first apply."""
         if not self.terms:
             raise ValueError("empty Kronecker sum")
         if self._plan is None:
             self._plan = KroneckerPlan(self.terms)
-        return self._plan.apply(x, stacked)
+        return self._plan.apply(x)
 
     def materialize(self) -> sp.csr_matrix:
         """Assemble the sum into one sparse CSR matrix."""

@@ -1,8 +1,8 @@
 """Matrix Market export of system and preconditioner blocks, plus a run manifest.
 
 Values are written with 17 significant digits so that a write/read cycle
-reproduces every double bit-exactly. Symmetric blocks go out in coordinate
-real symmetric form, everything else as coordinate real general.
+reproduces every double bit-exactly. Every matrix written is symmetric and
+goes out in coordinate real symmetric form.
 """
 
 import json
@@ -14,12 +14,11 @@ import scipy.sparse as sp
 MM_PRECISION = 17
 
 
-def write_matrix(path, mat, symmetric: bool = False) -> None:
+def write_matrix(path, mat) -> None:
     path = Path(path)
     mat = sp.coo_matrix(mat)
     try:
-        sio.mmwrite(str(path), mat, precision=MM_PRECISION,
-                    symmetry="symmetric" if symmetric else "general")
+        sio.mmwrite(str(path), mat, precision=MM_PRECISION, symmetry="symmetric")
     except OSError as exc:
         raise OSError(f"could not write matrix to {path}: {exc}") from exc
 
@@ -32,11 +31,11 @@ def export_system(system, precon, directory) -> dict:
     spec, spaces = system.spec, system.spaces
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    write_matrix(directory / "system.mtx", system.matrix, symmetric=True)
+    write_matrix(directory / "system.mtx", system.matrix)
     files = {"system": "system.mtx"}
     for name in spaces.block_names:
         fname = f"precond_{name}.mtx"
-        write_matrix(directory / fname, precon.block_matrix(name), symmetric=True)
+        write_matrix(directory / fname, precon.block_matrix(name))
         files[f"precond_{name}"] = fname
     manifest = {
         "problem": spec.kind,

@@ -26,18 +26,18 @@ S_y, and is inverted in the eigenbases of its factors
 (`kron.KroneckerSolver`). P reads the observation and the control mass from
 the system table of `assembly.system_blocks` and builds the r1 Gram and the
 r2 mass, which A does not contain. Only P_Y, its factor and the control
-scales depend on alpha; `alpha_free_setup` holds P_Y's Grams and slots and
-the `ControlEigenbasis`, so that solves at several alphas can share them,
-and nothing of them outlives it. The solve runs in that basis: there the
-control mass of A and P is diagonal. The basis's control-mass
-solver also serves the B-spline table, whose matrices stay in the B-spline
-basis. The dense reference is the Schur complement observation + sum_m K_m'
-P_m^{-1} K_m over the multiplier blocks m of the same P, K_m the (m, y)
+scales depend on alpha; the rest is one `Setup` per grid, which solves at
+several alphas share and nothing outlives. The solve runs in its control
+eigenbasis: there the control mass of A and P is diagonal. The basis's
+control-mass solver also serves the B-spline table, whose matrices stay in
+the B-spline basis. The dense reference is the Schur complement observation
++ sum_m K_m' P_m^{-1} K_m over the multiplier blocks m of the same P, K_m the (m, y)
 entries of the system table; it equals the sparse state block whenever the
 residual inclusion holds.
 """
 
 import copy
+import dataclasses
 import math
 from typing import NamedTuple
 
@@ -131,10 +131,11 @@ def band_values(km: KroneckerMatrix, p: int) -> np.ndarray:
     return total
 
 
-def state_grams(spec: ProblemSpec, spaces: DiscreteSpaces, blocks: dict) -> tuple:
+def state_grams(spec: ProblemSpec, spaces: DiscreteSpaces, blocks: dict,
+                residual: KroneckerMatrix | None = None) -> tuple:
     """P_Y's alpha-free data on the lower triangle (row at or after column)
     of its band, in the order of `band_values`: the observation, residual
-    (`state_residual_form`) and trace Grams, and each entry's int32 slot in
+    (`residual`, or `state_residual_form`) and trace Grams, each entry's slot in
     LAPACK's lower band storage of the reversed order, ab[i - j, j] =
     a_(n-1-i, n-1-j): (n - 1 - row) (bandwidth + 1) + row - col, its place
     in the C-ordered (n, bandwidth + 1) array whose transpose is ab. Row -
@@ -154,7 +155,7 @@ def state_grams(spec: ProblemSpec, spaces: DiscreteSpaces, blocks: dict) -> tupl
     slots = slot.ravel()[lower]
     del diff, slot  # freed before the Grams' full-band values
     return (*(band_values(km, p)[lower] for km in (
-        blocks["y", "y"], state_residual_form(spec, spaces),
+        blocks["y", "y"], residual or state_residual_form(spec, spaces),
         trace_form(spec, spaces))), slots)
 
 
@@ -235,17 +236,21 @@ class BandCholesky:
 
 class DiagonalBlock(NamedTuple):
     """One block of P: scale * matrix, inverted as solver.solve(r) / scale.
-    In the `ControlEigenbasis` one `KroneckerDiagonal` is both."""
+    In the control eigenbasis of a `Setup` one `KroneckerDiagonal` is both."""
 
     scale: float
     matrix: object  # StateBlock or KroneckerMatrix, unscaled
     solver: object  # BandCholesky or KroneckerSolver, unscaled
 
 
-class ControlEigenbasis:
-    """The control mass's orthonormal eigenvectors Q = Q_t x Q_x x Q_y.
+class Setup:
+    """What no alpha changes on the grid of the specs it `serves`: the spaces,
+    A's table (`blocks`), the state residual's Gram G (`residual_gram`),
+    P_Y's `grams` and slots, which a P built on a setup of its own drops
+    before its factor, P's r1 and r2 blocks (`multipliers`), and the control
+    mass's orthonormal eigenvectors Q = Q_t x Q_x x Q_y.
 
-    They are the factor eigenvectors of the control mass's `mass_solver`,
+    Q are the factor eigenvectors of the control mass's `mass_solver`,
     M_f = Q_f diag(lam_f) Q_f', so M_U = Q diag(lam) Q' with lam = lam_t x
     lam_x x lam_y; that `solver` also serves the u and p_u blocks of the
     B-spline P, so M_U is factored once per setup. The basis change
@@ -254,14 +259,20 @@ class ControlEigenbasis:
     Euclidean and preconditioned residual norms. There the control mass of
     A's (u, u) and (u, p_u) entries and of P's u and p_u blocks is `mass`,
     one elementwise product, and K_U keeps its Kronecker terms with each
-    control factor F replaced by Q_f' F (`k_u`). Nothing depends on alpha.
-    The rotated system and preconditioner serve MINRES
-    (`ControlCoordinates`): they apply and solve but do not materialize,
-    which stays with the B-spline ones.
+    control factor F replaced by Q_f' F (`k_u`). The rotated system and
+    preconditioner serve MINRES (`ControlCoordinates`): they apply and solve
+    but do not materialize, which stays with the B-spline ones.
     """
 
-    def __init__(self, spaces: DiscreteSpaces, blocks: dict):
-        self.spaces = spaces
+    def __init__(self, spec: ProblemSpec, spaces: DiscreteSpaces, blocks: dict):
+        self.spec, self.spaces, self.blocks = spec, spaces, blocks
+        self.residual_gram = state_residual_form(spec, spaces)
+        self.grams = state_grams(spec, spaces, blocks, self.residual_gram)
+        self.multipliers = {"p_r1": DiagonalBlock(1.0, h10_gram_form(spaces),
+                                                  h10_gram_solver(spaces))}
+        if spaces.has_r2:
+            self.multipliers["p_r2"] = DiagonalBlock(
+                1.0, mass_form(spaces, "p_r2"), mass_solver(spaces, "p_r2"))
         self.solver = mass_solver(spaces, "u")
         self.q, self.mass = self.solver.vectors, self.solver.values
         self.k_u = KroneckerMatrix()
@@ -272,6 +283,11 @@ class ControlEigenbasis:
                     rotated[mode, id(f)] = q.T @ f
             self.k_u.add(term.weight, *(rotated[mode, id(f)]
                                         for mode, f in enumerate(term.factors)))
+
+    def serves(self, spec: ProblemSpec) -> bool:
+        """Whether spec differs from the setup's own in alpha and seed only."""
+        return dataclasses.replace(spec, alpha=self.spec.alpha,
+                                   seed=self.spec.seed) == self.spec
 
     def rotate(self, v: np.ndarray, back: bool = False) -> np.ndarray:
         """D v, or D' v when back: the control blocks change basis."""
@@ -300,7 +316,7 @@ class ControlEigenbasis:
 
 class ControlCoordinates:
     """MINRES coordinates (`krylov.Euclidean` names their methods) of the
-    rotated system and preconditioner of a `ControlEigenbasis`, in which a
+    rotated system and preconditioner of a `Setup`, in which a
     vector's control blocks are fixed by state-sized vectors and 4 scalars.
 
     With D = `basis.mass`, K_U = `basis.k_u` and F = [x0_u, x0_pu, D^-1 b_u,
@@ -310,9 +326,9 @@ class ControlCoordinates:
     multipliers after p_u stay explicit. A coordinate array holds five rows
     of dim Y: y, a_u, a_pu (b_u, b_pu) and g_u = G a_u, g_pu = G a_pu (zero
     in a residual), then c_u, c_pu (d_u, d_pu) and the multiplier tail.
-    G = K_U' M_U^-1 K_U is the state residual's Gram (`state_residual_form`,
-    built here), by the residual inclusion. P^-1 computes it afresh on each
-    output.
+    G = K_U' M_U^-1 K_U is the state residual's Gram (the setup's
+    `residual_gram`), by the residual inclusion. P^-1 computes it afresh on
+    each output.
 
     A's control rows are then coefficient arithmetic (u: alpha a_u + a_pu,
     alpha c_u + c_pu; p_u: a_u + y, c_u), its state row obs y + (K_U'F) c_pu
@@ -326,7 +342,7 @@ class ControlCoordinates:
     def __init__(self, system: DiscreteSystem, precon: "BlockDiagPreconditioner"):
         spaces = system.spaces
         self.basis, self.system, self.precon = precon.basis, system, precon
-        self.gram = state_residual_form(system.spec, spaces)
+        self.gram = precon.basis.residual_gram
         self.dim_y = spaces.block_dim("y")
         self.full = [spaces.block_slice(n) for n in spaces.block_names]
         # the multipliers after p_u, each with its place in the tail and its
@@ -365,7 +381,7 @@ class ControlCoordinates:
         u, p_u = self.full[1:3]
         # F, F'K_U and F'DF, F's columns as rows
         self.f = np.stack([x0[u], x0[p_u], mass.solve(b[u]), mass.solve(b[p_u])])
-        self.kf = k_u.T.apply(self.f, stacked=True)
+        self.kf = k_u.T.apply(self.f.T).T
         self.fdf = self.f @ mass.apply(self.f.T)
         eye = np.eye(4)
         x = self._coordinates(x0, eye[:2])
@@ -396,7 +412,7 @@ class ControlCoordinates:
         solve, scales = self.precon.solve_block, self.scales
         o_rows[0] = solve("y", rows[0])
         o_rows[1:3] = rows[1:3] / scales
-        o_rows[3:5] = self.gram.apply(o_rows[1:3], stacked=True)
+        o_rows[3:5] = self.gram.apply(o_rows[1:3].T).T
         o_c[...] = d / scales
         for name, part, _, _ in self.tail:
             o_tail[part] = solve(name, tail[part])
@@ -428,41 +444,30 @@ class ControlCoordinates:
         return self._expand(r, residual=True)
 
 
-def alpha_free_setup(spec: ProblemSpec, spaces: DiscreteSpaces,
-                     blocks: dict) -> tuple:
-    """The part of P that every alpha shares and that costs more than the
-    eigh of a few univariate factors: the `state_grams` (with P_Y's slots)
-    and the `ControlEigenbasis` the solve runs in."""
-    return state_grams(spec, spaces, blocks), ControlEigenbasis(spaces, blocks)
-
-
 class BlockDiagPreconditioner:
     """Factored diagonal blocks of the preconditioner at alpha = spec.alpha.
 
     `table` maps each block name to its `DiagonalBlock`: P_Y as a
-    `StateBlock` with its `BandCholesky`, the other blocks as
-    Kronecker sums with their `KroneckerSolver`s. P_Y's Grams and slots and
-    `basis`, the `ControlEigenbasis` whose control-mass solver serves u and
-    p_u, come from `setup`, an `alpha_free_setup` built when None.
+    `StateBlock` with its `BandCholesky`, the other blocks as Kronecker sums
+    with their `KroneckerSolver`s. Everything but P_Y, its factor and the
+    control scales comes from `basis`, the `Setup` given, or one built here
+    that keeps no Grams once P_Y is summed.
     """
 
     def __init__(self, spec, spaces, blocks, setup=None):
         self.spaces = spaces
         self.alpha = a = spec.alpha
-        grams, self.basis = setup or alpha_free_setup(spec, spaces, blocks)
-        p_y = state_block(grams, a, spaces.block_shape("y"), spec.degree)
-        del grams  # those of a setup built here are freed before P_Y's factor
-        u_mass = blocks["u", "u"]
+        self.basis = basis = setup or Setup(spec, spaces, blocks)
+        p_y = state_block(basis.grams, a, spaces.block_shape("y"), spec.degree)
+        if setup is None:
+            basis.grams = None  # freed before P_Y's factor
+        u_mass = basis.blocks["u", "u"]
         self.table = {
             "y": DiagonalBlock(1.0, p_y, BandCholesky(p_y)),
-            "u": DiagonalBlock(a, u_mass, self.basis.solver),
-            "p_u": DiagonalBlock(1.0 / a, u_mass, self.basis.solver),
-            "p_r1": DiagonalBlock(1.0, h10_gram_form(spaces),
-                                  h10_gram_solver(spaces)),
+            "u": DiagonalBlock(a, u_mass, basis.solver),
+            "p_u": DiagonalBlock(1.0 / a, u_mass, basis.solver),
+            **basis.multipliers,
         }
-        if spaces.has_r2:
-            self.table["p_r2"] = DiagonalBlock(1.0, mass_form(spaces, "p_r2"),
-                                               mass_solver(spaces, "p_r2"))
 
     @property
     def dim(self) -> int:
@@ -491,7 +496,7 @@ class BlockDiagPreconditioner:
 
 
 def build_preconditioner(spec: ProblemSpec, spaces: DiscreteSpaces, blocks: dict,
-                         setup: tuple | None = None) -> BlockDiagPreconditioner:
+                         setup: Setup | None = None) -> BlockDiagPreconditioner:
     """Assemble and factorize all diagonal blocks at alpha = spec.alpha."""
     return BlockDiagPreconditioner(spec, spaces, blocks, setup)
 

@@ -106,8 +106,8 @@ def _control_deflation(system: DiscreteSystem,
     The control basis is V = M_U^-1 K_U R^-1, with R the upper Cholesky
     factor of the state-sized Gram K_U' M_U^-1 K_U = R'R, which
     `_state_gram` builds from the system's (p_u, y) entry and the factor
-    eigenpairs of P's `ControlEigenbasis`, and which is densified on the
-    state space. V spans range(M_U^-1 K_U), so no rank is decided:
+    eigenpairs of the control mass in P's `Setup`, and which is densified
+    on the state space. V spans range(M_U^-1 K_U), so no rank is decided:
     ValueError unless the Gram is positive definite (K_U of full column
     rank, rank V = dim Y). V' M_U V = I, so every control block of A and P
     is a scalar times the identity, and the (p_u, y) block is V' K_U = R.

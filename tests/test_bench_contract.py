@@ -1,12 +1,13 @@
 """The benchmark probes rebind package attributes by name; they must exist."""
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from saddleprec import assembly, cli, krylov, verify
+from saddleprec import assembly, cli, krylov, precond, verify
 from saddleprec.assembly import ProblemSpec, assemble_system, build_spaces
 from saddleprec.precond import build_preconditioner
 
@@ -19,6 +20,35 @@ def probes():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+# the parameters perfbench passes, in order. The probes replace solve_once,
+# minres and estimate_memory_gb with wrappers of exactly these parameters, so
+# the package must declare exactly these; the workloads call the others
+# with these leading, and any further parameter needs a default.
+WRAPPED = {
+    (cli, "solve_once"): ("spec", "tol"),
+    (cli, "minres"): ("apply_a", "apply_pinv", "b", "x0", "config"),
+    (cli, "estimate_memory_gb"): ("spec",),
+}
+CALLED = {
+    (cli, "main"): ("argv",),
+    (assembly, "build_spaces"): ("spec",),
+    (assembly, "assemble_system"): ("spec", "spaces"),
+    (precond, "build_preconditioner"): ("spec", "spaces", "blocks"),
+    (verify, "measure_brezzi"): ("system", "alpha"),
+    (verify, "condition_number_estimate"): ("system", "precon"),
+}
+
+
+def test_called_signatures_keep_the_benchmark_parameters():
+    for (owner, attr), names in WRAPPED.items():
+        params = inspect.signature(getattr(owner, attr)).parameters
+        assert tuple(params) == names, attr
+    for (owner, attr), names in CALLED.items():
+        params = list(inspect.signature(getattr(owner, attr)).parameters.values())
+        assert tuple(p.name for p in params[:len(names)]) == names, attr
+        assert all(p.default is not p.empty for p in params[len(names):]), attr
 
 
 def test_traced_attributes_resolve(probes):

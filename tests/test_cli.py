@@ -30,7 +30,7 @@ from saddleprec.assembly import (
 from saddleprec.kron import KroneckerMatrix, KroneckerPlan
 from saddleprec.precond import (
     ControlCoordinates,
-    alpha_free_setup,
+    Setup,
     band_size,
     bandwidth,
     build_preconditioner,
@@ -213,23 +213,25 @@ def test_table_rows_equal_unshared_solves(kind, tmp_path, capsys):
 
 def test_setup_shared_within_one_table_only(monkeypatch, capsys):
     # the alpha-free setup is built once per (p, level) of one table, and
-    # nothing of it survives the command
-    built = []
-    orig = precond.state_grams
-
-    def counted(spec, spaces, blocks):
-        built.append((spec.degree, spec.level))
-        return orig(spec, spaces, blocks)
-
-    monkeypatch.setattr(precond, "state_grams", counted)
+    # nothing of it survives the command: P's Grams, the state residual's
+    # Gram and the r1 solver, each once per grid
+    built = {name: [] for name in ("state_grams", "state_residual_form",
+                                   "h10_gram_solver")}
+    for name, calls in built.items():
+        def count(*args, orig=getattr(precond, name), calls=calls):
+            calls.append(args[0])  # the spec; the r1 solver's spaces
+            return orig(*args)
+        monkeypatch.setattr(precond, name, count)
     argv = ["table", "--levels", "1", "2", "--alphas", "1", "1e-3", "1e-6"]
     assert main(argv) == 0
-    assert built == [(2, 1), (2, 2)]
+    assert [(spec.degree, spec.level) for spec in built["state_grams"]] == [
+        (2, 1), (2, 2)]
+    assert all(len(calls) == 2 for calls in built.values())
     assert cli._setups.get() is None
     assert main(argv) == 0
-    assert len(built) == 4
+    assert all(len(calls) == 4 for calls in built.values())
     assert main(["run", "--level", "1"]) == 0
-    assert len(built) == 5
+    assert all(len(calls) == 5 for calls in built.values())
 
 
 def test_band_slots_live_with_their_setup_only():
@@ -251,15 +253,16 @@ def test_band_slots_live_with_their_setup_only():
         assert held() is None
 
 
-def test_setup_key_ignores_alpha_and_seed_only():
+def test_setup_serves_specs_that_differ_in_alpha_and_seed_only():
     spec = ProblemSpec("wave", 2, 1, 1e-3, seed=1)
-    key = cli.setup_key(spec)
-    assert cli.setup_key(dataclasses.replace(spec, alpha=1e-9, seed=4)) == key
+    spaces = build_spaces(spec)
+    setup = Setup(spec, spaces, assemble_system(spec, spaces).blocks)
+    assert setup.serves(dataclasses.replace(spec, alpha=1e-9, seed=4))
     for field, value in (("final_time", 2.0),
                          ("omega", ((0.0, 0.5), (0.25, 0.75))),
                          ("kind", "heat"),
                          ("degree", 3), ("level", 2)):
-        assert cli.setup_key(dataclasses.replace(spec, **{field: value})) != key
+        assert not setup.serves(dataclasses.replace(spec, **{field: value}))
 
 
 def test_verify_fast_suites(capsys):
@@ -391,6 +394,26 @@ def test_memory_gate_refuses_non_positive_cap(cap):
         _check_budget(ProblemSpec("wave", 3, 5, 1e-6), cap)
 
 
+@pytest.mark.parametrize("kind,p", [("heat", 2), ("wave", 2), ("wave", 3)])
+def test_system_nnz_counts_a_from_its_factors(kind, p):
+    # an upper bound of A's nonzeros, exact but for cancellation
+    spec = ProblemSpec(kind, p, 2, 1e-6)
+    nnz = assemble_system(spec).matrix.nnz
+    assert nnz <= cli.system_nnz(spec) <= 1.001 * nnz
+
+
+def test_export_gate_counts_the_matrices_it_writes(tmp_path, capsys):
+    # at wave p=2 level 3 a solve is estimated at 0.11 GB and export, which
+    # also holds A and P as CSR matrices, at 0.18 GB
+    spec = ProblemSpec("wave", 2, 3, 1e-6)
+    _check_budget(spec, 0.15)
+    with pytest.raises(ConfigError, match="exceeds the configured cap"):
+        _check_budget(spec, 0.15, export=True)
+    assert main(["export", "--level", "3", "--max-memory-gb", "0.15",
+                 "--export-dir", str(tmp_path)]) == 2
+    assert not any(tmp_path.iterdir())
+
+
 def _factor_bytes(sums):
     """Bytes of the distinct univariate factors behind Kronecker sums."""
     factors = {id(f): f for km in sums for t in km.terms for f in t.factors}
@@ -404,13 +427,13 @@ def test_memory_estimate_covers_held_blocks(kind, p, lev):
     spec = ProblemSpec(kind, p, lev, 1e-6)
     spaces = build_spaces(spec)
     system = assemble_system(spec, spaces)
-    setup = alpha_free_setup(spec, spaces, system.blocks)
+    setup = Setup(spec, spaces, system.blocks)
     precon = build_preconditioner(spec, spaces, system.blocks, setup)
     p_y, factor = precon.table["y"].matrix, precon.table["y"].solver
     # the counts are exact: the band is P_Y's pattern, held on its lower
     # triangle, and the band factor is 8 B per entry of its (bandwidth + 1)
     # x n lower band storage
-    assert p_y.slots is setup[0][-1]
+    assert p_y.slots is setup.grams[-1]
     assert band_size(p_y.shape, p) == precon.block_matrix("y").nnz
     width = bandwidth(p_y.shape, p)
     assert factor.factor.nbytes == 8 * spaces.block_dim("y") * (width + 1)
@@ -422,7 +445,7 @@ def test_memory_estimate_covers_held_blocks(kind, p, lev):
     # every Kronecker solver (the control eigenbasis is the control-mass
     # solver's), the Kronecker plans of every operator a solve applies, and
     # the work vectors; the interpreter base is left out
-    band_bytes = sum(a.nbytes for a in (*setup[0], p_y.lower))
+    band_bytes = sum(a.nbytes for a in (*setup.grams, p_y.lower))
     lower = (band_size(p_y.shape, p) + spaces.block_dim("y")) // 2
     assert band_bytes == (4 * 8 + 4) * lower
     cholesky_bytes = factor.factor.nbytes
@@ -436,7 +459,7 @@ def test_memory_estimate_covers_held_blocks(kind, p, lev):
     sums += [precon.basis.k_u]
     # the solve applies the rotated system's block rows (their transposes
     # included: the coordinates' K_m' and the start's K_U' are among them)
-    # and the coordinates' residual Gram; each holds its plan's stacked
+    # and the coordinates' residual Gram; each holds its plan's joined
     # factors
     rotated = precon.basis.system(system)
     coords = ControlCoordinates(rotated, precon.basis.preconditioner(precon))
@@ -450,7 +473,8 @@ def test_memory_estimate_covers_held_blocks(kind, p, lev):
                      for pl in plans)
     total = (band_bytes + cholesky_bytes + _factor_bytes(sums) + eigen_bytes
              + plan_bytes + 8 * WORK_VECTORS * system.dim)
-    assert (estimate_memory_gb(spec) - BASE_GB) * 1e9 >= total
+    with cli.shared_setup():  # the estimate of a setup that keeps its Grams
+        assert (estimate_memory_gb(spec) - BASE_GB) * 1e9 >= total
 
 
 def test_solve_calls_the_full_operators_only_to_start_and_confirm(monkeypatch):
@@ -488,9 +512,9 @@ def test_one_solve_shares_each_transpose_and_its_plan(kind, monkeypatch):
     applied, plans = {}, []
     apply, plan_init = KroneckerMatrix.apply, KroneckerPlan.__init__
 
-    def record_apply(self, x, stacked=False):
+    def record_apply(self, x):
         applied[id(self)] = self
-        return apply(self, x, stacked)
+        return apply(self, x)
 
     def record_plan(self, terms):
         plans.append(terms)

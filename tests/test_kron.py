@@ -1,7 +1,7 @@
-"""Kronecker sums: materialization and planned application (of a vector,
-its columns or stacked rows) against dense products and term-by-term mode
-products, tensor solves against per-factor Cholesky and sparse direct
-solves."""
+"""Kronecker sums: materialization and planned application (of a vector or
+its columns, also the columns of a transposed array) against dense products
+and term-by-term mode products, tensor solves against per-factor Cholesky
+and sparse direct solves."""
 
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ from saddleprec.kron import (
     KroneckerSolver,
     mode_products,
 )
-from saddleprec.precond import ControlEigenbasis, state_residual_form, trace_form
+from saddleprec.precond import Setup, state_residual_form, trace_form
 
 
 def _rand_spd(rng, n):
@@ -117,16 +117,14 @@ def test_apply_matches_materialize_and_dense_kron(shapes):
     assert np.allclose(km.T.apply(z), dense.T @ z, rtol=0,
                        atol=1e-14 * np.abs(dense).sum(axis=0).max() * np.abs(z).max())
     rows = rng.standard_normal((3, dense.shape[1]))
-    stacked = km.apply(rows, stacked=True)
-    assert stacked.shape == (3, dense.shape[0])
-    assert np.allclose(stacked, rows @ dense.T, rtol=0, atol=1e-14 * scale * 3)
+    transposed = km.apply(rows.T).T
+    assert transposed.shape == (3, dense.shape[0])
+    assert np.allclose(transposed, rows @ dense.T, rtol=0, atol=1e-14 * scale * 3)
 
 
-def _per_term(km, x, stacked=False):
-    """The sum term by term, one chain of mode products per term (per row
-    of a stack): the plan's oracle."""
-    if stacked:
-        return np.stack([_per_term(km, row) for row in x])
+def _per_term(km, x):
+    """The sum term by term, one chain of mode products per term: the
+    plan's oracle."""
     return sum(t.weight * mode_products(t.factors, x) for t in km.terms)
 
 
@@ -137,7 +135,7 @@ def _shared_sums(kind, p, lev):
     spec = ProblemSpec(kind, p, lev, 1e-3)
     spaces = build_spaces(spec)
     blocks = system_blocks(spec, spaces)
-    k_u = ControlEigenbasis(spaces, blocks).k_u
+    k_u = Setup(spec, spaces, blocks).k_u
     return {"G": state_residual_form(spec, spaces), "K_U": k_u, "K_U'": k_u.T,
             "trace": trace_form(spec, spaces), "K_R1": blocks["p_r1", "y"]}
 
@@ -148,8 +146,8 @@ def _shared_sums(kind, p, lev):
 def test_plan_matches_per_term_mode_products_and_dense_kron(kind, p, lev):
     # the plan stacks the distinct first and last factors and folds weights
     # and middle factors into one block matrix, in either mode order; on
-    # vectors, trailing columns and stacked rows it agrees with the
-    # term-by-term sum and the dense product to the tolerance of
+    # vectors, trailing columns and the columns of a transpose it agrees
+    # with the term-by-term sum and the dense product to the tolerance of
     # test_apply_matches_materialize_and_dense_kron
     rng = np.random.default_rng(7)
     orders = set()
@@ -165,8 +163,8 @@ def test_plan_matches_per_term_mode_products_and_dense_kron(kind, p, lev):
         for got, ref, oracle, arg in (
                 (km.apply(x), dense @ x, _per_term(km, x), x),
                 (km.apply(cols), dense @ cols, _per_term(km, cols), cols),
-                (km.apply(rows, stacked=True), rows @ dense.T,
-                 _per_term(km, rows, stacked=True), rows)):
+                (km.apply(rows.T).T, rows @ dense.T, _per_term(km, rows.T).T,
+                 rows)):
             assert got.shape == ref.shape == oracle.shape, name
             tol = 1e-14 * rowsum * np.abs(arg).max()
             assert np.max(np.abs(got - ref)) <= tol, name

@@ -1,6 +1,7 @@
 """Preconditioner blocks: quadratic forms, inverses, dense reference."""
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import scipy.sparse as sp
 from scipy.linalg import cho_solve_banded
 from scipy.sparse.linalg import splu
 
+from saddleprec import cli, precond
 from saddleprec.assembly import (
     BLOCK_FACTORS,
     ProblemSpec,
@@ -18,8 +20,7 @@ from saddleprec.assembly import (
 from saddleprec.kron import KroneckerMatrix
 from saddleprec.precond import (
     BandCholesky,
-    ControlEigenbasis,
-    alpha_free_setup,
+    Setup,
     band_size,
     band_values,
     bandwidth,
@@ -192,7 +193,7 @@ def test_state_block_is_the_symmetric_mean_up_to_roundoff(kind, p, lev):
     spec = ProblemSpec(kind, p, lev, 1.0)
     sp_ = build_spaces(spec)
     system = assemble_system(spec, sp_)
-    setup = alpha_free_setup(spec, sp_, system.blocks)
+    setup = Setup(spec, sp_, system.blocks)
     observation, residual, trace = (_abs_form(km).materialize() for km in (
         system.blocks["y", "y"], state_residual_form(spec, sp_),
         trace_form(spec, sp_)))
@@ -214,7 +215,8 @@ def test_grams_hold_only_the_lower_triangle_of_the_band(kind, p):
     spec = ProblemSpec(kind, p, 2, 1e-6)
     sp_ = build_spaces(spec)
     system = assemble_system(spec, sp_)
-    grams, _ = setup = alpha_free_setup(spec, sp_, system.blocks)
+    setup = Setup(spec, sp_, system.blocks)
+    grams = setup.grams
     shape, n = sp_.block_shape("y"), sp_.block_dim("y")
     lower = (band_size(shape, p) + n) // 2
     assert [g.size for g in grams] == [lower] * 4
@@ -234,7 +236,7 @@ def test_band_build_is_bitwise_the_csr_formula(kind, p, lev):
     spec = ProblemSpec(kind, p, lev, 1.0)
     sp_ = build_spaces(spec)
     system = assemble_system(spec, sp_)
-    setup = alpha_free_setup(spec, sp_, system.blocks)
+    setup = Setup(spec, sp_, system.blocks)
     shape = sp_.block_shape("y")
     width = bandwidth(shape, p)
     for alpha in (1.0, 1e-6, 1e-9):
@@ -280,7 +282,7 @@ def test_shared_setup_state_block_is_bitwise_the_unshared_one(kind, p):
     spec = ProblemSpec(kind, p, 2, 1.0)
     sp_ = build_spaces(spec)
     system = assemble_system(spec, sp_)
-    setup = alpha_free_setup(spec, sp_, system.blocks)
+    setup = Setup(spec, sp_, system.blocks)
     for alpha in (1.0, 1e-3, 1e-6, 1e-9):
         spec_a = dataclasses.replace(spec, alpha=alpha)
         held = build_preconditioner(spec_a, sp_, system.blocks,
@@ -290,6 +292,32 @@ def test_shared_setup_state_block_is_bitwise_the_unshared_one(kind, p):
                                 assemble_system(spec_a, fresh_spaces).blocks, alpha)
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(held, attr), getattr(fresh, attr))
+
+
+def test_own_setup_frees_the_grams_before_the_factor(monkeypatch):
+    # a P built on a setup of its own (run, export) has freed P_Y's three
+    # alpha-free Grams when its band factor starts; a shared setup keeps them
+    # for the next alpha
+    refs, alive = [], []
+    grams, init = precond.state_grams, BandCholesky.__init__
+
+    def record_grams(*args):
+        out = grams(*args)
+        refs[:] = [weakref.ref(g) for g in out[:3]]
+        return out
+
+    def record_factor(self, block):
+        alive.append([ref() is not None for ref in refs])
+        init(self, block)
+
+    monkeypatch.setattr(precond, "state_grams", record_grams)
+    monkeypatch.setattr(BandCholesky, "__init__", record_factor)
+    spec = ProblemSpec("wave", 2, 2, 1e-6)
+    sp_ = build_spaces(spec)
+    build_preconditioner(spec, sp_, assemble_system(spec, sp_).blocks)
+    with cli.shared_setup():
+        cli.build_solve(spec)
+    assert alive == [[False] * 3, [True] * 3]
 
 
 @pytest.mark.parametrize("lev", [1, 2, 3])
@@ -303,7 +331,7 @@ def test_ordered_lus_agree_with_default_ordered_splu(kind, p, lev):
     spec = ProblemSpec(kind, p, lev, 1.0)
     sp_ = build_spaces(spec)
     system = assemble_system(spec, sp_)
-    setup = alpha_free_setup(spec, sp_, system.blocks)
+    setup = Setup(spec, sp_, system.blocks)
     rng = np.random.default_rng(31)
     for alpha in (1.0, 1e-6, 1e-9):
         spec_a = dataclasses.replace(spec, alpha=alpha)
@@ -534,7 +562,7 @@ def test_invalid_alpha_rejected():
 def test_control_eigenbasis_diagonalizes_each_factor(p, lev):
     spec = ProblemSpec("wave", p, lev, 1e-6)
     sp_ = build_spaces(spec)
-    basis = ControlEigenbasis(sp_, assemble_system(spec, sp_).blocks)
+    basis = Setup(spec, sp_, assemble_system(spec, sp_).blocks)
     lams = []
     for name, q in zip(BLOCK_FACTORS["u"], basis.q):
         mass = sp_.factor(name, name)
