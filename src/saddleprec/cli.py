@@ -67,8 +67,9 @@ UNIVARIATE_ARRAYS = 70
 BASE_GB = 0.1
 # bytes that `export` holds per nonzero of A beyond the system and P it
 # builds: A and P's blocks as CSR and COO matrices while they are written
-# (ru_maxrss of export over that of the build alone: 39.8-42.2 B at wave
-# alpha = 1e-6, (p, level) = (2, 3), (3, 3) and (2, 4))
+# (ru_maxrss of export over that of the build alone, at alpha = 1e-6 and
+# (p, level) = (2, 3), (3, 3) and (2, 4): 39.8-42.2 B for wave, 39.1-39.7 B
+# for heat)
 EXPORT_NNZ_BYTES = 44
 
 
@@ -104,9 +105,10 @@ def estimate_memory_gb(spec: ProblemSpec) -> float:
 
 
 def system_nnz(spec: ProblemSpec) -> int:
-    """Nonzeros of A, exact but for cancellation: per entry of A's table, the
-    product over the modes of its factors' joint nonzeros, doubled off the
-    diagonal."""
+    """Nonzeros of A, bounded above: per entry of A's table, the product over
+    the modes of its factors' joint nonzeros, doubled off the diagonal. The
+    bound is exact but for cancellation where an entry's factors in each mode
+    share one pattern, as spline factors on the same pair of spaces do."""
     total = 0
     for (row, col), km in system_blocks(spec, build_spaces(spec)).items():
         modes = zip(*(term.factors for term in km.terms))

@@ -132,11 +132,11 @@ def band_values(km: KroneckerMatrix, p: int) -> np.ndarray:
 
 
 def state_grams(spec: ProblemSpec, spaces: DiscreteSpaces, blocks: dict,
-                residual: KroneckerMatrix | None = None) -> tuple:
+                residual: KroneckerMatrix) -> tuple:
     """P_Y's alpha-free data on the lower triangle (row at or after column)
     of its band, in the order of `band_values`: the observation, residual
-    (`residual`, or `state_residual_form`) and trace Grams, each entry's slot in
-    LAPACK's lower band storage of the reversed order, ab[i - j, j] =
+    (`residual`, a `state_residual_form`) and trace Grams, each entry's slot
+    in LAPACK's lower band storage of the reversed order, ab[i - j, j] =
     a_(n-1-i, n-1-j): (n - 1 - row) (bandwidth + 1) + row - col, its place
     in the C-ordered (n, bandwidth + 1) array whose transpose is ab. Row -
     col and the slot are sums of per-axis terms, built by outer sums."""
@@ -155,8 +155,7 @@ def state_grams(spec: ProblemSpec, spaces: DiscreteSpaces, blocks: dict,
     slots = slot.ravel()[lower]
     del diff, slot  # freed before the Grams' full-band values
     return (*(band_values(km, p)[lower] for km in (
-        blocks["y", "y"], residual or state_residual_form(spec, spaces),
-        trace_form(spec, spaces))), slots)
+        blocks["y", "y"], residual, trace_form(spec, spaces))), slots)
 
 
 def band_size(shape: tuple, p: int) -> int:
@@ -285,9 +284,10 @@ class Setup:
                                         for mode, f in enumerate(term.factors)))
 
     def serves(self, spec: ProblemSpec) -> bool:
-        """Whether spec differs from the setup's own in alpha and seed only."""
-        return dataclasses.replace(spec, alpha=self.spec.alpha,
-                                   seed=self.spec.seed) == self.spec
+        """Whether spec differs from the setup's own in alpha and seed only,
+        and the setup still holds its Grams."""
+        return self.grams is not None and dataclasses.replace(
+            spec, alpha=self.spec.alpha, seed=self.spec.seed) == self.spec
 
     def rotate(self, v: np.ndarray, back: bool = False) -> np.ndarray:
         """D v, or D' v when back: the control blocks change basis."""
@@ -455,6 +455,8 @@ class BlockDiagPreconditioner:
     """
 
     def __init__(self, spec, spaces, blocks, setup=None):
+        if setup is not None and not setup.serves(spec):
+            raise ValueError("the setup is for another grid or has freed its Grams")
         self.spaces = spaces
         self.alpha = a = spec.alpha
         self.basis = basis = setup or Setup(spec, spaces, blocks)

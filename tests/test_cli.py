@@ -475,6 +475,15 @@ def test_memory_estimate_covers_held_blocks(kind, p, lev):
              + plan_bytes + 8 * WORK_VECTORS * system.dim)
     with cli.shared_setup():  # the estimate of a setup that keeps its Grams
         assert (estimate_memory_gb(spec) - BASE_GB) * 1e9 >= total
+    # a P built on a setup of its own, as `run` and `export` build it, has
+    # freed the Grams and holds the rest: the estimate they gate on covers it
+    own = build_preconditioner(spec, spaces, system.blocks)
+    own_y = own.table["y"]
+    assert own.basis.grams is None
+    gram_bytes = sum(g.nbytes for g in setup.grams[:3])
+    assert (own_y.matrix.slots.nbytes + own_y.matrix.lower.nbytes
+            + own_y.solver.factor.nbytes) == band_bytes + cholesky_bytes - gram_bytes
+    assert (estimate_memory_gb(spec) - BASE_GB) * 1e9 >= total - gram_bytes
 
 
 def test_solve_calls_the_full_operators_only_to_start_and_confirm(monkeypatch):

@@ -28,7 +28,6 @@ from saddleprec.precond import (
     build_Ptilde_Y,
     dual_grams,
     state_block,
-    state_grams,
     state_residual_form,
     trace_form,
 )
@@ -320,6 +319,24 @@ def test_own_setup_frees_the_grams_before_the_factor(monkeypatch):
     assert alive == [[False] * 3, [True] * 3]
 
 
+def test_setup_serves_its_grid_only_while_it_holds_its_grams():
+    # the setup of a P built without one has freed its Grams and serves no
+    # further P; a setup serves no P of another grid
+    spec = ProblemSpec("wave", 2, 1, 1e-6)
+    sp_ = build_spaces(spec)
+    blocks = assemble_system(spec, sp_).blocks
+    spent = build_preconditioner(spec, sp_, blocks).basis
+    assert spent.grams is None and not spent.serves(spec)
+    with pytest.raises(ValueError, match="freed its Grams"):
+        build_preconditioner(spec, sp_, blocks, spent)
+    finer = dataclasses.replace(spec, level=2)
+    finer_spaces = build_spaces(finer)
+    with pytest.raises(ValueError, match="another grid"):
+        build_preconditioner(finer, finer_spaces,
+                             assemble_system(finer, finer_spaces).blocks,
+                             Setup(spec, sp_, blocks))
+
+
 @pytest.mark.parametrize("lev", [1, 2, 3])
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("kind", ["heat", "wave"])
@@ -361,7 +378,7 @@ def test_band_factor_is_the_dense_cholesky_within_the_band(kind, p):
     spec = ProblemSpec(kind, p, 3, 1e-6)
     sp_ = build_spaces(spec)
     shape = sp_.block_shape("y")
-    p_y = state_block(state_grams(spec, sp_, assemble_system(spec, sp_).blocks),
+    p_y = state_block(Setup(spec, sp_, assemble_system(spec, sp_).blocks).grams,
                       spec.alpha, shape, p)
     chol = np.linalg.cholesky(p_y.materialize().toarray()[::-1, ::-1])
     n, width = chol.shape[0], bandwidth(shape, p)
@@ -379,7 +396,7 @@ def test_band_factor_is_the_dense_cholesky_within_the_band(kind, p):
 def test_state_cholesky_refuses_what_it_cannot_factor():
     spec = ProblemSpec("wave", 2, 3, 1e-6)
     sp_ = build_spaces(spec)
-    grams = state_grams(spec, sp_, assemble_system(spec, sp_).blocks)
+    grams = Setup(spec, sp_, assemble_system(spec, sp_).blocks).grams
     # a negative weight on the residual Gram, which is positive semidefinite
     # and not zero, leaves P_Y indefinite
     indefinite = state_block(grams, -1.0, sp_.block_shape("y"), 2)
@@ -402,7 +419,7 @@ def test_band_solve_is_cho_solve_banded_bit_for_bit():
     # wrong length is refused, where dpbtrs alone would solve its first rows
     spec = ProblemSpec("wave", 2, 2, 1e-6)
     sp_ = build_spaces(spec)
-    p_y = state_block(state_grams(spec, sp_, assemble_system(spec, sp_).blocks),
+    p_y = state_block(Setup(spec, sp_, assemble_system(spec, sp_).blocks).grams,
                       spec.alpha, sp_.block_shape("y"), 2)
     chol = BandCholesky(p_y)
     rng = np.random.default_rng(26)
