@@ -17,6 +17,7 @@ import sys
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -50,11 +51,12 @@ CSV_COLUMNS = ("problem", "p", "level", "alpha", "dofs", "iterations",
                "converged", "stop", "final_relres", "runtime_ms")
 
 
-# length-dofs float64 vectors a solve holds at once. The recurrence runs in
-# control coordinates, about a tenth of a vector each, and holds at most 10.5
-# (tracemalloc, wave and heat p=2,3, levels 3-4); a solve that restarts runs
-# its second recurrence in full vectors beside b, x0, the restart's base and
-# F's control columns, at most 17.9.
+# length-dofs float64 vectors a solve holds at once. MINRES allocates at most
+# 9.0 beyond b and x0 while its recurrence runs in control coordinates, about
+# a tenth of a vector each, and at most 15.4 when it restarts and runs its
+# second start in full vectors (tracemalloc peak over the call: wave and heat
+# p=2,3 level 3 and p=2 level 4 at alpha=1e-6; restarting, wave p=2 level 3
+# T=10 alpha=1 and p=3 level 3 and p=5 level 2 at alpha=1e3).
 WORK_VECTORS = 20
 # dense univariate arrays, each at most m x m for m the largest factor
 # dimension, that a solve holds: the Kronecker factors of every block and of
@@ -199,12 +201,13 @@ def solve_once(spec: ProblemSpec, tol: float) -> dict:
         "stop": report.stop,
         "final_relres": report.final_true_relres,
         "runtime_ms": runtime_ms,
+        "restarted": report.restarted,  # not a CSV column
     }
 
 
 def _write_rows(rows, path) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
 
@@ -478,6 +481,35 @@ def check_conditioning(seed: int):
     return spread <= KAPPA_SPREAD and excess <= DENSE_TOL, lines, metrics
 
 
+# the four legal cells that stopped "stagnated" before MINRES restarted from
+# its best iterate: two drifted recurrences (alpha=1e-12) and two Euclidean
+# residuals that lag the monitored norm (alpha=1e3, T=10)
+RESTART_CELLS = (ProblemSpec("wave", 2, 2, 1e-12), ProblemSpec("heat", 3, 1, 1e-12),
+                 ProblemSpec("wave", 5, 2, 1e3),
+                 ProblemSpec("wave", 2, 3, 1.0, final_time=10.0))
+
+
+def check_restart(seed: int):
+    """Every legal input converges: the cells of RESTART_CELLS end converged
+    at the default tol. Their counts and restarts are reported, not checked:
+    the counts of restarting cells swing by tens under roundoff."""
+    tol, ok, lines, metrics = MinresConfig().rel_tol, True, [], []
+    for cell in RESTART_CELLS:
+        row = solve_once(replace(cell, seed=seed), tol)
+        ok &= row["converged"] and row["final_relres"] <= tol
+        lines.append(f"{cell.kind} p={cell.degree} level={cell.level} "
+                     f"alpha={cell.alpha:g} T={cell.final_time:g}: {row['stop']} "
+                     f"in {row['iterations']} iterations"
+                     f"{', restarted' if row['restarted'] else ''}, relres "
+                     f"{row['final_relres']:.2e} (at most {tol:g})")
+        key = (f"{cell.kind}:p={cell.degree}:level={cell.level}:"
+               f"alpha={cell.alpha:g}:T={cell.final_time:g}")
+        metrics += [(f"{key}:iterations", row["iterations"]),
+                    (f"{key}:restarted", float(row["restarted"])),
+                    (f"{key}:final_relres", row["final_relres"])]
+    return ok, lines, metrics
+
+
 # suite name -> its checks; each check(seed) returns (ok, lines, metrics)
 SUITES = {
     "appendix": (check_appendix,),
@@ -486,6 +518,7 @@ SUITES = {
     "inclusion": (check_inclusion,),
     "lemma51": (check_lemma51,),
     "conditioning": (check_conditioning,),
+    "restart": (check_restart,),
 }
 
 

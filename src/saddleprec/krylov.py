@@ -12,12 +12,12 @@ STAGNATION_CHECKS confirmations in a row fail to improve on the best one,
 recurrence cannot recover), or "iteration cap", and returns the best
 confirmed iterate, or the start when no confirmation was finite.
 The first time they fail, the recurrence restarts instead, once per solve
-(`MinresReport.restarted`), for the correction of the best iterate: from
-zero, driven by that iterate's full residual, in `Euclidean` coordinates
-(coordinates bound to a small residual would hold it in coefficients that
-cancel). As in a fresh solve, confirmations run at every iteration again
-only once its monitored norm has fallen by tol, and the count of failed
-ones starts afresh. A recurrence
+(`MinresReport.restarted`): it starts over from the best iterate and its
+true residual, in `Euclidean` coordinates (coordinates bound to a small
+residual would hold it in coefficients that cancel). As in a fresh solve,
+confirmations run at every iteration again only once its monitored norm
+has fallen by tol, and the count of failed ones starts afresh; residuals
+stay relative to the first start's. A recurrence
 that has drifted from the true residual gets its accuracy back that way,
 and one whose Euclidean residual lags its monitored norm gets the
 iterations it needs. A solve that would have stopped at the restart loses
@@ -145,33 +145,32 @@ def minres(apply_a, apply_pinv, b: np.ndarray, x0: np.ndarray | None = None,
     apply_a and apply_pinv are callables for the (symmetric) operator and the
     SPD preconditioner inverse. The recurrence runs in config.coordinates
     (`Euclidean` when None), started from the full r0 = b - A x0 and
-    P^-1 r0, and restarted likewise for the correction of the best iterate;
-    it raises ValueError when the coordinates' start disagrees with them
-    beyond COORDINATE_RTOL. Returns (x, MinresReport), x full-size; every
-    way the solve ends is reported in MinresReport.stop, not raised.
+    P^-1 r0, and restarted likewise from the best iterate in `Euclidean`
+    coordinates; it raises ValueError when the coordinates' start disagrees
+    with them beyond COORDINATE_RTOL. Returns (x, MinresReport), x
+    full-size; every way the solve ends is reported in MinresReport.stop,
+    not raised.
     """
     if config is None:
         config = MinresConfig()
     coords = config.coordinates or Euclidean(apply_a, apply_pinv)
     b = np.asarray(b, dtype=float)
-    n = b.shape[0]
-    _probe_symmetry(apply_a, n)
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    _probe_symmetry(apply_a, b.shape[0])
+    x = np.zeros(b.shape[0]) if x0 is None else np.array(x0, dtype=float)
 
     r0 = b - apply_a(x)
     eu0 = float(np.linalg.norm(r0))
     if eu0 == 0.0:
         return x, MinresReport(0, "converged", np.zeros(1), [], 0.0)
 
-    def begin(rhs, x, r0):
-        """Coordinates of the start x of A x = rhs, of its residual r0
-        (rhs - A x, full) and of P^-1 r0, held to the full ones; and r0's
-        P-norm."""
+    def begin(x, r0):
+        """Coordinates of the start x, of its residual r0 (b - A x, full)
+        and of P^-1 r0, held to the full ones; and r0's P-norm."""
         y0 = apply_pinv(r0)
         full_sq = float(r0 @ y0)
         if full_sq <= 0.0:
             raise ValueError("preconditioner failed the positive-definiteness check")
-        xc, r1, y = coords.start(rhs, x, r0, y0)
+        xc, r1, y = coords.start(b, x, r0, y0)
         scale = float(np.linalg.norm(r0))
         gap = float(np.linalg.norm(coords.expand_residual(r1) - r0)) / scale
         beta_sq = coords.pair(y, r1)
@@ -182,27 +181,10 @@ def minres(apply_a, apply_pinv, b: np.ndarray, x0: np.ndarray | None = None,
                              f"squared by {gap_sq:.2e} (relative)")
         return xc, r1, y, np.sqrt(beta_sq)
 
-    x, r1, y, beta1 = begin(b, x, r0)
-    del r0  # coordinates that are not the vectors free it here
-    apply_a_c, apply_pinv_c, pair = coords.apply_a, coords.apply_pinv, coords.pair
-    history = [beta1]
-    checks: list = []
-    n = r1.shape[0]
-
-    # after the restart the coordinates stand for a correction of `base`
-    base = None
-
-    def full(xc):
-        """The iterate that coordinates xc stand for."""
-        v = coords.expand(xc)
-        return v if base is None else base + v
-
-    best_rel, best_x, since_best, restarted = np.inf, None, 0, False
-
     def confirm(xc):
         """Record a true-residual check; track the best confirmed iterate."""
         nonlocal best_rel, best_x, since_best
-        rel = float(np.linalg.norm(b - apply_a(full(xc))) / eu0)
+        rel = float(np.linalg.norm(b - apply_a(coords.expand(xc))) / eu0)
         checks.append((itn, rel))
         if rel < best_rel:
             best_rel, best_x, since_best = rel, xc.copy(), 0
@@ -210,93 +192,94 @@ def minres(apply_a, apply_pinv, b: np.ndarray, x0: np.ndarray | None = None,
             since_best += 1
         return rel
 
-    # the recurrence writes only into these; the arrays apply_a and
-    # apply_pinv return are read, never written, and not kept past the next
-    # call, so an operator may hand back one buffer every time
-    r2, r1 = r1, np.empty(n)
-    v, w, w1, w2, scratch = (np.zeros(n) for _ in range(5))
-    oldb, beta, phibar = 0.0, beta1, beta1
-    target = config.rel_tol * beta1  # monitored norm that starts confirmations
-    dbar = epsln = 0.0
-    cs, sn = -1.0, 0.0
-    itn = 0
-    stop = None
-
-    while stop is None:
-        itn += 1
-        np.divide(y, beta, out=v)
-        y = apply_a_c(v)
-        if oldb > 0.0:
-            np.multiply(r1, beta / oldb, out=r1)
-            y = np.subtract(y, r1, out=r1)
-        alfa = pair(v, y)
-        np.multiply(r2, alfa / beta, out=scratch)
-        np.subtract(y, scratch, out=r1)
-        r1, r2 = r2, r1
-        y = apply_pinv_c(r2)
-        oldb = beta
-        beta_sq = pair(y, r2)
-        if beta_sq < 0:
-            raise ValueError("preconditioner failed the positive-definiteness check")
-        beta = np.sqrt(beta_sq)
-
-        oldeps = epsln
-        delta = cs * dbar + sn * alfa
-        gbar = sn * dbar - cs * alfa
-        epsln = sn * beta
-        dbar = -cs * beta
-        gamma = max(np.hypot(gbar, beta), np.finfo(float).tiny)
-        cs = gbar / gamma
-        sn = beta / gamma
-        phi = cs * phibar
-        phibar = sn * phibar
-        w1, w2, w = w2, w, w1
-        np.multiply(w1, oldeps, out=w)
-        np.subtract(v, w, out=w)
-        np.multiply(w2, delta, out=scratch)
-        np.subtract(w, scratch, out=w)
-        np.divide(w, gamma, out=w)
-        np.multiply(w, phi, out=scratch)
-        np.add(x, scratch, out=x)
-        history.append(phibar)
-
-        breakdown = beta <= BREAKDOWN_RTOL * beta1
-        if not (phibar <= target or breakdown
-                or itn % TRUE_RESIDUAL_CHECK_EVERY == 0 or itn == config.max_iter):
-            continue
-        rel = confirm(x)
-        if rel <= config.rel_tol:
-            stop = "converged"
-        elif since_best >= STAGNATION_CHECKS and restarted:
-            stop = "stagnated"
-        elif breakdown or not np.isfinite(rel):
-            stop = "breakdown"
-        elif itn == config.max_iter:
-            stop = "iteration cap"
-        elif since_best >= STAGNATION_CHECKS:
-            # restart once, in full vectors: the recurrence solves for the
-            # best iterate's correction, from zero and its full residual
-            # (its monitored norm must fall by tol, as in a fresh solve,
-            # before the confirmations run at every iteration again)
-            restarted, since_best = True, 0
-            base = full(best_x)
-            del x, best_x, r1, r2, y, v, w, w1, w2, scratch  # freed first
+    checks: list = []
+    best_rel, best_x, itn, stop = np.inf, None, 0, None
+    for restarted in (False, True):
+        if restarted:
+            # the one restart, in full vectors: a fresh start from the best
+            # iterate and its full residual
+            del x, r1, r2, y, v, w, w1, w2, scratch  # freed first
+            best_x = coords.expand(best_x)
+            x = best_x.copy()
             coords = Euclidean(apply_a, apply_pinv)
-            apply_a_c, apply_pinv_c, pair = coords.apply_a, coords.apply_pinv, coords.pair
-            r = b - apply_a(base)
-            x, r2, y, beta = begin(r, np.zeros(r.shape[0]), r)
-            del r
-            best_x = x.copy()
-            r1, v, w, w1, w2, scratch = (np.zeros(x.shape[0]) for _ in range(6))
-            oldb, phibar = 0.0, beta
-            target = beta * config.rel_tol
-            dbar = epsln = 0.0
-            cs, sn = -1.0, 0.0
+            r0 = b - apply_a(x)
+        x, r1, y, beta = begin(x, r0)
+        del r0  # coordinates that are not the vectors free it here
+        if not restarted:
+            beta1, history = beta, [beta]
+        apply_a_c, apply_pinv_c, pair = coords.apply_a, coords.apply_pinv, coords.pair
+
+        # the recurrence writes only into these; the arrays apply_a and
+        # apply_pinv return are read, never written, and not kept past the
+        # next call, so an operator may hand back one buffer every time
+        n = r1.shape[0]
+        r2, r1 = r1, np.empty(n)
+        v, w, w1, w2, scratch = (np.zeros(n) for _ in range(5))
+        oldb, phibar, since_best = 0.0, beta, 0
+        target = config.rel_tol * beta  # monitored norm that starts confirmations
+        dbar = epsln = 0.0
+        cs, sn = -1.0, 0.0
+
+        while stop is None:
+            itn += 1
+            np.divide(y, beta, out=v)
+            y = apply_a_c(v)
+            if oldb > 0.0:
+                np.multiply(r1, beta / oldb, out=r1)
+                y = np.subtract(y, r1, out=r1)
+            alfa = pair(v, y)
+            np.multiply(r2, alfa / beta, out=scratch)
+            np.subtract(y, scratch, out=r1)
+            r1, r2 = r2, r1
+            y = apply_pinv_c(r2)
+            oldb = beta
+            beta_sq = pair(y, r2)
+            if beta_sq < 0:
+                raise ValueError("preconditioner failed the positive-definiteness check")
+            beta = np.sqrt(beta_sq)
+
+            oldeps = epsln
+            delta = cs * dbar + sn * alfa
+            gbar = sn * dbar - cs * alfa
+            epsln = sn * beta
+            dbar = -cs * beta
+            gamma = max(np.hypot(gbar, beta), np.finfo(float).tiny)
+            cs = gbar / gamma
+            sn = beta / gamma
+            phi = cs * phibar
+            phibar = sn * phibar
+            w1, w2, w = w2, w, w1
+            np.multiply(w1, oldeps, out=w)
+            np.subtract(v, w, out=w)
+            np.multiply(w2, delta, out=scratch)
+            np.subtract(w, scratch, out=w)
+            np.divide(w, gamma, out=w)
+            np.multiply(w, phi, out=scratch)
+            np.add(x, scratch, out=x)
+            history.append(phibar)
+
+            breakdown = beta <= BREAKDOWN_RTOL * beta1
+            if not (phibar <= target or breakdown or itn == config.max_iter
+                    or itn % TRUE_RESIDUAL_CHECK_EVERY == 0):
+                continue
+            rel = confirm(x)
+            if rel <= config.rel_tol:
+                stop = "converged"
+            elif since_best >= STAGNATION_CHECKS and restarted:
+                stop = "stagnated"
+            elif breakdown or not np.isfinite(rel):
+                stop = "breakdown"
+            elif itn == config.max_iter:
+                stop = "iteration cap"
+            elif since_best >= STAGNATION_CHECKS:
+                break
+        if stop is not None:
+            break
 
     if stop == "converged":
-        x, relres = full(x), checks[-1][1]
+        x, relres = coords.expand(x), checks[-1][1]
     elif best_x is not None:
-        x, relres = full(best_x), best_rel
+        x, relres = coords.expand(best_x), best_rel
     else:  # no confirmation was finite: the start, whose residual is r0
         x = np.zeros(b.shape[0]) if x0 is None else np.array(x0, dtype=float)
         relres = 1.0

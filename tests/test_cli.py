@@ -276,6 +276,26 @@ def test_verify_fast_suites(capsys):
         assert "## suite appendix: [PASS]" in capsys.readouterr().out
 
 
+def test_verify_restart_suite_fails_on_a_stagnated_cell(capsys, monkeypatch):
+    # the suite passes on the verdicts: one cell that ends "stagnated", at
+    # any residual, fails it
+    solve, reports = cli.minres, []
+
+    def first_stagnates(*args, **kwargs):
+        x, report = solve(*args, **kwargs)
+        reports.append(report)
+        if len(reports) == 1:
+            report = dataclasses.replace(report, stop="stagnated")
+        return x, report
+
+    monkeypatch.setattr(cli, "minres", first_stagnates)
+    rc = main(["verify", "--suite", "restart"])
+    out = capsys.readouterr().out
+    assert rc == 1 and len(reports) == len(cli.RESTART_CELLS)
+    assert "## suite restart: [FAIL]" in out
+    assert out.count(": stagnated in ") == 1 and out.count(": converged in ") == 3
+
+
 def test_verify_report_file(tmp_path, capsys):
     path = tmp_path / "report.txt"
     rc = main(["verify", "--suite", "theorem22", "--output", str(path)])

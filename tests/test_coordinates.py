@@ -112,13 +112,7 @@ def _solve_reports(specs, monkeypatch):
 
 
 def test_the_restart_converges_the_cells_that_stagnated(monkeypatch):
-    # the four legal cells that stopped "stagnated" before MINRES restarted
-    # from its best iterate: two drifted recurrences (alpha=1e-12) and two
-    # Euclidean residuals that lag the monitored norm (alpha=1e3, T=10)
-    specs = (ProblemSpec("wave", 2, 2, 1e-12), ProblemSpec("heat", 3, 1, 1e-12),
-             ProblemSpec("wave", 5, 2, 1e3),
-             ProblemSpec("wave", 2, 3, 1.0, final_time=10.0))
-    for row, report in _solve_reports(specs, monkeypatch):
+    for row, report in _solve_reports(cli.RESTART_CELLS, monkeypatch):
         assert row["converged"] and row["final_relres"] <= 1e-8
         assert report.restarted
 
@@ -133,9 +127,20 @@ def test_the_pinned_cells_converge_without_a_restart(monkeypatch):
         assert report.converged and not report.restarted
 
 
+def test_the_table_grid_never_restarts():
+    # the premise of the restart's full-vector path: no cell of the `table`
+    # grid at levels 1-2 reaches it (nor does one at level 3)
+    for kind in ("heat", "wave"):
+        with cli.shared_setup():
+            rows = [cli.solve_once(ProblemSpec(kind, p, lev, alpha), 1e-8)
+                    for p in (2, 3) for lev in (1, 2)
+                    for alpha in (1.0, 1e-3, 1e-6, 1e-9)]
+        assert all(row["converged"] and not row["restarted"] for row in rows)
+
+
 def test_a_restarted_solve_returns_the_iterate_it_reports():
-    # tol 1e-300 stagnates after the restart, which goes on in full vectors
-    # for a correction of the best iterate: the returned x is still the best
+    # tol 1e-300 stagnates after the restart, which starts over in full
+    # vectors from the best iterate: the returned x is still the best
     # confirmed iterate
     system, precon, x0 = _rotated(ProblemSpec("heat", 2, 1, 1e-6))
     config = MinresConfig(rel_tol=1e-300,

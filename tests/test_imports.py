@@ -2,12 +2,13 @@
 
 No linter ships with the toolchain, so these walk the syntax trees. Every
 name an import binds must be read somewhere in the module; an import line
-marked `# noqa: F401` is exempt (the re-imports the benchmark probes
-rebind). Every public module-level function and class of the package must
-be read by another top-level definition of the package, by name or as an
-attribute. The package `__init__` is exempt from both: its imports are the
-public API, and a re-export there is no reader. The MINRES recurrence imports
-nothing of the package.
+marked `# noqa: F401` is exempt, but only for the re-imports that the
+benchmark probes rebind (`perfbench/probes.py` `TRACED`). Every public
+module-level function and class of the package must be read by another
+top-level definition of the package, by name or as an attribute. The package
+`__init__` is exempt from both: its imports are the public API, and a
+re-export there is no reader. The MINRES recurrence imports nothing of the
+package.
 """
 
 import ast
@@ -20,8 +21,9 @@ PACKAGE = sorted(p for p in (ROOT / "src" / "saddleprec").glob("*.py")
 MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
-def unused_imports(path: Path) -> list:
-    """(line, name) of every imported name the module never reads."""
+def unread_imports(path: Path) -> list:
+    """(line, name, exempt) of every imported name the module never reads,
+    exempt when its import line is marked `# noqa: F401`."""
     source = path.read_text()
     lines = source.splitlines()
     tree = ast.parse(source)
@@ -31,19 +33,55 @@ def unused_imports(path: Path) -> list:
     for node in ast.walk(tree):
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
-        if any("# noqa: F401" in line
-               for line in lines[node.lineno - 1:node.end_lineno]):
-            continue
+        exempt = any("# noqa: F401" in line
+                     for line in lines[node.lineno - 1:node.end_lineno])
         for alias in node.names:
             name = alias.asname or alias.name.split(".")[0]
             if name != "*" and name not in read:
-                unused.append((node.lineno, name))
+                unused.append((node.lineno, name, exempt))
     return unused
 
 
 def test_no_unused_imports():
-    found = {p.relative_to(ROOT).as_posix(): unused_imports(p) for p in MODULES}
+    found = {p.relative_to(ROOT).as_posix():
+             [(line, name) for line, name, exempt in unread_imports(p) if not exempt]
+             for p in MODULES}
     assert not {path: names for path, names in found.items() if names}
+
+
+def probe_rebinds() -> set:
+    """(module, attribute) of each package module attribute that the
+    benchmark probes' `TRACED` rebinds, owners named as the probes import
+    them (`from saddleprec import cli, ...`)."""
+    tree = ast.parse((ROOT / "perfbench" / "probes.py").read_text())
+    traced = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                  and [ast.unparse(t) for t in node.targets] == ["TRACED"])
+    return {(owner.id, attr.value) for owners, attr in
+            (entry.elts for entry in traced.values)
+            for owner in owners.elts if isinstance(owner, ast.Name)}
+
+
+def probe_only_imports(path: Path, rebinds: set) -> list:
+    """(line, name) of each name a `# noqa: F401` import binds that the
+    module never reads and the probes do not rebind in it."""
+    return [(line, name) for line, name, exempt in unread_imports(path)
+            if exempt and (path.stem, name) not in rebinds]
+
+
+def test_exempt_imports_are_read_or_rebound_by_the_probes(tmp_path):
+    # an import kept only for the probes goes when they stop rebinding it,
+    # and no new exempt import goes unnoticed
+    rebinds = probe_rebinds()
+    assert {module for module, _ in rebinds} <= {p.stem for p in PACKAGE}
+    found = {p.relative_to(ROOT).as_posix(): probe_only_imports(p, rebinds)
+             for p in PACKAGE}
+    assert PACKAGE and not {path: names for path, names in found.items() if names}
+    # the check sees an exempt import that neither reads nor rebinds
+    module = tmp_path / "cli.py"
+    module.write_text("import os\n"
+                      "from .splines import endpoint_row, univariate_matrix  # noqa: F401\n")
+    rebinds = {("cli", "univariate_matrix")}
+    assert probe_only_imports(module, rebinds) == [(2, "endpoint_row")]
 
 
 def unread_definitions() -> list:

@@ -325,16 +325,12 @@ def _allocating_minres(apply_a, apply_pinv, b, x0=None, config=None):
     if beta1 == 0.0 or eu0 == 0.0:
         return x, krylov.MinresReport(0, "converged", np.array(history), checks, 0.0)
 
-    base = None  # after the restart, x is a correction of base
     best_rel, best_x, since_best, restarted = np.inf, None, 0, False
-
-    def full(xc):
-        return xc if base is None else base + xc
 
     def confirm(xc):
         """Record a true-residual check; track the best confirmed iterate."""
         nonlocal best_rel, best_x, since_best
-        rel = float(np.linalg.norm(b - apply_a(full(xc))) / eu0)
+        rel = float(np.linalg.norm(b - apply_a(xc)) / eu0)
         checks.append((itn, rel))
         if rel < best_rel:
             best_rel, best_x, since_best = rel, xc.copy(), 0
@@ -397,14 +393,12 @@ def _allocating_minres(apply_a, apply_pinv, b, x0=None, config=None):
         elif itn == config.max_iter:
             stop = "iteration cap"
         elif since_best >= STAGNATION_CHECKS:
-            # the one restart: the correction of the best iterate, from zero
+            # the one restart: a fresh start from the best iterate
             restarted, since_best = True, 0
-            base = full(best_x)
-            r2 = b - apply_a(base)
+            x = best_x.copy()
+            r2 = b - apply_a(x)
             y = apply_pinv(r2)
             beta = np.sqrt(float(y @ r2))
-            x = np.zeros(n)
-            best_x = x.copy()
             w = np.zeros(n)
             w2 = np.zeros(n)
             oldb, phibar = 0.0, beta
@@ -415,7 +409,7 @@ def _allocating_minres(apply_a, apply_pinv, b, x0=None, config=None):
     if stop != "converged":
         x = best_x
     final_rel = checks[-1][1] if stop == "converged" else best_rel
-    return full(x), krylov.MinresReport(itn, stop, np.array(history), checks, final_rel)
+    return x, krylov.MinresReport(itn, stop, np.array(history), checks, final_rel)
 
 
 class _OneBuffer:
