@@ -27,10 +27,9 @@ from .kron import KroneckerMatrix, KroneckerSolver, mode_products
 from .splines import (
     SplineSpace,
     endpoint_row,
-    eval_basis_many,
-    gauss_rule,
     h10_restriction,
     make_space,
+    share_gauss_nodes,
     univariate_matrix,
 )
 
@@ -101,7 +100,10 @@ class DiscreteSpaces:
 
     `factor` serves every univariate Galerkin factor of the space-time
     operators, already restricted to the H^1_0 indices where its space is,
-    and caches it read-only for the lifetime of this object.
+    and caches it read-only for the lifetime of this object. The spaces
+    cache, for their own lifetime, the Gauss rules and basis tables the
+    factors and data moments integrate with; the spaces of `build_spaces`
+    share one set of reference Gauss nodes (`splines.share_gauss_nodes`).
     """
 
     y_time: SplineSpace
@@ -182,6 +184,7 @@ def build_spaces(spec: ProblemSpec) -> DiscreteSpaces:
     u_time = make_space(p, lev, p - 3, 0.0, T)
     u_x = make_space(p, lev, p - 3, 0.0, 1.0)
     u_y = make_space(p, lev, p - 3, 0.0, 1.0)
+    share_gauss_nodes(y_time, y_x, y_y, u_time, u_x, u_y)
     return DiscreteSpaces(
         y_time, y_x, y_y, u_time, u_x, u_y,
         h10_restriction(y_x), h10_restriction(y_y),
@@ -382,11 +385,12 @@ def moments(spaces: DiscreteSpaces, block: str, f, derivs=None,
             subs=None) -> np.ndarray:
     """(f, basis)_{L2} moments against a block's tensor basis.
 
-    One Gauss rule per factor of `BLOCK_FACTORS[block]`, clipped to the
-    per-direction interval of ``subs``; ``derivs`` differentiates the basis
-    per direction. The basis is restricted as `FACTOR_SPACES` says. The
-    weighted grid values are contracted with the transposed basis tables by
-    `mode_products`.
+    One Gauss rule per factor of `BLOCK_FACTORS[block]`, degree + 1 points
+    per element, clipped to the per-direction interval of ``subs``;
+    ``derivs`` differentiates the basis per direction. Rules and basis
+    tables are the spaces' cached ones. The basis is restricted as
+    `FACTOR_SPACES` says. The weighted grid values are contracted with the
+    transposed basis tables by `mode_products`.
     """
     n = len(BLOCK_FACTORS[block])
     rules, tables = [], []
@@ -394,8 +398,8 @@ def moments(spaces: DiscreteSpaces, block: str, f, derivs=None,
                             subs or (None,) * n):
         space, restr = FACTOR_SPACES[name]
         space = getattr(spaces, space)
-        rules.append(gauss_rule(space, sub=sub))
-        e = eval_basis_many(space, rules[-1].flat_points, d)
+        rules.append(space.rule(space.degree + 1, sub))
+        e = space.table(space.degree + 1, sub, d)
         tables.append((e if restr is None else e[:, getattr(spaces, restr)]).T)
     vals = np.asarray(f(*np.ix_(*(r.flat_points for r in rules))), dtype=float)
     w = math.prod(np.ix_(*(r.flat_weights for r in rules)))

@@ -12,7 +12,7 @@ STAGNATION_CHECKS confirmations in a row fail to improve on the best one,
 recurrence cannot recover), or "iteration cap", and returns the best
 confirmed iterate, or the start when no confirmation was finite.
 The first time they fail, the recurrence restarts instead, once per solve
-(`MinresReport.restarted`): it starts over from the best iterate and its
+(`MinresReport.restart_at`): it starts over from the best iterate and its
 true residual, in `Euclidean` coordinates (coordinates bound to a small
 residual would hold it in coefficients that cancel). As in a fresh solve,
 confirmations run at every iteration again only once its monitored norm
@@ -72,11 +72,18 @@ class MinresReport:
     residual_history: np.ndarray
     true_residual_checks: list = field(default_factory=list)
     final_true_relres: float = 0.0
-    restarted: bool = False  # the recurrence restarted from the best iterate
+    # iterations done when the recurrence restarted from the best iterate,
+    # None without a restart: the second start's monitored norms are
+    # residual_history[restart_at + 1:], relative to its own start
+    restart_at: int | None = None
 
     @property
     def converged(self) -> bool:
         return self.stop == "converged"
+
+    @property
+    def restarted(self) -> bool:
+        return self.restart_at is not None
 
 
 def random_start(dim: int, seed: int) -> np.ndarray:
@@ -193,11 +200,12 @@ def minres(apply_a, apply_pinv, b: np.ndarray, x0: np.ndarray | None = None,
         return rel
 
     checks: list = []
-    best_rel, best_x, itn, stop = np.inf, None, 0, None
+    best_rel, best_x, itn, stop, restart_at = np.inf, None, 0, None, None
     for restarted in (False, True):
         if restarted:
             # the one restart, in full vectors: a fresh start from the best
             # iterate and its full residual
+            restart_at = itn
             del x, r1, r2, y, v, w, w1, w2, scratch  # freed first
             best_x = coords.expand(best_x)
             x = best_x.copy()
@@ -283,4 +291,4 @@ def minres(apply_a, apply_pinv, b: np.ndarray, x0: np.ndarray | None = None,
     else:  # no confirmation was finite: the start, whose residual is r0
         x = np.zeros(b.shape[0]) if x0 is None else np.array(x0, dtype=float)
         relres = 1.0
-    return x, MinresReport(itn, stop, np.array(history), checks, relres, restarted)
+    return x, MinresReport(itn, stop, np.array(history), checks, relres, restart_at)

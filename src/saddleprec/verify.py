@@ -39,7 +39,6 @@ from scipy.linalg import cholesky, eigh, null_space
 
 from .assembly import DiscreteSystem, mass_solver
 from .kron import KroneckerMatrix, mode_products
-from .splines import eval_basis_many, gauss_rule
 from .precond import BlockDiagPreconditioner, StateBlock, build_Ptilde_Y
 
 # unknowns of the deflated pencil beyond which the dense instruments refuse a
@@ -307,18 +306,15 @@ def residual_on_grid(system: DiscreteSystem, y_coef: np.ndarray):
     is one `mode_products` call on the basis tables.
     """
     spec, spaces = system.spec, system.spaces
-    rules = [gauss_rule(s) for s in (spaces.u_time, spaces.u_x, spaces.u_y)]
-    pts = [r.flat_points for r in rules]
-    wts = [r.flat_weights for r in rules]
+    n = spaces.u_time.degree + 1
+    wts = [s.rule(n, None).flat_weights
+           for s in (spaces.u_time, spaces.u_x, spaces.u_y)]
     dt = 2 if spec.is_wave else 1
-
-    def ev(space, x, d, restrict):
-        e = eval_basis_many(space, x, d)
-        return e[:, restrict] if restrict is not None else e
-
-    et = [ev(spaces.y_time, pts[0], d, None) for d in (0, dt)]
-    ex = [ev(spaces.y_x, pts[1], d, spaces.ix) for d in (0, 2)]
-    ey = [ev(spaces.y_y, pts[2], d, spaces.iy) for d in (0, 2)]
+    # the state spaces share the control spaces' meshes, so their tables
+    # are evaluated on the same Gauss points
+    et = [spaces.y_time.table(n, None, d) for d in (0, dt)]
+    ex = [spaces.y_x.table(n, None, d)[:, spaces.ix] for d in (0, 2)]
+    ey = [spaces.y_y.table(n, None, d)[:, spaces.iy] for d in (0, 2)]
     vals = mode_products((et[1], ex[0], ey[0]), y_coef)
     vals -= mode_products((et[0], ex[1], ey[0]), y_coef)
     vals -= mode_products((et[0], ex[0], ey[1]), y_coef)
@@ -337,9 +333,8 @@ def inclusion_residuals(system: DiscreteSystem, n_samples: int = 20,
     to projection-solve roundoff.
     """
     spaces, blocks = system.spaces, system.blocks
-    rules = [gauss_rule(s) for s in (spaces.u_time, spaces.u_x, spaces.u_y)]
-    eu = [eval_basis_many(s, r.flat_points, 0)
-          for s, r in zip((spaces.u_time, spaces.u_x, spaces.u_y), rules)]
+    eu = [s.table(s.degree + 1, None, 0)
+          for s in (spaces.u_time, spaces.u_x, spaces.u_y)]
     rng = np.random.default_rng(seed)
     yv = rng.standard_normal((n_samples, spaces.block_dim("y"))).T
     vals, w3 = residual_on_grid(system, yv)

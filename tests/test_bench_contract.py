@@ -2,14 +2,15 @@
 
 import importlib.util
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from saddleprec import assembly, cli, krylov, precond, verify
-from saddleprec.assembly import ProblemSpec, assemble_system, build_spaces
-from saddleprec.precond import build_preconditioner
+from saddleprec import assembly, cli, krylov, precond, splines, verify
+from saddleprec.assembly import ProblemSpec, assemble_system, build_spaces, system_blocks
+from saddleprec.precond import Setup, build_preconditioner
 
 PROBES = Path(__file__).resolve().parent.parent / "perfbench" / "probes.py"
 
@@ -38,6 +39,7 @@ CALLED = {
     (precond, "build_preconditioner"): ("spec", "spaces", "blocks"),
     (verify, "measure_brezzi"): ("system", "alpha"),
     (verify, "condition_number_estimate"): ("system", "precon"),
+    (splines, "univariate_matrix"): ("row_space", "col_space", "d_row", "d_col", "sub"),
 }
 
 
@@ -49,6 +51,29 @@ def test_called_signatures_keep_the_benchmark_parameters():
         params = list(inspect.signature(getattr(owner, attr)).parameters.values())
         assert tuple(p.name for p in params[:len(names)]) == names, attr
         assert all(p.default is not p.empty for p in params[len(names):]), attr
+
+
+@pytest.mark.parametrize("kind", ["heat", "wave"])
+def test_a_rebound_univariate_matrix_sees_one_call_per_factor(monkeypatch, kind):
+    # splines.univariate_matrix_calls counts the factors a setup builds: the
+    # spaces' cached rules and tables call nothing the probes rebind
+    calls = []
+
+    def recording(row_space, col_space, d_row=0, d_col=0, sub=None):
+        calls.append((row_space, col_space, d_row, d_col, sub))
+        return splines.univariate_matrix(row_space, col_space, d_row, d_col, sub)
+
+    monkeypatch.setattr(assembly, "univariate_matrix", recording)
+    spec = ProblemSpec(kind, 3, 2, 1e-6)
+    spaces = build_spaces(spec)
+    Setup(spec, spaces, system_blocks(spec, spaces))
+    assert len(calls) == len(spaces._factors) >= 20
+    spaces_of = {id(getattr(spaces, name)): name for name, _ in
+                 assembly.FACTOR_SPACES.values()}
+    built = Counter((spaces_of[id(r)], spaces_of[id(c)], dr, dc, sub)
+                    for r, c, dr, dc, sub in calls)
+    assert built == Counter((assembly.FACTOR_SPACES[r][0], assembly.FACTOR_SPACES[c][0],
+                             dr, dc, sub) for r, c, dr, dc, sub in spaces._factors)
 
 
 def test_traced_attributes_resolve(probes):

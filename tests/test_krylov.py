@@ -52,16 +52,43 @@ def test_zero_rhs_zero_start_is_instant():
     assert rep.final_true_relres == 0.0
 
 
-def test_residual_history_monotone():
+def _start_segments(rep):
+    """The monitored norms of each start: the second start's begin after
+    iteration `restart_at`, relative to its own start."""
+    h = rep.residual_history
+    if rep.restart_at is None:
+        return [h]
+    return [h[:rep.restart_at + 1], h[rep.restart_at + 1:]]
+
+
+def test_residual_history_monotone(monkeypatch):
     rng = np.random.default_rng(32)
     g = rng.standard_normal((60, 60))
     a = g + g.T  # symmetric indefinite
     b = rng.standard_normal(60)
     _, rep = minres(_apply(a), _ident, b, config=MinresConfig(rel_tol=1e-10))
-    h = rep.residual_history
-    assert len(h) == rep.iterations + 1
-    backslide = np.diff(h) / h[:-1]
-    assert backslide.max() <= 1e-12
+    assert rep.restart_at is None
+    reports = [rep]
+    # and each start of the cells that restart, on its own: the norms rise
+    # where the second start begins
+    solve = cli.minres
+
+    def kept(*args, **kwargs):
+        x, report = solve(*args, **kwargs)
+        reports.append(report)
+        return x, report
+
+    monkeypatch.setattr(cli, "minres", kept)
+    for spec in cli.RESTART_CELLS:
+        cli.solve_once(spec, 1e-8)
+    assert all(0 < r.restart_at < r.iterations for r in reports[1:])
+    assert len(reports) == 1 + len(cli.RESTART_CELLS)
+    for rep in reports:
+        h = rep.residual_history
+        assert len(h) == rep.iterations + 1
+        for segment in _start_segments(rep):
+            backslide = np.diff(segment) / segment[:-1]
+            assert backslide.max() <= 1e-12
 
 
 @pytest.mark.parametrize("m", [2, 3, 5])
@@ -228,7 +255,7 @@ def test_a_failed_stop_returns_the_best_confirmed_iterate():
         floor, failed = (rel, 0) if rel < floor else (floor, failed + 1)
         if failed == STAGNATION_CHECKS:
             break
-    assert failed == STAGNATION_CHECKS
+    assert failed == STAGNATION_CHECKS and full.restart_at == restart
     cfg = MinresConfig(rel_tol=1e-30, max_iter=restart + 1)
     x, rep = minres(system.apply, precon.apply_inverse, system.rhs, x0=x0,
                     config=cfg)
@@ -325,7 +352,7 @@ def _allocating_minres(apply_a, apply_pinv, b, x0=None, config=None):
     if beta1 == 0.0 or eu0 == 0.0:
         return x, krylov.MinresReport(0, "converged", np.array(history), checks, 0.0)
 
-    best_rel, best_x, since_best, restarted = np.inf, None, 0, False
+    best_rel, best_x, since_best, restart_at = np.inf, None, 0, None
 
     def confirm(xc):
         """Record a true-residual check; track the best confirmed iterate."""
@@ -386,7 +413,7 @@ def _allocating_minres(apply_a, apply_pinv, b, x0=None, config=None):
             continue
         if confirm(x) <= config.rel_tol:
             stop = "converged"
-        elif since_best >= STAGNATION_CHECKS and restarted:
+        elif since_best >= STAGNATION_CHECKS and restart_at is not None:
             stop = "stagnated"
         elif breakdown:
             stop = "breakdown"
@@ -394,7 +421,7 @@ def _allocating_minres(apply_a, apply_pinv, b, x0=None, config=None):
             stop = "iteration cap"
         elif since_best >= STAGNATION_CHECKS:
             # the one restart: a fresh start from the best iterate
-            restarted, since_best = True, 0
+            restart_at, since_best = itn, 0
             x = best_x.copy()
             r2 = b - apply_a(x)
             y = apply_pinv(r2)
@@ -409,7 +436,8 @@ def _allocating_minres(apply_a, apply_pinv, b, x0=None, config=None):
     if stop != "converged":
         x = best_x
     final_rel = checks[-1][1] if stop == "converged" else best_rel
-    return x, krylov.MinresReport(itn, stop, np.array(history), checks, final_rel)
+    return x, krylov.MinresReport(itn, stop, np.array(history), checks, final_rel,
+                                  restart_at)
 
 
 class _OneBuffer:
@@ -453,6 +481,7 @@ def test_preallocated_recurrence_is_bitwise_the_allocating_one(name):
     x, rep = minres(apply_a, apply_pinv, b, x0=x0, config=cfg)
     x_ref, ref = _allocating_minres(apply_a, apply_pinv, b, x0=x0, config=cfg)
     assert (rep.iterations, rep.stop) == (ref.iterations, ref.stop)
+    assert rep.restart_at == ref.restart_at
     assert np.array_equal(rep.residual_history, ref.residual_history)
     assert rep.true_residual_checks == ref.true_residual_checks
     assert np.array_equal(x, x_ref)
