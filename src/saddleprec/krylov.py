@@ -9,8 +9,10 @@ each confirmation: at or below tol the solve stops "converged", a breakdown
 held to the same tol. Otherwise it stops, in this order, "stagnated" once
 STAGNATION_CHECKS confirmations in a row fail to improve on the best one,
 "breakdown" (also at a confirmation that is not finite, from which the
-recurrence cannot recover), or "iteration cap", and returns the best
-confirmed iterate, or the start when no confirmation was finite.
+recurrence cannot recover), or "iteration cap". Every solve returns the
+best of its start and its confirmed iterates, the start first: no solve
+returns an iterate whose residual exceeds its start's. A converged
+confirmation is the best one, the first at or below tol.
 The first time they fail, the recurrence restarts instead, once per solve
 (`MinresReport.restart_at`): it starts over from the best iterate and its
 true residual, in `Euclidean` coordinates (coordinates bound to a small
@@ -200,7 +202,7 @@ def minres(apply_a, apply_pinv, b: np.ndarray, x0: np.ndarray | None = None,
         return rel
 
     checks: list = []
-    best_rel, best_x, itn, stop, restart_at = np.inf, None, 0, None, None
+    best_rel, itn, stop, restart_at = 1.0, 0, None, None
     for restarted in (False, True):
         if restarted:
             # the one restart, in full vectors: a fresh start from the best
@@ -214,7 +216,7 @@ def minres(apply_a, apply_pinv, b: np.ndarray, x0: np.ndarray | None = None,
         x, r1, y, beta = begin(x, r0)
         del r0  # coordinates that are not the vectors free it here
         if not restarted:
-            beta1, history = beta, [beta]
+            beta1, history, best_x = beta, [beta], x.copy()
         apply_a_c, apply_pinv_c, pair = coords.apply_a, coords.apply_pinv, coords.pair
 
         # the recurrence writes only into these; the arrays apply_a and
@@ -283,12 +285,5 @@ def minres(apply_a, apply_pinv, b: np.ndarray, x0: np.ndarray | None = None,
                 break
         if stop is not None:
             break
-
-    if stop == "converged":
-        x, relres = coords.expand(x), checks[-1][1]
-    elif best_x is not None:
-        x, relres = coords.expand(best_x), best_rel
-    else:  # no confirmation was finite: the start, whose residual is r0
-        x = np.zeros(b.shape[0]) if x0 is None else np.array(x0, dtype=float)
-        relres = 1.0
-    return x, MinresReport(itn, stop, np.array(history), checks, relres, restart_at)
+    return coords.expand(best_x), MinresReport(itn, stop, np.array(history), checks,
+                                               best_rel, restart_at)

@@ -9,20 +9,21 @@ block realizes the weighted norm
             + |grad y(0)|^2_{L2} [+ |d_t y(0)|^2_{L2} for the wave problem]
 
 and is the one block a solve factorizes, by LAPACK's banded Cholesky
-(`BandCholesky`: dpbtrf, dpbtrs). A state-space basis function couples only
-with those within p indices per axis, so P_Y's pattern is the Kronecker
-product of the per-axis bands |i - j| <= p (`band_size`), and in the
-natural order of its C-ordered tensor grid P_Y is a band matrix of
-half-bandwidth p (n_x n_y + n_y + 1) (`bandwidth`). P_Y is defined by its
-lower triangle, the one LAPACK reads, and mirrored: its three alpha-free
-Grams (`state_grams`) are value arrays on the lower triangle of that band,
-from outer products of their univariate factors' band entries, so per alpha
-P_Y is a weighted sum of three arrays (`state_block`), scattered into
-LAPACK's lower band storage through one int32 array of slots that the
-setup holds beside the Grams; no sparse matrix is formed unless export,
-verify or a test reads one (`StateBlock.materialize`). Every other block is
-a Kronecker product of univariate masses, or the r1 Gram S_x x M_y + M_x x
-S_y, and is inverted in the eigenbases of its factors
+(dpbtrf, dpbtrs); one `StateBlock`, its values and its factor, is both its
+matrix and its solver. A state-space basis function couples only with those
+within p indices per axis, so P_Y's pattern is the Kronecker product of the
+per-axis bands |i - j| <= p (`band_size`), and in the natural order of its
+C-ordered tensor grid P_Y is a band matrix of half-bandwidth p (n_x n_y +
+n_y + 1) (`bandwidth`). P_Y is defined by its lower triangle, the one
+LAPACK reads, and mirrored: its three alpha-free Grams (`state_grams`) are
+value arrays on the lower triangle of that band, from outer products of
+their univariate factors' band entries (the trace Gram's time factors are
+A's, `trace_form`), so per alpha P_Y is a weighted sum of three arrays,
+scattered into LAPACK's lower band storage through one int32 array of slots
+that the setup holds beside the Grams; no sparse matrix is formed unless
+export, verify or a test reads one (`StateBlock.materialize`). Every other
+block is a Kronecker product of univariate masses, or the r1 Gram S_x x M_y
++ M_x x S_y, and is inverted in the eigenbases of its factors
 (`kron.KroneckerSolver`). P reads the observation and the control mass from
 the system table of `assembly.system_blocks` and builds the r1 Gram and the
 r2 mass, which A does not contain. Only P_Y, its factor and the control
@@ -59,7 +60,7 @@ from .assembly import (
 )
 from .kron import KroneckerMatrix, mode_products
 # univariate_matrix is imported here only so the benchmark probes can rebind it
-from .splines import endpoint_row, univariate_matrix  # noqa: F401
+from .splines import univariate_matrix  # noqa: F401
 
 
 def state_residual_form(spec: ProblemSpec, spaces: DiscreteSpaces) -> KroneckerMatrix:
@@ -69,7 +70,7 @@ def state_residual_form(spec: ProblemSpec, spaces: DiscreteSpaces) -> KroneckerM
     definition of the state operator: s_i s_j times the Kronecker product of
     the factors pairing derivative orders d_i and d_j in each direction.
     Mixed terms are exact transposes of each other only up to roundoff;
-    P_Y takes the lower triangle (`state_block`) and so is exactly
+    P_Y takes the lower triangle (`StateBlock`) and so is exactly
     symmetric.
     """
     names = BLOCK_FACTORS["y"]
@@ -82,16 +83,17 @@ def state_residual_form(spec: ProblemSpec, spaces: DiscreteSpaces) -> KroneckerM
     return km
 
 
-def trace_form(spec: ProblemSpec, spaces: DiscreteSpaces) -> KroneckerMatrix:
+def trace_form(spaces: DiscreteSpaces, blocks: dict) -> KroneckerMatrix:
     """(grad y(0), grad z(0)) [+ (d_t y(0), d_t z(0)) for the wave problem].
 
-    Endpoint-row outer products in time tensor the 2-D stiffness, and for
-    the velocity trace first-derivative rows tensor the 2-D mass.
+    Outer products of the endpoint rows in time, the time factors of A's
+    (p_r1, y) and (p_r2, y) entries, tensor the 2-D stiffness and, for the
+    velocity trace, the 2-D mass.
     """
-    e0 = endpoint_row(spaces.y_time, "a", 0)
+    e0 = blocks["p_r1", "y"].terms[0].factors[0]
     km = h10_gram_form(spaces, np.outer(e0, e0))
-    if spec.is_wave:
-        e1 = endpoint_row(spaces.y_time, "a", 1)
+    if spaces.has_r2:
+        e1 = blocks["p_r2", "y"].terms[0].factors[0]
         km.add(1.0, np.outer(e1, e1),
                *(spaces.factor(n, n) for n in BLOCK_FACTORS["p_r1"]))
     return km
@@ -155,7 +157,7 @@ def state_grams(spec: ProblemSpec, spaces: DiscreteSpaces, blocks: dict,
     slots = slot.ravel()[lower]
     del diff, slot  # freed before the Grams' full-band values
     return (*(band_values(km, p)[lower] for km in (
-        blocks["y", "y"], residual, trace_form(spec, spaces))), slots)
+        blocks["y", "y"], residual, trace_form(spaces, blocks))), slots)
 
 
 def band_size(shape: tuple, p: int) -> int:
@@ -170,16 +172,20 @@ def bandwidth(shape: tuple, p: int) -> int:
     return p * sum(math.prod(shape[k + 1:]) for k in range(len(shape)))
 
 
-class StateBlock(NamedTuple):
-    """P_Y on the band of the C-ordered grid `shape` with degree `p`, held
-    as `lower`, the value of each band entry in the lower triangle, and
-    `slots`, its place in LAPACK's lower band storage (`state_grams`); the
-    upper triangle mirrors it. Only `materialize` builds a sparse matrix."""
+class StateBlock:
+    """P_Y on the band of the C-ordered grid `shape` with degree `p`, both
+    matrix and solver: `lower`, the value of each band entry in the lower
+    triangle, `slots`, its place in LAPACK's lower band storage
+    (`state_grams`), and `factor`, LAPACK's L L' (dpbtrf, in place on the
+    `band_storage`) of the reversed order, which eliminates the last time
+    slab first and the initial traces last: at alpha <= 1e-6 its solves are
+    the more accurate (README). A pivot that is not positive raises
+    LinAlgError, a ValueError. Only `materialize` builds a sparse matrix."""
 
-    lower: np.ndarray
-    slots: np.ndarray
-    shape: tuple
-    p: int
+    def __init__(self, lower: np.ndarray, slots: np.ndarray, shape: tuple, p: int):
+        self.lower, self.slots, self.shape, self.p = lower, slots, shape, p
+        self.factor = cholesky_banded(self.band_storage(), lower=True,
+                                      overwrite_ab=True, check_finite=False)
 
     def band_storage(self) -> np.ndarray:
         """LAPACK's lower band storage ab (bandwidth + 1, n) of the reversed
@@ -189,36 +195,6 @@ class StateBlock(NamedTuple):
         ab = np.zeros((n, width + 1))
         ab.reshape(-1)[self.slots] = self.lower
         return ab.T
-
-    def materialize(self) -> sp.csr_matrix:
-        """The exact CSR matrix L + tril(L, -1)', L the lower triangle, for
-        export, the verify instruments and the tests; a zero entry is left
-        out. Each slot gives its entry's row and row - col."""
-        n, width = math.prod(self.shape), bandwidth(self.shape, self.p)
-        rows = n - 1 - self.slots // (width + 1)
-        cols = rows - self.slots % (width + 1)
-        low = sp.csr_matrix((self.lower, (rows, cols)), shape=(n, n))
-        return (low + sp.tril(low, -1).T).tocsr()
-
-
-def state_block(grams: tuple, alpha: float, shape: tuple, p: int) -> StateBlock:
-    """P_Y at alpha from its `state_grams`: (observation + alpha * residual)
-    + trace on the lower triangle of the band, bit for bit the lower
-    triangle of that CSR sum of the materialized Grams."""
-    observation, residual, trace, slots = grams
-    return StateBlock(observation + alpha * residual + trace, slots, shape, p)
-
-
-class BandCholesky:
-    """LAPACK's banded Cholesky factor L L' of a `StateBlock` (dpbtrf, in
-    place on its `band_storage`), in the reversed order, which eliminates
-    the last time slab first and the initial traces last: at alpha <= 1e-6
-    its solves are the more accurate (README). A pivot that is not positive
-    raises LinAlgError, a ValueError."""
-
-    def __init__(self, block: StateBlock):
-        self.factor = cholesky_banded(block.band_storage(), lower=True,
-                                      overwrite_ab=True, check_finite=False)
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """Solve with the block (dpbtrs, called directly); r may carry extra
@@ -232,14 +208,25 @@ class BandCholesky:
             raise ValueError(f"dpbtrs returned info = {info}")
         return x[::-1]
 
+    def materialize(self) -> sp.csr_matrix:
+        """The exact CSR matrix L + tril(L, -1)', L the lower triangle, for
+        export, the verify instruments and the tests; a zero entry is left
+        out. Each slot gives its entry's row and row - col."""
+        n, width = math.prod(self.shape), bandwidth(self.shape, self.p)
+        rows = n - 1 - self.slots // (width + 1)
+        cols = rows - self.slots % (width + 1)
+        low = sp.csr_matrix((self.lower, (rows, cols)), shape=(n, n))
+        return (low + sp.tril(low, -1).T).tocsr()
+
 
 class DiagonalBlock(NamedTuple):
     """One block of P: scale * matrix, inverted as solver.solve(r) / scale.
-    In the control eigenbasis of a `Setup` one `KroneckerDiagonal` is both."""
+    P_Y's one `StateBlock` is both, and so is one `KroneckerDiagonal` in the
+    control eigenbasis of a `Setup`."""
 
     scale: float
     matrix: object  # StateBlock or KroneckerMatrix, unscaled
-    solver: object  # BandCholesky or KroneckerSolver, unscaled
+    solver: object  # StateBlock or KroneckerSolver, unscaled
 
 
 class Setup:
@@ -447,11 +434,11 @@ class ControlCoordinates:
 class BlockDiagPreconditioner:
     """Factored diagonal blocks of the preconditioner at alpha = spec.alpha.
 
-    `table` maps each block name to its `DiagonalBlock`: P_Y as a
-    `StateBlock` with its `BandCholesky`, the other blocks as Kronecker sums
-    with their `KroneckerSolver`s. Everything but P_Y, its factor and the
-    control scales comes from `basis`, the `Setup` given, or one built here
-    that keeps no Grams once P_Y is summed.
+    `table` maps each block name to its `DiagonalBlock`: P_Y as one
+    `StateBlock`, (observation + alpha * residual) + trace on its band, the
+    other blocks as Kronecker sums with their `KroneckerSolver`s. Everything
+    but P_Y and the control scales comes from `basis`, the `Setup` given, or
+    one built here that keeps no Grams once P_Y is summed.
     """
 
     def __init__(self, spec, spaces, blocks, setup=None):
@@ -460,12 +447,15 @@ class BlockDiagPreconditioner:
         self.spaces = spaces
         self.alpha = a = spec.alpha
         self.basis = basis = setup or Setup(spec, spaces, blocks)
-        p_y = state_block(basis.grams, a, spaces.block_shape("y"), spec.degree)
+        observation, residual, trace, slots = basis.grams
+        lower = observation + a * residual + trace
+        del observation, residual, trace
         if setup is None:
             basis.grams = None  # freed before P_Y's factor
+        p_y = StateBlock(lower, slots, spaces.block_shape("y"), spec.degree)
         u_mass = basis.blocks["u", "u"]
         self.table = {
-            "y": DiagonalBlock(1.0, p_y, BandCholesky(p_y)),
+            "y": DiagonalBlock(1.0, p_y, p_y),
             "u": DiagonalBlock(a, u_mass, basis.solver),
             "p_u": DiagonalBlock(1.0 / a, u_mass, basis.solver),
             **basis.multipliers,

@@ -37,7 +37,7 @@ import math
 import numpy as np
 from scipy.linalg import cholesky, eigh, null_space
 
-from .assembly import DiscreteSystem, mass_solver
+from .assembly import DiscreteSystem, mass_solver, residual_terms
 from .kron import KroneckerMatrix, mode_products
 from .precond import BlockDiagPreconditioner, StateBlock, build_Ptilde_Y
 
@@ -302,22 +302,21 @@ def residual_on_grid(system: DiscreteSystem, y_coef: np.ndarray):
     y_coef may carry extra trailing columns, one state each. Returns (values,
     weights): the values as a 3-D tensor over the grid, with the columns
     trailing, and the weights as a 3-D tensor; the grid integrates products
-    of two residual/control functions exactly. Each term of the strong form
-    is one `mode_products` call on the basis tables.
+    of two residual/control functions exactly. Each term of
+    `assembly.residual_terms`, the one definition of the state operator, is
+    one signed `mode_products` call on the basis tables.
     """
-    spec, spaces = system.spec, system.spaces
+    spaces = system.spaces
     n = spaces.u_time.degree + 1
     wts = [s.rule(n, None).flat_weights
            for s in (spaces.u_time, spaces.u_x, spaces.u_y)]
-    dt = 2 if spec.is_wave else 1
     # the state spaces share the control spaces' meshes, so their tables
     # are evaluated on the same Gauss points
-    et = [spaces.y_time.table(n, None, d) for d in (0, dt)]
-    ex = [spaces.y_x.table(n, None, d)[:, spaces.ix] for d in (0, 2)]
-    ey = [spaces.y_y.table(n, None, d)[:, spaces.iy] for d in (0, 2)]
-    vals = mode_products((et[1], ex[0], ey[0]), y_coef)
-    vals -= mode_products((et[0], ex[1], ey[0]), y_coef)
-    vals -= mode_products((et[0], ex[0], ey[1]), y_coef)
+    vals = sum(sign * mode_products((spaces.y_time.table(n, None, dt),
+                                     spaces.y_x.table(n, None, dx)[:, spaces.ix],
+                                     spaces.y_y.table(n, None, dy)[:, spaces.iy]),
+                                    y_coef)
+               for sign, dt, dx, dy in residual_terms(system.spec))
     w3 = wts[0][:, None, None] * wts[1][None, :, None] * wts[2][None, None, :]
     return vals.reshape(w3.shape + np.shape(y_coef)[1:]), w3
 

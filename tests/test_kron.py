@@ -137,7 +137,7 @@ def _shared_sums(kind, p, lev):
     blocks = system_blocks(spec, spaces)
     k_u = Setup(spec, spaces, blocks).k_u
     return {"G": state_residual_form(spec, spaces), "K_U": k_u, "K_U'": k_u.T,
-            "trace": trace_form(spec, spaces), "K_R1": blocks["p_r1", "y"]}
+            "trace": trace_form(spaces, blocks), "K_R1": blocks["p_r1", "y"]}
 
 
 @pytest.mark.parametrize("lev", [1, 2])

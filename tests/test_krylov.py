@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from saddleprec import cli, krylov
 from saddleprec.assembly import ProblemSpec, assemble_system
@@ -19,12 +21,33 @@ def _ident(r):
 
 def _assert_verdict(rep, stop, tol):
     """Every exit: one stop reason, converged exactly when the reported
-    residual meets tol, and that residual is a confirmed one: the last when
-    converged, the best otherwise."""
+    residual meets tol, and that residual is the best of the start's, 1, and
+    the confirmed ones: the last when converged."""
     assert rep.stop == stop
     assert rep.converged == (rep.final_true_relres <= tol)
     rels = [rel for _, rel in rep.true_residual_checks]
-    assert rep.final_true_relres == (rels[-1] if stop == "converged" else min(rels))
+    assert rep.final_true_relres == (rels[-1] if stop == "converged"
+                                     else min([1.0] + rels))
+
+
+def _rotated_solve(spec, tol=MinresConfig().rel_tol):
+    """The solve of `cli.solve_once`, in the control eigenbasis and its
+    coordinates: the rotated system, the start, the returned iterate and the
+    report."""
+    system, precon = cli.build_solve(spec)
+    basis = precon.basis
+    system, precon = basis.system(system), basis.preconditioner(precon)
+    x0 = basis.rotate(random_start(system.dim, spec.seed))
+    config = MinresConfig(rel_tol=tol,
+                          coordinates=ControlCoordinates(system, precon))
+    x, rep = minres(system.apply, precon.apply_inverse, system.rhs, x0=x0,
+                    config=config)
+    return system, x0, x, rep
+
+
+def _relres(system, x, x0):
+    return (np.linalg.norm(system.rhs - system.apply(x))
+            / np.linalg.norm(system.rhs - system.apply(x0)))
 
 
 def test_identity_converges_in_one_iteration():
@@ -190,18 +213,67 @@ def test_no_finite_confirmation_stops_with_the_start():
     # confirmation is NaN, which no iterate can improve on: the solve stops
     # "breakdown" and returns its start, whose residual is r0, at relres 1
     spec = ProblemSpec("wave", 2, 1, 1e300)
-    system, precon = cli.build_solve(spec)
-    basis = precon.basis
-    system, precon = basis.system(system), basis.preconditioner(precon)
-    x0 = basis.rotate(random_start(system.dim, spec.seed))
-    config = MinresConfig(coordinates=ControlCoordinates(system, precon))
-    x, rep = minres(system.apply, precon.apply_inverse, system.rhs, x0=x0,
-                    config=config)
+    _, x0, x, rep = _rotated_solve(spec)
     assert rep.stop == "breakdown" and not rep.converged
     assert rep.true_residual_checks and not any(
         np.isfinite(rel) for _, rel in rep.true_residual_checks)
     assert rep.final_true_relres == 1.0
     assert np.array_equal(x, x0)
+
+
+@pytest.mark.parametrize("level, alpha", [(1, 1e-30), (2, 1e25)])
+def test_a_solve_never_returns_an_iterate_worse_than_its_start(level, alpha):
+    # at these alphas the recurrence breaks down within 3 iterations and
+    # every confirmation is worse than the start (relres 2.7e27 and 5.5e3):
+    # the start is the first best, so the solve returns it, at relres 1
+    spec = ProblemSpec("wave", 2, level, alpha)
+    system, x0, x, rep = _rotated_solve(spec)
+    assert rep.stop == "breakdown" and rep.iterations <= 3
+    rels = [rel for _, rel in rep.true_residual_checks]
+    assert rels and min(rels) > 1.0
+    _assert_verdict(rep, "breakdown", MinresConfig().rel_tol)
+    assert rep.final_true_relres == 1.0
+    assert np.array_equal(x, x0) and _relres(system, x, x0) == 1.0
+
+
+STOPS = ("converged", "stagnated", "breakdown", "iteration cap")
+
+
+@st.composite
+def legal_specs(draw):
+    """Any documented input: both problems, p 2-5, levels 0-2, alpha in
+    [1e-12, 1e6], T in [0.1, 10], an omega box whose edges lie on the mesh
+    lines or off them, and a seed."""
+    level = draw(st.integers(0, 2))
+    cells = 2 ** level
+
+    def edges():
+        edge = st.one_of(st.integers(0, cells).map(lambda k: k / cells),
+                         st.floats(0.0, 1.0))
+        lo, hi = sorted((draw(edge), draw(edge)))
+        assume(lo < hi)
+        return lo, hi
+
+    return ProblemSpec(draw(st.sampled_from(("heat", "wave"))),
+                       draw(st.integers(2, 5)), level,
+                       10.0 ** draw(st.floats(-12.0, 6.0)),
+                       final_time=draw(st.floats(0.1, 10.0)),
+                       omega=(edges(), edges()), seed=draw(st.integers(0, 2 ** 16)))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(legal_specs())
+def test_every_legal_solve_ends_in_a_verdict_its_iterate_bears_out(spec):
+    # the solve of solve_once ends in a named stop, converged only at or
+    # below tol, never worse than its start, and the reported residual is
+    # the one of the iterate it returns
+    tol = MinresConfig().rel_tol
+    system, x0, x, rep = _rotated_solve(spec, tol)
+    assert rep.stop in STOPS
+    assert not rep.converged or rep.final_true_relres <= tol
+    assert rep.final_true_relres <= 1.0
+    assert _relres(system, x, x0) == pytest.approx(rep.final_true_relres,
+                                                   rel=1e-12, abs=0.0)
 
 
 def test_stagnation_stops_with_best_confirmed_iterate():

@@ -9,25 +9,25 @@ import scipy.sparse as sp
 from scipy.linalg import cho_solve_banded
 from scipy.sparse.linalg import splu
 
-from saddleprec import cli, precond
+from saddleprec import cli, precond, splines
 from saddleprec.assembly import (
     BLOCK_FACTORS,
     ProblemSpec,
     assemble_system,
     build_spaces,
     mass_form,
+    system_blocks,
 )
 from saddleprec.kron import KroneckerMatrix
 from saddleprec.precond import (
-    BandCholesky,
     Setup,
+    StateBlock,
     band_size,
     band_values,
     bandwidth,
     build_preconditioner,
     build_Ptilde_Y,
     dual_grams,
-    state_block,
     state_residual_form,
     trace_form,
 )
@@ -163,7 +163,7 @@ def _csr_sum(spec, sp_, blocks, alpha):
     """The CSR sum m = observation + alpha * residual + trace, each
     alpha-free term materialized through scipy.sparse.kron."""
     observation, residual, trace = (km.materialize() for km in (
-        blocks["y", "y"], state_residual_form(spec, sp_), trace_form(spec, sp_)))
+        blocks["y", "y"], state_residual_form(spec, sp_), trace_form(sp_, blocks)))
     return observation + alpha * residual + trace
 
 
@@ -195,7 +195,7 @@ def test_state_block_is_the_symmetric_mean_up_to_roundoff(kind, p, lev):
     setup = Setup(spec, sp_, system.blocks)
     observation, residual, trace = (_abs_form(km).materialize() for km in (
         system.blocks["y", "y"], state_residual_form(spec, sp_),
-        trace_form(spec, sp_)))
+        trace_form(sp_, system.blocks)))
     for alpha in (1.0, 1e-6, 1e-9):
         held = build_preconditioner(dataclasses.replace(spec, alpha=alpha), sp_,
                                     system.blocks, setup).block_matrix("y")
@@ -298,19 +298,19 @@ def test_own_setup_frees_the_grams_before_the_factor(monkeypatch):
     # alpha-free Grams when its band factor starts; a shared setup keeps them
     # for the next alpha
     refs, alive = [], []
-    grams, init = precond.state_grams, BandCholesky.__init__
+    grams, init = precond.state_grams, StateBlock.__init__
 
     def record_grams(*args):
         out = grams(*args)
         refs[:] = [weakref.ref(g) for g in out[:3]]
         return out
 
-    def record_factor(self, block):
+    def record_factor(self, *args):
         alive.append([ref() is not None for ref in refs])
-        init(self, block)
+        init(self, *args)
 
     monkeypatch.setattr(precond, "state_grams", record_grams)
-    monkeypatch.setattr(BandCholesky, "__init__", record_factor)
+    monkeypatch.setattr(StateBlock, "__init__", record_factor)
     spec = ProblemSpec("wave", 2, 2, 1e-6)
     sp_ = build_spaces(spec)
     build_preconditioner(spec, sp_, assemble_system(spec, sp_).blocks)
@@ -378,13 +378,13 @@ def test_band_factor_is_the_dense_cholesky_within_the_band(kind, p):
     spec = ProblemSpec(kind, p, 3, 1e-6)
     sp_ = build_spaces(spec)
     shape = sp_.block_shape("y")
-    p_y = state_block(Setup(spec, sp_, assemble_system(spec, sp_).blocks).grams,
-                      spec.alpha, shape, p)
+    p_y = build_preconditioner(spec, sp_, assemble_system(spec, sp_).blocks
+                               ).table["y"].solver
     chol = np.linalg.cholesky(p_y.materialize().toarray()[::-1, ::-1])
     n, width = chol.shape[0], bandwidth(shape, p)
     assert not np.tril(chol, -width - 1).any()
     assert np.diagonal(chol, -width).any()
-    factor = BandCholesky(p_y).factor
+    factor = p_y.factor
     assert factor.shape == (width + 1, n)
     want = np.zeros_like(factor)
     for d in range(width + 1):
@@ -396,13 +396,15 @@ def test_band_factor_is_the_dense_cholesky_within_the_band(kind, p):
 def test_state_cholesky_refuses_what_it_cannot_factor():
     spec = ProblemSpec("wave", 2, 3, 1e-6)
     sp_ = build_spaces(spec)
-    grams = Setup(spec, sp_, assemble_system(spec, sp_).blocks).grams
+    blocks = assemble_system(spec, sp_).blocks
+    observation, residual, trace, slots = Setup(spec, sp_, blocks).grams
     # a negative weight on the residual Gram, which is positive semidefinite
-    # and not zero, leaves P_Y indefinite
-    indefinite = state_block(grams, -1.0, sp_.block_shape("y"), 2)
-    assert np.linalg.eigvalsh(indefinite.materialize().toarray())[0] < 0
+    # and not zero, leaves P_Y indefinite: the oracle's CSR, which the band
+    # values scatter bit for bit, has a negative eigenvalue
+    indefinite = csr_state_block(spec, sp_, blocks, -1.0)
+    assert np.linalg.eigvalsh(indefinite.toarray())[0] < 0
     with pytest.raises(ValueError, match="not positive definite"):
-        BandCholesky(indefinite)
+        StateBlock(observation - residual + trace, slots, sp_.block_shape("y"), 2)
     # a factor coupling the first and the last grid point of an axis has a
     # nonzero that P_Y's band has no place for
     mass = sp_.factor(BLOCK_FACTORS["y"][1], BLOCK_FACTORS["y"][1])
@@ -419,9 +421,8 @@ def test_band_solve_is_cho_solve_banded_bit_for_bit():
     # wrong length is refused, where dpbtrs alone would solve its first rows
     spec = ProblemSpec("wave", 2, 2, 1e-6)
     sp_ = build_spaces(spec)
-    p_y = state_block(Setup(spec, sp_, assemble_system(spec, sp_).blocks).grams,
-                      spec.alpha, sp_.block_shape("y"), 2)
-    chol = BandCholesky(p_y)
+    chol = build_preconditioner(spec, sp_, assemble_system(spec, sp_).blocks
+                                ).table["y"].solver
     rng = np.random.default_rng(26)
     n = sp_.block_dim("y")
     for r in (rng.standard_normal(n), rng.standard_normal((n, 3))):
@@ -548,9 +549,30 @@ def test_initial_dual_grams_are_the_trace_gram():
     sp_ = build_spaces(spec)
     system = assemble_system(spec, sp_)
     grams = dual_grams(system, build_preconditioner(spec, sp_, system.blocks))
-    expect = trace_form(spec, sp_).materialize().toarray()
+    expect = trace_form(sp_, system.blocks).materialize().toarray()
     got = grams["p_r1"] + grams["p_r2"]
     assert np.allclose(got, expect, atol=1e-10 * np.abs(expect).max())
+
+
+@pytest.mark.parametrize("kind, evaluations", [("heat", 1), ("wave", 2)])
+def test_each_endpoint_row_is_evaluated_once_per_setup(monkeypatch, kind,
+                                                       evaluations):
+    # A's initial-trace entries evaluate y_time's endpoint rows, y(0) and,
+    # for the wave problem, d_t y(0); the trace Gram reads them from A's
+    # table instead of evaluating them again
+    points = []
+
+    class Counting(splines.BSpline):
+        def __call__(self, x, *args, **kwargs):
+            if np.size(x) == 1:
+                points.append(x)
+            return super().__call__(x, *args, **kwargs)
+
+    spec = ProblemSpec(kind, 3, 3, 1e-6)
+    spaces = build_spaces(spec)
+    monkeypatch.setattr(splines, "BSpline", Counting)
+    Setup(spec, spaces, system_blocks(spec, spaces))
+    assert len(points) == evaluations
 
 
 def test_reference_refuses_beyond_cap():

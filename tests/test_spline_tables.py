@@ -143,7 +143,7 @@ def test_every_factor_is_bitwise_the_per_element_loop(kind, degree):
             spaces = build_spaces(spec)
             blocks = system_blocks(spec, spaces)
             precond.Setup(spec, spaces, blocks)
-            precond.trace_form(spec, spaces)
+            precond.trace_form(spaces, blocks)
             assert len(spaces._factors) >= 20
             for key, mat in spaces._factors.items():
                 assert bitwise_equal(mat, reference_factor(spaces, *key)), key

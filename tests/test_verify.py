@@ -412,7 +412,7 @@ def _preconditioner_as_table(system, precon, without=()):
     blocks["y", "y"] = KroneckerMatrix()
     for scale, form in ((1.0, system.blocks["y", "y"]),
                         (spec.alpha, state_residual_form(spec, spaces)),
-                        (1.0, trace_form(spec, spaces))):
+                        (1.0, trace_form(spaces, system.blocks))):
         blocks["y", "y"].terms += scaled(form, scale).terms
     return dataclasses.replace(system, blocks={
         key: op for key, op in blocks.items() if key[0] not in without})
